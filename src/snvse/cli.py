@@ -31,8 +31,8 @@ from .errors import (
     SnvseError,
 )
 from .estimator import (
-    CRF_MAX_DEFAULT,
-    CRF_MIN_DEFAULT,
+    CRF_MAX,
+    CRF_MIN,
     SearchStrategy,
     VideoPair,
     estimate_batch,
@@ -107,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--out", required=True, type=Path, help="output profile JSON path")
     p_est.add_argument("--pairing", choices=["stem", "manifest"], default="stem")
     p_est.add_argument("--manifest", type=Path, help="CSV of original,shared paths (pairing=manifest)")
-    p_est.add_argument("--c-min", type=int, default=CRF_MIN_DEFAULT)
-    p_est.add_argument("--c-max", type=int, default=CRF_MAX_DEFAULT)
+    p_est.add_argument("--c-min", type=int, default=CRF_MIN)
+    p_est.add_argument("--c-max", type=int, default=CRF_MAX)
     p_est.add_argument("--strategy", choices=["linear", "bisection"], default="linear")
     p_est.add_argument("--trial-seconds", type=float, default=None,
                        help="truncate trial encodes to the first K seconds")
@@ -155,7 +155,6 @@ def _config_from_args(args, preset: str) -> RunConfig:
         preset=preset,
         workers=args.workers,
         scratch_dir=args.scratch_dir,
-        log_level=args.log_level,
     )
     config.check_tools()
     return config
@@ -191,6 +190,12 @@ def _pair_by_manifest(manifest: Path) -> list[VideoPair]:
 
 
 def cmd_estimate(args) -> int:
+    # Checked before any encode: a crf_hat outside [CRF_MIN, CRF_MAX] would
+    # only be rejected when the profile is saved, after all the work.
+    if not CRF_MIN <= args.c_min < args.c_max <= CRF_MAX:
+        print(f"error: CRF range [{args.c_min}, {args.c_max}] must satisfy "
+              f"{CRF_MIN} <= c_min < c_max <= {CRF_MAX}", file=sys.stderr)
+        return 2
     config = _config_from_args(args, preset=args.preset or DEFAULT_PRESET)
     if args.pairing == "manifest":
         if args.manifest is None:

@@ -37,7 +37,6 @@ class RunConfig:
     preset: str = DEFAULT_PRESET
     workers: int = field(default_factory=_default_workers)
     scratch_dir: Path | None = None
-    log_level: str = "info"
 
     def __post_init__(self) -> None:
         if self.workers < 1:

@@ -25,12 +25,9 @@ from .errors import (
     PresetMismatch,
     SchemaViolation,
 )
-from .estimator import EstimationResult
+from .estimator import CRF_MAX, CRF_MIN, EstimationResult
 
 logger = logging.getLogger(__name__)
-
-CRF_ENTRY_MIN = 21
-CRF_ENTRY_MAX = 50
 
 
 @dataclass(frozen=True)
@@ -47,9 +44,9 @@ class ProfileEntry:
     def validate(self, where: str = "entry") -> None:
         if self.rho_out[0] % 2 or self.rho_out[1] % 2:
             raise SchemaViolation(f"{where}.rho_out must have even dimensions, got {self.rho_out}")
-        if not CRF_ENTRY_MIN <= self.crf_hat <= CRF_ENTRY_MAX:
+        if not CRF_MIN <= self.crf_hat <= CRF_MAX:
             raise SchemaViolation(
-                f"{where}.crf_hat must be in [{CRF_ENTRY_MIN}, {CRF_ENTRY_MAX}], got {self.crf_hat}"
+                f"{where}.crf_hat must be in [{CRF_MIN}, {CRF_MAX}], got {self.crf_hat}"
             )
 
     @classmethod

@@ -1,8 +1,8 @@
 """Subprocess execution for the external prober/encoder.
 
-Every invocation logs its exact argument list (forensic reproducibility),
-and live processes are tracked so an interrupt can terminate them and the
-caller can clean up partial outputs.
+Every invocation logs its exact argument list at DEBUG (forensic
+reproducibility), and live processes are tracked so an interrupt can
+terminate them and the caller can clean up partial outputs.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ def run_tool(argv: list[str]) -> subprocess.CompletedProcess:
     Does not raise on nonzero exit; callers interpret the return code so
     they can attach domain-specific diagnostics.
     """
-    logger.info("exec: %s", shlex.join(argv))
+    logger.debug("exec: %s", shlex.join(argv))
     proc = subprocess.Popen(
         argv,
         stdout=subprocess.PIPE,

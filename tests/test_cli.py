@@ -124,6 +124,42 @@ def test_estimate_no_pairs_fails(config, tmp_path, quiet):
     assert code == 1
 
 
+@pytest.mark.parametrize("bounds", [
+    ["--c-min", "15"],
+    ["--c-max", "51"],
+    ["--c-min", "30", "--c-max", "30"],
+], ids=["below-schema", "above-schema", "empty"])
+def test_estimate_rejects_crf_range_before_any_work(config, tmp_path, quiet, monkeypatch,
+                                                    capsys, bounds):
+    # A profile entry only holds crf_hat in [21, 50]; a wider range must be
+    # refused before the first probe, not after every encode has run.
+    import snvse.encoder
+    import snvse.probe
+    from snvse.runner import run_tool
+
+    calls = []
+
+    def counting_run_tool(argv):
+        calls.append(argv)
+        return run_tool(argv)
+
+    monkeypatch.setattr(snvse.probe, "run_tool", counting_run_tool)
+    monkeypatch.setattr(snvse.encoder, "run_tool", counting_run_tool)
+    for side in ("originals", "shared"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "clip.mp4").write_bytes(b"never probed")
+    out = tmp_path / "p.json"
+    code = main(quiet + [
+        "--ffmpeg-bin", config.ffmpeg, "--ffprobe-bin", config.ffprobe,
+        "estimate", str(tmp_path / "originals"), str(tmp_path / "shared"),
+        "--platform", "x", "--out", str(out),
+    ] + bounds)
+    assert code == 2
+    assert calls == []
+    assert not out.exists()
+    assert "CRF range" in capsys.readouterr().err
+
+
 def test_estimate_manifest_with_missing_file_continues(config, tmp_path, quiet, capsys):
     original = make_clip(config, tmp_path / "orig.mp4", size=(640, 360), duration=3)
     shared_dir = tmp_path / "shared"

@@ -149,7 +149,7 @@ def test_argv_pins_the_full_contract(config, tmp_path):
 def test_argv_is_logged_verbatim(config, clips, tmp_path, caplog):
     import logging
 
-    with caplog.at_level(logging.INFO, logger="snvse.runner"):
+    with caplog.at_level(logging.DEBUG, logger="snvse.runner"):
         encode(clips["flat"], _spec(), tmp_path / "log.mp4", config)
     exec_lines = [r.message for r in caplog.records if r.message.startswith("exec:")]
     assert any("-crf 30" in line and "scale=640:360" in line for line in exec_lines)

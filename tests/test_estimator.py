@@ -105,6 +105,10 @@ def test_strategies_agree_on_monotone_pair(hidden_pair, config):
     bisect = estimate_crf(hidden_pair, strategy=SearchStrategy.BISECTION_WITH_VERIFY, config=config)
     assert linear.crf_hat == bisect.crf_hat
     assert bisect.trial_log == sorted(bisect.trial_log)
+    assert len(bisect.trial_log) <= 3
+    trials = dict(bisect.trial_log)
+    assert trials[bisect.crf_hat] <= bisect.target_bitrate
+    assert trials[bisect.crf_hat - 1] > bisect.target_bitrate
 
 
 def test_trial_seconds_truncation_still_recovers(hidden_pair, config):

@@ -1,0 +1,107 @@
+"""CRF search strategies on synthetic rate curves: no encodes, no tool spawns.
+
+The model-guided search must return what the linear sweep (the reference
+definition) returns on every non-increasing curve, leave the minimality
+witness in its trials, and stay within a logarithmic number of trials even
+where the curve is far from log-linear.
+"""
+
+import math
+
+from hypothesis import example, given, strategies as st
+
+from snvse.estimator import CRF_PER_HALVING, _bisection_with_verify, _linear_sweep
+
+
+class Curve:
+    """A non-increasing CRF -> bit/s table that records every trial."""
+
+    def __init__(self, rates: dict[int, float]):
+        self.rates = rates
+        self.trials: list[int] = []
+
+    def __call__(self, crf: int) -> float:
+        self.trials.append(crf)
+        return self.rates[crf]
+
+
+def _log_linear(c_min, c_max, slope, crossing, target=1e5):
+    return {c: target * 2.0 ** ((crossing - c) / slope) for c in range(c_min, c_max + 1)}
+
+
+@st.composite
+def searches(draw):
+    c_min = draw(st.integers(0, 50))
+    c_max = draw(st.integers(c_min + 1, 51))
+    crfs = range(c_min, c_max + 1)
+    shape = draw(st.sampled_from(["log-linear", "curved", "steps"]))
+    if shape == "log-linear":
+        slope = draw(st.floats(3.0, 10.0))
+        logs = [-(c - c_min) / slope for c in crfs]
+    elif shape == "curved":
+        slope = draw(st.floats(3.0, 10.0))
+        power = draw(st.floats(0.3, 3.0))
+        logs = [-((c - c_min) / slope) ** power for c in crfs]
+    else:
+        # Drops of zero make flat runs; large drops make cliffs.
+        drops = draw(st.lists(st.sampled_from([0.0, 0.0, 0.05, 0.2, 1.0, 3.0]),
+                              min_size=len(crfs) - 1, max_size=len(crfs) - 1))
+        logs = [0.0] + [-sum(drops[:i + 1]) for i in range(len(drops))]
+    rates = {c: 1e6 * 2.0 ** log for c, log in zip(crfs, logs)}
+    if draw(st.booleans()):  # a zero-byte tail: no log-rate to model
+        zero_from = draw(st.integers(c_min, c_max))
+        rates.update({c: 0.0 for c in crfs if c >= zero_from})
+
+    where = draw(st.sampled_from(["tie", "between", "at c_min", "saturated"]))
+    values = sorted(rates.values())
+    if where == "tie":
+        target = draw(st.sampled_from(values))
+    elif where == "between":
+        target = draw(st.sampled_from(values)) * draw(st.floats(0.5, 2.0))
+    elif where == "at c_min":
+        target = values[-1] * 1.5
+    else:
+        target = values[0] * 0.5 if values[0] > 0 else -1.0
+    return rates, target, c_min, c_max
+
+
+@given(searches())
+@example((_log_linear(21, 50, 6.0, 33.0), 1e5, 21, 50))
+@example((_log_linear(21, 50, 6.0, 32.5), 1e5, 21, 50))
+@example((_log_linear(21, 50, 6.0, 10.0), 1e5, 21, 50))
+@example((_log_linear(21, 50, 6.0, 60.0), 1e5, 21, 50))
+@example((_log_linear(30, 31, 6.0, 30.5), 1e5, 30, 31))
+# Nearly flat just above the target, then a cliff at CRF 50: every secant
+# lands next to the failing end, so only the midpoint steps bound the trials.
+@example(({c: 1e5 * (1.001 ** (50 - c) if c < 50 else 2.0 ** -20) for c in range(52)},
+          1e5, 0, 51))
+def test_model_search_matches_linear_sweep(case):
+    rates, target, c_min, c_max = case
+    expected = _linear_sweep(rates.__getitem__, target, c_min, c_max)
+    curve = Curve(rates)
+    crf_hat, saturated = _bisection_with_verify(curve, target, c_min, c_max)
+
+    assert (crf_hat, saturated) == expected
+    assert len(curve.trials) == len(set(curve.trials))
+    assert all(c_min <= crf <= c_max for crf in curve.trials)
+    assert len(curve.trials) <= 2 + 2 * math.ceil(math.log2(c_max - c_min + 1))
+    # The witness: crf_hat's own trial, and the failing trial just below it
+    # unless crf_hat is the floor of the range (or saturated at the top).
+    assert crf_hat in curve.trials
+    if saturated:
+        assert rates[c_max] > target
+    else:
+        assert rates[crf_hat] <= target
+        if crf_hat > c_min:
+            assert crf_hat - 1 in curve.trials
+            assert rates[crf_hat - 1] > target
+
+
+def test_log_linear_curve_takes_at_most_three_trials():
+    # The rate model is exact here, so the search needs only the answer and
+    # its witness below it, plus the c_max trial that starts it.
+    for crossing in (c / 4 for c in range(21 * 4, 50 * 4 + 1)):
+        curve = Curve(_log_linear(21, 50, CRF_PER_HALVING, crossing))
+        crf_hat, saturated = _bisection_with_verify(curve, 1e5, 21, 50)
+        assert (crf_hat, saturated) == (math.ceil(crossing), False), crossing
+        assert len(curve.trials) <= 3, (crossing, curve.trials)
