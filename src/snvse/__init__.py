@@ -16,7 +16,6 @@ _EXPORTS = {
     "EmulationPlan": "planner",
     "EncodeSpec": "encoder",
     "EstimationOutcome": "estimator",
-    "EstimationResult": "estimator",
     "FidelityReport": "analysis",
     "MediaInfo": "probe",
     "PlatformProfile": "profile_db",

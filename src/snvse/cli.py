@@ -27,19 +27,14 @@ from .encoder import AudioPolicy, EncodeSpec, encode
 from .errors import (
     AllInputsFailed,
     AllPairsFailed,
+    InvalidRange,
     PreconditionViolation,
     SnvseError,
 )
-from .estimator import (
-    CRF_MAX,
-    CRF_MIN,
-    SearchStrategy,
-    VideoPair,
-    estimate_batch,
-)
-from .planner import check_preset, emulate_batch
+from .estimator import SearchStrategy, VideoPair, check_range, estimate_batch
+from .planner import emulate_batch
 from .probe import probe_media
-from .profile_db import PlatformProfile, ProfileEntry, load_profile, save_profile
+from .profile_db import CRF_MAX, CRF_MIN, PlatformProfile, ProfileEntry, load_profile, save_profile
 from .runner import run_pool, terminate_active
 
 logger = logging.getLogger(__name__)
@@ -109,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--manifest", type=Path, help="CSV of original,shared paths (pairing=manifest)")
     p_est.add_argument("--c-min", type=int, default=CRF_MIN)
     p_est.add_argument("--c-max", type=int, default=CRF_MAX)
-    p_est.add_argument("--strategy", choices=["linear", "bisection"], default="linear")
+    p_est.add_argument("--strategy", choices=[s.value for s in SearchStrategy],
+                       default=SearchStrategy.LINEAR_SWEEP.value)
     p_est.add_argument("--trial-seconds", type=float, default=None,
                        help="truncate trial encodes to the first K seconds")
     p_est.add_argument("--keep-trials", action="store_true", help="keep trial encodes in the scratch dir")
@@ -190,12 +186,7 @@ def _pair_by_manifest(manifest: Path) -> list[VideoPair]:
 
 
 def cmd_estimate(args) -> int:
-    # Checked before any encode: a crf_hat outside [CRF_MIN, CRF_MAX] would
-    # only be rejected when the profile is saved, after all the work.
-    if not CRF_MIN <= args.c_min < args.c_max <= CRF_MAX:
-        print(f"error: CRF range [{args.c_min}, {args.c_max}] must satisfy "
-              f"{CRF_MIN} <= c_min < c_max <= {CRF_MAX}", file=sys.stderr)
-        return 2
+    check_range(args.c_min, args.c_max)  # a usage error: report it before the tool check
     config = _config_from_args(args, preset=args.preset or DEFAULT_PRESET)
     if args.pairing == "manifest":
         if args.manifest is None:
@@ -204,23 +195,19 @@ def cmd_estimate(args) -> int:
         pairs = _pair_by_manifest(args.manifest)
     else:
         pairs = _pair_by_stem(args.originals_dir, args.shared_dir)
-    if not pairs:
-        print("error: no pairs to estimate", file=sys.stderr)
-        return 1
 
     outcomes = estimate_batch(
         pairs,
         workers=config.workers,
         c_min=args.c_min,
         c_max=args.c_max,
-        strategy=SearchStrategy.BISECTION_WITH_VERIFY if args.strategy == "bisection"
-        else SearchStrategy.LINEAR_SWEEP,
+        strategy=SearchStrategy(args.strategy),
         config=config,
         trial_seconds=args.trial_seconds,
         keep_trials=args.keep_trials,
     )
 
-    entries = [ProfileEntry.from_estimation(o.result) for o in outcomes if o.ok]
+    entries = [o.result for o in outcomes if o.ok]
     profile = PlatformProfile(
         platform_name=args.platform,
         captured_at=dt.date.today(),
@@ -247,8 +234,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_emulate(args) -> int:
     profile = load_profile(args.profile)
-    preset = check_preset(profile, args.preset)
-    config = _config_from_args(args, preset=preset)
+    config = _config_from_args(args, preset=args.preset or profile.preset)
     outcomes = emulate_batch(
         args.inputs,
         profile,
@@ -378,6 +364,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "db":
             return cmd_db_show(args)
         return _COMMANDS[args.command](args)
+    except InvalidRange as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (AllPairsFailed, AllInputsFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

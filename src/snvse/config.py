@@ -13,7 +13,7 @@ import os
 import shlex
 import shutil
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ToolNotFound
@@ -77,6 +77,3 @@ class RunConfig:
                     f"{name} command {cmd!r} not found; install it, pass --{name}-bin, "
                     f"or set {ENV_FFMPEG if name == 'ffmpeg' else ENV_FFPROBE}"
                 )
-
-    def with_preset(self, preset: str) -> "RunConfig":
-        return replace(self, preset=preset)

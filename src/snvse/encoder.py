@@ -23,13 +23,9 @@ from .runner import run_tool
 
 logger = logging.getLogger(__name__)
 
-VIDEO_CODEC = "h264"
 PIXEL_FORMAT = "yuv420p"
 CRF_FLOOR = 0.0
 CRF_CEIL = 51.0
-
-# ffprobe reports the codec as "h264"; the encoder is selected as libx264.
-_ENCODER_NAME = {"h264": "libx264"}
 
 
 class AudioPolicy(Enum):
@@ -52,8 +48,6 @@ class EncodeSpec:
     target_height: int
     crf: float
     frame_rate: Fraction
-    codec: str = VIDEO_CODEC
-    pixel_format: str = PIXEL_FORMAT
     preset: str = "medium"
     audio_policy: AudioPolicy = AudioPolicy.DROP
 
@@ -64,10 +58,6 @@ class EncodeSpec:
             raise PreconditionViolation(f"target height must be even and >= 2, got {self.target_height}")
         if not CRF_FLOOR <= self.crf <= CRF_CEIL:
             raise PreconditionViolation(f"crf must be in [{CRF_FLOOR}, {CRF_CEIL}], got {self.crf}")
-        if self.codec != VIDEO_CODEC:
-            raise PreconditionViolation(f"codec is fixed to {VIDEO_CODEC!r}, got {self.codec!r}")
-        if self.pixel_format != PIXEL_FORMAT:
-            raise PreconditionViolation(f"pixel format is fixed to {PIXEL_FORMAT!r}, got {self.pixel_format!r}")
         if self.frame_rate <= 0:
             raise PreconditionViolation(f"frame rate must be positive, got {self.frame_rate}")
 
@@ -98,10 +88,10 @@ def build_encode_argv(
         argv += ["-an"]
     argv += [
         "-vf", f"scale={spec.target_width}:{spec.target_height}",
-        "-c:v", _ENCODER_NAME[spec.codec],
+        "-c:v", "libx264",
         "-crf", _format_crf(spec.crf),
         "-preset", spec.preset,
-        "-pix_fmt", spec.pixel_format,
+        "-pix_fmt", PIXEL_FORMAT,
         "-r", f"{spec.frame_rate.numerator}/{spec.frame_rate.denominator}",
     ]
     if max_seconds is not None:

@@ -13,7 +13,8 @@ the minimality witness (the answer passes and the CRF below it fails or
 lies below the range). On the sim backend's 1280x720 -> 640x360 CRF-33
 pair it takes 3 trials against the linear sweep's 13. When even the top
 of the range overshoots, the result is clamped there and flagged
-saturated.
+saturated. The range must lie within ``profile_db.CRF_MIN``/``CRF_MAX``,
+the only definition of the bounds, so every estimate can be saved.
 """
 
 from __future__ import annotations
@@ -30,13 +31,10 @@ from .config import RunConfig
 from .encoder import EncodeSpec, encode, normalize_dimensions
 from .errors import AllPairsFailed, InvalidRange, SnvseError
 from .probe import probe_media
+from .profile_db import CRF_MAX, CRF_MIN, ProfileEntry
 from .runner import run_pool
 
 logger = logging.getLogger(__name__)
-
-# The widest CRF range a profile entry accepts, and the default search range.
-CRF_MIN = 21
-CRF_MAX = 50
 
 # x264's CRF scale: +6 CRF roughly halves the bitrate.
 CRF_PER_HALVING = 6.0
@@ -57,27 +55,23 @@ class VideoPair:
 
 
 @dataclass(frozen=True)
-class EstimationResult:
-    pair_id: str
-    rho_in: tuple[int, int]
-    rho_out: tuple[int, int]
-    crf_hat: int
-    saturated: bool
-    trial_log: list[tuple[int, float]]
-    target_bitrate: float
-
-
-@dataclass(frozen=True)
 class EstimationOutcome:
     """Batch slot: either a result or the captured per-pair error."""
 
     pair: VideoPair
-    result: EstimationResult | None = None
+    result: ProfileEntry | None = None
     error: str | None = None
 
     @property
     def ok(self) -> bool:
         return self.result is not None
+
+
+def check_range(c_min: int, c_max: int) -> None:
+    """Raise InvalidRange unless CRF_MIN <= c_min < c_max <= CRF_MAX."""
+    if not CRF_MIN <= c_min < c_max <= CRF_MAX:
+        raise InvalidRange(f"CRF range [{c_min}, {c_max}] must satisfy "
+                           f"{CRF_MIN} <= c_min < c_max <= {CRF_MAX}")
 
 
 def estimate_crf(
@@ -88,17 +82,14 @@ def estimate_crf(
     config: RunConfig | None = None,
     trial_seconds: float | None = None,
     keep_trials: bool = False,
-) -> EstimationResult:
+) -> ProfileEntry:
     """Estimate the CRF the platform applied to *pair.shared_path*.
 
     *trial_seconds* truncates trial encodes to the first K seconds of the
     original (bitrate is per-second, so the comparison stays valid);
     *keep_trials* leaves trial files in the scratch directory.
     """
-    if not c_min < c_max:
-        raise InvalidRange(f"need c_min < c_max, got [{c_min}, {c_max}]")
-    if c_min < 0 or c_max > 51:
-        raise InvalidRange(f"CRF range [{c_min}, {c_max}] outside [0, 51]")
+    check_range(c_min, c_max)
     config = config or RunConfig.from_env()
 
     original = probe_media(pair.original_path, config)
@@ -142,14 +133,14 @@ def estimate_crf(
     else:
         crf_hat, saturated = _bisection_with_verify(trial, target, c_min, c_max)
 
-    return EstimationResult(
-        pair_id=pair.pair_id,
+    return ProfileEntry(
         rho_in=original.resolution,
         rho_out=rho_out,
         crf_hat=crf_hat,
         saturated=saturated,
-        trial_log=sorted(trials.items()),
+        pair_id=pair.pair_id,
         target_bitrate=target,
+        trial_log=sorted(trials.items()),
     )
 
 
@@ -233,8 +224,9 @@ def estimate_batch(
     """Estimate every pair, at most *workers* in flight, preserving order.
 
     Individual failures are captured in their slot; raises AllPairsFailed
-    only when no pair succeeded.
+    only when no pair succeeded, and InvalidRange before any work.
     """
+    check_range(c_min, c_max)
     if not pairs:
         raise AllPairsFailed("no pairs to estimate")
     config = config or RunConfig.from_env()

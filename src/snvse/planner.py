@@ -15,12 +15,20 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 from .config import RunConfig
 from .encoder import EncodeSpec, encode, normalize_dimensions
-from .errors import AllInputsFailed, EmptyProfile, NoSupport, PresetMismatch, SnvseError
+from .errors import (
+    AllInputsFailed,
+    EmptyProfile,
+    NoSupport,
+    PreconditionViolation,
+    PresetMismatch,
+    SnvseError,
+)
 from .probe import probe_media
 from .profile_db import PlatformProfile, ProfileEntry
 from .runner import run_pool
@@ -144,16 +152,6 @@ def plan_emulation(
     )
 
 
-def check_preset(profile: PlatformProfile, configured_preset: str | None) -> str:
-    """Pin the emulation preset to the profile's; reject explicit mismatches."""
-    if configured_preset is not None and configured_preset != profile.preset:
-        raise PresetMismatch(
-            f"profile was estimated with preset {profile.preset!r} but the run "
-            f"configures {configured_preset!r}; estimates are preset-relative"
-        )
-    return profile.preset
-
-
 def emulate_batch(
     inputs: list[str | Path],
     profile: PlatformProfile,
@@ -166,12 +164,21 @@ def emulate_batch(
 
     Outputs are named ``<stem>.<platform>.mp4`` and a JSON manifest of the
     plans is written next to them. Raises AllInputsFailed only when no
-    input succeeded.
+    input succeeded. Before any work, raises PresetMismatch if *config*
+    has another preset than the profile, and PreconditionViolation if two
+    inputs share a stem.
     """
     if not inputs:
         raise AllInputsFailed("no inputs to emulate")
-    config = config or RunConfig.from_env()
-    config = config.with_preset(profile.preset)
+    config = config or RunConfig.from_env(preset=profile.preset)
+    if config.preset != profile.preset:
+        raise PresetMismatch(
+            f"profile was estimated with preset {profile.preset!r} but the run "
+            f"configures {config.preset!r}; estimates are preset-relative"
+        )
+    dupes = sorted(stem for stem, n in Counter(Path(p).stem for p in inputs).items() if n > 1)
+    if dupes:
+        raise PreconditionViolation(f"inputs share the stems {dupes}; their outputs would collide")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -4,7 +4,7 @@ A profile is one JSON document per platform per capture date. The encoder
 preset is stored inside the profile because CRF semantics are
 preset-relative; emulation refuses to run under a different preset.
 Writes are atomic (temp file + rename) and save/load round-trips are
-byte-stable.
+byte-stable. ``CRF_MIN``/``CRF_MAX`` are defined here and only here.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import logging
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
@@ -25,9 +25,12 @@ from .errors import (
     PresetMismatch,
     SchemaViolation,
 )
-from .estimator import CRF_MAX, CRF_MIN, EstimationResult
 
 logger = logging.getLogger(__name__)
+
+# The widest CRF range a profile entry accepts, and the default search range.
+CRF_MIN = 21
+CRF_MAX = 50
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,8 @@ class ProfileEntry:
     saturated: bool
     pair_id: str
     target_bitrate: float
+    # The estimate's sorted (crf, bitrate) trials; not saved, not compared.
+    trial_log: list[tuple[int, float]] = field(default_factory=list, compare=False)
 
     def validate(self, where: str = "entry") -> None:
         if self.rho_out[0] % 2 or self.rho_out[1] % 2:
@@ -48,17 +53,6 @@ class ProfileEntry:
             raise SchemaViolation(
                 f"{where}.crf_hat must be in [{CRF_MIN}, {CRF_MAX}], got {self.crf_hat}"
             )
-
-    @classmethod
-    def from_estimation(cls, result: EstimationResult) -> "ProfileEntry":
-        return cls(
-            rho_in=result.rho_in,
-            rho_out=result.rho_out,
-            crf_hat=result.crf_hat,
-            saturated=result.saturated,
-            pair_id=result.pair_id,
-            target_bitrate=result.target_bitrate,
-        )
 
 
 @dataclass(frozen=True)

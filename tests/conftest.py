@@ -67,6 +67,24 @@ def _tool_env(monkeypatch):
     monkeypatch.setenv("SNVSE_FFPROBE", FFPROBE_CMD)
 
 
+@pytest.fixture()
+def tool_calls(monkeypatch) -> list[list[str]]:
+    """The argv of every tool run made through the probe and encoder modules."""
+    import snvse.encoder
+    import snvse.probe
+    from snvse.runner import run_tool
+
+    calls = []
+
+    def counting_run_tool(argv):
+        calls.append(argv)
+        return run_tool(argv)
+
+    monkeypatch.setattr(snvse.probe, "run_tool", counting_run_tool)
+    monkeypatch.setattr(snvse.encoder, "run_tool", counting_run_tool)
+    return calls
+
+
 def make_clip(
     config: RunConfig,
     path: Path,

@@ -93,7 +93,7 @@ def estimated(config, corpus):
         platform_name="mocknet",
         captured_at=dt.date(2025, 8, 9),
         preset=config.preset,
-        entries=[ProfileEntry.from_estimation(o.result) for o in outcomes],
+        entries=[o.result for o in outcomes],
     )
     profile_path = corpus["root"] / "mocknet.json"
     save_profile(profile, profile_path)

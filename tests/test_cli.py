@@ -213,6 +213,20 @@ def test_emulate_flow_and_preset_guard(config, clips, tmp_path, quiet):
     assert code == 1
 
 
+def test_emulate_runs_under_the_profile_preset(clips, tmp_path, quiet, tool_calls):
+    profile_path = write_profile(
+        tmp_path / "p.json", [entry("a", (1280, 720), (640, 360), 31)], preset="slow",
+    )
+    code = main(quiet + [
+        "emulate", "--profile", str(profile_path), "--out", str(tmp_path / "emu"),
+        str(clips["hd"]),
+    ])
+    assert code == 0
+    encodes = [argv for argv in tool_calls if "-crf" in argv]
+    assert len(encodes) == 1
+    assert "-preset slow" in " ".join(encodes[0])
+
+
 def test_emulate_partial_and_total_failure(config, clips, tmp_path, quiet):
     profile_path = write_profile(tmp_path / "p.json", [entry("a", (1280, 720), (1280, 720), 30)])
     corrupt = tmp_path / "corrupt.mp4"

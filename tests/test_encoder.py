@@ -96,13 +96,6 @@ def test_crf_out_of_range_rejected(crf):
         _spec(crf=crf).validate()
 
 
-def test_codec_and_pixel_format_are_pinned():
-    with pytest.raises(PreconditionViolation):
-        _spec(codec="vp9").validate()
-    with pytest.raises(PreconditionViolation):
-        _spec(pixel_format="yuv444p").validate()
-
-
 def test_encoder_failure_cleans_partial_output(config, tmp_path):
     corrupt = tmp_path / "corrupt.mp4"
     corrupt.write_bytes(b"junk" * 64)

@@ -1,6 +1,8 @@
 """CRF search: hidden-parameter recovery, saturation, batch semantics."""
 
 import dataclasses
+import datetime as dt
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from snvse.estimator import (
     estimate_crf,
 )
 from snvse.probe import probe_media
+from snvse.profile_db import PlatformProfile, load_profile, save_profile
 
 from conftest import make_clip
 
@@ -40,10 +43,21 @@ def hidden_pair(config, tmp_path_factory):
 
 
 def test_invalid_range_rejected(hidden_pair, config):
+    # Empty ranges, and ranges reaching outside the [21, 50] a profile
+    # entry holds.
+    for c_min, c_max in [(30, 30), (-2, 50), (15, 50), (20, 50), (21, 51), (0, 51)]:
+        with pytest.raises(InvalidRange):
+            estimate_crf(hidden_pair, c_min=c_min, c_max=c_max, config=config)
+
+
+@pytest.mark.parametrize("bounds", [{"c_min": 15}, {"c_max": 51}],
+                         ids=["below-schema", "above-schema"])
+def test_batch_rejects_crf_range_before_any_work(hidden_pair, config, tool_calls, bounds):
+    # A library caller gets the same range contract as the CLI: refused
+    # before the first probe, not after every encode when the profile is saved.
     with pytest.raises(InvalidRange):
-        estimate_crf(hidden_pair, c_min=30, c_max=30, config=config)
-    with pytest.raises(InvalidRange):
-        estimate_crf(hidden_pair, c_min=-2, c_max=50, config=config)
+        estimate_batch([hidden_pair], workers=1, config=config, **bounds)
+    assert tool_calls == []
 
 
 def test_hidden_crf_recovered(hidden_pair, config):
@@ -67,6 +81,19 @@ def test_trial_log_sorted_and_nonempty(hidden_pair, config):
     crfs = [crf for crf, _ in result.trial_log]
     assert crfs == sorted(crfs)
     assert crfs
+
+
+def test_estimate_survives_a_profile_round_trip(hidden_pair, config, tmp_path):
+    # The estimate is the profile entry; its trial log stays out of the file
+    # and out of equality, so the entry loads back equal to itself.
+    result = estimate_crf(hidden_pair, strategy=SearchStrategy.BISECTION_WITH_VERIFY,
+                          config=config)
+    path = tmp_path / "p.json"
+    save_profile(PlatformProfile("x", dt.date(2025, 6, 1), config.preset, [result]), path)
+    loaded = load_profile(path).entries[0]
+    assert loaded == result
+    assert loaded.trial_log == [] and result.trial_log
+    assert "trial_log" not in json.loads(path.read_text())["entries"][0]
 
 
 def test_high_bitrate_shared_hits_lower_bound(config, tmp_path):

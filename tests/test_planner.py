@@ -4,13 +4,19 @@ import datetime as dt
 import json
 import math
 import random
+import shutil
 from fractions import Fraction
 
 import pytest
 
-from snvse.errors import AllInputsFailed, EmptyProfile, NoSupport, PresetMismatch
+from snvse.errors import (
+    AllInputsFailed,
+    EmptyProfile,
+    NoSupport,
+    PreconditionViolation,
+    PresetMismatch,
+)
 from snvse.planner import (
-    check_preset,
     emulate_batch,
     plan_emulation,
     select_crf,
@@ -217,12 +223,29 @@ def test_plan_reports_aspect_change(config, clips):
     assert plan.aspect_change > 0.01
 
 
-def test_check_preset_pinning():
-    prof = profile([entry((1, 1), (640, 480))], preset="slow")
-    assert check_preset(prof, None) == "slow"
-    assert check_preset(prof, "slow") == "slow"
+def test_emulate_batch_rejects_config_preset_mismatch(config, clips, tmp_path, tool_calls):
+    # config runs "medium"; estimates are preset-relative, so a "slow"
+    # profile must not be replayed under it.
+    prof = profile([entry((1280, 720), (640, 360), 31)], preset="slow")
+    out_dir = tmp_path / "out"
     with pytest.raises(PresetMismatch):
-        check_preset(prof, "medium")
+        emulate_batch([clips["hd"]], prof, out_dir, workers=1, config=config)
+    assert not out_dir.exists()
+    assert tool_calls == []
+
+
+def test_emulate_batch_rejects_colliding_stems(config, clips, tmp_path, tool_calls):
+    # a/clip.mp4 and b/clip.mp4 would both be written to out/clip.testnet.mp4.
+    inputs = []
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        inputs.append(shutil.copy(clips["hd"], tmp_path / side / "clip.mp4"))
+    prof = profile([entry((1280, 720), (640, 360), 31)])
+    out_dir = tmp_path / "out"
+    with pytest.raises(PreconditionViolation, match="clip"):
+        emulate_batch(inputs, prof, out_dir, workers=2, config=config)
+    assert not out_dir.exists()
+    assert tool_calls == []
 
 
 def test_emulate_batch_outputs_and_manifest(config, clips, tmp_path):
