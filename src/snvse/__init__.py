@@ -9,15 +9,13 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "AudioPolicy": "encoder",
     "BitrateMeasurement": "bitrate",
     "BitrateMethod": "bitrate",
-    "EmulationOutcome": "planner",
     "EmulationPlan": "planner",
     "EncodeSpec": "encoder",
-    "EstimationOutcome": "estimator",
     "FidelityReport": "analysis",
     "MediaInfo": "probe",
+    "Outcome": "runner",
     "PlatformProfile": "profile_db",
     "ProfileEntry": "profile_db",
     "RunConfig": "config",

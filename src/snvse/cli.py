@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import bootstrap_stability, recommend_sample_size, write_stability_csv
 from .config import DEFAULT_PRESET, RunConfig
-from .encoder import AudioPolicy, EncodeSpec, encode
+from .encoder import CRF_CEIL, CRF_FLOOR, EncodeSpec, encode
 from .errors import (
     AllInputsFailed,
     AllPairsFailed,
@@ -33,9 +33,9 @@ from .errors import (
 )
 from .estimator import SearchStrategy, VideoPair, check_range, estimate_batch
 from .planner import emulate_batch
-from .probe import probe_media
+from .probe import MediaInfo, probe_media
 from .profile_db import CRF_MAX, CRF_MIN, PlatformProfile, ProfileEntry, load_profile, save_profile
-from .runner import run_pool, terminate_active
+from .runner import Outcome, by_stem, run_batch, terminate_active
 
 logger = logging.getLogger(__name__)
 
@@ -164,8 +164,8 @@ def _list_videos(directory: Path) -> list[Path]:
 
 
 def _pair_by_stem(originals_dir: Path, shared_dir: Path) -> list[VideoPair]:
-    originals = {p.stem: p for p in _list_videos(originals_dir)}
-    shared = {p.stem: p for p in _list_videos(shared_dir)}
+    originals = by_stem(_list_videos(originals_dir))
+    shared = by_stem(_list_videos(shared_dir))
     common = sorted(originals.keys() & shared.keys())
     for stem in sorted(originals.keys() ^ shared.keys()):
         logger.warning("unpaired stem %r skipped", stem)
@@ -185,6 +185,14 @@ def _pair_by_manifest(manifest: Path) -> list[VideoPair]:
     return pairs
 
 
+def _print_failures(outcomes: list[Outcome]) -> list[Outcome]:
+    """Report each failed batch item on stderr; return the failed outcomes."""
+    failures = [o for o in outcomes if not o.ok]
+    for failure in failures:
+        print(f"  {failure.item} failed: {failure.error}", file=sys.stderr)
+    return failures
+
+
 def cmd_estimate(args) -> int:
     check_range(args.c_min, args.c_max)  # a usage error: report it before the tool check
     config = _config_from_args(args, preset=args.preset or DEFAULT_PRESET)
@@ -198,7 +206,6 @@ def cmd_estimate(args) -> int:
 
     outcomes = estimate_batch(
         pairs,
-        workers=config.workers,
         c_min=args.c_min,
         c_max=args.c_max,
         strategy=SearchStrategy(args.strategy),
@@ -224,9 +231,7 @@ def cmd_estimate(args) -> int:
             line += f"  (warning: < {MIN_SAMPLES_PER_RESOLUTION} samples, estimate may be unstable)"
         print(line)
 
-    failures = [o for o in outcomes if not o.ok]
-    for failure in failures:
-        print(f"  pair {failure.pair.pair_id} failed: {failure.error}", file=sys.stderr)
+    failures = _print_failures(outcomes)
     if failures:
         print(f"{len(failures)} of {len(outcomes)} pairs failed", file=sys.stderr)
     return 0
@@ -239,15 +244,12 @@ def cmd_emulate(args) -> int:
         args.inputs,
         profile,
         args.out,
-        workers=config.workers,
         config=config,
         include_saturated=args.include_saturated,
     )
     ok = sum(o.ok for o in outcomes)
     print(f"{ok} of {len(outcomes)} inputs emulated into {args.out} (manifest.json written)")
-    for outcome in outcomes:
-        if not outcome.ok:
-            print(f"  {outcome.input_path} failed: {outcome.error}", file=sys.stderr)
+    _print_failures(outcomes)
     return 0
 
 
@@ -310,38 +312,34 @@ def cmd_mock_platform(args) -> int:
     if width % 2 or height % 2:
         print(f"error: hidden resolution {width}x{height} must be even", file=sys.stderr)
         return 2
-    if not 0 <= args.crf <= 51:
-        print(f"error: hidden CRF {args.crf} outside [0, 51]", file=sys.stderr)
+    if not CRF_FLOOR <= args.crf <= CRF_CEIL:
+        print(f"error: hidden CRF {args.crf} outside [{CRF_FLOOR:g}, {CRF_CEIL:g}]", file=sys.stderr)
         return 2
     config = _config_from_args(args, preset=args.preset or DEFAULT_PRESET)
     inputs = _list_videos(args.inputs_dir)
     if not inputs:
         print(f"error: no videos in {args.inputs_dir}", file=sys.stderr)
         return 1
+    by_stem(inputs)  # outputs are named <stem>.mp4
     args.out.mkdir(parents=True, exist_ok=True)
 
-    def work(path: Path) -> str | None:
-        try:
-            info = probe_media(path, config)
-            spec = EncodeSpec(
-                target_width=width,
-                target_height=height,
-                crf=args.crf,
-                frame_rate=info.frame_rate,
-                preset=config.preset,
-                audio_policy=AudioPolicy.DROP,
-            )
-            encode(path, spec, args.out / f"{path.stem}.mp4", config)
-            return None
-        except (SnvseError, OSError) as exc:
-            return f"{path}: {type(exc).__name__}: {exc}"
+    def work(path: Path) -> MediaInfo:
+        info = probe_media(path, config)
+        spec = EncodeSpec(
+            target_width=width,
+            target_height=height,
+            crf=args.crf,
+            frame_rate=info.frame_rate,
+            preset=config.preset,
+        )
+        return encode(path, spec, args.out / f"{path.stem}.mp4", config)
 
-    errors = [e for e in run_pool(work, inputs, config.workers) if e]
-    print(f"{len(inputs) - len(errors)} of {len(inputs)} videos mock-shared into {args.out} "
+    outcomes = run_batch(work, inputs, config.workers)
+    ok = sum(o.ok for o in outcomes)
+    print(f"{ok} of {len(inputs)} videos mock-shared into {args.out} "
           f"(hidden: {width}x{height} @ crf {args.crf:g}, preset {config.preset})")
-    for error in errors:
-        print(f"  {error}", file=sys.stderr)
-    return 0 if len(errors) < len(inputs) else 1
+    _print_failures(outcomes)
+    return 0 if ok else 1
 
 
 _COMMANDS = {

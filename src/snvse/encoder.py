@@ -2,17 +2,15 @@
 
 The invocation contract is fixed for every flow in this tool: libx264,
 yuv420p, full-frame scale to the target dimensions (no crop, no padding),
-an explicit output frame rate, audio dropped or stream-copied, overwrite
-enabled. The scaler is the encoder's default bicubic-class filter and
-color tags pass through untouched. The exact argument list is logged for
-every run.
+an explicit output frame rate, audio dropped (``-an``), overwrite enabled.
+The scaler is the encoder's default bicubic-class filter and color tags
+pass through untouched. The exact argument list is logged for every run.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,11 +24,6 @@ logger = logging.getLogger(__name__)
 PIXEL_FORMAT = "yuv420p"
 CRF_FLOOR = 0.0
 CRF_CEIL = 51.0
-
-
-class AudioPolicy(Enum):
-    DROP = "drop"
-    COPY = "copy"
 
 
 def normalize_dimensions(width: int, height: int) -> tuple[int, int]:
@@ -49,7 +42,6 @@ class EncodeSpec:
     crf: float
     frame_rate: Fraction
     preset: str = "medium"
-    audio_policy: AudioPolicy = AudioPolicy.DROP
 
     def validate(self) -> None:
         if self.target_width < 2 or self.target_width % 2:
@@ -81,12 +73,7 @@ def build_encode_argv(
         "-y",
         "-i", str(input_path),
         "-map", "0:v:0",
-    ]
-    if spec.audio_policy is AudioPolicy.COPY:
-        argv += ["-map", "0:a?", "-c:a", "copy"]
-    else:
-        argv += ["-an"]
-    argv += [
+        "-an",
         "-vf", f"scale={spec.target_width}:{spec.target_height}",
         "-c:v", "libx264",
         "-crf", _format_crf(spec.crf),

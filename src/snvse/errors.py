@@ -42,6 +42,10 @@ class InvalidRange(PreconditionViolation):
     """CRF search range is empty or out of bounds."""
 
 
+class DuplicatePair(PreconditionViolation):
+    """A pair identifier appears twice in one profile, merge or batch."""
+
+
 class AllPairsFailed(SnvseError):
     """Every pair in an estimation batch errored."""
 
@@ -66,8 +70,6 @@ class PlatformMismatch(SnvseError):
     """Profiles to merge belong to different platforms."""
 
 
-class DuplicatePair(SnvseError):
-    """Profiles to merge share a pair identifier."""
 
 
 class EmptyProfile(SnvseError):

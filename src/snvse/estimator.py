@@ -29,10 +29,10 @@ from pathlib import Path
 from .bitrate import measure_bitrate
 from .config import RunConfig
 from .encoder import EncodeSpec, encode, normalize_dimensions
-from .errors import AllPairsFailed, InvalidRange, SnvseError
+from .errors import AllPairsFailed, InvalidRange
 from .probe import probe_media
-from .profile_db import CRF_MAX, CRF_MIN, ProfileEntry
-from .runner import run_pool
+from .profile_db import CRF_MAX, CRF_MIN, ProfileEntry, check_unique_pair_ids
+from .runner import Outcome, run_batch
 
 logger = logging.getLogger(__name__)
 
@@ -53,18 +53,8 @@ class VideoPair:
     shared_path: Path
     pair_id: str
 
-
-@dataclass(frozen=True)
-class EstimationOutcome:
-    """Batch slot: either a result or the captured per-pair error."""
-
-    pair: VideoPair
-    result: ProfileEntry | None = None
-    error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.result is not None
+    def __str__(self) -> str:
+        return f"pair {self.pair_id}"
 
 
 def check_range(c_min: int, c_max: int) -> None:
@@ -213,39 +203,34 @@ def _model_crossing(lo: int, r_lo: float | None, hi: int, r_hi: float, target: f
 
 def estimate_batch(
     pairs: list[VideoPair],
-    workers: int,
     c_min: int = CRF_MIN,
     c_max: int = CRF_MAX,
     strategy: SearchStrategy = SearchStrategy.LINEAR_SWEEP,
     config: RunConfig | None = None,
     trial_seconds: float | None = None,
     keep_trials: bool = False,
-) -> list[EstimationOutcome]:
-    """Estimate every pair, at most *workers* in flight, preserving order.
+) -> list[Outcome]:
+    """Estimate every pair, at most ``config.workers`` in flight, preserving order.
 
-    Individual failures are captured in their slot; raises AllPairsFailed
-    only when no pair succeeded, and InvalidRange before any work.
+    Each Outcome's ``result`` is its pair's ProfileEntry. Raises AllPairsFailed
+    only when no pair succeeded, and InvalidRange or DuplicatePair before any work.
     """
     check_range(c_min, c_max)
     if not pairs:
         raise AllPairsFailed("no pairs to estimate")
+    check_unique_pair_ids(pairs)
     config = config or RunConfig.from_env()
 
-    def work(pair: VideoPair) -> EstimationOutcome:
-        try:
-            result = estimate_crf(
-                pair, c_min=c_min, c_max=c_max, strategy=strategy,
-                config=config, trial_seconds=trial_seconds, keep_trials=keep_trials,
-            )
-            return EstimationOutcome(pair=pair, result=result)
-        except (SnvseError, OSError) as exc:
-            logger.error("pair %s failed: %s", pair.pair_id, exc)
-            return EstimationOutcome(pair=pair, error=f"{type(exc).__name__}: {exc}")
+    def work(pair: VideoPair) -> ProfileEntry:
+        return estimate_crf(
+            pair, c_min=c_min, c_max=c_max, strategy=strategy,
+            config=config, trial_seconds=trial_seconds, keep_trials=keep_trials,
+        )
 
-    outcomes = run_pool(work, pairs, workers)
+    outcomes = run_batch(work, pairs, config.workers)
 
     if not any(o.ok for o in outcomes):
         raise AllPairsFailed(
-            "every pair failed; first error: " + (outcomes[0].error or "unknown")
+            "every pair failed; first error: " + outcomes[0].error
         )
     return outcomes

@@ -1,7 +1,7 @@
 """Emulation planning: pick the output resolution and CRF for each input.
 
-Resolution: an exact input-resolution match in the profile wins; otherwise
-the entry whose input resolution is Euclidean-nearest. Ties are broken
+Resolution: the profile's input resolution Euclidean-nearest to the
+input's, so an exact match (distance 0) wins. Ties are broken
 deterministically (smallest distance, then larger input pixel count, then
 larger input width). When one input resolution maps to several output
 resolutions, the one backed by the most entries wins.
@@ -16,22 +16,15 @@ from __future__ import annotations
 import json
 import logging
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .config import RunConfig
 from .encoder import EncodeSpec, encode, normalize_dimensions
-from .errors import (
-    AllInputsFailed,
-    EmptyProfile,
-    NoSupport,
-    PreconditionViolation,
-    PresetMismatch,
-    SnvseError,
-)
+from .errors import AllInputsFailed, EmptyProfile, NoSupport, PresetMismatch
 from .probe import probe_media
 from .profile_db import PlatformProfile, ProfileEntry
-from .runner import run_pool
+from .runner import Outcome, by_stem, run_batch
 
 logger = logging.getLogger(__name__)
 
@@ -49,18 +42,7 @@ class EmulationPlan:
     support_count: int
     spec: EncodeSpec
     aspect_change: float
-
-
-@dataclass(frozen=True)
-class EmulationOutcome:
-    input_path: Path
-    output_path: Path | None = None
-    plan: EmulationPlan | None = None
-    error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
+    output_path: Path | None = None  # set by emulate_batch once encoded
 
 
 def _distance_sq(a: tuple[int, int], b: tuple[int, int]) -> int:
@@ -69,9 +51,7 @@ def _distance_sq(a: tuple[int, int], b: tuple[int, int]) -> int:
 
 def _pick_rho_out(candidates: list[ProfileEntry]) -> tuple[int, int]:
     """Majority output resolution among entries sharing one input resolution."""
-    counts: dict[tuple[int, int], int] = {}
-    for entry in candidates:
-        counts[entry.rho_out] = counts.get(entry.rho_out, 0) + 1
+    counts = Counter(entry.rho_out for entry in candidates)
     return max(counts, key=lambda rho: (counts[rho], rho[0] * rho[1], rho[0]))
 
 
@@ -81,17 +61,12 @@ def select_resolution(
     """Return (rho_out, matched_exactly) for input resolution *rho*."""
     if not profile.entries:
         raise EmptyProfile("profile has no entries")
-
-    exact = [entry for entry in profile.entries if entry.rho_in == rho]
-    if exact:
-        return _pick_rho_out(exact), True
-
     best_rho_in = min(
         {entry.rho_in for entry in profile.entries},
         key=lambda rin: (_distance_sq(rin, rho), -(rin[0] * rin[1]), -rin[0]),
     )
     nearest = [entry for entry in profile.entries if entry.rho_in == best_rho_in]
-    return _pick_rho_out(nearest), False
+    return _pick_rho_out(nearest), best_rho_in == rho
 
 
 def select_crf(
@@ -156,17 +131,16 @@ def emulate_batch(
     inputs: list[str | Path],
     profile: PlatformProfile,
     out_dir: str | Path,
-    workers: int,
     config: RunConfig | None = None,
     include_saturated: bool = False,
-) -> list[EmulationOutcome]:
+) -> list[Outcome]:
     """Emulate every input into *out_dir*; per-input failures are recorded.
 
-    Outputs are named ``<stem>.<platform>.mp4`` and a JSON manifest of the
-    plans is written next to them. Raises AllInputsFailed only when no
-    input succeeded. Before any work, raises PresetMismatch if *config*
-    has another preset than the profile, and PreconditionViolation if two
-    inputs share a stem.
+    Each Outcome's ``result`` is its input's EmulationPlan. Outputs are named
+    ``<stem>.<platform>.mp4`` and a JSON manifest of the plans is written
+    next to them. Raises AllInputsFailed only when no input succeeded.
+    Before any work, raises PresetMismatch if *config* has another preset
+    than the profile, and PreconditionViolation if two inputs share a stem.
     """
     if not inputs:
         raise AllInputsFailed("no inputs to emulate")
@@ -176,41 +150,34 @@ def emulate_batch(
             f"profile was estimated with preset {profile.preset!r} but the run "
             f"configures {config.preset!r}; estimates are preset-relative"
         )
-    dupes = sorted(stem for stem, n in Counter(Path(p).stem for p in inputs).items() if n > 1)
-    if dupes:
-        raise PreconditionViolation(f"inputs share the stems {dupes}; their outputs would collide")
+    by_stem(inputs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def work(input_path: str | Path) -> EmulationOutcome:
-        input_path = Path(input_path)
-        output_path = out_dir / f"{input_path.stem}.{profile.platform_name}.mp4"
-        try:
-            plan = plan_emulation(input_path, profile, config, include_saturated)
-            encode(input_path, plan.spec, output_path, config)
-            return EmulationOutcome(input_path=input_path, output_path=output_path, plan=plan)
-        except (SnvseError, OSError) as exc:
-            logger.error("emulation of %s failed: %s", input_path, exc)
-            return EmulationOutcome(input_path=input_path, error=f"{type(exc).__name__}: {exc}")
+    def work(input_path: str | Path) -> EmulationPlan:
+        plan = plan_emulation(input_path, profile, config, include_saturated)
+        output_path = out_dir / f"{plan.input_path.stem}.{profile.platform_name}.mp4"
+        encode(plan.input_path, plan.spec, output_path, config)
+        return replace(plan, output_path=output_path)
 
-    outcomes = run_pool(work, inputs, workers)
+    outcomes = run_batch(work, inputs, config.workers)
 
     write_manifest(outcomes, out_dir / "manifest.json")
     if not any(o.ok for o in outcomes):
         raise AllInputsFailed(
-            "every input failed; first error: " + (outcomes[0].error or "unknown")
+            "every input failed; first error: " + outcomes[0].error
         )
     return outcomes
 
 
-def manifest_records(outcomes: list[EmulationOutcome]) -> list[dict]:
+def manifest_records(outcomes: list[Outcome]) -> list[dict]:
     records = []
     for outcome in outcomes:
-        record: dict = {"input": str(outcome.input_path)}
+        record: dict = {"input": str(Path(outcome.item))}
         if outcome.ok:
-            plan = outcome.plan
+            plan = outcome.result
             record.update(
-                output=str(outcome.output_path),
+                output=str(plan.output_path),
                 rho_star=list(plan.rho_star),
                 crf_star=plan.crf_star,
                 matched_exactly=plan.matched_exactly,
@@ -223,7 +190,7 @@ def manifest_records(outcomes: list[EmulationOutcome]) -> list[dict]:
     return records
 
 
-def write_manifest(outcomes: list[EmulationOutcome], path: str | Path) -> None:
+def write_manifest(outcomes: list[Outcome], path: str | Path) -> None:
     with open(path, "w") as fh:
         json.dump(manifest_records(outcomes), fh, indent=2)
         fh.write("\n")

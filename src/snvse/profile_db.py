@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -68,12 +69,21 @@ class PlatformProfile:
     def validate(self) -> None:
         for index, entry in enumerate(self.entries):
             entry.validate(where=f"entries[{index}]")
+        check_unique_pair_ids(self.entries)
 
     def resolutions_out(self) -> list[tuple[int, int]]:
         seen: dict[tuple[int, int], None] = {}
         for entry in self.entries:
             seen.setdefault(entry.rho_out, None)
         return list(seen)
+
+
+def check_unique_pair_ids(items) -> None:
+    """Raise DuplicatePair if two items (entries or pairs) share a pair_id."""
+    counts = Counter(item.pair_id for item in items)
+    repeated = sorted(pair_id for pair_id, n in counts.items() if n > 1)
+    if repeated:
+        raise DuplicatePair(f"pair ids appear more than once: {repeated}")
 
 
 def _profile_document(profile: PlatformProfile) -> dict:
@@ -173,6 +183,7 @@ def load_profile(path: str | Path) -> PlatformProfile:
         )
         entry.validate(where=where)
         entries.append(entry)
+    check_unique_pair_ids(entries)
 
     profile = PlatformProfile(
         platform_name=_require(doc, "platform_name", str, "profile"),
@@ -190,10 +201,7 @@ def merge_profiles(a: PlatformProfile, b: PlatformProfile) -> PlatformProfile:
         raise PlatformMismatch(f"{a.platform_name!r} vs {b.platform_name!r}")
     if a.preset != b.preset:
         raise PresetMismatch(f"{a.preset!r} vs {b.preset!r}")
-    seen = {entry.pair_id for entry in a.entries}
-    dupes = [entry.pair_id for entry in b.entries if entry.pair_id in seen]
-    if dupes:
-        raise DuplicatePair(f"pair ids present in both profiles: {sorted(set(dupes))}")
+    check_unique_pair_ids(a.entries + b.entries)
     return replace(
         a,
         captured_at=max(a.captured_at, b.captured_at),

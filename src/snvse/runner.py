@@ -1,8 +1,10 @@
-"""Subprocess execution for the external prober/encoder.
+"""Subprocess execution for the external prober/encoder, and the batch loop.
 
 Every invocation logs its exact argument list at DEBUG (forensic
 reproducibility), and live processes are tracked so an interrupt can
-terminate them and the caller can clean up partial outputs.
+terminate them and the caller can clean up partial outputs. Every batch
+(estimate, emulate, mock-platform) runs through ``run_batch``, and every
+name derived from a file's stem is checked for collisions by ``by_stem``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ import shlex
 import subprocess
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from pathlib import Path
+
+from .errors import PreconditionViolation, SnvseError
 
 logger = logging.getLogger(__name__)
 
@@ -70,3 +76,42 @@ def run_pool(work, items, workers: int) -> list:
         raise
     pool.shutdown(wait=True)
     return results
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """One batch slot: the item, and either its work's result or its error."""
+
+    item: object
+    result: object = None
+    error: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
+
+
+def run_batch(work, items, workers: int) -> list[Outcome]:
+    """Run *work* on every item through ``run_pool``, one Outcome per item, in order.
+
+    An item whose work raises SnvseError or OSError records it in its slot
+    as ``"Type: message"``; any other exception propagates.
+    """
+    def slot(item) -> Outcome:
+        try:
+            return Outcome(item, result=work(item))
+        except (SnvseError, OSError) as exc:
+            logger.error("%s failed: %s", item, exc)
+            return Outcome(item, error=f"{type(exc).__name__}: {exc}")
+
+    return run_pool(slot, items, workers)
+
+
+def by_stem(paths) -> dict[str, Path]:
+    """Map each path to its stem; raise PreconditionViolation if two share one."""
+    named: dict[str, Path] = {}
+    for path in map(Path, paths):
+        if path.stem in named:
+            raise PreconditionViolation(f"{named[path.stem]} and {path} share a stem")
+        named[path.stem] = path
+    return named

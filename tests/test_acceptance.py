@@ -87,7 +87,7 @@ def estimated(config, corpus):
         VideoPair(original, corpus["shared_dir"] / original.name, pair_id=original.stem)
         for original in corpus["originals"]
     ]
-    outcomes = estimate_batch(pairs, workers=config.workers, config=config, trial_seconds=5.0)
+    outcomes = estimate_batch(pairs, config=config, trial_seconds=5.0)
     assert all(o.ok for o in outcomes)
     profile = PlatformProfile(
         platform_name="mocknet",

@@ -160,6 +160,59 @@ def test_estimate_rejects_crf_range_before_any_work(config, tmp_path, quiet, mon
     assert "CRF range" in capsys.readouterr().err
 
 
+def test_mock_platform_rejects_shared_stems_before_any_work(tmp_path, quiet, tool_calls, capsys):
+    # clip.mp4 and clip.mov would both be written to out/clip.mp4.
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    for name in ("clip.mp4", "clip.mov"):
+        (inputs / name).write_bytes(b"never probed")
+    out = tmp_path / "out"
+    code = main(quiet + ["mock-platform", str(inputs), "--out", str(out),
+                         "--resolution", "640x360", "--crf", "30"])
+    assert code == 1
+    assert tool_calls == []
+    assert not out.exists()
+    assert "share a stem" in capsys.readouterr().err
+
+
+def test_estimate_rejects_shared_stems_before_any_work(tmp_path, quiet, tool_calls, capsys):
+    # Stem pairing cannot tell which of clip.mp4 and clip.mov pairs with
+    # shared/clip.mp4; neither is dropped silently.
+    for side, names in (("originals", ["clip.mp4", "clip.mov"]), ("shared", ["clip.mp4"])):
+        (tmp_path / side).mkdir()
+        for name in names:
+            (tmp_path / side / name).write_bytes(b"never probed")
+    out = tmp_path / "p.json"
+    code = main(quiet + ["estimate", str(tmp_path / "originals"), str(tmp_path / "shared"),
+                         "--platform", "x", "--out", str(out)])
+    assert code == 1
+    assert tool_calls == []
+    assert not out.exists()
+    assert "share a stem" in capsys.readouterr().err
+
+
+def test_estimate_rejects_repeated_pair_ids_before_any_work(tmp_path, quiet, tool_calls, capsys):
+    # Manifest pairing names each pair after its original's stem, so both
+    # rows are pair "clip"; the profile could not be saved after the encodes.
+    for name in ("a/clip.mp4", "b/clip.mp4", "shared/one.mp4", "shared/two.mp4"):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(b"never probed")
+    manifest = tmp_path / "pairs.csv"
+    manifest.write_text(
+        "original,shared\n"
+        f"{tmp_path / 'a/clip.mp4'},{tmp_path / 'shared/one.mp4'}\n"
+        f"{tmp_path / 'b/clip.mp4'},{tmp_path / 'shared/two.mp4'}\n"
+    )
+    out = tmp_path / "p.json"
+    code = main(quiet + ["estimate", str(tmp_path), str(tmp_path / "shared"),
+                         "--pairing", "manifest", "--manifest", str(manifest),
+                         "--platform", "x", "--out", str(out)])
+    assert code == 1
+    assert tool_calls == []
+    assert not out.exists()
+    assert "DuplicatePair" in capsys.readouterr().err
+
+
 def test_estimate_manifest_with_missing_file_continues(config, tmp_path, quiet, capsys):
     original = make_clip(config, tmp_path / "orig.mp4", size=(640, 360), duration=3)
     shared_dir = tmp_path / "shared"

@@ -8,7 +8,6 @@ import pytest
 
 from snvse.bitrate import measure_bitrate
 from snvse.encoder import (
-    AudioPolicy,
     EncodeSpec,
     build_encode_argv,
     encode,
@@ -113,16 +112,12 @@ def _stream_types(config, path):
     return [s["codec_type"] for s in doc["streams"]]
 
 
-def test_audio_policy_drop_and_copy(config, tmp_path):
-    # Source with both video and audio: generate video, then mux decisions apply.
+def test_audio_is_dropped(config, tmp_path):
     src = make_clip(config, tmp_path / "src.mp4", size=(640, 360), duration=2)
     dropped = tmp_path / "dropped.mp4"
-    encode(src, _spec(audio_policy=AudioPolicy.DROP), dropped, config)
+    encode(src, _spec(), dropped, config)
     assert _stream_types(config, dropped) == ["video"]
-    # Copy on an audio-less source still yields just the video stream.
-    copied = tmp_path / "copied.mp4"
-    encode(src, _spec(audio_policy=AudioPolicy.COPY), copied, config)
-    assert "video" in _stream_types(config, copied)
+    assert "-an" in build_encode_argv(src, _spec(), dropped, config)
 
 
 def test_argv_pins_the_full_contract(config, tmp_path):

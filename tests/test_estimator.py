@@ -56,7 +56,7 @@ def test_batch_rejects_crf_range_before_any_work(hidden_pair, config, tool_calls
     # A library caller gets the same range contract as the CLI: refused
     # before the first probe, not after every encode when the profile is saved.
     with pytest.raises(InvalidRange):
-        estimate_batch([hidden_pair], workers=1, config=config, **bounds)
+        estimate_batch([hidden_pair], config=config, **bounds)
     assert tool_calls == []
 
 
@@ -169,8 +169,8 @@ def test_batch_preserves_order(config, clips, tmp_path):
         rho = (480, 360)
         encode(original, EncodeSpec(*rho, 30.0, info.frame_rate, preset=config.preset), shared, config)
         pairs.append(VideoPair(original, shared, pair_id=f"pair{index}"))
-    outcomes = estimate_batch(pairs, workers=2, config=config)
-    assert [o.pair.pair_id for o in outcomes] == ["pair0", "pair1", "pair2"]
+    outcomes = estimate_batch(pairs, config=config)
+    assert [o.item.pair_id for o in outcomes] == ["pair0", "pair1", "pair2"]
     assert all(o.ok for o in outcomes)
 
 
@@ -185,12 +185,11 @@ def test_batch_records_partial_failures(config, clips, tmp_path):
             VideoPair(clips["flat"], shared, "good"),
             VideoPair(clips["flat"], bad, "broken"),
         ],
-        workers=2,
         config=config,
     )
     assert outcomes[0].ok
     assert not outcomes[1].ok
-    assert "broken" == outcomes[1].pair.pair_id
+    assert "broken" == outcomes[1].item.pair_id
     assert outcomes[1].error
 
 
@@ -198,6 +197,6 @@ def test_batch_all_failed_raises(config, tmp_path):
     bad = tmp_path / "bad.mp4"
     bad.write_bytes(b"nope")
     with pytest.raises(AllPairsFailed):
-        estimate_batch([VideoPair(bad, bad, "x")], workers=1, config=config)
+        estimate_batch([VideoPair(bad, bad, "x")], config=config)
     with pytest.raises(AllPairsFailed):
-        estimate_batch([], workers=1, config=config)
+        estimate_batch([], config=config)

@@ -229,7 +229,7 @@ def test_emulate_batch_rejects_config_preset_mismatch(config, clips, tmp_path, t
     prof = profile([entry((1280, 720), (640, 360), 31)], preset="slow")
     out_dir = tmp_path / "out"
     with pytest.raises(PresetMismatch):
-        emulate_batch([clips["hd"]], prof, out_dir, workers=1, config=config)
+        emulate_batch([clips["hd"]], prof, out_dir, config=config)
     assert not out_dir.exists()
     assert tool_calls == []
 
@@ -243,7 +243,7 @@ def test_emulate_batch_rejects_colliding_stems(config, clips, tmp_path, tool_cal
     prof = profile([entry((1280, 720), (640, 360), 31)])
     out_dir = tmp_path / "out"
     with pytest.raises(PreconditionViolation, match="clip"):
-        emulate_batch(inputs, prof, out_dir, workers=2, config=config)
+        emulate_batch(inputs, prof, out_dir, config=config)
     assert not out_dir.exists()
     assert tool_calls == []
 
@@ -254,12 +254,12 @@ def test_emulate_batch_outputs_and_manifest(config, clips, tmp_path):
         entry((1280, 720), (640, 360), 33, pair_id="b"),
     ])
     out_dir = tmp_path / "out"
-    outcomes = emulate_batch([clips["hd"], clips["hd25"]], prof, out_dir, workers=2, config=config)
+    outcomes = emulate_batch([clips["hd"], clips["hd25"]], prof, out_dir, config=config)
     assert all(o.ok for o in outcomes)
     for outcome in outcomes:
-        info = probe_media(outcome.output_path, config)
+        info = probe_media(outcome.result.output_path, config)
         assert info.resolution == (640, 360)
-        assert outcome.output_path.name.endswith(".testnet.mp4")
+        assert outcome.result.output_path.name.endswith(".testnet.mp4")
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert len(manifest) == 2
     assert all(r["rho_star"] == [640, 360] and r["crf_star"] == 32.0 for r in manifest)
@@ -270,7 +270,7 @@ def test_emulate_batch_plans_are_deterministic(config, clips, tmp_path):
     runs = []
     for name in ("one", "two"):
         out_dir = tmp_path / name
-        emulate_batch([clips["hd"]], prof, out_dir, workers=1, config=config)
+        emulate_batch([clips["hd"]], prof, out_dir, config=config)
         records = json.loads((out_dir / "manifest.json").read_text())
         runs.append([(r["rho_star"], r["crf_star"], r["matched_exactly"]) for r in records])
     assert runs[0] == runs[1]
@@ -281,7 +281,7 @@ def test_emulate_batch_partial_failure(config, clips, tmp_path):
     corrupt = tmp_path / "corrupt.mp4"
     corrupt.write_bytes(b"zzz")
     out_dir = tmp_path / "out"
-    outcomes = emulate_batch([clips["hd"], corrupt], prof, out_dir, workers=2, config=config)
+    outcomes = emulate_batch([clips["hd"], corrupt], prof, out_dir, config=config)
     assert outcomes[0].ok
     assert not outcomes[1].ok
     manifest = json.loads((out_dir / "manifest.json").read_text())
@@ -293,4 +293,4 @@ def test_emulate_batch_all_failed(config, tmp_path):
     corrupt = tmp_path / "corrupt.mp4"
     corrupt.write_bytes(b"zzz")
     with pytest.raises(AllInputsFailed):
-        emulate_batch([corrupt], prof, tmp_path / "out", workers=1, config=config)
+        emulate_batch([corrupt], prof, tmp_path / "out", config=config)

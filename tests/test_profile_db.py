@@ -154,6 +154,16 @@ def test_merge_platform_mismatch():
                        profile([entry("z")], platform="youtube"))
 
 
-def test_merge_duplicate_pair():
+def test_merge_duplicate_pair(tmp_path):
     with pytest.raises(DuplicatePair):
         merge_profiles(profile([entry("same")]), profile([entry("same")]))
+    # Within one profile too: saving refuses, and so does loading a document
+    # written by hand.
+    path = tmp_path / "p.json"
+    with pytest.raises(DuplicatePair):
+        save_profile(profile([entry("same"), entry("same")]), path)
+    assert not path.exists()
+    save_profile(profile([entry("same"), entry("other")]), path)
+    path.write_text(path.read_text().replace('"other"', '"same"'))
+    with pytest.raises(DuplicatePair):
+        load_profile(path)
