@@ -5,13 +5,13 @@ need": for each subset size n', it repeatedly draws random subsets of the
 estimated CRFs (without replacement within a subset, independent across
 iterations), averages each subset, and reports the spread of those
 averages. The fidelity report compares emulated outputs against their
-actually-shared counterparts file by file.
+actually-shared counterparts file by file; ``FidelityReport.summary()``
+holds its rates.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +20,7 @@ import numpy as np
 
 from .bitrate import measure_bitrate
 from .config import RunConfig
-from .errors import LengthMismatch, MixedResolutions, PopulationTooSmall
+from .errors import PreconditionViolation
 from .probe import probe_media
 
 DEFAULT_ITERATIONS = 1000
@@ -70,24 +70,24 @@ def bootstrap_stability(
     not depend on scheduling.
     """
     if not estimates:
-        raise PopulationTooSmall("no estimates given")
+        raise PreconditionViolation("no estimates given")
     resolutions = {tuple(e.rho_out) for e in estimates}
     if len(resolutions) != 1:
-        raise MixedResolutions(f"estimates span several output resolutions: {sorted(resolutions)}")
+        raise PreconditionViolation(f"estimates span several output resolutions: {sorted(resolutions)}")
     values = np.array([float(e.crf_hat) for e in estimates])
     population = len(values)
     if population < 2:
-        raise PopulationTooSmall(f"need at least 2 estimates, got {population}")
+        raise PreconditionViolation(f"need at least 2 estimates, got {population}")
 
     lo, hi = n_prime_range
     if lo < 1 or hi < lo:
-        raise PopulationTooSmall(f"bad subset-size range [{lo}, {hi}]")
+        raise PreconditionViolation(f"bad subset-size range [{lo}, {hi}]")
     if hi > population:
-        raise PopulationTooSmall(
+        raise PreconditionViolation(
             f"subset size {hi} exceeds population of {population} estimates"
         )
     if iterations < 1:
-        raise ValueError("iterations must be positive")
+        raise PreconditionViolation("iterations must be positive")
 
     rows = []
     for n_prime in range(lo, hi + 1):
@@ -121,7 +121,7 @@ def recommend_sample_size(
     row meets the threshold.
     """
     if not report.rows:
-        raise ValueError("empty stability report")
+        raise PreconditionViolation("empty stability report")
     for row in report.rows:
         if row.range_width <= width_threshold:
             return SampleSizeRecommendation(row.n_prime, True, width_threshold)
@@ -154,34 +154,17 @@ class FidelityPair:
 class FidelityReport:
     pairs: list[FidelityPair]
 
-    @property
-    def resolution_equality_rate(self) -> float:
-        return sum(p.resolution_match for p in self.pairs) / len(self.pairs)
-
-    @property
-    def codec_match_rate(self) -> float:
-        return sum(p.codec_match for p in self.pairs) / len(self.pairs)
-
-    @property
-    def pixel_format_match_rate(self) -> float:
-        return sum(p.pixel_format_match for p in self.pairs) / len(self.pairs)
-
-    @property
-    def median_bitrate_rel_diff(self) -> float:
-        return statistics.median(p.bitrate_rel_diff for p in self.pairs)
-
-    @property
-    def mean_bitrate_rel_diff(self) -> float:
-        return statistics.fmean(p.bitrate_rel_diff for p in self.pairs)
-
     def summary(self) -> dict:
+        """Pair count, match rates, and median and mean relative bitrate difference."""
+        count = len(self.pairs)
+        diffs = [p.bitrate_rel_diff for p in self.pairs]
         return {
-            "pairs": len(self.pairs),
-            "resolution_equality_rate": self.resolution_equality_rate,
-            "codec_match_rate": self.codec_match_rate,
-            "pixel_format_match_rate": self.pixel_format_match_rate,
-            "median_bitrate_rel_diff": self.median_bitrate_rel_diff,
-            "mean_bitrate_rel_diff": self.mean_bitrate_rel_diff,
+            "pairs": count,
+            "resolution_equality_rate": sum(p.resolution_match for p in self.pairs) / count,
+            "codec_match_rate": sum(p.codec_match for p in self.pairs) / count,
+            "pixel_format_match_rate": sum(p.pixel_format_match for p in self.pairs) / count,
+            "median_bitrate_rel_diff": statistics.median(diffs),
+            "mean_bitrate_rel_diff": statistics.fmean(diffs),
         }
 
 
@@ -192,9 +175,9 @@ def fidelity_report(
 ) -> FidelityReport:
     """Compare emulated outputs against shared counterparts, paired by order."""
     if len(emulated) != len(shared):
-        raise LengthMismatch(f"{len(emulated)} emulated vs {len(shared)} shared files")
+        raise PreconditionViolation(f"{len(emulated)} emulated vs {len(shared)} shared files")
     if not emulated:
-        raise LengthMismatch("empty file lists")
+        raise PreconditionViolation("empty file lists")
     config = config or RunConfig.from_env()
 
     pairs = []
@@ -215,36 +198,3 @@ def fidelity_report(
         )
     return FidelityReport(pairs=pairs)
 
-
-def write_fidelity_json(report: FidelityReport, path: str | Path) -> None:
-    doc = {
-        "summary": report.summary(),
-        "pairs": [
-            {
-                "emulated": str(p.emulated),
-                "shared": str(p.shared),
-                "resolution_match": p.resolution_match,
-                "codec_match": p.codec_match,
-                "pixel_format_match": p.pixel_format_match,
-                "bitrate_rel_diff": p.bitrate_rel_diff,
-            }
-            for p in report.pairs
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def write_fidelity_csv(report: FidelityReport, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["emulated", "shared", "resolution_match", "codec_match",
-             "pixel_format_match", "bitrate_rel_diff"]
-        )
-        for p in report.pairs:
-            writer.writerow(
-                [p.emulated, p.shared, p.resolution_match, p.codec_match,
-                 p.pixel_format_match, p.bitrate_rel_diff]
-            )

@@ -2,8 +2,9 @@
 
 One fixed definition everywhere: video-stream bits per second, audio
 excluded. Prefers the prober-reported stream bitrate; falls back to
-summing video packet sizes over the stream duration. Shared videos and
-trial encodes are always measured by this same function.
+summing video packet sizes over the stream duration, where a failed
+packet scan raises ``ProberFailure``. Shared videos and trial encodes are
+always measured by this same function.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .config import RunConfig
-from .errors import MissingDuration
+from .errors import PreconditionViolation
 from .probe import MediaInfo, scan_video_stream_bytes
 
 
@@ -32,11 +33,12 @@ class BitrateMeasurement:
 def measure_bitrate(info: MediaInfo, config: RunConfig | None = None) -> BitrateMeasurement:
     """Measure the video-stream bitrate of the file described by *info*.
 
-    Raises MissingDuration when the probe carries no positive duration and
-    PacketScanFailure when the fallback packet scan is unusable.
+    Raises PreconditionViolation when *info* carries no positive duration
+    (``probe_media`` never returns one) and ProberFailure when the fallback
+    packet scan is unusable.
     """
     if info.duration is None or info.duration <= 0:
-        raise MissingDuration(f"nonpositive duration for {info.path}")
+        raise PreconditionViolation(f"nonpositive duration for {info.path}")
     if info.stream_bitrate is not None:
         return BitrateMeasurement(info.stream_bitrate, BitrateMethod.REPORTED_STREAM_BITRATE)
     payload = scan_video_stream_bytes(info.path, config)

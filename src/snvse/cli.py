@@ -6,8 +6,8 @@ pairs), ``emulate`` (apply a profile to new videos), ``analyze-stability``
 (inspect a profile), and ``mock-platform`` (encode a corpus with fixed,
 known parameters to serve as a ground-truth stand-in for real uploads).
 
-Exit codes: 0 success (individual item failures are summarized), 1
-operational failure, 2 usage error.
+Exit codes: 0 success (each failed item is logged once at ERROR, and the
+batch goes on), 1 operational failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import bootstrap_stability, recommend_sample_size, write_stability_csv
-from .config import DEFAULT_PRESET, RunConfig
+from .config import RunConfig
 from .encoder import CRF_CEIL, CRF_FLOOR, EncodeSpec, encode
 from .errors import (
     AllInputsFailed,
@@ -35,7 +35,7 @@ from .estimator import SearchStrategy, VideoPair, check_range, estimate_batch
 from .planner import emulate_batch
 from .probe import MediaInfo, probe_media
 from .profile_db import CRF_MAX, CRF_MIN, PlatformProfile, ProfileEntry, load_profile, save_profile
-from .runner import Outcome, by_stem, run_batch, terminate_active
+from .runner import by_stem, run_batch, terminate_active
 
 logger = logging.getLogger(__name__)
 
@@ -185,17 +185,9 @@ def _pair_by_manifest(manifest: Path) -> list[VideoPair]:
     return pairs
 
 
-def _print_failures(outcomes: list[Outcome]) -> list[Outcome]:
-    """Report each failed batch item on stderr; return the failed outcomes."""
-    failures = [o for o in outcomes if not o.ok]
-    for failure in failures:
-        print(f"  {failure.item} failed: {failure.error}", file=sys.stderr)
-    return failures
-
-
 def cmd_estimate(args) -> int:
     check_range(args.c_min, args.c_max)  # a usage error: report it before the tool check
-    config = _config_from_args(args, preset=args.preset or DEFAULT_PRESET)
+    config = _config_from_args(args, preset=args.preset)
     if args.pairing == "manifest":
         if args.manifest is None:
             print("error: --pairing manifest requires --manifest", file=sys.stderr)
@@ -231,9 +223,9 @@ def cmd_estimate(args) -> int:
             line += f"  (warning: < {MIN_SAMPLES_PER_RESOLUTION} samples, estimate may be unstable)"
         print(line)
 
-    failures = _print_failures(outcomes)
-    if failures:
-        print(f"{len(failures)} of {len(outcomes)} pairs failed", file=sys.stderr)
+    failed = sum(not o.ok for o in outcomes)
+    if failed:
+        print(f"{failed} of {len(outcomes)} pairs failed", file=sys.stderr)
     return 0
 
 
@@ -249,7 +241,6 @@ def cmd_emulate(args) -> int:
     )
     ok = sum(o.ok for o in outcomes)
     print(f"{ok} of {len(outcomes)} inputs emulated into {args.out} (manifest.json written)")
-    _print_failures(outcomes)
     return 0
 
 
@@ -315,7 +306,7 @@ def cmd_mock_platform(args) -> int:
     if not CRF_FLOOR <= args.crf <= CRF_CEIL:
         print(f"error: hidden CRF {args.crf} outside [{CRF_FLOOR:g}, {CRF_CEIL:g}]", file=sys.stderr)
         return 2
-    config = _config_from_args(args, preset=args.preset or DEFAULT_PRESET)
+    config = _config_from_args(args, preset=args.preset)
     inputs = _list_videos(args.inputs_dir)
     if not inputs:
         print(f"error: no videos in {args.inputs_dir}", file=sys.stderr)
@@ -338,7 +329,6 @@ def cmd_mock_platform(args) -> int:
     ok = sum(o.ok for o in outcomes)
     print(f"{ok} of {len(inputs)} videos mock-shared into {args.out} "
           f"(hidden: {width}x{height} @ crf {args.crf:g}, preset {config.preset})")
-    _print_failures(outcomes)
     return 0 if ok else 1
 
 

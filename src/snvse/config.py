@@ -16,7 +16,7 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ToolNotFound
+from .errors import PreconditionViolation, ToolNotFound
 
 ENV_FFMPEG = "SNVSE_FFMPEG"
 ENV_FFPROBE = "SNVSE_FFPROBE"
@@ -40,7 +40,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+            raise PreconditionViolation(f"workers must be >= 1, got {self.workers}")
 
     @classmethod
     def from_env(cls, **overrides) -> "RunConfig":

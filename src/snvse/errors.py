@@ -3,6 +3,12 @@
 Every failure raised by this package derives from ``SnvseError`` so callers
 can catch pipeline errors without swallowing programming errors. Missing
 input files raise the builtin ``FileNotFoundError``.
+
+A class is kept only when a caller or an exit code tells it apart (the CLI
+catches ``InvalidRange``, ``AllPairsFailed`` and ``AllInputsFailed`` by
+name) or when it names a failure a user acts on, as printed on stderr and
+in manifests. A broken contract that is neither raises
+``PreconditionViolation`` with a message that says which.
 """
 
 
@@ -15,19 +21,11 @@ class ToolNotFound(SnvseError):
 
 
 class ProberFailure(SnvseError):
-    """ffprobe exited nonzero or produced unparseable output."""
+    """ffprobe (a probe or a packet scan) exited nonzero or produced unusable output."""
 
 
 class NoVideoStream(SnvseError):
     """The container holds no video stream."""
-
-
-class MissingDuration(SnvseError):
-    """No usable duration was reported for the file."""
-
-
-class PacketScanFailure(SnvseError):
-    """Packet-size summation failed and no reported bitrate is available."""
 
 
 class EncoderFailure(SnvseError):
@@ -66,27 +64,5 @@ class PresetMismatch(SnvseError):
     """Profiles (or profile vs. run configuration) disagree on the preset."""
 
 
-class PlatformMismatch(SnvseError):
-    """Profiles to merge belong to different platforms."""
-
-
-
-
-class EmptyProfile(SnvseError):
-    """An operation requires a profile with at least one entry."""
-
-
 class NoSupport(SnvseError):
     """No profile entries share the selected output resolution."""
-
-
-class MixedResolutions(SnvseError):
-    """Bootstrap input estimates do not share a single output resolution."""
-
-
-class PopulationTooSmall(SnvseError):
-    """Bootstrap needs at least two estimates and n' <= population size."""
-
-
-class LengthMismatch(SnvseError):
-    """Paired file lists have different lengths."""

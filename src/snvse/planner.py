@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .config import RunConfig
 from .encoder import EncodeSpec, encode, normalize_dimensions
-from .errors import AllInputsFailed, EmptyProfile, NoSupport, PresetMismatch
+from .errors import AllInputsFailed, NoSupport, PreconditionViolation, PresetMismatch
 from .probe import probe_media
 from .profile_db import PlatformProfile, ProfileEntry
 from .runner import Outcome, by_stem, run_batch
@@ -60,7 +60,7 @@ def select_resolution(
 ) -> tuple[tuple[int, int], bool]:
     """Return (rho_out, matched_exactly) for input resolution *rho*."""
     if not profile.entries:
-        raise EmptyProfile("profile has no entries")
+        raise PreconditionViolation("profile has no entries")
     best_rho_in = min(
         {entry.rho_in for entry in profile.entries},
         key=lambda rin: (_distance_sq(rin, rho), -(rin[0] * rin[1]), -rin[0]),
@@ -140,7 +140,8 @@ def emulate_batch(
     ``<stem>.<platform>.mp4`` and a JSON manifest of the plans is written
     next to them. Raises AllInputsFailed only when no input succeeded.
     Before any work, raises PresetMismatch if *config* has another preset
-    than the profile, and PreconditionViolation if two inputs share a stem.
+    than the profile, and PreconditionViolation if the profile has no
+    entries or two inputs share a stem.
     """
     if not inputs:
         raise AllInputsFailed("no inputs to emulate")
@@ -150,6 +151,8 @@ def emulate_batch(
             f"profile was estimated with preset {profile.preset!r} but the run "
             f"configures {config.preset!r}; estimates are preset-relative"
         )
+    if not profile.entries:
+        raise PreconditionViolation("profile has no entries")
     by_stem(inputs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

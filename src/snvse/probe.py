@@ -4,6 +4,8 @@ Runs the configured prober with JSON output and reduces the result to the
 fields the pipeline needs. The first video stream by container order wins;
 frame rate comes from the declared average rate with the real base rate as
 fallback; duration comes from the video stream, then the container.
+``scan_video_stream_bytes`` runs the same prober to sum video packet
+sizes, and a failed scan raises ``ProberFailure`` like a failed probe.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .config import RunConfig
-from .errors import NoVideoStream, PacketScanFailure, ProberFailure
+from .errors import NoVideoStream, ProberFailure
 from .runner import run_tool
 
 logger = logging.getLogger(__name__)
@@ -60,6 +62,20 @@ def _parse_positive_float(text) -> float | None:
     return value if value > 0 else None
 
 
+def _run_prober(options: list[str], path: Path, config: RunConfig) -> dict:
+    """Run the prober with *options* on *path* and return its JSON document."""
+    argv = config.ffprobe_argv() + ["-v", "error", "-print_format", "json", *options, str(path)]
+    result = run_tool(argv)
+    if result.returncode != 0:
+        raise ProberFailure(
+            f"prober exited {result.returncode} for {path}: {result.stderr.strip()}"
+        )
+    try:
+        return json.loads(result.stdout)
+    except json.JSONDecodeError as exc:
+        raise ProberFailure(f"unparseable prober output for {path}: {exc}") from exc
+
+
 def probe_media(path: str | Path, config: RunConfig | None = None) -> MediaInfo:
     """Probe *path* and return MediaInfo for its first video stream.
 
@@ -71,22 +87,7 @@ def probe_media(path: str | Path, config: RunConfig | None = None) -> MediaInfo:
     if not path.exists():
         raise FileNotFoundError(str(path))
 
-    argv = config.ffprobe_argv() + [
-        "-v", "error",
-        "-print_format", "json",
-        "-show_format",
-        "-show_streams",
-        str(path),
-    ]
-    result = run_tool(argv)
-    if result.returncode != 0:
-        raise ProberFailure(
-            f"prober exited {result.returncode} for {path}: {result.stderr.strip()}"
-        )
-    try:
-        doc = json.loads(result.stdout)
-    except json.JSONDecodeError as exc:
-        raise ProberFailure(f"unparseable prober output for {path}: {exc}") from exc
+    doc = _run_prober(["-show_format", "-show_streams"], path, config)
 
     streams = doc.get("streams", [])
     video = next((s for s in streams if s.get("codec_type") == "video"), None)
@@ -139,25 +140,16 @@ def probe_media(path: str | Path, config: RunConfig | None = None) -> MediaInfo:
 
 
 def scan_video_stream_bytes(path: str | Path, config: RunConfig | None = None) -> int:
-    """Sum the packet sizes of the first video stream, in bytes."""
-    config = config or RunConfig.from_env()
-    argv = config.ffprobe_argv() + [
-        "-v", "error",
-        "-select_streams", "v:0",
-        "-show_entries", "packet=size",
-        "-print_format", "json",
-        str(path),
-    ]
-    result = run_tool(argv)
-    if result.returncode != 0:
-        raise PacketScanFailure(
-            f"packet scan exited {result.returncode} for {path}: {result.stderr.strip()}"
-        )
+    """Sum the packet sizes of the first video stream, in bytes.
+
+    Raises ProberFailure when the scan fails or reports no video packets.
+    """
+    doc = _run_prober(["-select_streams", "v:0", "-show_entries", "packet=size"],
+                      path, config or RunConfig.from_env())
     try:
-        doc = json.loads(result.stdout)
         sizes = [int(p["size"]) for p in doc.get("packets", [])]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise PacketScanFailure(f"unparseable packet list for {path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProberFailure(f"unparseable packet list for {path}: {exc}") from exc
     if not sizes:
-        raise PacketScanFailure(f"no video packets reported for {path}")
+        raise ProberFailure(f"no video packets reported for {path}")
     return sum(sizes)

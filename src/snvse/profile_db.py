@@ -22,7 +22,7 @@ from . import __version__
 from .errors import (
     DuplicatePair,
     IoFailure,
-    PlatformMismatch,
+    PreconditionViolation,
     PresetMismatch,
     SchemaViolation,
 )
@@ -198,7 +198,7 @@ def load_profile(path: str | Path) -> PlatformProfile:
 def merge_profiles(a: PlatformProfile, b: PlatformProfile) -> PlatformProfile:
     """Concatenate two capture campaigns for the same platform and preset."""
     if a.platform_name != b.platform_name:
-        raise PlatformMismatch(f"{a.platform_name!r} vs {b.platform_name!r}")
+        raise PreconditionViolation(f"platforms differ: {a.platform_name!r} vs {b.platform_name!r}")
     if a.preset != b.preset:
         raise PresetMismatch(f"{a.preset!r} vs {b.preset!r}")
     check_unique_pair_ids(a.entries + b.entries)

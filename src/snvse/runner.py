@@ -95,14 +95,16 @@ def run_batch(work, items, workers: int) -> list[Outcome]:
     """Run *work* on every item through ``run_pool``, one Outcome per item, in order.
 
     An item whose work raises SnvseError or OSError records it in its slot
-    as ``"Type: message"``; any other exception propagates.
+    as ``"Type: message"`` and logs that string at ERROR, the item's one
+    report; any other exception propagates.
     """
     def slot(item) -> Outcome:
         try:
             return Outcome(item, result=work(item))
         except (SnvseError, OSError) as exc:
-            logger.error("%s failed: %s", item, exc)
-            return Outcome(item, error=f"{type(exc).__name__}: {exc}")
+            error = f"{type(exc).__name__}: {exc}"
+            logger.error("%s failed: %s", item, error)
+            return Outcome(item, error=error)
 
     return run_pool(slot, items, workers)
 

@@ -245,9 +245,9 @@ def test_c6_fidelity_closure(config, corpus, estimated, tmp_path):
         assert code == 0
         emulated = [out_dir / f"{p.stem}.mocknet.mp4" for p in corpus["originals"]]
         shared = [corpus["shared_dir"] / p.name for p in corpus["originals"]]
-        report = fidelity_report(emulated, shared, config)
-        assert report.resolution_equality_rate == 1.0
-        assert report.median_bitrate_rel_diff <= 0.25, report.summary()
+        summary = fidelity_report(emulated, shared, config).summary()
+        assert summary["resolution_equality_rate"] == 1.0
+        assert summary["median_bitrate_rel_diff"] <= 0.25, summary
 
 
 def test_c7_profile_round_trip_bytes(tmp_path):

@@ -1,7 +1,6 @@
 """Bootstrap stability study and fidelity reporting."""
 
 import csv
-import json
 
 import pytest
 
@@ -11,11 +10,9 @@ from snvse.analysis import (
     bootstrap_stability,
     fidelity_report,
     recommend_sample_size,
-    write_fidelity_csv,
-    write_fidelity_json,
     write_stability_csv,
 )
-from snvse.errors import LengthMismatch, MixedResolutions, PopulationTooSmall
+from snvse.errors import PreconditionViolation
 from snvse.profile_db import ProfileEntry
 
 
@@ -83,16 +80,16 @@ def test_bootstrap_spawns_no_tool_processes(monkeypatch):
 
 def test_mixed_resolutions_rejected():
     entries = crf_entries([30, 31]) + crf_entries([32], rho_out=(640, 480))
-    with pytest.raises(MixedResolutions):
+    with pytest.raises(PreconditionViolation, match="several output resolutions"):
         bootstrap_stability(entries, (1, 2), iterations=10, seed=0)
 
 
 def test_population_bounds_enforced():
-    with pytest.raises(PopulationTooSmall):
+    with pytest.raises(PreconditionViolation, match="at least 2 estimates"):
         bootstrap_stability(crf_entries([30]), (1, 1), iterations=10, seed=0)
-    with pytest.raises(PopulationTooSmall):
+    with pytest.raises(PreconditionViolation, match="exceeds population"):
         bootstrap_stability(crf_entries([30, 31]), (1, 5), iterations=10, seed=0)
-    with pytest.raises(PopulationTooSmall):
+    with pytest.raises(PreconditionViolation, match="no estimates"):
         bootstrap_stability([], (1, 1), iterations=10, seed=0)
 
 
@@ -140,34 +137,22 @@ def test_stability_csv_columns(tmp_path):
 
 def test_fidelity_identity_lists(config, clips):
     files = [clips["hd"], clips["sd"]]
-    report = fidelity_report(files, files, config)
-    assert report.resolution_equality_rate == 1.0
-    assert report.codec_match_rate == 1.0
-    assert report.pixel_format_match_rate == 1.0
-    assert report.median_bitrate_rel_diff == 0.0
+    summary = fidelity_report(files, files, config).summary()
+    assert summary["pairs"] == 2
+    assert summary["resolution_equality_rate"] == 1.0
+    assert summary["codec_match_rate"] == 1.0
+    assert summary["pixel_format_match_rate"] == 1.0
+    assert summary["median_bitrate_rel_diff"] == 0.0
 
 
 def test_fidelity_reports_mismatch_without_judging(config, clips):
     report = fidelity_report([clips["hd"]], [clips["sd"]], config)
-    assert report.resolution_equality_rate < 1.0
+    assert report.summary()["resolution_equality_rate"] < 1.0
 
 
 def test_fidelity_length_mismatch(config, clips):
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(PreconditionViolation, match="1 emulated vs 0 shared"):
         fidelity_report([clips["hd"]], [], config)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(PreconditionViolation, match="empty file lists"):
         fidelity_report([], [], config)
 
-
-def test_fidelity_writers(config, clips, tmp_path):
-    report = fidelity_report([clips["hd"]], [clips["hd"]], config)
-    json_path = tmp_path / "fid.json"
-    csv_path = tmp_path / "fid.csv"
-    write_fidelity_json(report, json_path)
-    write_fidelity_csv(report, csv_path)
-    doc = json.loads(json_path.read_text())
-    assert doc["summary"]["pairs"] == 1
-    assert doc["summary"]["resolution_equality_rate"] == 1.0
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert len(rows) == 2

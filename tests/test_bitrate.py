@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from snvse.bitrate import BitrateMethod, measure_bitrate
-from snvse.errors import MissingDuration
+from snvse.errors import PreconditionViolation
 from snvse.probe import probe_media, scan_video_stream_bytes
 
 from conftest import make_abr_clip, make_clip
@@ -61,7 +61,7 @@ def test_fallback_agrees_with_reported_rate(config, clips):
 
 def test_missing_duration_raises(tmp_path):
     info = _fake_info(tmp_path, duration=0.0)
-    with pytest.raises(MissingDuration):
+    with pytest.raises(PreconditionViolation, match="nonpositive duration"):
         measure_bitrate(info)
 
 

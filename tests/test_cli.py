@@ -213,7 +213,8 @@ def test_estimate_rejects_repeated_pair_ids_before_any_work(tmp_path, quiet, too
     assert "DuplicatePair" in capsys.readouterr().err
 
 
-def test_estimate_manifest_with_missing_file_continues(config, tmp_path, quiet, capsys):
+def _estimate_with_missing_original(config, tmp_path, quiet):
+    """Run a manifest estimate whose second pair names a missing original."""
     original = make_clip(config, tmp_path / "orig.mp4", size=(640, 360), duration=3)
     shared_dir = tmp_path / "shared"
     shared_dir.mkdir()
@@ -222,11 +223,12 @@ def test_estimate_manifest_with_missing_file_continues(config, tmp_path, quiet, 
         "--resolution", "320x240", "--crf", "30",
     ])
     assert code == 0
+    missing = tmp_path / "missing.mp4"
     manifest = tmp_path / "pairs.csv"
     manifest.write_text(
         "original,shared\n"
         f"{original},{shared_dir / 'orig.mp4'}\n"
-        f"{tmp_path / 'missing.mp4'},{shared_dir / 'orig.mp4'}\n"
+        f"{missing},{shared_dir / 'orig.mp4'}\n"
     )
     code = main(quiet + [
         "--scratch-dir", str(tmp_path / "scratch"),
@@ -235,10 +237,22 @@ def test_estimate_manifest_with_missing_file_continues(config, tmp_path, quiet, 
         "--platform", "x", "--out", str(tmp_path / "p.json"),
         "--trial-seconds", "2",
     ])
+    return code, missing
+
+
+def test_estimate_manifest_with_missing_file_continues(config, tmp_path, quiet, capsys):
+    code, _ = _estimate_with_missing_original(config, tmp_path, quiet)
     assert code == 0
     err = capsys.readouterr().err
     assert "1 of 2 pairs failed" in err
     assert len(load_profile(tmp_path / "p.json").entries) == 1
+
+
+def test_failed_pair_is_reported_once(config, tmp_path, quiet, capsys):
+    _, missing = _estimate_with_missing_original(config, tmp_path, quiet)
+    err = capsys.readouterr().err
+    assert f"pair missing failed: FileNotFoundError: {missing}" in err
+    assert err.count(str(missing)) == 1
 
 
 def test_emulate_flow_and_preset_guard(config, clips, tmp_path, quiet):
@@ -298,6 +312,20 @@ def test_emulate_partial_and_total_failure(config, clips, tmp_path, quiet):
         str(corrupt),
     ])
     assert code == 1
+
+
+def test_emulate_with_empty_profile_fails_before_any_work(clips, tmp_path, quiet, tool_calls,
+                                                         capsys):
+    profile_path = write_profile(tmp_path / "p.json", [])
+    out_dir = tmp_path / "emu"
+    code = main(quiet + [
+        "emulate", "--profile", str(profile_path), "--out", str(out_dir),
+        str(clips["hd"]), str(clips["sd"]), str(clips["flat"]),
+    ])
+    assert code == 1
+    assert tool_calls == []
+    assert not out_dir.exists()
+    assert "PreconditionViolation: profile has no entries" in capsys.readouterr().err
 
 
 def test_analyze_stability_flow(tmp_path, quiet, capsys):

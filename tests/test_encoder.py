@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from snvse import sim
 from snvse.bitrate import measure_bitrate
 from snvse.encoder import (
     EncodeSpec,
@@ -112,8 +113,29 @@ def _stream_types(config, path):
     return [s["codec_type"] for s in doc["streams"]]
 
 
-def test_audio_is_dropped(config, tmp_path):
-    src = make_clip(config, tmp_path / "src.mp4", size=(640, 360), duration=2)
+def _clip_with_audio(config, backend, path, duration=2.0):
+    """A 640x360 clip that carries a video and an audio stream."""
+    sine = f"sine=frequency=440:duration={duration:g}"
+    if backend == "real":
+        subprocess.run(config.ffmpeg_argv() + [
+            "-hide_banner", "-loglevel", "error", "-y",
+            "-f", "lavfi", "-i", "testsrc2=size=640x360:rate=30",
+            "-f", "lavfi", "-i", sine,
+            "-c:v", "libx264", "-pix_fmt", "yuv420p", "-c:a", "aac",
+            "-t", f"{duration:g}", str(path),
+        ], check=True, capture_output=True, text=True)
+        return path
+    # The sim encoder takes a single input, so the audio stream is added
+    # to the container directly.
+    make_clip(config, path, size=(640, 360), duration=duration)
+    streams = sim.read_container(path)["streams"]
+    sim.write_container(path, streams + [sim.synthesize_source(sine)])
+    return path
+
+
+def test_audio_is_dropped(config, backend, tmp_path):
+    src = _clip_with_audio(config, backend, tmp_path / "src.mp4")
+    assert sorted(_stream_types(config, src)) == ["audio", "video"]
     dropped = tmp_path / "dropped.mp4"
     encode(src, _spec(), dropped, config)
     assert _stream_types(config, dropped) == ["video"]

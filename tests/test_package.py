@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import snvse
+from snvse import errors
 
 
 def test_every_export_resolves():
@@ -13,14 +14,50 @@ def test_every_export_resolves():
         getattr(snvse, name)
 
 
-def test_only_runner_runs_processes_and_pools():
-    # runner is the one seam for tool processes and batch workers; the sim
-    # shims stand in for the tools themselves.
-    forbidden = {"subprocess", "concurrent", "run_pool"}
+def _package_sources():
+    """(file name, syntax tree) of each module, without the sim shims that
+    stand in for the tools themselves."""
     for path in sorted(Path(snvse.__file__).parent.glob("*.py")):
-        if path.name == "runner.py" or path.name.startswith("sim"):
+        if not path.name.startswith("sim"):
+            yield path.name, ast.parse(path.read_text())
+
+
+def _raised_names():
+    """(file name, line, raised class as written) for each raise of a new exception."""
+    for module, tree in _package_sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                yield module, node.lineno, ast.unparse(exc)
+
+
+ERROR_CLASSES = {name: obj for name, obj in vars(errors).items() if isinstance(obj, type)}
+
+
+def test_every_raise_names_an_snvse_error():
+    # Missing inputs raise FileNotFoundError; the other two are what
+    # argparse and module __getattr__ require.
+    protocol = {("cli.py", "argparse.ArgumentTypeError"), ("__init__.py", "AttributeError")}
+    for module, line, raised in _raised_names():
+        assert (raised in ERROR_CLASSES or raised == "FileNotFoundError"
+                or (module, raised) in protocol), (module, line, raised)
+
+
+def test_every_error_class_is_raised_or_subclassed():
+    raised = {raised for _, _, raised in _raised_names()}
+    for name, cls in ERROR_CLASSES.items():
+        subclassed = any(other is not cls and issubclass(other, cls)
+                         for other in ERROR_CLASSES.values())
+        assert name in raised or subclassed, name
+
+
+def test_only_runner_runs_processes_and_pools():
+    # runner is the one seam for tool processes and batch workers.
+    forbidden = {"subprocess", "concurrent", "run_pool"}
+    for module, tree in _package_sources():
+        if module == "runner.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -32,4 +69,4 @@ def test_only_runner_runs_processes_and_pools():
             else:
                 continue
             for name in names:
-                assert name.split(".")[0] not in forbidden, (path.name, name)
+                assert name.split(".")[0] not in forbidden, (module, name)

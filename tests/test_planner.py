@@ -11,7 +11,6 @@ import pytest
 
 from snvse.errors import (
     AllInputsFailed,
-    EmptyProfile,
     NoSupport,
     PreconditionViolation,
     PresetMismatch,
@@ -114,7 +113,7 @@ def test_conflicting_exact_matches_use_majority():
 
 
 def test_empty_profile_rejected():
-    with pytest.raises(EmptyProfile):
+    with pytest.raises(PreconditionViolation, match="profile has no entries"):
         select_resolution((640, 480), profile([]))
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from snvse.errors import (
     DuplicatePair,
-    PlatformMismatch,
+    PreconditionViolation,
     PresetMismatch,
     SchemaViolation,
 )
@@ -149,7 +149,7 @@ def test_merge_preset_mismatch():
 
 
 def test_merge_platform_mismatch():
-    with pytest.raises(PlatformMismatch):
+    with pytest.raises(PreconditionViolation, match="platforms differ"):
         merge_profiles(profile([entry()], platform="facebook"),
                        profile([entry("z")], platform="youtube"))
 
