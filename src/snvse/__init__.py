@@ -1,7 +1,7 @@
 """snvse: estimate social-network video re-encoding parameters and emulate them locally.
 
-Submodules are loaded lazily so lightweight entry points (notably the
-simulated tool shims spawned once per encode) do not pay for numpy.
+Submodules are loaded lazily so the simulated tool shims, spawned once per
+tool call, do not import the pipeline along with ``snvse.sim``.
 """
 
 import importlib
@@ -19,7 +19,6 @@ _EXPORTS = {
     "PlatformProfile": "profile_db",
     "ProfileEntry": "profile_db",
     "RunConfig": "config",
-    "SampleSizeRecommendation": "analysis",
     "SearchStrategy": "estimator",
     "SnvseError": "errors",
     "StabilityReport": "analysis",

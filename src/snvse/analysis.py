@@ -4,19 +4,22 @@ The bootstrap study answers "how many shared videos per resolution do I
 need": for each subset size n', it repeatedly draws random subsets of the
 estimated CRFs (without replacement within a subset, independent across
 iterations), averages each subset, and reports the spread of those
-averages. The fidelity report compares emulated outputs against their
-actually-shared counterparts file by file; ``FidelityReport.summary()``
-holds its rates.
+averages. It runs on the standard library: ``random.sample`` draws each
+subset, ``math.fsum`` sums it, and the exact ``statistics.mean`` and
+``pstdev`` summarise each row, so a row of equal means has exactly that
+mean and a stddev of 0. The fidelity report compares emulated outputs
+against their actually-shared counterparts file by file;
+``FidelityReport.summary()`` holds its rates.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import random
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .bitrate import measure_bitrate
 from .config import RunConfig
@@ -47,13 +50,6 @@ class StabilityReport:
     seed: int
 
 
-@dataclass(frozen=True)
-class SampleSizeRecommendation:
-    n_prime: int
-    achieved: bool
-    width_threshold: float
-
-
 def bootstrap_stability(
     estimates: list,
     n_prime_range: tuple[int, int],
@@ -74,7 +70,7 @@ def bootstrap_stability(
     resolutions = {tuple(e.rho_out) for e in estimates}
     if len(resolutions) != 1:
         raise PreconditionViolation(f"estimates span several output resolutions: {sorted(resolutions)}")
-    values = np.array([float(e.crf_hat) for e in estimates])
+    values = [float(e.crf_hat) for e in estimates]
     population = len(values)
     if population < 2:
         raise PreconditionViolation(f"need at least 2 estimates, got {population}")
@@ -91,17 +87,15 @@ def bootstrap_stability(
 
     rows = []
     for n_prime in range(lo, hi + 1):
-        rng = np.random.default_rng(seed + n_prime)
-        means = np.empty(iterations)
-        for it in range(iterations):
-            means[it] = rng.choice(values, size=n_prime, replace=False).mean()
+        rng = random.Random(seed + n_prime)
+        means = [math.fsum(rng.sample(values, n_prime)) / n_prime for _ in range(iterations)]
         rows.append(
             StabilityRow(
                 n_prime=n_prime,
-                crf_min=float(means.min()),
-                crf_max=float(means.max()),
-                crf_mean=float(means.mean()),
-                crf_stddev=float(means.std()),
+                crf_min=min(means),
+                crf_max=max(means),
+                crf_mean=statistics.mean(means),
+                crf_stddev=statistics.pstdev(means),
             )
         )
     return StabilityReport(
@@ -112,20 +106,11 @@ def bootstrap_stability(
     )
 
 
-def recommend_sample_size(
-    report: StabilityReport, width_threshold: float
-) -> SampleSizeRecommendation:
-    """Smallest n' whose CRF range is within *width_threshold*.
-
-    Falls back to the largest studied n' with ``achieved=False`` when no
-    row meets the threshold.
-    """
+def recommend_sample_size(report: StabilityReport, width_threshold: float) -> int | None:
+    """Smallest n' whose CRF range is within *width_threshold*, or None."""
     if not report.rows:
         raise PreconditionViolation("empty stability report")
-    for row in report.rows:
-        if row.range_width <= width_threshold:
-            return SampleSizeRecommendation(row.n_prime, True, width_threshold)
-    return SampleSizeRecommendation(report.rows[-1].n_prime, False, width_threshold)
+    return next((row.n_prime for row in report.rows if row.range_width <= width_threshold), None)
 
 
 def write_stability_csv(report: StabilityReport, path: str | Path) -> None:

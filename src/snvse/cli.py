@@ -32,7 +32,7 @@ from .errors import (
     SnvseError,
 )
 from .estimator import SearchStrategy, VideoPair, check_range, estimate_batch
-from .planner import emulate_batch
+from .planner import emulate_batch, supporting_entries
 from .probe import MediaInfo, probe_media
 from .profile_db import CRF_MAX, CRF_MIN, PlatformProfile, ProfileEntry, load_profile, save_profile
 from .runner import by_stem, run_batch, terminate_active
@@ -186,12 +186,13 @@ def _pair_by_manifest(manifest: Path) -> list[VideoPair]:
 
 
 def cmd_estimate(args) -> int:
-    check_range(args.c_min, args.c_max)  # a usage error: report it before the tool check
+    # Usage errors are reported before the tool check.
+    check_range(args.c_min, args.c_max)
+    if args.pairing == "manifest" and args.manifest is None:
+        print("error: --pairing manifest requires --manifest", file=sys.stderr)
+        return 2
     config = _config_from_args(args, preset=args.preset)
     if args.pairing == "manifest":
-        if args.manifest is None:
-            print("error: --pairing manifest requires --manifest", file=sys.stderr)
-            return 2
         pairs = _pair_by_manifest(args.manifest)
     else:
         pairs = _pair_by_stem(args.originals_dir, args.shared_dir)
@@ -247,10 +248,7 @@ def cmd_emulate(args) -> int:
 def cmd_analyze_stability(args) -> int:
     profile = load_profile(args.profile)
     rho = args.resolution
-    entries = [
-        e for e in profile.entries
-        if e.rho_out == rho and (args.include_saturated or not e.saturated)
-    ]
+    entries = supporting_entries(rho, profile, args.include_saturated)
     if not entries:
         available = ", ".join(f"{w}x{h}" for w, h in profile.resolutions_out()) or "none"
         print(
@@ -269,11 +267,11 @@ def cmd_analyze_stability(args) -> int:
     print(f"  n'={first.n_prime}: range {first.range_width:.3f}   "
           f"n'={last.n_prime}: range {last.range_width:.3f}")
     if args.width_threshold is not None:
-        rec = recommend_sample_size(report, args.width_threshold)
-        if rec.achieved:
-            print(f"  smallest n' with CRF range <= {args.width_threshold:g}: {rec.n_prime}")
+        n_prime = recommend_sample_size(report, args.width_threshold)
+        if n_prime is not None:
+            print(f"  smallest n' with CRF range <= {args.width_threshold:g}: {n_prime}")
         else:
-            print(f"  no n' reaches range <= {args.width_threshold:g}; largest studied: {rec.n_prime}")
+            print(f"  no n' reaches range <= {args.width_threshold:g}; largest studied: {last.n_prime}")
     return 0
 
 

@@ -69,16 +69,23 @@ def select_resolution(
     return _pick_rho_out(nearest), best_rho_in == rho
 
 
+def supporting_entries(
+    rho_out: tuple[int, int], profile: PlatformProfile, include_saturated: bool
+) -> list[ProfileEntry]:
+    """Entries with output resolution *rho_out*, saturated ones only if asked for."""
+    return [
+        entry for entry in profile.entries
+        if entry.rho_out == rho_out and (include_saturated or not entry.saturated)
+    ]
+
+
 def select_crf(
     rho_star: tuple[int, int],
     profile: PlatformProfile,
     include_saturated: bool = False,
 ) -> tuple[float, int]:
     """Mean estimated CRF over entries with output resolution *rho_star*."""
-    group = [
-        entry for entry in profile.entries
-        if entry.rho_out == rho_star and (include_saturated or not entry.saturated)
-    ]
+    group = supporting_entries(rho_star, profile, include_saturated)
     if not group:
         raise NoSupport(
             f"no usable entries at output resolution {rho_star[0]}x{rho_star[1]}"

@@ -1,8 +1,11 @@
 """Bootstrap stability study and fidelity reporting."""
 
 import csv
+from statistics import fmean
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from snvse.analysis import (
     StabilityReport,
@@ -66,6 +69,33 @@ def test_range_width_shrinks_with_subset_size():
     assert widths[-1] <= widths[0]
 
 
+@st.composite
+def population_and_subset_size(draw):
+    values = draw(st.lists(st.integers(21, 50), min_size=2, max_size=12))
+    return values, draw(st.integers(1, len(values)))
+
+
+@settings(max_examples=60, deadline=None)
+@example(([21, 21, 22], 3))
+@given(population_and_subset_size())
+def test_rows_are_consistent_without_tolerance(case):
+    # Every subset mean lies between the means of the n' smallest and the n'
+    # largest values, and the row's mean between its min and max; at n' = N
+    # every subset is the population, so the row is one value, exactly.
+    values, n_prime = case
+    report = bootstrap_stability(crf_entries(values), (1, n_prime), iterations=50, seed=7)
+    ordered = sorted(values)
+    for row in report.rows:
+        k = row.n_prime
+        assert fmean(ordered[:k]) <= row.crf_min <= row.crf_mean <= row.crf_max <= fmean(ordered[-k:])
+        assert row.crf_stddev >= 0.0
+    first, last = report.rows[0], report.rows[-1]
+    assert first.crf_min in values and first.crf_max in values
+    if n_prime == len(values):
+        assert last.crf_min == last.crf_max == last.crf_mean
+        assert last.crf_stddev == 0.0
+
+
 def test_bootstrap_spawns_no_tool_processes(monkeypatch):
     # The study works on stored estimates only; any prober/encoder call is a bug.
     import snvse.runner as runner_mod
@@ -104,23 +134,19 @@ def _report(widths):
 
 def test_recommend_crossing_threshold():
     report = _report([(5, 6.0), (10, 4.0), (20, 2.5), (30, 1.4), (40, 1.2)])
-    rec = recommend_sample_size(report, 1.5)
-    assert rec.n_prime == 30
-    assert rec.achieved
+    assert recommend_sample_size(report, 1.5) == 30
 
 
 def test_recommend_generous_threshold_returns_smallest():
     report = _report([(5, 6.0), (10, 4.0)])
-    rec = recommend_sample_size(report, 100.0)
-    assert rec.n_prime == 5
-    assert rec.achieved
+    assert recommend_sample_size(report, 100.0) == 5
 
 
 def test_recommend_unreachable_flags_largest():
     report = _report([(5, 6.0), (10, 4.0)])
-    rec = recommend_sample_size(report, 0.5)
-    assert rec.n_prime == 10
-    assert not rec.achieved
+    assert recommend_sample_size(report, 0.5) is None
+    with pytest.raises(PreconditionViolation, match="empty stability report"):
+        recommend_sample_size(_report([]), 0.5)
 
 
 def test_stability_csv_columns(tmp_path):

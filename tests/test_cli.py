@@ -160,6 +160,18 @@ def test_estimate_rejects_crf_range_before_any_work(config, tmp_path, quiet, mon
     assert "CRF range" in capsys.readouterr().err
 
 
+def test_estimate_reports_missing_manifest_before_the_tool_check(tmp_path, quiet, tool_calls,
+                                                                capsys):
+    out = tmp_path / "p.json"
+    code = main(quiet + ["--ffmpeg-bin", str(tmp_path / "nonexistent"),
+                         "estimate", str(tmp_path), str(tmp_path),
+                         "--platform", "x", "--out", str(out), "--pairing", "manifest"])
+    assert code == 2
+    assert tool_calls == []
+    assert not out.exists()
+    assert "--pairing manifest requires --manifest" in capsys.readouterr().err
+
+
 def test_mock_platform_rejects_shared_stems_before_any_work(tmp_path, quiet, tool_calls, capsys):
     # clip.mp4 and clip.mov would both be written to out/clip.mp4.
     inputs = tmp_path / "in"

@@ -1,6 +1,7 @@
 """The package's lazy public namespace and its module boundaries."""
 
 import ast
+import sys
 from pathlib import Path
 
 import snvse
@@ -12,6 +13,20 @@ def test_every_export_resolves():
     # the name is first used; resolve each one here.
     for name in snvse.__all__:
         getattr(snvse, name)
+
+
+def test_package_imports_only_the_standard_library():
+    # snvse has no runtime dependency; the sim shims included.
+    for path in sorted(Path(snvse.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
 def _package_sources():
