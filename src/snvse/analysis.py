@@ -163,7 +163,7 @@ def fidelity_report(
         raise PreconditionViolation(f"{len(emulated)} emulated vs {len(shared)} shared files")
     if not emulated:
         raise PreconditionViolation("empty file lists")
-    config = config or RunConfig.from_env()
+    config = config or RunConfig()
 
     pairs = []
     for emu_path, shared_path in zip(emulated, shared):

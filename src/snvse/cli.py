@@ -7,7 +7,7 @@ pairs), ``emulate`` (apply a profile to new videos), ``analyze-stability``
 known parameters to serve as a ground-truth stand-in for real uploads).
 
 Exit codes: 0 success (each failed item is logged once at ERROR, and the
-batch goes on), 1 operational failure, 2 usage error.
+batch goes on), 1 operational failure, 2 usage error, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import __version__
-from .analysis import bootstrap_stability, recommend_sample_size, write_stability_csv
+from .analysis import DEFAULT_ITERATIONS, bootstrap_stability, recommend_sample_size, write_stability_csv
 from .config import RunConfig
 from .encoder import CRF_CEIL, CRF_FLOOR, EncodeSpec, encode
 from .errors import (
@@ -109,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--trial-seconds", type=float, default=None,
                        help="truncate trial encodes to the first K seconds")
     p_est.add_argument("--keep-trials", action="store_true", help="keep trial encodes in the scratch dir")
+    p_est.set_defaults(func=cmd_estimate)
 
     p_emu = sub.add_parser("emulate", parents=[shared], help="apply a profile to local videos")
     p_emu.add_argument("inputs", nargs="+", type=Path)
@@ -116,11 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_emu.add_argument("--out", required=True, type=Path, help="output directory")
     p_emu.add_argument("--include-saturated", action="store_true",
                        help="let saturated estimates join the CRF average")
+    p_emu.set_defaults(func=cmd_emulate)
 
     p_sta = sub.add_parser("analyze-stability", parents=[shared], help="bootstrap CRF estimate spread vs sample count")
     p_sta.add_argument("--profile", required=True, type=Path)
     p_sta.add_argument("--resolution", required=True, type=_resolution, help="output resolution WxH to study")
-    p_sta.add_argument("--iterations", type=_positive_int, default=1000)
+    p_sta.add_argument("--iterations", type=_positive_int, default=DEFAULT_ITERATIONS)
     p_sta.add_argument("--seed", type=int, default=0)
     p_sta.add_argument("--out", required=True, type=Path, help="output CSV path")
     p_sta.add_argument("--n-min", type=_positive_int, default=1)
@@ -129,29 +131,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_sta.add_argument("--include-saturated", action="store_true")
     p_sta.add_argument("--width-threshold", type=float, default=None,
                        help="also report the smallest n' whose CRF range is within this width")
+    p_sta.set_defaults(func=cmd_analyze_stability)
 
     p_db = sub.add_parser("db", parents=[shared], help="profile database inspection")
     db_sub = p_db.add_subparsers(dest="db_command", required=True)
     p_show = db_sub.add_parser("show", help="tabulate a profile")
     p_show.add_argument("profile", type=Path)
+    p_show.set_defaults(func=cmd_db_show)
 
     p_mock = sub.add_parser("mock-platform", parents=[shared], help="encode a corpus with fixed hidden parameters")
     p_mock.add_argument("inputs_dir", type=Path)
     p_mock.add_argument("--out", required=True, type=Path, help="output directory")
     p_mock.add_argument("--resolution", required=True, type=_resolution, help="hidden output resolution WxH")
     p_mock.add_argument("--crf", required=True, type=float, help="hidden CRF")
+    p_mock.set_defaults(func=cmd_mock_platform)
 
     return parser
 
 
-def _config_from_args(args, preset: str) -> RunConfig:
-    config = RunConfig.from_env(
-        ffmpeg=args.ffmpeg_bin,
-        ffprobe=args.ffprobe_bin,
-        preset=preset,
-        workers=args.workers,
-        scratch_dir=args.scratch_dir,
-    )
+def _config_from_args(args, preset: str | None) -> RunConfig:
+    # An option left unset keeps RunConfig's default.
+    options = {"ffmpeg": args.ffmpeg_bin, "ffprobe": args.ffprobe_bin, "preset": preset,
+               "workers": args.workers, "scratch_dir": args.scratch_dir}
+    config = RunConfig(**{name: value for name, value in options.items() if value is not None})
     config.check_tools()
     return config
 
@@ -190,6 +192,9 @@ def cmd_estimate(args) -> int:
     check_range(args.c_min, args.c_max)
     if args.pairing == "manifest" and args.manifest is None:
         print("error: --pairing manifest requires --manifest", file=sys.stderr)
+        return 2
+    if args.manifest is not None and args.pairing != "manifest":
+        print("error: --manifest requires --pairing manifest", file=sys.stderr)
         return 2
     config = _config_from_args(args, preset=args.preset)
     if args.pairing == "manifest":
@@ -319,7 +324,6 @@ def cmd_mock_platform(args) -> int:
             target_height=height,
             crf=args.crf,
             frame_rate=info.frame_rate,
-            preset=config.preset,
         )
         return encode(path, spec, args.out / f"{path.stem}.mp4", config)
 
@@ -328,14 +332,6 @@ def cmd_mock_platform(args) -> int:
     print(f"{ok} of {len(inputs)} videos mock-shared into {args.out} "
           f"(hidden: {width}x{height} @ crf {args.crf:g}, preset {config.preset})")
     return 0 if ok else 1
-
-
-_COMMANDS = {
-    "estimate": cmd_estimate,
-    "emulate": cmd_emulate,
-    "analyze-stability": cmd_analyze_stability,
-    "mock-platform": cmd_mock_platform,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -347,9 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         force=True,
     )
     try:
-        if args.command == "db":
-            return cmd_db_show(args)
-        return _COMMANDS[args.command](args)
+        return args.func(args)
     except InvalidRange as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,12 @@
-"""Run configuration: external tool commands, preset, worker and scratch settings.
+"""Run configuration: tool commands, preset, workers and scratch dir.
 
-The ffmpeg/ffprobe commands are plain strings resolved in this order:
-explicit argument > ``SNVSE_FFMPEG`` / ``SNVSE_FFPROBE`` environment
-variables > bare ``ffmpeg`` / ``ffprobe`` on PATH. A command may contain
-several tokens (e.g. ``python -m snvse.sim_ffmpeg``); it is split with
-shlex before execution.
+``RunConfig`` is the one owner of these run-wide settings, and each is
+resolved once, when the config is built. The ffmpeg/ffprobe commands are
+plain strings: explicit argument > ``SNVSE_FFMPEG`` / ``SNVSE_FFPROBE``
+(no other module reads the environment) > bare ``ffmpeg`` / ``ffprobe``.
+A command may contain several tokens (e.g. ``python -m snvse.sim_ffmpeg``);
+it is split with shlex before execution. Every encode of a run uses its
+``preset``; trial encodes go to ``scratch_dir``, the system temp dir by default.
 """
 
 from __future__ import annotations
@@ -24,42 +26,25 @@ ENV_FFPROBE = "SNVSE_FFPROBE"
 DEFAULT_PRESET = "medium"
 
 
-def _default_workers() -> int:
-    return os.cpu_count() or 1
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Shared settings for every operation that touches external tools."""
 
-    ffmpeg: str = "ffmpeg"
-    ffprobe: str = "ffprobe"
+    ffmpeg: str = field(default_factory=lambda: os.environ.get(ENV_FFMPEG, "ffmpeg"))
+    ffprobe: str = field(default_factory=lambda: os.environ.get(ENV_FFPROBE, "ffprobe"))
     preset: str = DEFAULT_PRESET
-    workers: int = field(default_factory=_default_workers)
-    scratch_dir: Path | None = None
+    workers: int = field(default_factory=lambda: os.cpu_count() or 1)
+    scratch_dir: Path = field(default_factory=lambda: Path(tempfile.gettempdir()))
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise PreconditionViolation(f"workers must be >= 1, got {self.workers}")
-
-    @classmethod
-    def from_env(cls, **overrides) -> "RunConfig":
-        """Build a config from environment variables plus keyword overrides."""
-        base = {
-            "ffmpeg": os.environ.get(ENV_FFMPEG, "ffmpeg"),
-            "ffprobe": os.environ.get(ENV_FFPROBE, "ffprobe"),
-        }
-        base.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**base)
 
     def ffmpeg_argv(self) -> list[str]:
         return shlex.split(self.ffmpeg)
 
     def ffprobe_argv(self) -> list[str]:
         return shlex.split(self.ffprobe)
-
-    def scratch_path(self) -> Path:
-        return self.scratch_dir if self.scratch_dir is not None else Path(tempfile.gettempdir())
 
     def check_tools(self) -> None:
         """Verify both tool commands resolve to something executable.

@@ -4,7 +4,9 @@ The invocation contract is fixed for every flow in this tool: libx264,
 yuv420p, full-frame scale to the target dimensions (no crop, no padding),
 an explicit output frame rate, audio dropped (``-an``), overwrite enabled.
 The scaler is the encoder's default bicubic-class filter and color tags
-pass through untouched. The exact argument list is logged for every run.
+pass through untouched. The preset is the run's (``RunConfig.preset``), so
+an ``EncodeSpec`` holds only what varies per encode. The exact argument
+list is logged for every run.
 """
 
 from __future__ import annotations
@@ -35,13 +37,12 @@ def normalize_dimensions(width: int, height: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class EncodeSpec:
-    """Full argument set for one re-encode."""
+    """The per-encode arguments of one re-encode."""
 
     target_width: int
     target_height: int
     crf: float
     frame_rate: Fraction
-    preset: str = "medium"
 
     def validate(self) -> None:
         if self.target_width < 2 or self.target_width % 2:
@@ -77,7 +78,7 @@ def build_encode_argv(
         "-vf", f"scale={spec.target_width}:{spec.target_height}",
         "-c:v", "libx264",
         "-crf", _format_crf(spec.crf),
-        "-preset", spec.preset,
+        "-preset", config.preset,
         "-pix_fmt", PIXEL_FORMAT,
         "-r", f"{spec.frame_rate.numerator}/{spec.frame_rate.denominator}",
     ]
@@ -99,7 +100,7 @@ def encode(
     *max_seconds*, when set, truncates the output to its first K seconds
     (used for cheap trial encodes). Partial outputs are removed on failure.
     """
-    config = config or RunConfig.from_env()
+    config = config or RunConfig()
     spec.validate()
     input_path = Path(input_path)
     output_path = Path(output_path)

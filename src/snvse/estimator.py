@@ -80,7 +80,7 @@ def estimate_crf(
     *keep_trials* leaves trial files in the scratch directory.
     """
     check_range(c_min, c_max)
-    config = config or RunConfig.from_env()
+    config = config or RunConfig()
 
     original = probe_media(pair.original_path, config)
     shared = probe_media(pair.shared_path, config)
@@ -92,21 +92,17 @@ def estimate_crf(
     target = measure_bitrate(shared, config).value
     rho_out = normalize_dimensions(shared.width, shared.height)
 
-    scratch = config.scratch_path()
-    scratch.mkdir(parents=True, exist_ok=True)
+    config.scratch_dir.mkdir(parents=True, exist_ok=True)
     trials: dict[int, float] = {}
 
     def trial(crf: int) -> float:
-        if crf in trials:
-            return trials[crf]
         spec = EncodeSpec(
             target_width=rho_out[0],
             target_height=rho_out[1],
             crf=float(crf),
             frame_rate=shared.frame_rate,
-            preset=config.preset,
         )
-        out_path = scratch / f"trial-{pair.pair_id}-{uuid.uuid4().hex[:8]}-crf{crf}.mp4"
+        out_path = config.scratch_dir / f"trial-{pair.pair_id}-{uuid.uuid4().hex[:8]}-crf{crf}.mp4"
         try:
             info = encode(pair.original_path, spec, out_path, config, max_seconds=trial_seconds)
             rate = measure_bitrate(info, config).value
@@ -219,7 +215,7 @@ def estimate_batch(
     if not pairs:
         raise AllPairsFailed("no pairs to estimate")
     check_unique_pair_ids(pairs)
-    config = config or RunConfig.from_env()
+    config = config or RunConfig()
 
     def work(pair: VideoPair) -> ProfileEntry:
         return estimate_crf(

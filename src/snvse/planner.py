@@ -100,8 +100,8 @@ def plan_emulation(
     config: RunConfig | None = None,
     include_saturated: bool = False,
 ) -> EmulationPlan:
-    """Probe *input_path* and derive its full emulation encode spec."""
-    config = config or RunConfig.from_env()
+    """Probe *input_path* and derive its emulation encode spec."""
+    config = config or RunConfig()
     info = probe_media(input_path, config)
     rho_star_raw, matched = select_resolution(info.resolution, profile)
     rho_star = normalize_dimensions(*rho_star_raw)
@@ -121,7 +121,6 @@ def plan_emulation(
         target_height=rho_star[1],
         crf=crf_star,
         frame_rate=info.frame_rate,  # emulation keeps the input's frame rate
-        preset=profile.preset,
     )
     return EmulationPlan(
         input_path=Path(input_path),
@@ -152,7 +151,7 @@ def emulate_batch(
     """
     if not inputs:
         raise AllInputsFailed("no inputs to emulate")
-    config = config or RunConfig.from_env(preset=profile.preset)
+    config = config or RunConfig(preset=profile.preset)
     if config.preset != profile.preset:
         raise PresetMismatch(
             f"profile was estimated with preset {profile.preset!r} but the run "

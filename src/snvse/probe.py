@@ -82,7 +82,7 @@ def probe_media(path: str | Path, config: RunConfig | None = None) -> MediaInfo:
     Raises FileNotFoundError, NoVideoStream, or ProberFailure (with the
     prober's diagnostics attached).
     """
-    config = config or RunConfig.from_env()
+    config = config or RunConfig()
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
@@ -145,7 +145,7 @@ def scan_video_stream_bytes(path: str | Path, config: RunConfig | None = None) -
     Raises ProberFailure when the scan fails or reports no video packets.
     """
     doc = _run_prober(["-select_streams", "v:0", "-show_entries", "packet=size"],
-                      path, config or RunConfig.from_env())
+                      path, config or RunConfig())
     try:
         sizes = [int(p["size"]) for p in doc.get("packets", [])]
     except (KeyError, TypeError, ValueError) as exc:

@@ -2,15 +2,17 @@
 
 Every invocation logs its exact argument list at DEBUG (forensic
 reproducibility), and live processes are tracked so an interrupt can
-terminate them and the caller can clean up partial outputs. Every batch
-(estimate, emulate, mock-platform) runs through ``run_batch``, and every
-name derived from a file's stem is checked for collisions by ``by_stem``.
+terminate them and the caller can clean up partial outputs; an interrupted
+pool starts no further tool. Every batch (estimate, emulate, mock-platform)
+runs through ``run_batch``, and every name derived from a file's stem is
+checked for collisions by ``by_stem``.
 """
 
 from __future__ import annotations
 
 import logging
 import shlex
+import signal
 import subprocess
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -25,13 +27,27 @@ _ACTIVE: set[subprocess.Popen] = set()
 _ACTIVE_LOCK = threading.Lock()
 
 
+class _Worker(threading.local):
+    stop = threading.Event()  # never set; run_pool gives each worker its pool's
+
+
+_worker = _Worker()
+
+
 def run_tool(argv: list[str]) -> subprocess.CompletedProcess:
     """Run one tool invocation, capturing stdout/stderr as text.
 
     Does not raise on nonzero exit; callers interpret the return code so
-    they can attach domain-specific diagnostics.
+    they can attach domain-specific diagnostics. In a worker of an
+    interrupted pool the tool does not start, and the result reads as a
+    terminated tool's.
     """
-    logger.debug("exec: %s", shlex.join(argv))
+    # The stop flag is set and read under _ACTIVE_LOCK, so a process either
+    # is registered before run_pool's interrupt path looks, or sees the flag.
+    with _ACTIVE_LOCK:
+        if _worker.stop.is_set():
+            return subprocess.CompletedProcess(argv, -signal.SIGTERM, "", "interrupted")
+        logger.debug("exec: %s", shlex.join(argv))
     proc = subprocess.Popen(
         argv,
         stdout=subprocess.PIPE,
@@ -40,6 +56,8 @@ def run_tool(argv: list[str]) -> subprocess.CompletedProcess:
     )
     with _ACTIVE_LOCK:
         _ACTIVE.add(proc)
+        if _worker.stop.is_set():
+            proc.terminate()
     try:
         stdout, stderr = proc.communicate()
     finally:
@@ -64,13 +82,17 @@ def terminate_active() -> int:
 def run_pool(work, items, workers: int) -> list:
     """Order-preserving bounded map over *items*.
 
-    On interrupt, pending items are cancelled and in-flight tool processes
-    terminated, so the pool unwinds promptly instead of draining encodes.
+    On interrupt, pending items are cancelled, in-flight tool processes
+    terminated and the workers' further tool runs refused, so the pool
+    unwinds promptly instead of draining encodes.
     """
-    pool = ThreadPoolExecutor(max_workers=workers)
+    stop = threading.Event()
+    pool = ThreadPoolExecutor(max_workers=workers, initializer=setattr, initargs=(_worker, "stop", stop))
     try:
         results = list(pool.map(work, items))
     except BaseException:
+        with _ACTIVE_LOCK:
+            stop.set()
         pool.shutdown(wait=False, cancel_futures=True)
         terminate_active()
         raise

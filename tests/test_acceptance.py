@@ -179,7 +179,6 @@ def test_c4_crf_monotonicity(config, clips, tmp_path):
                     target_height=info.height - info.height % 2,
                     crf=float(crf),
                     frame_rate=info.frame_rate,
-                    preset=config.preset,
                 )
                 out = encode(source, spec, tmp_path / f"{name}-{crf}.mp4", config)
                 rates.append(measure_bitrate(out, config).value)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import snvse.cli
 from snvse.cli import main
 from snvse.probe import probe_media
 from snvse.profile_db import PlatformProfile, ProfileEntry, load_profile, save_profile
@@ -170,6 +171,30 @@ def test_estimate_reports_missing_manifest_before_the_tool_check(tmp_path, quiet
     assert tool_calls == []
     assert not out.exists()
     assert "--pairing manifest requires --manifest" in capsys.readouterr().err
+
+
+def test_estimate_rejects_manifest_without_manifest_pairing(tmp_path, quiet, tool_calls, capsys):
+    # Stem pairing would ignore the manifest, even one that does not exist.
+    out = tmp_path / "p.json"
+    code = main(quiet + ["--ffmpeg-bin", str(tmp_path / "nonexistent"),
+                         "estimate", str(tmp_path), str(tmp_path),
+                         "--platform", "x", "--out", str(out),
+                         "--manifest", str(tmp_path / "missing.csv")])
+    assert code == 2
+    assert tool_calls == []
+    assert not out.exists()
+    assert "--manifest requires --pairing manifest" in capsys.readouterr().err
+
+
+def test_interrupt_exits_130(tmp_path, quiet, monkeypatch, capsys):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(snvse.cli, "estimate_batch", interrupted)
+    code = main(quiet + ["estimate", str(tmp_path), str(tmp_path),
+                         "--platform", "x", "--out", str(tmp_path / "p.json")])
+    assert code == 130
+    assert "interrupted; terminated 0 in-flight encode(s)" in capsys.readouterr().err
 
 
 def test_mock_platform_rejects_shared_stems_before_any_work(tmp_path, quiet, tool_calls, capsys):

@@ -24,7 +24,6 @@ def _spec(**overrides):
         target_height=360,
         crf=30.0,
         frame_rate=Fraction(30, 1),
-        preset="medium",
     )
     defaults.update(overrides)
     return EncodeSpec(**defaults)

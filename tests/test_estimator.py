@@ -35,7 +35,6 @@ def hidden_pair(config, tmp_path_factory):
         target_height=HIDDEN_RHO[1],
         crf=HIDDEN_CRF,
         frame_rate=info.frame_rate,
-        preset=config.preset,
     )
     shared = root / "shared.mp4"
     encode(original, spec, shared, config)
@@ -101,7 +100,7 @@ def test_high_bitrate_shared_hits_lower_bound(config, tmp_path):
     original = make_clip(config, tmp_path / "orig.mp4", source="testsrc2", size=(640, 360), duration=4)
     info = probe_media(original, config)
     shared = tmp_path / "shared.mp4"
-    encode(original, EncodeSpec(640, 360, 10.0, info.frame_rate, preset=config.preset), shared, config)
+    encode(original, EncodeSpec(640, 360, 10.0, info.frame_rate), shared, config)
     result = estimate_crf(VideoPair(original, shared, "floor"), config=config)
     assert result.crf_hat == 21
     assert not result.saturated
@@ -113,8 +112,7 @@ def test_adversarial_pair_saturates(config, clips, tmp_path):
     # weakest trial overshoots the target, so the estimate clamps and flags.
     flat_info = probe_media(clips["flat"], config)
     tiny_shared = tmp_path / "tiny.mp4"
-    encode(clips["flat"], EncodeSpec(640, 360, 50.0, flat_info.frame_rate, preset=config.preset),
-           tiny_shared, config)
+    encode(clips["flat"], EncodeSpec(640, 360, 50.0, flat_info.frame_rate), tiny_shared, config)
     result = estimate_crf(VideoPair(clips["textured"], tiny_shared, "sat"), config=config)
     assert result.crf_hat == 50
     assert result.saturated
@@ -149,7 +147,7 @@ def test_trials_mirror_shared_frame_rate(config, tmp_path):
     original = make_clip(config, tmp_path / "orig.mp4", size=(640, 360), fps=30, duration=4)
     info = probe_media(original, config)
     shared = tmp_path / "shared.mp4"
-    encode(original, EncodeSpec(640, 360, 28.0, Fraction(24, 1), preset=config.preset), shared, config)
+    encode(original, EncodeSpec(640, 360, 28.0, Fraction(24, 1)), shared, config)
     scratch = tmp_path / "scratch"
     cfg = dataclasses.replace(config, scratch_dir=scratch)
     estimate_crf(VideoPair(original, shared, "fps"), config=cfg, keep_trials=True)
@@ -167,7 +165,7 @@ def test_batch_preserves_order(config, clips, tmp_path):
         info = probe_media(original, config)
         shared = tmp_path / f"s{index}.mp4"
         rho = (480, 360)
-        encode(original, EncodeSpec(*rho, 30.0, info.frame_rate, preset=config.preset), shared, config)
+        encode(original, EncodeSpec(*rho, 30.0, info.frame_rate), shared, config)
         pairs.append(VideoPair(original, shared, pair_id=f"pair{index}"))
     outcomes = estimate_batch(pairs, config=config)
     assert [o.item.pair_id for o in outcomes] == ["pair0", "pair1", "pair2"]
@@ -177,7 +175,7 @@ def test_batch_preserves_order(config, clips, tmp_path):
 def test_batch_records_partial_failures(config, clips, tmp_path):
     info = probe_media(clips["flat"], config)
     shared = tmp_path / "ok.mp4"
-    encode(clips["flat"], EncodeSpec(640, 360, 30.0, info.frame_rate, preset=config.preset), shared, config)
+    encode(clips["flat"], EncodeSpec(640, 360, 30.0, info.frame_rate), shared, config)
     bad = tmp_path / "bad.mp4"
     bad.write_bytes(b"nope")
     outcomes = estimate_batch(

@@ -2,10 +2,12 @@
 
 import ast
 import sys
+import tempfile
 from pathlib import Path
 
 import snvse
 from snvse import errors
+from snvse.config import RunConfig
 
 
 def test_every_export_resolves():
@@ -27,6 +29,37 @@ def test_package_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_only_config_reads_the_environment():
+    # RunConfig resolves every run-wide setting once, when it is built.
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    for path in sorted(Path(snvse.__file__).parent.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            assert name not in readers, (path.name, node.lineno, name)
+
+
+def test_run_config_defaults_come_from_the_environment(monkeypatch):
+    monkeypatch.setenv("SNVSE_FFMPEG", "python -m snvse.sim_ffmpeg")
+    monkeypatch.setenv("SNVSE_FFPROBE", "ffprobe-7")
+    config = RunConfig()
+    assert (config.ffmpeg, config.ffprobe) == ("python -m snvse.sim_ffmpeg", "ffprobe-7")
+    assert config.scratch_dir == Path(tempfile.gettempdir())
+    assert RunConfig(ffmpeg="ffmpeg-6").ffmpeg == "ffmpeg-6"
+    monkeypatch.delenv("SNVSE_FFMPEG")
+    monkeypatch.delenv("SNVSE_FFPROBE")
+    config = RunConfig()
+    assert (config.ffmpeg, config.ffprobe) == ("ffmpeg", "ffprobe")
 
 
 def _package_sources():

@@ -206,7 +206,6 @@ def test_plan_uses_input_frame_rate_and_profile_mapping(config, clips):
     assert plan.matched_exactly is True
     assert plan.support_count == 2
     assert plan.spec.frame_rate == Fraction(25, 1)
-    assert plan.spec.preset == "medium"
 
 
 def test_plan_nearest_branch_flags_inexact(config, clips):

@@ -1,12 +1,14 @@
 """The batch loop that estimate, emulate and mock-platform all run through."""
 
 import logging
+import sys
+import threading
 import time
 
 import pytest
 
 from snvse.errors import EncoderFailure
-from snvse.runner import Outcome, run_batch
+from snvse.runner import Outcome, run_batch, run_tool
 
 
 def test_run_batch_keeps_order_and_captures_item_errors(caplog):
@@ -37,3 +39,36 @@ def test_run_batch_propagates_other_exceptions():
 
     with pytest.raises(KeyError):
         run_batch(work, [0, 1], workers=2)
+
+
+def test_interrupted_pool_starts_no_further_tool(tmp_path):
+    # Item 0 interrupts the batch while item 1 runs a long tool; item 1's
+    # tool is terminated and its next tool never starts.
+    sleeper = [sys.executable, "-c", "import time; time.sleep(30)"]
+    marker = tmp_path / "second-tool-ran"
+    toucher = [sys.executable, "-c", f"open({str(marker)!r}, 'w').close()"]
+    started, finished = threading.Event(), threading.Event()
+
+    def work(n):
+        if n == 0:
+            started.wait(5)
+            time.sleep(0.2)  # let the sleeper start
+            raise KeyboardInterrupt
+        try:
+            started.set()
+            run_tool(sleeper)
+            run_tool(toucher)
+        finally:
+            finished.set()
+
+    began = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_batch(work, [0, 1], workers=2)
+    assert finished.wait(10)
+    assert time.monotonic() - began < 10
+    assert not marker.exists()
+
+    # The interrupt belonged to that pool: a later batch runs its tools.
+    outcomes = run_batch(lambda n: run_tool(toucher).returncode, [0], workers=1)
+    assert outcomes == [Outcome(0, result=0)]
+    assert marker.exists()
