@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import DEFAULT_ITERATIONS, bootstrap_stability, recommend_sample_size, write_stability_csv
 from .config import RunConfig
-from .encoder import CRF_CEIL, CRF_FLOOR, EncodeSpec, encode
+from .encoder import CRF_CEIL, CRF_FLOOR, EncodeSpec, transcode
 from .errors import (
     AllInputsFailed,
     AllPairsFailed,
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .estimator import SearchStrategy, VideoPair, check_range, estimate_batch
 from .planner import emulate_batch, supporting_entries
-from .probe import MediaInfo, probe_media
+from .probe import probe_media
 from .profile_db import CRF_MAX, CRF_MIN, PlatformProfile, ProfileEntry, load_profile, save_profile
 from .runner import by_stem, run_batch, terminate_active
 
@@ -317,7 +317,7 @@ def cmd_mock_platform(args) -> int:
     by_stem(inputs)  # outputs are named <stem>.mp4
     args.out.mkdir(parents=True, exist_ok=True)
 
-    def work(path: Path) -> MediaInfo:
+    def work(path: Path) -> Path:
         info = probe_media(path, config)
         spec = EncodeSpec(
             target_width=width,
@@ -325,7 +325,7 @@ def cmd_mock_platform(args) -> int:
             crf=args.crf,
             frame_rate=info.frame_rate,
         )
-        return encode(path, spec, args.out / f"{path.stem}.mp4", config)
+        return transcode(path, spec, args.out / f"{path.stem}.mp4", config)
 
     outcomes = run_batch(work, inputs, config.workers)
     ok = sum(o.ok for o in outcomes)
@@ -354,8 +354,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
-        count = terminate_active()
-        print(f"interrupted; terminated {count} in-flight encode(s)", file=sys.stderr)
+        # The interrupted pool has already terminated its tools; this catches
+        # any tool a command ran outside a pool.
+        terminate_active()
+        print("interrupted; running tools terminated", file=sys.stderr)
         return 130
 
 

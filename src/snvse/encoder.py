@@ -5,8 +5,17 @@ yuv420p, full-frame scale to the target dimensions (no crop, no padding),
 an explicit output frame rate, audio dropped (``-an``), overwrite enabled.
 The scaler is the encoder's default bicubic-class filter and color tags
 pass through untouched. The preset is the run's (``RunConfig.preset``), so
-an ``EncodeSpec`` holds only what varies per encode. The exact argument
-list is logged for every run.
+an ``EncodeSpec`` holds only what varies per encode. Every encode also
+asks for ffmpeg's machine-readable progress report on stdout
+(``-progress pipe:1 -nostats``). The exact argument list is logged for
+every run.
+
+``transcode`` runs the encoder once and verifies the encode without a
+probe: the exit code is 0, the progress report ends with
+``progress=end`` and counts at least one frame, and the output file
+exists and is non-empty. ``encode`` is ``transcode`` plus a probe of the
+output, for callers that need its ``MediaInfo`` (trial encodes measure
+their bitrate from it).
 """
 
 from __future__ import annotations
@@ -71,6 +80,8 @@ def build_encode_argv(
     argv = config.ffmpeg_argv() + [
         "-hide_banner",
         "-loglevel", "error",
+        "-nostats",
+        "-progress", "pipe:1",
         "-y",
         "-i", str(input_path),
         "-map", "0:v:0",
@@ -88,17 +99,38 @@ def build_encode_argv(
     return argv
 
 
-def encode(
+def _unfinished(stdout: str, output_path: Path) -> str | None:
+    """Why an encode that exited 0 did not finish its output, or None if it did.
+
+    *stdout* is the encoder's ``-progress`` report: blocks of ``key=value``
+    lines, so the last value of a key is the final one.
+    """
+    report = dict(map(str.strip, line.split("=", 1)) for line in stdout.splitlines() if "=" in line)
+    if report.get("progress") != "end":
+        return "progress report does not end with progress=end"
+    frame = report.get("frame", "")
+    if not (frame.isdigit() and int(frame) >= 1):
+        return f"progress report counts no frames (frame={frame or 'absent'})"
+    try:
+        size = output_path.stat().st_size
+    except OSError:
+        return "no output file"
+    return None if size else "output file is empty"
+
+
+def transcode(
     input_path: str | Path,
     spec: EncodeSpec,
     output_path: str | Path,
     config: RunConfig | None = None,
     max_seconds: float | None = None,
-) -> MediaInfo:
-    """Re-encode *input_path* per *spec* and return the probe of the output.
+) -> Path:
+    """Re-encode *input_path* per *spec* in one tool run and return the output path.
 
     *max_seconds*, when set, truncates the output to its first K seconds
-    (used for cheap trial encodes). Partial outputs are removed on failure.
+    (used for cheap trial encodes). An encode that exits nonzero, or exits
+    0 without a finished, non-empty output, raises EncoderFailure; partial
+    outputs are removed on failure.
     """
     config = config or RunConfig()
     spec.validate()
@@ -110,13 +142,26 @@ def encode(
     argv = build_encode_argv(input_path, spec, output_path, config, max_seconds)
     try:
         result = run_tool(argv)
+        if result.returncode != 0:
+            raise EncoderFailure(
+                f"encoder exited {result.returncode} for {input_path} -> {output_path}: "
+                f"{result.stderr.strip()}"
+            )
+        problem = _unfinished(result.stdout, output_path)
+        if problem is not None:
+            raise EncoderFailure(f"encoder exited 0 for {input_path} -> {output_path}, but {problem}")
     except BaseException:
         output_path.unlink(missing_ok=True)
         raise
-    if result.returncode != 0:
-        output_path.unlink(missing_ok=True)
-        raise EncoderFailure(
-            f"encoder exited {result.returncode} for {input_path} -> {output_path}: "
-            f"{result.stderr.strip()}"
-        )
-    return probe_media(output_path, config)
+    return output_path
+
+
+def encode(
+    input_path: str | Path,
+    spec: EncodeSpec,
+    output_path: str | Path,
+    config: RunConfig | None = None,
+    max_seconds: float | None = None,
+) -> MediaInfo:
+    """``transcode`` *input_path*, then return the probe of the output."""
+    return probe_media(transcode(input_path, spec, output_path, config, max_seconds), config)

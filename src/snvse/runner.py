@@ -69,14 +69,13 @@ def run_tool(argv: list[str]) -> subprocess.CompletedProcess:
     return subprocess.CompletedProcess(argv, proc.returncode, stdout, stderr)
 
 
-def terminate_active() -> int:
+def terminate_active() -> None:
     """Terminate all in-flight tool processes (used on user interrupt)."""
     with _ACTIVE_LOCK:
         procs = list(_ACTIVE)
     for proc in procs:
         if proc.poll() is None:
             proc.terminate()
-    return len(procs)
 
 
 def run_pool(work, items, workers: int) -> list:
@@ -118,14 +117,19 @@ def run_batch(work, items, workers: int) -> list[Outcome]:
 
     An item whose work raises SnvseError or OSError records it in its slot
     as ``"Type: message"`` and logs that string at ERROR, the item's one
-    report; any other exception propagates.
+    report; any other exception propagates. An item whose tool the pool's
+    interrupt terminated was interrupted, not failed, and is logged only at
+    DEBUG.
     """
     def slot(item) -> Outcome:
         try:
             return Outcome(item, result=work(item))
         except (SnvseError, OSError) as exc:
             error = f"{type(exc).__name__}: {exc}"
-            logger.error("%s failed: %s", item, error)
+            if _worker.stop.is_set():
+                logger.debug("%s interrupted: %s", item, error)
+            else:
+                logger.error("%s failed: %s", item, error)
             return Outcome(item, error=error)
 
     return run_pool(slot, items, workers)

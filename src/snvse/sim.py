@@ -225,6 +225,7 @@ def run_ffmpeg(argv: list[str]) -> int:
         "t": None,
         "b_v": None,
         "maps": [],
+        "progress": None,
     }
     output: Path | None = None
 
@@ -253,7 +254,7 @@ def run_ffmpeg(argv: list[str]) -> int:
                 if not path.exists():
                     raise SimError(f"{src}: No such file or directory")
                 inputs.append(read_container(path))
-        elif arg in ("-y", "-n", "-hide_banner", "-nostdin"):
+        elif arg in ("-y", "-n", "-hide_banner", "-nostdin", "-nostats"):
             pass
         elif arg in ("-loglevel", "-v", "-passlogfile", "-threads"):
             value()
@@ -285,6 +286,10 @@ def run_ffmpeg(argv: list[str]) -> int:
             opts["b_v"] = _parse_rate_suffix(value())
         elif arg == "-map":
             opts["maps"].append(value())
+        elif arg == "-progress":
+            opts["progress"] = value()
+            if opts["progress"] != "pipe:1":
+                raise SimError(f"progress target {opts['progress']!r} is not simulated")
         elif arg.startswith("-"):
             raise SimError(f"option {arg} is not simulated")
         else:
@@ -367,6 +372,10 @@ def run_ffmpeg(argv: list[str]) -> int:
     if not out_streams:
         raise SimError("nothing to encode (no mapped streams)")
     write_container(output, out_streams)
+    if opts["progress"] is not None:
+        # The final block of ffmpeg's -progress report.
+        frames = sum(s.get("frames", 0) for s in out_streams)
+        print(f"frame={frames}\ntotal_size={output.stat().st_size}\nprogress=end")
     return 0
 
 

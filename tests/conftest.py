@@ -9,7 +9,9 @@ the same subprocess seam production uses.
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -83,6 +85,15 @@ def tool_calls(monkeypatch) -> list[list[str]]:
     monkeypatch.setattr(snvse.probe, "run_tool", counting_run_tool)
     monkeypatch.setattr(snvse.encoder, "run_tool", counting_run_tool)
     return calls
+
+
+def fake_encoder(config: RunConfig, code: str) -> RunConfig:
+    """*config* with its encoder replaced by a Python script, run as ``python -c code``.
+
+    The script sees the encode's arguments in ``sys.argv[1:]``; the output
+    path is the last of them.
+    """
+    return dataclasses.replace(config, ffmpeg=shlex.join([sys.executable, "-c", code]))
 
 
 def make_clip(

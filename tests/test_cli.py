@@ -103,6 +103,36 @@ def test_mock_platform_and_estimate_flow(config, tmp_path, quiet, capsys):
     assert all(e.rho_out == (640, 360) for e in profile.entries)
 
 
+def test_spawn_budget_of_mock_platform_and_estimate(config, tmp_path, quiet, tool_calls):
+    originals = tmp_path / "originals"
+    originals.mkdir()
+    for index, source in enumerate(["testsrc2", "gradients", "smptebars"]):
+        make_clip(config, originals / f"clip{index}.mp4", source=source,
+                  size=(1280, 720), duration=2)
+    tools = quiet + ["--ffmpeg-bin", config.ffmpeg, "--ffprobe-bin", config.ffprobe]
+
+    # mock-platform: one probe of the input and one encode per input.
+    shared = tmp_path / "shared"
+    assert main(tools + ["mock-platform", str(originals), "--out", str(shared),
+                         "--resolution", "640x360", "--crf", "33"]) == 0
+    encodes = [argv for argv in tool_calls if "-crf" in argv]
+    assert len(encodes) == 3
+    assert len(tool_calls) == 6
+
+    # estimate of one pair (the other originals go unpaired): two probes,
+    # then an encode and its probe per trial.
+    tool_calls.clear()
+    for stem in ("clip1", "clip2"):
+        (shared / f"{stem}.mp4").unlink()
+    assert main(tools + ["--scratch-dir", str(tmp_path / "scratch"),
+                         "estimate", str(originals), str(shared),
+                         "--platform", "testnet", "--out", str(tmp_path / "p.json"),
+                         "--strategy", "bisection", "--trial-seconds", "1"]) == 0
+    trials = [argv for argv in tool_calls if "-crf" in argv]
+    assert trials
+    assert len(tool_calls) == 2 + 2 * len(trials)
+
+
 def test_mock_platform_rejects_odd_resolution(config, tmp_path, quiet):
     code = main(quiet + ["mock-platform", str(tmp_path), "--out", str(tmp_path / "o"),
                          "--resolution", "641x360", "--crf", "30"])
@@ -194,7 +224,7 @@ def test_interrupt_exits_130(tmp_path, quiet, monkeypatch, capsys):
     code = main(quiet + ["estimate", str(tmp_path), str(tmp_path),
                          "--platform", "x", "--out", str(tmp_path / "p.json")])
     assert code == 130
-    assert "interrupted; terminated 0 in-flight encode(s)" in capsys.readouterr().err
+    assert "interrupted; running tools terminated" in capsys.readouterr().err
 
 
 def test_mock_platform_rejects_shared_stems_before_any_work(tmp_path, quiet, tool_calls, capsys):

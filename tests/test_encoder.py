@@ -13,9 +13,10 @@ from snvse.encoder import (
     build_encode_argv,
     encode,
     normalize_dimensions,
+    transcode,
 )
 from snvse.errors import EncoderFailure, PreconditionViolation
-from conftest import make_clip
+from conftest import fake_encoder, make_clip
 
 
 def _spec(**overrides):
@@ -104,6 +105,32 @@ def test_encoder_failure_cleans_partial_output(config, tmp_path):
     assert not out.exists()
 
 
+_WRITE_BYTES = 'import sys; open(sys.argv[-1], "wb").write(b"x" * 64); '
+_FINISHED = 'print("frame=10\\ntotal_size=64\\nprogress=end")'
+
+
+def test_fake_encoder_with_finished_output_is_accepted(config, clips, tmp_path):
+    # The control for the rejections below: the same kind of script passes
+    # when its report and its output are complete.
+    fake = fake_encoder(config, _WRITE_BYTES + _FINISHED)
+    assert transcode(clips["flat"], _spec(), tmp_path / "out.mp4", fake).stat().st_size == 64
+
+
+@pytest.mark.parametrize("code,reason", [
+    ("import sys; " + _FINISHED, "no output file"),
+    ('import sys; open(sys.argv[-1], "wb").close(); ' + _FINISHED, "output file is empty"),
+    (_WRITE_BYTES + 'print("frame=0\\nprogress=end")', "frame=0"),
+    (_WRITE_BYTES + 'print("frame=10\\nprogress=continue")', "progress=end"),
+    (_WRITE_BYTES + 'print("frame=10")', "progress=end"),
+    (_WRITE_BYTES + 'print("progress=end")', "frame=absent"),
+], ids=["no-output", "empty-output", "zero-frames", "unfinished", "no-progress", "no-frame-count"])
+def test_exit_0_without_finished_output_fails(config, clips, tmp_path, code, reason):
+    out = tmp_path / "out.mp4"
+    with pytest.raises(EncoderFailure, match=reason):
+        transcode(clips["flat"], _spec(), out, fake_encoder(config, code))
+    assert not out.exists()
+
+
 def _stream_types(config, path):
     argv = config.ffprobe_argv() + [
         "-v", "error", "-print_format", "json", "-show_streams", str(path)
@@ -153,6 +180,8 @@ def test_argv_pins_the_full_contract(config, tmp_path):
     assert "-preset medium" in joined
     assert "-an" in joined
     assert "-y" in joined
+    assert "-progress pipe:1" in joined
+    assert "-nostats" in joined
 
 
 def test_argv_is_logged_verbatim(config, clips, tmp_path, caplog):

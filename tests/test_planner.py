@@ -24,6 +24,8 @@ from snvse.planner import (
 from snvse.probe import probe_media
 from snvse.profile_db import PlatformProfile, ProfileEntry
 
+from conftest import fake_encoder
+
 
 def entry(rho_in, rho_out, crf_hat=30, saturated=False, pair_id=None):
     return ProfileEntry(
@@ -292,3 +294,33 @@ def test_emulate_batch_all_failed(config, tmp_path):
     corrupt.write_bytes(b"zzz")
     with pytest.raises(AllInputsFailed):
         emulate_batch([corrupt], prof, tmp_path / "out", config=config)
+
+
+def test_emulate_batch_spawns_one_probe_and_one_encode_per_input(config, clips, tmp_path,
+                                                                 tool_calls):
+    prof = profile([entry((1280, 720), (640, 360), 31)])
+    inputs = [clips["hd"], clips["hd25"], clips["sd"]]
+    outcomes = emulate_batch(inputs, prof, tmp_path / "out", config=config)
+    assert all(o.ok for o in outcomes)
+    encodes = [argv for argv in tool_calls if "-crf" in argv]
+    assert len(encodes) == len(inputs)
+    assert len(tool_calls) == 2 * len(inputs)
+
+
+def test_emulate_batch_records_an_unfinished_encode(config, clips, tmp_path):
+    # An encoder that exits 0 but writes nothing for one input fails that
+    # input alone; the others still go through the real encoder.
+    hollow = shutil.copy(clips["sd"], tmp_path / "hollow.mp4")
+    fake = fake_encoder(config, (
+        "import subprocess, sys; argv = sys.argv[1:]; "
+        "src = argv[argv.index('-i') + 1]; "
+        f"sys.exit(0 if 'hollow' in src else subprocess.call({config.ffmpeg_argv()!r} + argv))"
+    ))
+    prof = profile([entry((1280, 720), (640, 360), 31)])
+    out_dir = tmp_path / "out"
+    outcomes = emulate_batch([clips["hd"], hollow, clips["hd25"]], prof, out_dir, config=fake)
+    assert [o.ok for o in outcomes] == [True, False, True]
+    assert not (out_dir / "hollow.testnet.mp4").exists()
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest[1]["error"].startswith("EncoderFailure: encoder exited 0")
+    assert "error" not in manifest[0] and "error" not in manifest[2]

@@ -1,6 +1,7 @@
 """The batch loop that estimate, emulate and mock-platform all run through."""
 
 import logging
+import signal
 import sys
 import threading
 import time
@@ -72,3 +73,35 @@ def test_interrupted_pool_starts_no_further_tool(tmp_path):
     outcomes = run_batch(lambda n: run_tool(toucher).returncode, [0], workers=1)
     assert outcomes == [Outcome(0, result=0)]
     assert marker.exists()
+
+
+def test_interrupted_item_is_not_logged_as_failed(caplog):
+    # Item 1's tool is terminated by item 0's interrupt, and its work turns
+    # the terminated tool into an EncoderFailure, as an encode does.
+    sleeper = [sys.executable, "-c", "import time; time.sleep(30)"]
+    started = threading.Event()
+
+    def work(n):
+        if n == 0:
+            started.wait(5)
+            time.sleep(0.2)  # let the sleeper start
+            raise KeyboardInterrupt
+        started.set()
+        result = run_tool(sleeper)
+        if result.returncode != 0:
+            raise EncoderFailure(f"encoder exited {result.returncode}")
+
+    with caplog.at_level(logging.DEBUG, logger="snvse.runner"):
+        with pytest.raises(KeyboardInterrupt):
+            run_batch(work, [0, 1], workers=2)
+        # Item 1's slot reports after the pool has re-raised; wait for it.
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            reports = [r for r in caplog.records if r.getMessage().startswith("1 ")]
+            if reports:
+                break
+            time.sleep(0.01)
+    assert [(r.levelno, r.getMessage()) for r in reports] == [
+        (logging.DEBUG, f"1 interrupted: EncoderFailure: encoder exited {-signal.SIGTERM}"),
+    ]
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]

@@ -84,3 +84,17 @@ def test_cli_rejects_garbage_input(tmp_path, capsys):
     assert main_ffprobe(["-show_streams", str(bad)]) == 1
     assert "Invalid data" in capsys.readouterr().err
     assert main_ffmpeg(["-i", str(bad), str(tmp_path / "o.mp4")]) == 1
+
+
+def test_cli_progress_report(tmp_path, capsys):
+    out = tmp_path / "clip.mp4"
+    code = main_ffmpeg([
+        "-nostats", "-progress", "pipe:1", "-y",
+        "-f", "lavfi", "-i", "testsrc2=size=640x360:rate=30",
+        "-c:v", "libx264", "-crf", "23", "-pix_fmt", "yuv420p",
+        "-t", "4", str(out),
+    ])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["frame=120", f"total_size={out.stat().st_size}", "progress=end"]
+    assert main_ffmpeg(["-progress", "report.txt", "-y", "-i", str(out), str(tmp_path / "o.mp4")]) == 1
