@@ -16,6 +16,7 @@ import argparse
 import csv
 import datetime as dt
 import logging
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -24,13 +25,7 @@ from . import __version__
 from .analysis import DEFAULT_ITERATIONS, bootstrap_stability, recommend_sample_size, write_stability_csv
 from .config import RunConfig
 from .encoder import CRF_CEIL, CRF_FLOOR, EncodeSpec, transcode
-from .errors import (
-    AllInputsFailed,
-    AllPairsFailed,
-    InvalidRange,
-    PreconditionViolation,
-    SnvseError,
-)
+from .errors import AllItemsFailed, InvalidRange, IoFailure, PreconditionViolation, SnvseError
 from .estimator import SearchStrategy, VideoPair, check_range, estimate_batch
 from .planner import emulate_batch, supporting_entries
 from .probe import probe_media
@@ -41,9 +36,6 @@ logger = logging.getLogger(__name__)
 
 VIDEO_EXTENSIONS = {".mp4", ".m4v", ".mov", ".mkv", ".avi", ".webm", ".ts", ".mpg", ".mpeg"}
 MIN_SAMPLES_PER_RESOLUTION = 30
-
-_LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
-               "info": logging.INFO, "debug": logging.DEBUG}
 
 
 def _resolution(text: str) -> tuple[int, int]:
@@ -64,6 +56,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
+
+
 def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # The same options are accepted before and after the subcommand; the
     # subcommand copies use SUPPRESS so they never clobber root values.
@@ -78,7 +77,7 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
                         help="max concurrent encodes (default: cpu count)")
     parser.add_argument("--scratch-dir", type=Path, default=default,
                         help="directory for trial encodes (default: system temp)")
-    parser.add_argument("--log-level", choices=sorted(_LOG_LEVELS),
+    parser.add_argument("--log-level", choices=["debug", "error", "info", "warn"],
                         default=argparse.SUPPRESS if suppress else "info")
 
 
@@ -100,15 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("shared_dir", type=Path)
     p_est.add_argument("--platform", required=True, help="platform name stored in the profile")
     p_est.add_argument("--out", required=True, type=Path, help="output profile JSON path")
-    p_est.add_argument("--pairing", choices=["stem", "manifest"], default="stem")
-    p_est.add_argument("--manifest", type=Path, help="CSV of original,shared paths (pairing=manifest)")
+    p_est.add_argument("--manifest", type=Path,
+                       help="CSV of original,shared paths; replaces stem pairing of the two dirs")
     p_est.add_argument("--c-min", type=int, default=CRF_MIN)
     p_est.add_argument("--c-max", type=int, default=CRF_MAX)
     p_est.add_argument("--strategy", choices=[s.value for s in SearchStrategy],
                        default=SearchStrategy.LINEAR_SWEEP.value)
-    p_est.add_argument("--trial-seconds", type=float, default=None,
+    p_est.add_argument("--trial-seconds", type=_positive_seconds, default=None,
                        help="truncate trial encodes to the first K seconds")
-    p_est.add_argument("--keep-trials", action="store_true", help="keep trial encodes in the scratch dir")
     p_est.set_defaults(func=cmd_estimate)
 
     p_emu = sub.add_parser("emulate", parents=[shared], help="apply a profile to local videos")
@@ -190,17 +188,16 @@ def _pair_by_manifest(manifest: Path) -> list[VideoPair]:
 def cmd_estimate(args) -> int:
     # Usage errors are reported before the tool check.
     check_range(args.c_min, args.c_max)
-    if args.pairing == "manifest" and args.manifest is None:
-        print("error: --pairing manifest requires --manifest", file=sys.stderr)
-        return 2
-    if args.manifest is not None and args.pairing != "manifest":
-        print("error: --manifest requires --pairing manifest", file=sys.stderr)
-        return 2
     config = _config_from_args(args, preset=args.preset)
-    if args.pairing == "manifest":
+    if args.manifest is not None:
         pairs = _pair_by_manifest(args.manifest)
     else:
         pairs = _pair_by_stem(args.originals_dir, args.shared_dir)
+    try:
+        # An unwritable --out must fail before the encodes, not after them.
+        args.out.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot write profile to {args.out}: {exc}") from exc
 
     outcomes = estimate_batch(
         pairs,
@@ -209,7 +206,6 @@ def cmd_estimate(args) -> int:
         strategy=SearchStrategy(args.strategy),
         config=config,
         trial_seconds=args.trial_seconds,
-        keep_trials=args.keep_trials,
     )
 
     entries = [o.result for o in outcomes if o.ok]
@@ -312,8 +308,7 @@ def cmd_mock_platform(args) -> int:
     config = _config_from_args(args, preset=args.preset)
     inputs = _list_videos(args.inputs_dir)
     if not inputs:
-        print(f"error: no videos in {args.inputs_dir}", file=sys.stderr)
-        return 1
+        raise AllItemsFailed(f"no videos in {args.inputs_dir}")
     by_stem(inputs)  # outputs are named <stem>.mp4
     args.out.mkdir(parents=True, exist_ok=True)
 
@@ -329,16 +324,18 @@ def cmd_mock_platform(args) -> int:
 
     outcomes = run_batch(work, inputs, config.workers)
     ok = sum(o.ok for o in outcomes)
+    if not ok:
+        raise AllItemsFailed("every input failed; first error: " + outcomes[0].error)
     print(f"{ok} of {len(inputs)} videos mock-shared into {args.out} "
           f"(hidden: {width}x{height} @ crf {args.crf:g}, preset {config.preset})")
-    return 0 if ok else 1
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(
-        level=_LOG_LEVELS[args.log_level],
+        level=args.log_level.upper(),
         format="%(levelname)s %(name)s: %(message)s",
         force=True,
     )
@@ -347,9 +344,6 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidRange as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AllPairsFailed, AllInputsFailed) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (SnvseError, FileNotFoundError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -5,10 +5,10 @@ can catch pipeline errors without swallowing programming errors. Missing
 input files raise the builtin ``FileNotFoundError``.
 
 A class is kept only when a caller or an exit code tells it apart (the CLI
-catches ``InvalidRange``, ``AllPairsFailed`` and ``AllInputsFailed`` by
-name) or when it names a failure a user acts on, as printed on stderr and
-in manifests. A broken contract that is neither raises
-``PreconditionViolation`` with a message that says which.
+catches only ``InvalidRange`` by name, for exit code 2) or when it names a
+failure a user acts on, as printed on stderr and in manifests. A broken
+contract that is neither raises ``PreconditionViolation`` with a message
+that says which.
 """
 
 
@@ -44,12 +44,8 @@ class DuplicatePair(PreconditionViolation):
     """A pair identifier appears twice in one profile, merge or batch."""
 
 
-class AllPairsFailed(SnvseError):
-    """Every pair in an estimation batch errored."""
-
-
-class AllInputsFailed(SnvseError):
-    """Every input in an emulation batch errored."""
+class AllItemsFailed(SnvseError):
+    """A batch (estimate, emulate or mock-platform) was empty or every item errored."""
 
 
 class IoFailure(SnvseError):

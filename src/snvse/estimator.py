@@ -29,7 +29,7 @@ from pathlib import Path
 from .bitrate import measure_bitrate
 from .config import RunConfig
 from .encoder import EncodeSpec, encode, normalize_dimensions
-from .errors import AllPairsFailed, InvalidRange
+from .errors import AllItemsFailed, InvalidRange, PreconditionViolation
 from .probe import probe_media
 from .profile_db import CRF_MAX, CRF_MIN, ProfileEntry, check_unique_pair_ids
 from .runner import Outcome, run_batch
@@ -64,6 +64,12 @@ def check_range(c_min: int, c_max: int) -> None:
                            f"{CRF_MIN} <= c_min < c_max <= {CRF_MAX}")
 
 
+def _check_search(c_min: int, c_max: int, trial_seconds: float | None) -> None:
+    check_range(c_min, c_max)
+    if trial_seconds is not None and not 0 < trial_seconds < math.inf:
+        raise PreconditionViolation(f"trial_seconds must be positive and finite, got {trial_seconds}")
+
+
 def estimate_crf(
     pair: VideoPair,
     c_min: int = CRF_MIN,
@@ -71,15 +77,15 @@ def estimate_crf(
     strategy: SearchStrategy = SearchStrategy.LINEAR_SWEEP,
     config: RunConfig | None = None,
     trial_seconds: float | None = None,
-    keep_trials: bool = False,
 ) -> ProfileEntry:
     """Estimate the CRF the platform applied to *pair.shared_path*.
 
-    *trial_seconds* truncates trial encodes to the first K seconds of the
-    original (bitrate is per-second, so the comparison stays valid);
-    *keep_trials* leaves trial files in the scratch directory.
+    *trial_seconds*, positive and finite, truncates trial encodes to the
+    first K seconds of the original (bitrate is per-second, so the
+    comparison stays valid). Each trial file is removed from the scratch
+    dir once it is measured.
     """
-    check_range(c_min, c_max)
+    _check_search(c_min, c_max, trial_seconds)
     config = config or RunConfig()
 
     original = probe_media(pair.original_path, config)
@@ -107,8 +113,7 @@ def estimate_crf(
             info = encode(pair.original_path, spec, out_path, config, max_seconds=trial_seconds)
             rate = measure_bitrate(info, config).value
         finally:
-            if not keep_trials:
-                out_path.unlink(missing_ok=True)
+            out_path.unlink(missing_ok=True)
         trials[crf] = rate
         logger.debug("pair %s: trial crf=%d -> %.0f bit/s (target %.0f)",
                       pair.pair_id, crf, rate, target)
@@ -204,29 +209,27 @@ def estimate_batch(
     strategy: SearchStrategy = SearchStrategy.LINEAR_SWEEP,
     config: RunConfig | None = None,
     trial_seconds: float | None = None,
-    keep_trials: bool = False,
 ) -> list[Outcome]:
     """Estimate every pair, at most ``config.workers`` in flight, preserving order.
 
-    Each Outcome's ``result`` is its pair's ProfileEntry. Raises AllPairsFailed
-    only when no pair succeeded, and InvalidRange or DuplicatePair before any work.
+    Each Outcome's ``result`` is its pair's ProfileEntry. Raises AllItemsFailed
+    only when no pair succeeded, and InvalidRange, PreconditionViolation or
+    DuplicatePair before any work.
     """
-    check_range(c_min, c_max)
+    _check_search(c_min, c_max, trial_seconds)
     if not pairs:
-        raise AllPairsFailed("no pairs to estimate")
+        raise AllItemsFailed("no pairs to estimate")
     check_unique_pair_ids(pairs)
     config = config or RunConfig()
 
     def work(pair: VideoPair) -> ProfileEntry:
         return estimate_crf(
             pair, c_min=c_min, c_max=c_max, strategy=strategy,
-            config=config, trial_seconds=trial_seconds, keep_trials=keep_trials,
+            config=config, trial_seconds=trial_seconds,
         )
 
     outcomes = run_batch(work, pairs, config.workers)
 
     if not any(o.ok for o in outcomes):
-        raise AllPairsFailed(
-            "every pair failed; first error: " + outcomes[0].error
-        )
+        raise AllItemsFailed("every pair failed; first error: " + outcomes[0].error)
     return outcomes

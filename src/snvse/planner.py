@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .config import RunConfig
 from .encoder import EncodeSpec, normalize_dimensions, transcode
-from .errors import AllInputsFailed, NoSupport, PreconditionViolation, PresetMismatch
+from .errors import AllItemsFailed, NoSupport, PreconditionViolation, PresetMismatch
 from .probe import probe_media
 from .profile_db import PlatformProfile, ProfileEntry
 from .runner import Outcome, by_stem, run_batch
@@ -144,13 +144,14 @@ def emulate_batch(
 
     Each Outcome's ``result`` is its input's EmulationPlan. Outputs are named
     ``<stem>.<platform>.mp4`` and a JSON manifest of the plans is written
-    next to them. Raises AllInputsFailed only when no input succeeded.
+    next to them. Raises AllItemsFailed when *inputs* is empty, and when no
+    input succeeded, after the manifest is written.
     Before any work, raises PresetMismatch if *config* has another preset
     than the profile, and PreconditionViolation if the profile has no
     entries or two inputs share a stem.
     """
     if not inputs:
-        raise AllInputsFailed("no inputs to emulate")
+        raise AllItemsFailed("no inputs to emulate")
     config = config or RunConfig(preset=profile.preset)
     if config.preset != profile.preset:
         raise PresetMismatch(
@@ -172,13 +173,11 @@ def emulate_batch(
 
     write_manifest(outcomes, out_dir / "manifest.json")
     if not any(o.ok for o in outcomes):
-        raise AllInputsFailed(
-            "every input failed; first error: " + outcomes[0].error
-        )
+        raise AllItemsFailed("every input failed; first error: " + outcomes[0].error)
     return outcomes
 
 
-def manifest_records(outcomes: list[Outcome]) -> list[dict]:
+def write_manifest(outcomes: list[Outcome], path: str | Path) -> None:
     records = []
     for outcome in outcomes:
         record: dict = {"input": str(Path(outcome.item))}
@@ -195,10 +194,6 @@ def manifest_records(outcomes: list[Outcome]) -> list[dict]:
         else:
             record["error"] = outcome.error
         records.append(record)
-    return records
-
-
-def write_manifest(outcomes: list[Outcome], path: str | Path) -> None:
     with open(path, "w") as fh:
-        json.dump(manifest_records(outcomes), fh, indent=2)
+        json.dump(records, fh, indent=2)
         fh.write("\n")

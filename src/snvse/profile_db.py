@@ -115,6 +115,7 @@ def save_profile(profile: PlatformProfile, path: str | Path) -> None:
                        profile.platform_name)
     path = Path(path)
     doc = _profile_document(profile)
+    tmp_name = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -123,6 +124,8 @@ def save_profile(profile: PlatformProfile, path: str | Path) -> None:
             fh.write("\n")
         os.replace(tmp_name, path)
     except OSError as exc:
+        if tmp_name is not None:
+            Path(tmp_name).unlink(missing_ok=True)
         raise IoFailure(f"cannot write profile to {path}: {exc}") from exc
 
 
@@ -173,17 +176,14 @@ def load_profile(path: str | Path) -> PlatformProfile:
         where = f"profile.entries[{index}]"
         if not isinstance(entry_doc, dict):
             raise SchemaViolation(f"{where} must be an object")
-        entry = ProfileEntry(
+        entries.append(ProfileEntry(
             rho_in=_parse_pair(entry_doc, "rho_in", where),
             rho_out=_parse_pair(entry_doc, "rho_out", where),
             crf_hat=_require(entry_doc, "crf_hat", int, where),
             saturated=_require(entry_doc, "saturated", bool, where),
             pair_id=_require(entry_doc, "pair_id", str, where),
             target_bitrate=_require(entry_doc, "target_bitrate", float, where),
-        )
-        entry.validate(where=where)
-        entries.append(entry)
-    check_unique_pair_ids(entries)
+        ))
 
     profile = PlatformProfile(
         platform_name=_require(doc, "platform_name", str, "profile"),
@@ -192,6 +192,7 @@ def load_profile(path: str | Path) -> PlatformProfile:
         entries=entries,
         tool_version=_require(doc, "tool_version", str, "profile"),
     )
+    profile.validate()
     return profile
 
 

@@ -1,13 +1,16 @@
 """End-to-end CLI flows and exit-code contract."""
 
+import argparse
+import ast
 import datetime as dt
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import snvse.cli
-from snvse.cli import main
+from snvse.cli import build_parser, main
 from snvse.probe import probe_media
 from snvse.profile_db import PlatformProfile, ProfileEntry, load_profile, save_profile
 
@@ -48,8 +51,8 @@ def test_help_enumerates_global_flags(capsys):
 
 def test_subcommand_help_flags(capsys):
     for command, flags in [
-        ("estimate", ["--trial-seconds", "--keep-trials", "--c-min", "--c-max",
-                      "--strategy", "--pairing", "--manifest", "--platform", "--out"]),
+        ("estimate", ["--trial-seconds", "--c-min", "--c-max",
+                      "--strategy", "--manifest", "--platform", "--out"]),
         ("emulate", ["--profile", "--out", "--include-saturated"]),
         ("analyze-stability", ["--profile", "--resolution", "--iterations", "--seed", "--out"]),
         ("mock-platform", ["--resolution", "--crf", "--out"]),
@@ -59,6 +62,27 @@ def test_subcommand_help_flags(capsys):
         text = capsys.readouterr().out
         for flag in flags:
             assert flag in text, (command, flag)
+
+
+def _parsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_every_option_is_read():
+    # An option that no command reads is a dead setting.
+    tree = ast.parse(Path(snvse.cli.__file__).read_text())
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"}
+    skipped = (argparse._HelpAction, argparse._VersionAction, argparse._SubParsersAction)
+    for parser in _parsers(build_parser()):
+        for action in parser._actions:
+            if not isinstance(action, skipped):
+                assert action.dest in read, (parser.prog, action.dest)
 
 
 def test_usage_error_exit_code_2():
@@ -145,6 +169,26 @@ def test_mock_platform_rejects_out_of_range_crf(config, tmp_path, quiet):
     assert code == 2
 
 
+def test_mock_platform_empty_or_failed_batch_fails(tmp_path, quiet, capsys):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    argv = quiet + ["mock-platform", str(inputs), "--out", str(tmp_path / "out"),
+                    "--resolution", "640x360", "--crf", "30"]
+    assert main(argv) == 1
+    assert f"error: AllItemsFailed: no videos in {inputs}" in capsys.readouterr().err
+    (inputs / "corrupt.mp4").write_bytes(b"broken")
+    assert main(argv) == 1
+    assert "error: AllItemsFailed: every input failed; first error:" in capsys.readouterr().err
+
+
+def _unprobed_pair_dirs(tmp_path):
+    """originals/ and shared/ holding one stem pair of files that are not videos."""
+    for side in ("originals", "shared"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "clip.mp4").write_bytes(b"never probed")
+    return [str(tmp_path / "originals"), str(tmp_path / "shared")]
+
+
 def test_estimate_no_pairs_fails(config, tmp_path, quiet):
     empty_a = tmp_path / "a"
     empty_b = tmp_path / "b"
@@ -176,14 +220,11 @@ def test_estimate_rejects_crf_range_before_any_work(config, tmp_path, quiet, mon
 
     monkeypatch.setattr(snvse.probe, "run_tool", counting_run_tool)
     monkeypatch.setattr(snvse.encoder, "run_tool", counting_run_tool)
-    for side in ("originals", "shared"):
-        (tmp_path / side).mkdir()
-        (tmp_path / side / "clip.mp4").write_bytes(b"never probed")
+    dirs = _unprobed_pair_dirs(tmp_path)
     out = tmp_path / "p.json"
     code = main(quiet + [
         "--ffmpeg-bin", config.ffmpeg, "--ffprobe-bin", config.ffprobe,
-        "estimate", str(tmp_path / "originals"), str(tmp_path / "shared"),
-        "--platform", "x", "--out", str(out),
+        "estimate", *dirs, "--platform", "x", "--out", str(out),
     ] + bounds)
     assert code == 2
     assert calls == []
@@ -191,29 +232,29 @@ def test_estimate_rejects_crf_range_before_any_work(config, tmp_path, quiet, mon
     assert "CRF range" in capsys.readouterr().err
 
 
-def test_estimate_reports_missing_manifest_before_the_tool_check(tmp_path, quiet, tool_calls,
-                                                                capsys):
+@pytest.mark.parametrize("seconds", ["0", "-2", "nan", "inf", "soon"])
+def test_estimate_rejects_bad_trial_seconds_before_any_work(tmp_path, quiet, tool_calls, capsys,
+                                                            seconds):
+    dirs = _unprobed_pair_dirs(tmp_path)
     out = tmp_path / "p.json"
-    code = main(quiet + ["--ffmpeg-bin", str(tmp_path / "nonexistent"),
-                         "estimate", str(tmp_path), str(tmp_path),
-                         "--platform", "x", "--out", str(out), "--pairing", "manifest"])
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(quiet + ["estimate", *dirs, "--platform", "x", "--out", str(out),
+                      "--trial-seconds", seconds])
+    assert exc.value.code == 2
     assert tool_calls == []
     assert not out.exists()
-    assert "--pairing manifest requires --manifest" in capsys.readouterr().err
+    assert "--trial-seconds" in capsys.readouterr().err
 
 
-def test_estimate_rejects_manifest_without_manifest_pairing(tmp_path, quiet, tool_calls, capsys):
-    # Stem pairing would ignore the manifest, even one that does not exist.
-    out = tmp_path / "p.json"
-    code = main(quiet + ["--ffmpeg-bin", str(tmp_path / "nonexistent"),
-                         "estimate", str(tmp_path), str(tmp_path),
-                         "--platform", "x", "--out", str(out),
-                         "--manifest", str(tmp_path / "missing.csv")])
-    assert code == 2
+def test_estimate_rejects_unwritable_out_before_any_work(tmp_path, quiet, tool_calls, capsys):
+    # The parent of --out is a file, so the profile could not be saved
+    # after the encodes.
+    dirs = _unprobed_pair_dirs(tmp_path)
+    out = tmp_path / "originals" / "clip.mp4" / "p.json"
+    code = main(quiet + ["estimate", *dirs, "--platform", "x", "--out", str(out)])
+    assert code == 1
     assert tool_calls == []
-    assert not out.exists()
-    assert "--manifest requires --pairing manifest" in capsys.readouterr().err
+    assert "IoFailure: cannot write profile" in capsys.readouterr().err
 
 
 def test_interrupt_exits_130(tmp_path, quiet, monkeypatch, capsys):
@@ -272,7 +313,7 @@ def test_estimate_rejects_repeated_pair_ids_before_any_work(tmp_path, quiet, too
     )
     out = tmp_path / "p.json"
     code = main(quiet + ["estimate", str(tmp_path), str(tmp_path / "shared"),
-                         "--pairing", "manifest", "--manifest", str(manifest),
+                         "--manifest", str(manifest),
                          "--platform", "x", "--out", str(out)])
     assert code == 1
     assert tool_calls == []
@@ -300,7 +341,7 @@ def _estimate_with_missing_original(config, tmp_path, quiet):
     code = main(quiet + [
         "--scratch-dir", str(tmp_path / "scratch"),
         "estimate", str(tmp_path), str(shared_dir),
-        "--pairing", "manifest", "--manifest", str(manifest),
+        "--manifest", str(manifest),
         "--platform", "x", "--out", str(tmp_path / "p.json"),
         "--trial-seconds", "2",
     ])

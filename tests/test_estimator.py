@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from snvse.encoder import EncodeSpec, encode
-from snvse.errors import AllPairsFailed, InvalidRange
+from snvse.errors import AllItemsFailed, InvalidRange, PreconditionViolation
 from snvse.estimator import (
     SearchStrategy,
     VideoPair,
@@ -141,21 +141,30 @@ def test_trial_seconds_truncation_still_recovers(hidden_pair, config):
     assert 32 <= result.crf_hat <= 34
 
 
-def test_trials_mirror_shared_frame_rate(config, tmp_path):
+def test_trials_mirror_shared_frame_rate(config, tmp_path, tool_calls):
     # The platform emitted 24 fps from a 30 fps source; trial encodes must
     # match the shared side, which is what the bitrate target reflects.
     original = make_clip(config, tmp_path / "orig.mp4", size=(640, 360), fps=30, duration=4)
-    info = probe_media(original, config)
     shared = tmp_path / "shared.mp4"
     encode(original, EncodeSpec(640, 360, 28.0, Fraction(24, 1)), shared, config)
     scratch = tmp_path / "scratch"
     cfg = dataclasses.replace(config, scratch_dir=scratch)
-    estimate_crf(VideoPair(original, shared, "fps"), config=cfg, keep_trials=True)
-    trial_files = sorted(scratch.glob("trial-fps-*.mp4"))
-    assert trial_files
-    trial_info = probe_media(trial_files[0], config)
-    assert trial_info.frame_rate == Fraction(24, 1)
-    assert trial_info.resolution == (640, 360)
+    tool_calls.clear()
+    estimate_crf(VideoPair(original, shared, "fps"), config=cfg)
+    trials = [" ".join(argv) for argv in tool_calls if "-crf" in argv]
+    assert trials
+    assert all("-r 24/1" in argv and "scale=640:360" in argv for argv in trials)
+    assert list(scratch.iterdir()) == []
+
+
+@pytest.mark.parametrize("seconds", [0.0, -2.0, float("nan"), float("inf")])
+def test_bad_trial_seconds_rejected_before_any_tool_runs(hidden_pair, config, tool_calls,
+                                                         seconds):
+    with pytest.raises(PreconditionViolation, match="trial_seconds"):
+        estimate_crf(hidden_pair, config=config, trial_seconds=seconds)
+    with pytest.raises(PreconditionViolation, match="trial_seconds"):
+        estimate_batch([hidden_pair], config=config, trial_seconds=seconds)
+    assert tool_calls == []
 
 
 def test_batch_preserves_order(config, clips, tmp_path):
@@ -194,7 +203,7 @@ def test_batch_records_partial_failures(config, clips, tmp_path):
 def test_batch_all_failed_raises(config, tmp_path):
     bad = tmp_path / "bad.mp4"
     bad.write_bytes(b"nope")
-    with pytest.raises(AllPairsFailed):
+    with pytest.raises(AllItemsFailed):
         estimate_batch([VideoPair(bad, bad, "x")], config=config)
-    with pytest.raises(AllPairsFailed):
+    with pytest.raises(AllItemsFailed):
         estimate_batch([], config=config)

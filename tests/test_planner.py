@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from snvse.errors import (
-    AllInputsFailed,
+    AllItemsFailed,
     NoSupport,
     PreconditionViolation,
     PresetMismatch,
@@ -292,8 +292,10 @@ def test_emulate_batch_all_failed(config, tmp_path):
     prof = profile([entry((1280, 720), (1280, 720), 30)])
     corrupt = tmp_path / "corrupt.mp4"
     corrupt.write_bytes(b"zzz")
-    with pytest.raises(AllInputsFailed):
+    with pytest.raises(AllItemsFailed):
         emulate_batch([corrupt], prof, tmp_path / "out", config=config)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert "error" in manifest[0]
 
 
 def test_emulate_batch_spawns_one_probe_and_one_encode_per_input(config, clips, tmp_path,

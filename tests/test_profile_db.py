@@ -1,13 +1,16 @@
 """Profile persistence: round-trips, validation, merging."""
 
 import datetime as dt
+import errno
 import json
+import os
 import random
 
 import pytest
 
 from snvse.errors import (
     DuplicatePair,
+    IoFailure,
     PreconditionViolation,
     PresetMismatch,
     SchemaViolation,
@@ -126,6 +129,31 @@ def test_crf_out_of_range_rejected_on_load(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaViolation, match="crf_hat"):
         load_profile(path)
+
+
+def test_duplicate_pair_ids_rejected_on_load(tmp_path):
+    path = tmp_path / "p.json"
+    save_profile(profile([entry("a"), entry("b")]), path)
+    doc = json.loads(path.read_text())
+    doc["entries"][1]["pair_id"] = "a"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DuplicatePair):
+        load_profile(path)
+
+
+def test_failed_save_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "p.json"
+    save_profile(profile([entry("a")]), path)
+    before = path.read_bytes()
+
+    def full_disk(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    with pytest.raises(IoFailure, match="No space left"):
+        save_profile(profile([entry("b")]), path)
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert path.read_bytes() == before
 
 
 def test_not_json_raises_schema_violation(tmp_path):
