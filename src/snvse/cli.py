@@ -25,7 +25,7 @@ from . import __version__
 from .analysis import DEFAULT_ITERATIONS, bootstrap_stability, recommend_sample_size, write_stability_csv
 from .config import RunConfig
 from .encoder import CRF_CEIL, CRF_FLOOR, EncodeSpec, transcode
-from .errors import AllItemsFailed, InvalidRange, IoFailure, PreconditionViolation, SnvseError
+from .errors import AllItemsFailed, InvalidRange, IoFailure, NoSupport, PreconditionViolation, SnvseError
 from .estimator import SearchStrategy, VideoPair, check_range, estimate_batch
 from .planner import emulate_batch, supporting_entries
 from .probe import probe_media
@@ -47,6 +47,23 @@ def _resolution(text: str) -> tuple[int, int]:
     if width < 1 or height < 1:
         raise argparse.ArgumentTypeError(f"dimensions must be positive, got {text!r}")
     return width, height
+
+
+def _even_resolution(text: str) -> tuple[int, int]:
+    width, height = _resolution(text)
+    if width % 2 or height % 2:
+        raise argparse.ArgumentTypeError(f"must be even, got {text!r}")
+    return width, height
+
+
+def _hidden_crf(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not CRF_FLOOR <= value <= CRF_CEIL:
+        raise argparse.ArgumentTypeError(f"must be in [{CRF_FLOOR:g}, {CRF_CEIL:g}], got {text}")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -140,8 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mock = sub.add_parser("mock-platform", parents=[shared], help="encode a corpus with fixed hidden parameters")
     p_mock.add_argument("inputs_dir", type=Path)
     p_mock.add_argument("--out", required=True, type=Path, help="output directory")
-    p_mock.add_argument("--resolution", required=True, type=_resolution, help="hidden output resolution WxH")
-    p_mock.add_argument("--crf", required=True, type=float, help="hidden CRF")
+    p_mock.add_argument("--resolution", required=True, type=_even_resolution,
+                        help="hidden output resolution WxH, both even")
+    p_mock.add_argument("--crf", required=True, type=_hidden_crf,
+                        help=f"hidden CRF in [{CRF_FLOOR:g}, {CRF_CEIL:g}]")
     p_mock.set_defaults(func=cmd_mock_platform)
 
     return parser
@@ -252,11 +271,7 @@ def cmd_analyze_stability(args) -> int:
     entries = supporting_entries(rho, profile, args.include_saturated)
     if not entries:
         available = ", ".join(f"{w}x{h}" for w, h in profile.resolutions_out()) or "none"
-        print(
-            f"error: no entries at {rho[0]}x{rho[1]}; available output resolutions: {available}",
-            file=sys.stderr,
-        )
-        return 1
+        raise NoSupport(f"no entries at {rho[0]}x{rho[1]}; available output resolutions: {available}")
     n_max = args.n_max if args.n_max is not None else min(50, len(entries))
     report = bootstrap_stability(
         entries, (args.n_min, n_max), iterations=args.iterations, seed=args.seed
@@ -299,12 +314,6 @@ def cmd_db_show(args) -> int:
 
 def cmd_mock_platform(args) -> int:
     width, height = args.resolution
-    if width % 2 or height % 2:
-        print(f"error: hidden resolution {width}x{height} must be even", file=sys.stderr)
-        return 2
-    if not CRF_FLOOR <= args.crf <= CRF_CEIL:
-        print(f"error: hidden CRF {args.crf} outside [{CRF_FLOOR:g}, {CRF_CEIL:g}]", file=sys.stderr)
-        return 2
     config = _config_from_args(args, preset=args.preset)
     inputs = _list_videos(args.inputs_dir)
     if not inputs:

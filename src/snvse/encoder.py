@@ -16,6 +16,15 @@ probe: the exit code is 0, the progress report ends with
 exists and is non-empty. ``encode`` is ``transcode`` plus a probe of the
 output, for callers that need its ``MediaInfo`` (trial encodes measure
 their bitrate from it).
+
+A byte budget (``max_bytes``, passed only by trial encodes) adds
+``-fs max_bytes``: ffmpeg writes no packet once the output has reached
+that size, so an output of ``max_bytes`` or more was cut there or would
+have been at least that large. ``encode`` does not probe such an output;
+its ``MediaInfo`` comes from the spec and the progress report's frame
+count. Real ffmpeg's exit code and progress report after an ``-fs`` cut
+are unverified here; the bundled sim exits 0 and reports the frames it
+wrote.
 """
 
 from __future__ import annotations
@@ -75,6 +84,7 @@ def build_encode_argv(
     output_path: Path,
     config: RunConfig,
     max_seconds: float | None = None,
+    max_bytes: int | None = None,
 ) -> list[str]:
     """Construct the full encoder argument list for one run."""
     argv = config.ffmpeg_argv() + [
@@ -95,17 +105,14 @@ def build_encode_argv(
     ]
     if max_seconds is not None:
         argv += ["-t", f"{max_seconds:g}"]
+    if max_bytes is not None:
+        argv += ["-fs", str(max_bytes)]
     argv.append(str(output_path))
     return argv
 
 
-def _unfinished(stdout: str, output_path: Path) -> str | None:
-    """Why an encode that exited 0 did not finish its output, or None if it did.
-
-    *stdout* is the encoder's ``-progress`` report: blocks of ``key=value``
-    lines, so the last value of a key is the final one.
-    """
-    report = dict(map(str.strip, line.split("=", 1)) for line in stdout.splitlines() if "=" in line)
+def _unfinished(report: dict[str, str], output_path: Path) -> str | None:
+    """Why an encode that exited 0 did not finish its output, or None if it did."""
     if report.get("progress") != "end":
         return "progress report does not end with progress=end"
     frame = report.get("frame", "")
@@ -118,28 +125,20 @@ def _unfinished(stdout: str, output_path: Path) -> str | None:
     return None if size else "output file is empty"
 
 
-def transcode(
-    input_path: str | Path,
+def _run_encode(
+    input_path: Path,
     spec: EncodeSpec,
-    output_path: str | Path,
-    config: RunConfig | None = None,
-    max_seconds: float | None = None,
-) -> Path:
-    """Re-encode *input_path* per *spec* in one tool run and return the output path.
-
-    *max_seconds*, when set, truncates the output to its first K seconds
-    (used for cheap trial encodes). An encode that exits nonzero, or exits
-    0 without a finished, non-empty output, raises EncoderFailure; partial
-    outputs are removed on failure.
-    """
-    config = config or RunConfig()
+    output_path: Path,
+    config: RunConfig,
+    max_seconds: float | None,
+    max_bytes: int | None,
+) -> int:
+    """Run one verified encode and return the frames its progress report counts."""
     spec.validate()
-    input_path = Path(input_path)
-    output_path = Path(output_path)
     if not input_path.exists():
         raise FileNotFoundError(str(input_path))
 
-    argv = build_encode_argv(input_path, spec, output_path, config, max_seconds)
+    argv = build_encode_argv(input_path, spec, output_path, config, max_seconds, max_bytes)
     try:
         result = run_tool(argv)
         if result.returncode != 0:
@@ -147,12 +146,37 @@ def transcode(
                 f"encoder exited {result.returncode} for {input_path} -> {output_path}: "
                 f"{result.stderr.strip()}"
             )
-        problem = _unfinished(result.stdout, output_path)
+        # The -progress report: blocks of key=value lines, so the last value
+        # of a key is the final one.
+        report = dict(map(str.strip, line.split("=", 1))
+                      for line in result.stdout.splitlines() if "=" in line)
+        problem = _unfinished(report, output_path)
         if problem is not None:
             raise EncoderFailure(f"encoder exited 0 for {input_path} -> {output_path}, but {problem}")
     except BaseException:
         output_path.unlink(missing_ok=True)
         raise
+    return int(report["frame"])
+
+
+def transcode(
+    input_path: str | Path,
+    spec: EncodeSpec,
+    output_path: str | Path,
+    config: RunConfig | None = None,
+    max_seconds: float | None = None,
+    max_bytes: int | None = None,
+) -> Path:
+    """Re-encode *input_path* per *spec* in one tool run and return the output path.
+
+    *max_seconds*, when set, truncates the output to its first K seconds
+    (used for cheap trial encodes); *max_bytes* is the byte budget of the
+    module docstring. An encode that exits nonzero, or exits 0 without a
+    finished, non-empty output, raises EncoderFailure; partial outputs are
+    removed on failure.
+    """
+    output_path = Path(output_path)
+    _run_encode(Path(input_path), spec, output_path, config or RunConfig(), max_seconds, max_bytes)
     return output_path
 
 
@@ -162,6 +186,27 @@ def encode(
     output_path: str | Path,
     config: RunConfig | None = None,
     max_seconds: float | None = None,
+    max_bytes: int | None = None,
 ) -> MediaInfo:
-    """``transcode`` *input_path*, then return the probe of the output."""
-    return probe_media(transcode(input_path, spec, output_path, config, max_seconds), config)
+    """``transcode`` *input_path*, then return the probe of the output.
+
+    An output of *max_bytes* or more is not probed: its MediaInfo holds
+    the spec's size and frame rate, the reported frames over that rate as
+    its duration, and its file size.
+    """
+    config = config or RunConfig()
+    output_path = Path(output_path)
+    frames = _run_encode(Path(input_path), spec, output_path, config, max_seconds, max_bytes)
+    size = output_path.stat().st_size
+    if max_bytes is None or size < max_bytes:
+        return probe_media(output_path, config)
+    return MediaInfo(
+        path=output_path,
+        width=spec.target_width,
+        height=spec.target_height,
+        frame_rate=spec.frame_rate,
+        codec_name="h264",
+        pixel_format=PIXEL_FORMAT,
+        duration=float(frames / spec.frame_rate),
+        file_size=size,
+    )

@@ -15,6 +15,26 @@ pair it takes 3 trials against the linear sweep's 13. When even the top
 of the range overshoots, the result is clamped there and flagged
 saturated. The range must lie within ``profile_db.CRF_MIN``/``CRF_MAX``,
 the only definition of the bounds, so every estimate can be saved.
+
+Every trial encode carries a byte budget (``-fs B``) that no passing
+trial can reach. With the trial window ``T = min(original duration,
+trial_seconds)``, at most ``N = ceil(T * fps_out) + 1`` frames and a
+duration of at most ``D_max = N / fps_out``,
+``B = ceil(target * D_max / 8 * BUDGET_MARGIN) + H(N)``, where
+``H(N) = 4096 + 16 * N`` bytes is the container allowance. A trial output
+of ``B`` bytes or more holds a payload above ``target * D_max / 8``, so
+its rate exceeds the target: it fails without a probe, and its
+``trial_log`` rate is the lower bound ``(size - H(N)) * 8 / D_max``. Every
+other trial is probed and measured, so ``crf_hat`` and ``saturated`` are
+those of probing every trial (the bisection's rate model reads a cut
+trial's bound as its rate). ``BUDGET_MARGIN`` is 2 CRF steps of the rate
+model (about 1.26), so on an x264-like curve the trial at ``crf_hat - 1``,
+at most about 1.12 times the target, keeps a measured rate. A pair costs
+``2 + trials + probed trials`` tool runs (plus a packet scan wherever the
+prober reports no stream bitrate). This rests on two assumptions,
+unverified against real MP4 files here: the container adds at most
+``H(N)`` bytes to the payload, and the prober's stream bitrate is the
+payload's bits over the stream duration.
 """
 
 from __future__ import annotations
@@ -38,6 +58,8 @@ logger = logging.getLogger(__name__)
 
 # x264's CRF scale: +6 CRF roughly halves the bitrate.
 CRF_PER_HALVING = 6.0
+# A trial's byte budget admits rates up to this multiple of the target.
+BUDGET_MARGIN = 2.0 ** (2 / CRF_PER_HALVING)
 
 
 class SearchStrategy(Enum):
@@ -83,7 +105,8 @@ def estimate_crf(
     *trial_seconds*, positive and finite, truncates trial encodes to the
     first K seconds of the original (bitrate is per-second, so the
     comparison stays valid). Each trial file is removed from the scratch
-    dir once it is measured.
+    dir once it is measured. A trial that reaches its byte budget (see the
+    module docstring) is recorded as failed at its bound rate, unprobed.
     """
     _check_search(c_min, c_max, trial_seconds)
     config = config or RunConfig()
@@ -98,6 +121,12 @@ def estimate_crf(
     target = measure_bitrate(shared, config).value
     rho_out = normalize_dimensions(shared.width, shared.height)
 
+    seconds = original.duration if trial_seconds is None else min(original.duration, trial_seconds)
+    frames = math.ceil(seconds * shared.frame_rate) + 1
+    max_duration = float(frames / shared.frame_rate)
+    allowance = 4096 + 16 * frames
+    max_bytes = math.ceil(target * max_duration / 8 * BUDGET_MARGIN) + allowance
+
     config.scratch_dir.mkdir(parents=True, exist_ok=True)
     trials: dict[int, float] = {}
 
@@ -110,8 +139,12 @@ def estimate_crf(
         )
         out_path = config.scratch_dir / f"trial-{pair.pair_id}-{uuid.uuid4().hex[:8]}-crf{crf}.mp4"
         try:
-            info = encode(pair.original_path, spec, out_path, config, max_seconds=trial_seconds)
-            rate = measure_bitrate(info, config).value
+            info = encode(pair.original_path, spec, out_path, config,
+                          max_seconds=trial_seconds, max_bytes=max_bytes)
+            if info.file_size >= max_bytes:  # over budget: fails, unprobed
+                rate = (info.file_size - allowance) * 8 / max_duration
+            else:
+                rate = measure_bitrate(info, config).value
         finally:
             out_path.unlink(missing_ok=True)
         trials[crf] = rate

@@ -45,6 +45,7 @@ class ProfileEntry:
     pair_id: str
     target_bitrate: float
     # The estimate's sorted (crf, bitrate) trials; not saved, not compared.
+    # A trial cut at its byte budget holds a lower bound on its bitrate.
     trial_log: list[tuple[int, float]] = field(default_factory=list, compare=False)
 
     def validate(self, where: str = "entry") -> None:

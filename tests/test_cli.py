@@ -143,30 +143,50 @@ def test_spawn_budget_of_mock_platform_and_estimate(config, tmp_path, quiet, too
     assert len(encodes) == 3
     assert len(tool_calls) == 6
 
+    assert not any("-fs" in argv for argv in encodes)
+
     # estimate of one pair (the other originals go unpaired): two probes,
-    # then an encode and its probe per trial.
-    tool_calls.clear()
+    # then an encode per trial and a probe of each trial under its budget.
     for stem in ("clip1", "clip2"):
         (shared / f"{stem}.mp4").unlink()
-    assert main(tools + ["--scratch-dir", str(tmp_path / "scratch"),
-                         "estimate", str(originals), str(shared),
-                         "--platform", "testnet", "--out", str(tmp_path / "p.json"),
-                         "--strategy", "bisection", "--trial-seconds", "1"]) == 0
-    trials = [argv for argv in tool_calls if "-crf" in argv]
-    assert trials
-    assert len(tool_calls) == 2 + 2 * len(trials)
+
+    def estimate(*options):
+        tool_calls.clear()
+        assert main(tools + ["--scratch-dir", str(tmp_path / "scratch"),
+                             "estimate", str(originals), str(shared),
+                             "--platform", "testnet", "--out", str(tmp_path / "p.json"),
+                             *options]) == 0
+        trials = [argv for argv in tool_calls if "-crf" in argv]
+        outputs = {argv[-1] for argv in trials}
+        probed = [argv for argv in tool_calls if argv[-1] in outputs and "-crf" not in argv]
+        assert trials and all(argv[-3] == "-fs" for argv in trials)
+        assert len(tool_calls) == 2 + len(trials) + len(probed)
+        return trials, probed
+
+    # Bisection trials sit near the crossing: every one is probed.
+    trials, probed = estimate("--strategy", "bisection", "--trial-seconds", "1")
+    assert len(probed) == len(trials)
+    # A linear sweep from far below the crossing (CRF 33): the trials that
+    # reach their budget run no probe.
+    trials, probed = estimate("--c-min", "21", "--c-max", "40")
+    assert len(trials) == 13
+    assert 0 < len(probed) <= 4
 
 
-def test_mock_platform_rejects_odd_resolution(config, tmp_path, quiet):
-    code = main(quiet + ["mock-platform", str(tmp_path), "--out", str(tmp_path / "o"),
-                         "--resolution", "641x360", "--crf", "30"])
-    assert code == 2
+def test_mock_platform_rejects_odd_resolution(config, tmp_path, quiet, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(quiet + ["mock-platform", str(tmp_path), "--out", str(tmp_path / "o"),
+                      "--resolution", "641x360", "--crf", "30"])
+    assert exc.value.code == 2
+    assert "argument --resolution: must be even" in capsys.readouterr().err
 
 
-def test_mock_platform_rejects_out_of_range_crf(config, tmp_path, quiet):
-    code = main(quiet + ["mock-platform", str(tmp_path), "--out", str(tmp_path / "o"),
-                         "--resolution", "640x360", "--crf", "52"])
-    assert code == 2
+def test_mock_platform_rejects_out_of_range_crf(config, tmp_path, quiet, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(quiet + ["mock-platform", str(tmp_path), "--out", str(tmp_path / "o"),
+                      "--resolution", "640x360", "--crf", "52"])
+    assert exc.value.code == 2
+    assert "argument --crf: must be in [0, 51]" in capsys.readouterr().err
 
 
 def test_mock_platform_empty_or_failed_batch_fails(tmp_path, quiet, capsys):
@@ -400,6 +420,7 @@ def test_emulate_runs_under_the_profile_preset(clips, tmp_path, quiet, tool_call
     encodes = [argv for argv in tool_calls if "-crf" in argv]
     assert len(encodes) == 1
     assert "-preset slow" in " ".join(encodes[0])
+    assert "-fs" not in encodes[0]
 
 
 def test_emulate_partial_and_total_failure(config, clips, tmp_path, quiet):
@@ -461,6 +482,7 @@ def test_analyze_stability_unknown_resolution(tmp_path, quiet, capsys):
     ])
     assert code == 1
     err = capsys.readouterr().err
+    assert "error: NoSupport: no entries at 854x480" in err
     assert "1280x720" in err
 
 

@@ -1,5 +1,6 @@
 """Encode operator contract: probed output equals the spec, CRF drives rate."""
 
+import dataclasses
 import json
 import subprocess
 from fractions import Fraction
@@ -182,6 +183,29 @@ def test_argv_pins_the_full_contract(config, tmp_path):
     assert "-y" in joined
     assert "-progress pipe:1" in joined
     assert "-nostats" in joined
+    # Only trial encodes carry a byte budget, just before the output path;
+    # without one the argv is unchanged and has no -fs.
+    assert "-fs" not in argv
+    trial = build_encode_argv(tmp_path / "in.mp4", spec, tmp_path / "out.mp4", config,
+                              max_seconds=2.0, max_bytes=123456)
+    assert trial == argv[:-1] + ["-t", "2", "-fs", "123456", argv[-1]]
+
+
+def test_encode_over_its_byte_budget_is_not_probed(config, clips, tmp_path, tool_calls):
+    spec = _spec(crf=20.0)
+    whole = encode(clips["textured"], spec, tmp_path / "whole.mp4", config)
+    roomy = encode(clips["textured"], spec, tmp_path / "roomy.mp4", config,
+                   max_bytes=whole.file_size + 1)
+    assert dataclasses.replace(roomy, path=whole.path) == whole
+    assert len(tool_calls) == 4  # an encode and its probe, twice
+
+    tool_calls.clear()
+    budget = whole.file_size // 4
+    cut = encode(clips["textured"], spec, tmp_path / "cut.mp4", config, max_bytes=budget)
+    assert len(tool_calls) == 1  # the encode alone
+    assert cut.file_size == (tmp_path / "cut.mp4").stat().st_size >= budget
+    assert (cut.width, cut.height, cut.frame_rate) == (640, 360, spec.frame_rate)
+    assert 0 < cut.duration * cut.frame_rate < whole.duration * whole.frame_rate
 
 
 def test_argv_is_logged_verbatim(config, clips, tmp_path, caplog):

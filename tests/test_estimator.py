@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from snvse.encoder import EncodeSpec, encode
+import snvse.estimator
+from snvse.encoder import EncodeSpec, encode, transcode
 from snvse.errors import AllItemsFailed, InvalidRange, PreconditionViolation
 from snvse.estimator import (
     SearchStrategy,
@@ -207,3 +208,64 @@ def test_batch_all_failed_raises(config, tmp_path):
         estimate_batch([VideoPair(bad, bad, "x")], config=config)
     with pytest.raises(AllItemsFailed):
         estimate_batch([], config=config)
+
+
+# Byte-budgeted trials: the same estimates as probing every trial.
+
+BUDGET_RANGE = {"c_min": 26, "c_max": 36}
+# pair id -> hidden CRF: an integer, a half step, above c_max, below c_min.
+BUDGET_HIDDEN = {"integer": 30.0, "half-step": 30.5, "saturated": 40.0, "at-c_min": 24.0}
+
+
+@pytest.fixture(scope="module")
+def budget_pairs(config, tmp_path_factory):
+    root = tmp_path_factory.mktemp("budget")
+    pairs = []
+    for (name, hidden), source in zip(BUDGET_HIDDEN.items(),
+                                      ["testsrc2", "gradients", "smptebars", "testsrc"]):
+        original = make_clip(config, root / f"{name}.mp4", source=source, size=(640, 360), duration=3)
+        shared = root / f"{name}-shared.mp4"
+        transcode(original, EncodeSpec(640, 360, hidden, Fraction(30, 1)), shared, config)
+        pairs.append(VideoPair(original, shared, pair_id=name))
+    return pairs
+
+
+@pytest.fixture(scope="module")
+def probed_everywhere(config, budget_pairs):
+    """Per trial window, the linear sweep's entries with budgets no trial reaches."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(snvse.estimator, "BUDGET_MARGIN", 1e9)
+        return {seconds: {o.result.pair_id: o.result for o in
+                          estimate_batch(budget_pairs, config=config, trial_seconds=seconds,
+                                         **BUDGET_RANGE)}
+                for seconds in (None, 1.0)}
+
+
+@pytest.mark.parametrize("seconds", [None, 1.0], ids=["whole", "1s"])
+@pytest.mark.parametrize("strategy", list(SearchStrategy), ids=lambda s: s.value)
+def test_budget_keeps_every_estimate(config, budget_pairs, probed_everywhere, backend,
+                                     strategy, seconds):
+    reference = probed_everywhere[seconds]
+    assert {p: (e.crf_hat, e.saturated) for p, e in reference.items()} == {
+        "integer": (30, False), "half-step": (31, False), "saturated": (36, True),
+        "at-c_min": (26, False)}
+    cut = 0
+    for outcome in estimate_batch(budget_pairs, strategy=strategy, config=config,
+                                  trial_seconds=seconds, **BUDGET_RANGE):
+        got, want = outcome.result, reference[outcome.result.pair_id]
+        assert (got.crf_hat, got.saturated) == (want.crf_hat, want.saturated)
+        measured = dict(want.trial_log)
+        for crf, rate in got.trial_log:
+            if crf not in measured:  # above the sweep's answer: passes, so probed
+                assert crf > want.crf_hat and rate <= got.target_bitrate
+            elif rate != measured[crf]:  # cut: a bound that fails, below the measured rate
+                cut += 1
+                assert got.target_bitrate * snvse.estimator.BUDGET_MARGIN <= rate < measured[crf]
+        if backend == "sim":  # a 6-CRF-per-halving curve
+            rates = dict(got.trial_log)
+            if got.pair_id == "integer":  # a rate equal to the target is not cut
+                assert rates[got.crf_hat] == got.target_bitrate
+            if got.crf_hat > BUDGET_RANGE["c_min"] and not got.saturated:
+                assert rates[got.crf_hat - 1] == measured[got.crf_hat - 1]
+    if strategy is SearchStrategy.LINEAR_SWEEP:
+        assert cut > 0
