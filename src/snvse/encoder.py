@@ -17,14 +17,14 @@ exists and is non-empty. ``encode`` is ``transcode`` plus a probe of the
 output, for callers that need its ``MediaInfo`` (trial encodes measure
 their bitrate from it).
 
-A byte budget (``max_bytes``, passed only by trial encodes) adds
-``-fs max_bytes``: ffmpeg writes no packet once the output has reached
-that size, so an output of ``max_bytes`` or more was cut there or would
-have been at least that large. ``encode`` does not probe such an output;
-its ``MediaInfo`` comes from the spec and the progress report's frame
-count. Real ffmpeg's exit code and progress report after an ``-fs`` cut
-are unverified here; the bundled sim exits 0 and reports the frames it
-wrote.
+A byte budget (``encode``'s ``max_bytes``, passed only by trial encodes)
+adds ``-fs max_bytes``: ffmpeg writes no packet once the output has
+reached that size, so an output of ``max_bytes`` or more was cut there
+or would have been at least that large. ``encode`` does not probe such
+an output; its ``MediaInfo`` comes from the spec and the progress
+report's frame count. Real ffmpeg's exit code and progress report after
+an ``-fs`` cut are unverified here; the bundled sim exits 0 and reports
+the frames it wrote.
 """
 
 from __future__ import annotations
@@ -165,18 +165,16 @@ def transcode(
     output_path: str | Path,
     config: RunConfig | None = None,
     max_seconds: float | None = None,
-    max_bytes: int | None = None,
 ) -> Path:
     """Re-encode *input_path* per *spec* in one tool run and return the output path.
 
     *max_seconds*, when set, truncates the output to its first K seconds
-    (used for cheap trial encodes); *max_bytes* is the byte budget of the
-    module docstring. An encode that exits nonzero, or exits 0 without a
-    finished, non-empty output, raises EncoderFailure; partial outputs are
-    removed on failure.
+    (used for cheap trial encodes). An encode that exits nonzero, or exits
+    0 without a finished, non-empty output, raises EncoderFailure; partial
+    outputs are removed on failure.
     """
     output_path = Path(output_path)
-    _run_encode(Path(input_path), spec, output_path, config or RunConfig(), max_seconds, max_bytes)
+    _run_encode(Path(input_path), spec, output_path, config or RunConfig(), max_seconds, None)
     return output_path
 
 
@@ -190,9 +188,12 @@ def encode(
 ) -> MediaInfo:
     """``transcode`` *input_path*, then return the probe of the output.
 
-    An output of *max_bytes* or more is not probed: its MediaInfo holds
-    the spec's size and frame rate, the reported frames over that rate as
-    its duration, and its file size.
+    *max_bytes* is the byte budget of the module docstring. An output of
+    *max_bytes* or more is not probed: its MediaInfo has ``probed=False``
+    and holds the spec's size, frame rate and codec, the reported frames
+    over that rate as its duration, and its file size. Only the tracer's
+    ``encode`` span reads those fields of a cut trial; the estimator reads
+    ``probed`` and ``file_size`` alone.
     """
     config = config or RunConfig()
     output_path = Path(output_path)
@@ -209,4 +210,5 @@ def encode(
         pixel_format=PIXEL_FORMAT,
         duration=float(frames / spec.frame_rate),
         file_size=size,
+        probed=False,
     )

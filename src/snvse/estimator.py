@@ -16,25 +16,31 @@ of the range overshoots, the result is clamped there and flagged
 saturated. The range must lie within ``profile_db.CRF_MIN``/``CRF_MAX``,
 the only definition of the bounds, so every estimate can be saved.
 
-Every trial encode carries a byte budget (``-fs B``) that no passing
-trial can reach. With the trial window ``T = min(original duration,
-trial_seconds)``, at most ``N = ceil(T * fps_out) + 1`` frames and a
-duration of at most ``D_max = N / fps_out``,
+A trial whose rate the search reads only as pass or fail carries a byte
+budget (``-fs B``) that no passing trial can reach: every trial of the
+linear sweep, and the bisection's first trial, at ``c_max``, whose
+failure ends the search. With the trial window ``T = min(original
+duration, trial_seconds)``, at most ``N = ceil(T * fps_out) + 1`` frames
+and a duration of at most ``D_max = N / fps_out``,
 ``B = ceil(target * D_max / 8 * BUDGET_MARGIN) + H(N)``, where
 ``H(N) = 4096 + 16 * N`` bytes is the container allowance. A trial output
 of ``B`` bytes or more holds a payload above ``target * D_max / 8``, so
 its rate exceeds the target: it fails without a probe, and its
 ``trial_log`` rate is the lower bound ``(size - H(N)) * 8 / D_max``. Every
-other trial is probed and measured, so ``crf_hat`` and ``saturated`` are
-those of probing every trial (the bisection's rate model reads a cut
-trial's bound as its rate). ``BUDGET_MARGIN`` is 2 CRF steps of the rate
-model (about 1.26), so on an x264-like curve the trial at ``crf_hat - 1``,
-at most about 1.12 times the target, keeps a measured rate. A pair costs
-``2 + trials + probed trials`` tool runs (plus a packet scan wherever the
-prober reports no stream bitrate). This rests on two assumptions,
-unverified against real MP4 files here: the container adds at most
-``H(N)`` bytes to the payload, and the prober's stream bitrate is the
-payload's bits over the stream duration.
+other trial is probed and measured, so ``crf_hat``, ``saturated`` and the
+trialled CRFs are those of probing every trial. The bisection's later
+trials carry no budget because its rate model reads a failing trial's
+rate, and a cut trial's bound sits near ``BUDGET_MARGIN * target``
+whatever the true rate: on a curve steeper or flatter than
+``CRF_PER_HALVING`` per halving, a secant through it would step short of
+the crossing again and again. ``BUDGET_MARGIN`` is 2 CRF steps of the
+rate model (about 1.26), so on an x264-like curve the sweep's trial at
+``crf_hat - 1``, at most about 1.12 times the target, keeps a measured
+rate. A pair costs ``2 + trials + probed trials`` tool runs (plus a
+packet scan wherever the prober reports no stream bitrate). This rests on
+two assumptions, unverified against real MP4 files here: the container
+adds at most ``H(N)`` bytes to the payload, and the prober's stream
+bitrate is the payload's bits over the stream duration.
 """
 
 from __future__ import annotations
@@ -105,8 +111,9 @@ def estimate_crf(
     *trial_seconds*, positive and finite, truncates trial encodes to the
     first K seconds of the original (bitrate is per-second, so the
     comparison stays valid). Each trial file is removed from the scratch
-    dir once it is measured. A trial that reaches its byte budget (see the
-    module docstring) is recorded as failed at its bound rate, unprobed.
+    dir once it is measured. A budgeted trial that reaches its byte budget
+    (see the module docstring) is recorded as failed at its bound rate,
+    unprobed.
     """
     _check_search(c_min, c_max, trial_seconds)
     config = config or RunConfig()
@@ -130,7 +137,7 @@ def estimate_crf(
     config.scratch_dir.mkdir(parents=True, exist_ok=True)
     trials: dict[int, float] = {}
 
-    def trial(crf: int) -> float:
+    def trial(crf: int, budgeted: bool = True) -> float:
         spec = EncodeSpec(
             target_width=rho_out[0],
             target_height=rho_out[1],
@@ -140,8 +147,8 @@ def estimate_crf(
         out_path = config.scratch_dir / f"trial-{pair.pair_id}-{uuid.uuid4().hex[:8]}-crf{crf}.mp4"
         try:
             info = encode(pair.original_path, spec, out_path, config,
-                          max_seconds=trial_seconds, max_bytes=max_bytes)
-            if info.file_size >= max_bytes:  # over budget: fails, unprobed
+                          max_seconds=trial_seconds, max_bytes=max_bytes if budgeted else None)
+            if not info.probed:  # cut at its budget: fails
                 rate = (info.file_size - allowance) * 8 / max_duration
             else:
                 rate = measure_bitrate(info, config).value
@@ -192,7 +199,7 @@ def _bisection_with_verify(trial, target: float, c_min: int, c_max: int) -> tupl
     its next step; the exemption costs at most one trial, so the search
     takes at most 2 + 2 * ceil(log2(c_max - c_min + 1)) trials.
     """
-    r_hi = trial(c_max)
+    r_hi = trial(c_max)  # budgeted: a failure here ends the search
     if r_hi > target:
         return c_max, True
     lo, hi = c_min - 1, c_max
@@ -206,7 +213,7 @@ def _bisection_with_verify(trial, target: float, c_min: int, c_max: int) -> tupl
         else:
             predicted = _model_crossing(lo, r_lo, hi, r_hi, target)
             crf = min(max(round(predicted), lo + 1), hi - 1)
-        rate = trial(crf)
+        rate = trial(crf, budgeted=False)  # the rate model reads a failing rate
         if rate <= target:
             hi, r_hi = crf, rate
         else:

@@ -37,6 +37,8 @@ class MediaInfo:
     duration: float
     file_size: int
     stream_bitrate: float | None = None
+    # False for an encode output cut at its byte budget (see encoder.encode).
+    probed: bool = True
 
     @property
     def resolution(self) -> tuple[int, int]:

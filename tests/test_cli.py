@@ -146,7 +146,8 @@ def test_spawn_budget_of_mock_platform_and_estimate(config, tmp_path, quiet, too
     assert not any("-fs" in argv for argv in encodes)
 
     # estimate of one pair (the other originals go unpaired): two probes,
-    # then an encode per trial and a probe of each trial under its budget.
+    # then an encode per trial and a probe of each trial that stays under
+    # its budget (or carries none).
     for stem in ("clip1", "clip2"):
         (shared / f"{stem}.mp4").unlink()
 
@@ -159,16 +160,19 @@ def test_spawn_budget_of_mock_platform_and_estimate(config, tmp_path, quiet, too
         trials = [argv for argv in tool_calls if "-crf" in argv]
         outputs = {argv[-1] for argv in trials}
         probed = [argv for argv in tool_calls if argv[-1] in outputs and "-crf" not in argv]
-        assert trials and all(argv[-3] == "-fs" for argv in trials)
+        assert trials
         assert len(tool_calls) == 2 + len(trials) + len(probed)
         return trials, probed
 
-    # Bisection trials sit near the crossing: every one is probed.
+    # Only the bisection's first trial, at c_max, carries a budget; its
+    # trials sit near the crossing, so every one is probed.
     trials, probed = estimate("--strategy", "bisection", "--trial-seconds", "1")
+    assert [argv[-3] == "-fs" for argv in trials] == [True] + [False] * (len(trials) - 1)
     assert len(probed) == len(trials)
     # A linear sweep from far below the crossing (CRF 33): the trials that
     # reach their budget run no probe.
     trials, probed = estimate("--c-min", "21", "--c-max", "40")
+    assert all(argv[-3] == "-fs" for argv in trials)
     assert len(trials) == 13
     assert 0 < len(probed) <= 4
 

@@ -203,6 +203,7 @@ def test_encode_over_its_byte_budget_is_not_probed(config, clips, tmp_path, tool
     budget = whole.file_size // 4
     cut = encode(clips["textured"], spec, tmp_path / "cut.mp4", config, max_bytes=budget)
     assert len(tool_calls) == 1  # the encode alone
+    assert roomy.probed and not cut.probed
     assert cut.file_size == (tmp_path / "cut.mp4").stat().st_size >= budget
     assert (cut.width, cut.height, cut.frame_rate) == (640, 360, spec.frame_rate)
     assert 0 < cut.duration * cut.frame_rate < whole.duration * whole.frame_rate

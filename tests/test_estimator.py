@@ -260,6 +260,8 @@ def test_budget_keeps_every_estimate(config, budget_pairs, probed_everywhere, ba
                 assert crf > want.crf_hat and rate <= got.target_bitrate
             elif rate != measured[crf]:  # cut: a bound that fails, below the measured rate
                 cut += 1
+                if strategy is SearchStrategy.BISECTION_WITH_VERIFY:  # only c_max is budgeted
+                    assert crf == BUDGET_RANGE["c_max"] and got.saturated
                 assert got.target_bitrate * snvse.estimator.BUDGET_MARGIN <= rate < measured[crf]
         if backend == "sim":  # a 6-CRF-per-halving curve
             rates = dict(got.trial_log)

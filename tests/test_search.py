@@ -10,18 +10,29 @@ import math
 
 from hypothesis import example, given, strategies as st
 
-from snvse.estimator import CRF_PER_HALVING, _bisection_with_verify, _linear_sweep
+from snvse.estimator import BUDGET_MARGIN, CRF_PER_HALVING, _bisection_with_verify, _linear_sweep
 
 
 class Curve:
-    """A non-increasing CRF -> bit/s table that records every trial."""
+    """A non-increasing CRF -> bit/s table that records every trial.
 
-    def __init__(self, rates: dict[int, float]):
+    A budgeted trial whose rate reaches *budget* is cut, as the estimator
+    cuts one at its byte budget, and reads as the budget itself: the lowest
+    bound a cut trial can log.
+    """
+
+    def __init__(self, rates: dict[int, float], budget: float = math.inf):
         self.rates = rates
+        self.budget = budget
         self.trials: list[int] = []
+        self.budgeted: list[int] = []
 
-    def __call__(self, crf: int) -> float:
+    def __call__(self, crf: int, budgeted: bool = True) -> float:
         self.trials.append(crf)
+        if budgeted:
+            self.budgeted.append(crf)
+            if self.rates[crf] >= self.budget:
+                return self.budget
         return self.rates[crf]
 
 
@@ -71,6 +82,10 @@ def searches(draw):
 @example((_log_linear(21, 50, 6.0, 10.0), 1e5, 21, 50))
 @example((_log_linear(21, 50, 6.0, 60.0), 1e5, 21, 50))
 @example((_log_linear(30, 31, 6.0, 30.5), 1e5, 30, 31))
+# Far above a crossing on a 5-CRF-per-halving curve, the first model step
+# lands at 17, where a budgeted trial would be cut; a secant through its
+# bound (near 1.26x the target) would step to 19 and 21 before 23.
+@example((_log_linear(0, 51, 5.0, 23.0), 1e5, 0, 51))
 # Nearly flat just above the target, then a cliff at CRF 50: every secant
 # lands next to the failing end, so only the midpoint steps bound the trials.
 @example(({c: 1e5 * (1.001 ** (50 - c) if c < 50 else 2.0 ** -20) for c in range(52)},
@@ -96,6 +111,15 @@ def test_model_search_matches_linear_sweep(case):
             assert crf_hat - 1 in curve.trials
             assert rates[crf_hat - 1] > target
 
+    # Only the c_max trial, whose failure ends the search, is budgeted, so
+    # cut trials change neither the answer nor the trials of either search.
+    assert curve.budgeted == [c_max]
+    budget = target * BUDGET_MARGIN if target > 0 else math.inf
+    cut = Curve(rates, budget)
+    assert _bisection_with_verify(cut, target, c_min, c_max) == (crf_hat, saturated)
+    assert cut.trials == curve.trials
+    assert _linear_sweep(Curve(rates, budget), target, c_min, c_max) == expected
+
 
 def test_log_linear_curve_takes_at_most_three_trials():
     # The rate model is exact here, so the search needs only the answer and
@@ -105,3 +129,4 @@ def test_log_linear_curve_takes_at_most_three_trials():
         crf_hat, saturated = _bisection_with_verify(curve, 1e5, 21, 50)
         assert (crf_hat, saturated) == (math.ceil(crossing), False), crossing
         assert len(curve.trials) <= 3, (crossing, curve.trials)
+
