@@ -67,14 +67,20 @@ def _hidden_crf(text: str) -> float:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return value
 
 
 def _positive_seconds(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
     return value
@@ -112,12 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_est = sub.add_parser("estimate", parents=[shared], help="estimate (resolution, CRF) parameters from original/shared pairs")
-    p_est.add_argument("originals_dir", type=Path)
-    p_est.add_argument("shared_dir", type=Path)
+    p_est.add_argument("originals_dir", type=Path, nargs="?",
+                       help="with shared_dir: pair the videos of the two dirs by file stem")
+    p_est.add_argument("shared_dir", type=Path, nargs="?")
     p_est.add_argument("--platform", required=True, help="platform name stored in the profile")
     p_est.add_argument("--out", required=True, type=Path, help="output profile JSON path")
     p_est.add_argument("--manifest", type=Path,
-                       help="CSV of original,shared paths; replaces stem pairing of the two dirs")
+                       help="CSV of original,shared paths; given instead of the two dirs")
     p_est.add_argument("--c-min", type=int, default=CRF_MIN)
     p_est.add_argument("--c-max", type=int, default=CRF_MAX)
     p_est.add_argument("--strategy", choices=[s.value for s in SearchStrategy],
@@ -343,6 +350,10 @@ def cmd_mock_platform(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "estimate":
+        dirs = (args.originals_dir, args.shared_dir).count(None)
+        if dirs != (2 if args.manifest else 0):
+            parser.error("estimate takes ORIGINALS_DIR and SHARED_DIR, or --manifest FILE")
     logging.basicConfig(
         level=args.log_level.upper(),
         format="%(levelname)s %(name)s: %(message)s",

@@ -13,9 +13,10 @@ every run.
 ``transcode`` runs the encoder once and verifies the encode without a
 probe: the exit code is 0, the progress report ends with
 ``progress=end`` and counts at least one frame, and the output file
-exists and is non-empty. ``encode`` is ``transcode`` plus a probe of the
-output, for callers that need its ``MediaInfo`` (trial encodes measure
-their bitrate from it).
+exists and is non-empty. ``encode`` is the same encode plus a probe of
+the output, for callers that need its ``MediaInfo``: trial encodes,
+which measure their bitrate from it and alone may be truncated
+(``max_seconds``) or budgeted (``max_bytes``).
 
 A byte budget (``encode``'s ``max_bytes``, passed only by trial encodes)
 adds ``-fs max_bytes``: ffmpeg writes no packet once the output has
@@ -164,17 +165,14 @@ def transcode(
     spec: EncodeSpec,
     output_path: str | Path,
     config: RunConfig | None = None,
-    max_seconds: float | None = None,
 ) -> Path:
     """Re-encode *input_path* per *spec* in one tool run and return the output path.
 
-    *max_seconds*, when set, truncates the output to its first K seconds
-    (used for cheap trial encodes). An encode that exits nonzero, or exits
-    0 without a finished, non-empty output, raises EncoderFailure; partial
-    outputs are removed on failure.
+    An encode that exits nonzero, or exits 0 without a finished, non-empty
+    output, raises EncoderFailure; partial outputs are removed on failure.
     """
     output_path = Path(output_path)
-    _run_encode(Path(input_path), spec, output_path, config or RunConfig(), max_seconds, None)
+    _run_encode(Path(input_path), spec, output_path, config or RunConfig(), None, None)
     return output_path
 
 
@@ -186,14 +184,16 @@ def encode(
     max_seconds: float | None = None,
     max_bytes: int | None = None,
 ) -> MediaInfo:
-    """``transcode`` *input_path*, then return the probe of the output.
+    """Re-encode *input_path* as ``transcode`` does, then return the probe of the output.
 
-    *max_bytes* is the byte budget of the module docstring. An output of
-    *max_bytes* or more is not probed: its MediaInfo has ``probed=False``
-    and holds the spec's size, frame rate and codec, the reported frames
-    over that rate as its duration, and its file size. Only the tracer's
-    ``encode`` span reads those fields of a cut trial; the estimator reads
-    ``probed`` and ``file_size`` alone.
+    *max_seconds*, when set, truncates the output to its first K seconds
+    (cheap trial encodes). *max_bytes* is the byte budget of the module
+    docstring. An output of *max_bytes* or more is not probed: its
+    MediaInfo has ``probed=False`` and holds the spec's size, frame rate
+    and codec, the reported frames over that rate as its duration, and its
+    file size. The estimator reads ``probed``, ``file_size`` and
+    ``duration`` of a cut trial; only the tracer's ``encode`` span reads
+    the other fields.
     """
     config = config or RunConfig()
     output_path = Path(output_path)

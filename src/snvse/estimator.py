@@ -21,26 +21,38 @@ budget (``-fs B``) that no passing trial can reach: every trial of the
 linear sweep, and the bisection's first trial, at ``c_max``, whose
 failure ends the search. With the trial window ``T = min(original
 duration, trial_seconds)``, at most ``N = ceil(T * fps_out) + 1`` frames
-and a duration of at most ``D_max = N / fps_out``,
-``B = ceil(target * D_max / 8 * BUDGET_MARGIN) + H(N)``, where
-``H(N) = 4096 + 16 * N`` bytes is the container allowance. A trial output
-of ``B`` bytes or more holds a payload above ``target * D_max / 8``, so
-its rate exceeds the target: it fails without a probe, and its
-``trial_log`` rate is the lower bound ``(size - H(N)) * 8 / D_max``. Every
-other trial is probed and measured, so ``crf_hat``, ``saturated`` and the
-trialled CRFs are those of probing every trial. The bisection's later
-trials carry no budget because its rate model reads a failing trial's
-rate, and a cut trial's bound sits near ``BUDGET_MARGIN * target``
+and a duration of at most ``D_max = N / fps_out``, the budget is the
+target's payload plus ``H(N) = 4096 + 16 * N`` bytes, the container
+allowance. A trial output of ``B`` bytes or more holds a payload above
+``target * D_max / 8``, so its rate exceeds the target: it fails without
+a probe, and its ``trial_log`` rate is the lower bound
+``(size - H(N)) * 8 / D_max``. Every other trial is probed and measured,
+so ``crf_hat``, ``saturated`` and the trialled CRFs are those of probing
+every trial.
+
+A trial that may be ``crf_hat - 1`` is near: its budget,
+``B = ceil(target * D_max / 8 * BUDGET_MARGIN) + H(N)``, admits 2 CRF
+steps of the rate model (about 1.26x) above the target, so that trial
+keeps a measured rate. A trial is near when the search's previous trial
+predicts its rate, one model step below its own (a probed trial's rate,
+or a cut trial's bytes over its kept frames), at most ``NEAR`` (about
+1.19) times the target; a search's first trial, with no prediction, is
+near too. Every other budgeted trial is far and is cut at the target
+itself, ``B = floor(target * D_max / 8) + 1 + H(N)``. A passing trial
+stays under either budget as long as the container adds at most
+``H(N)``; for a passing trial mispredicted as far, that assumption alone
+carries it, without the margin's cushion.
+
+The bisection's later trials carry no budget because its rate model
+reads a failing trial's rate, and a cut trial's bound sits at the budget
 whatever the true rate: on a curve steeper or flatter than
 ``CRF_PER_HALVING`` per halving, a secant through it would step short of
-the crossing again and again. ``BUDGET_MARGIN`` is 2 CRF steps of the
-rate model (about 1.26), so on an x264-like curve the sweep's trial at
-``crf_hat - 1``, at most about 1.12 times the target, keeps a measured
-rate. A pair costs ``2 + trials + probed trials`` tool runs (plus a
-packet scan wherever the prober reports no stream bitrate). This rests on
-two assumptions, unverified against real MP4 files here: the container
-adds at most ``H(N)`` bytes to the payload, and the prober's stream
-bitrate is the payload's bits over the stream duration.
+the crossing again and again. A pair costs ``2 + trials + probed
+trials`` tool runs (plus a packet scan wherever the prober reports no
+stream bitrate). This rests on two assumptions, unverified against real
+MP4 files here: the container adds at most ``H(N)`` bytes to the
+payload, and the prober's stream bitrate is the payload's bits over the
+stream duration.
 """
 
 from __future__ import annotations
@@ -64,8 +76,10 @@ logger = logging.getLogger(__name__)
 
 # x264's CRF scale: +6 CRF roughly halves the bitrate.
 CRF_PER_HALVING = 6.0
-# A trial's byte budget admits rates up to this multiple of the target.
+# A near trial's byte budget admits rates up to this multiple of the target.
 BUDGET_MARGIN = 2.0 ** (2 / CRF_PER_HALVING)
+# A trial is near when its predicted rate is at most this multiple of the target.
+NEAR = 2.0 ** (1.5 / CRF_PER_HALVING)
 
 
 class SearchStrategy(Enum):
@@ -132,12 +146,17 @@ def estimate_crf(
     frames = math.ceil(seconds * shared.frame_rate) + 1
     max_duration = float(frames / shared.frame_rate)
     allowance = 4096 + 16 * frames
-    max_bytes = math.ceil(target * max_duration / 8 * BUDGET_MARGIN) + allowance
+    near_bytes = math.ceil(target * max_duration / 8 * BUDGET_MARGIN) + allowance
+    far_bytes = math.floor(target * max_duration / 8) + 1 + allowance
 
     config.scratch_dir.mkdir(parents=True, exist_ok=True)
     trials: dict[int, float] = {}
+    predicted: float | None = None  # the next trial's rate, one model step down
 
     def trial(crf: int, budgeted: bool = True) -> float:
+        nonlocal predicted
+        near = predicted is None or predicted <= NEAR * target
+        max_bytes = (near_bytes if near else far_bytes) if budgeted else None
         spec = EncodeSpec(
             target_width=rho_out[0],
             target_height=rho_out[1],
@@ -147,13 +166,15 @@ def estimate_crf(
         out_path = config.scratch_dir / f"trial-{pair.pair_id}-{uuid.uuid4().hex[:8]}-crf{crf}.mp4"
         try:
             info = encode(pair.original_path, spec, out_path, config,
-                          max_seconds=trial_seconds, max_bytes=max_bytes if budgeted else None)
+                          max_seconds=trial_seconds, max_bytes=max_bytes)
             if not info.probed:  # cut at its budget: fails
                 rate = (info.file_size - allowance) * 8 / max_duration
+                seen = info.file_size * 8 / info.duration  # its bytes over the kept frames
             else:
-                rate = measure_bitrate(info, config).value
+                rate = seen = measure_bitrate(info, config).value
         finally:
             out_path.unlink(missing_ok=True)
+        predicted = seen * 2.0 ** (-1 / CRF_PER_HALVING)
         trials[crf] = rate
         logger.debug("pair %s: trial crf=%d -> %.0f bit/s (target %.0f)",
                       pair.pair_id, crf, rate, target)
@@ -204,6 +225,7 @@ def _bisection_with_verify(trial, target: float, c_min: int, c_max: int) -> tupl
         return c_max, True
     lo, hi = c_min - 1, c_max
     r_lo = None
+    above = None  # the passing trial hi replaced: (crf, rate)
     midpoint_next = False
     exempt = True
     while hi - lo > 1:
@@ -211,11 +233,11 @@ def _bisection_with_verify(trial, target: float, c_min: int, c_max: int) -> tupl
         if midpoint_next:
             crf = (lo + hi) // 2
         else:
-            predicted = _model_crossing(lo, r_lo, hi, r_hi, target)
+            predicted = _model_crossing(lo, r_lo, hi, r_hi, target, above)
             crf = min(max(round(predicted), lo + 1), hi - 1)
         rate = trial(crf, budgeted=False)  # the rate model reads a failing rate
         if rate <= target:
-            hi, r_hi = crf, rate
+            above, (hi, r_hi) = (hi, r_hi), (crf, rate)
         else:
             lo, r_lo = crf, rate
         if midpoint_next or 2 * (hi - lo) <= width:
@@ -227,18 +249,23 @@ def _bisection_with_verify(trial, target: float, c_min: int, c_max: int) -> tupl
     return hi, False
 
 
-def _model_crossing(lo: int, r_lo: float | None, hi: int, r_hi: float, target: float) -> float:
+def _model_crossing(lo: int, r_lo: float | None, hi: int, r_hi: float, target: float,
+                    above: tuple[int, float] | None) -> float:
     """The CRF where the rate model through the bracket ends meets *target*.
 
     The model is linear in log-rate: the secant between the two ends once
-    both have been trialled, else CRF_PER_HALVING through hi alone.
+    both have been trialled; before lo is, the secant through hi and the
+    passing trial *above* it, where their rates fall; else CRF_PER_HALVING
+    through hi alone.
     """
     if r_hi <= 0:  # a zero-byte trial has no log-rate; split the bracket instead
         return (lo + hi) / 2
-    if r_lo is None:
-        slope = CRF_PER_HALVING
-    else:
+    if r_lo is not None:
         slope = (hi - lo) / math.log2(r_lo / r_hi)
+    elif above is not None and 0 < above[1] < r_hi:
+        slope = (above[0] - hi) / math.log2(r_hi / above[1])
+    else:
+        slope = CRF_PER_HALVING
     return hi + slope * math.log2(r_hi / target)
 
 

@@ -35,7 +35,7 @@ _worker = _Worker()
 
 
 def run_tool(argv: list[str]) -> subprocess.CompletedProcess:
-    """Run one tool invocation, capturing stdout/stderr as text.
+    """Run one tool invocation on an empty stdin, capturing stdout/stderr as text.
 
     Does not raise on nonzero exit; callers interpret the return code so
     they can attach domain-specific diagnostics. In a worker of an
@@ -48,8 +48,11 @@ def run_tool(argv: list[str]) -> subprocess.CompletedProcess:
         if _worker.stop.is_set():
             return subprocess.CompletedProcess(argv, -signal.SIGTERM, "", "interrupted")
         logger.debug("exec: %s", shlex.join(argv))
+    # No tool reads stdin: ffmpeg would read it for its interactive keys,
+    # and a background job that reads its terminal is stopped (SIGTTIN).
     proc = subprocess.Popen(
         argv,
+        stdin=subprocess.DEVNULL,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,

@@ -169,12 +169,13 @@ def test_spawn_budget_of_mock_platform_and_estimate(config, tmp_path, quiet, too
     trials, probed = estimate("--strategy", "bisection", "--trial-seconds", "1")
     assert [argv[-3] == "-fs" for argv in trials] == [True] + [False] * (len(trials) - 1)
     assert len(probed) == len(trials)
-    # A linear sweep from far below the crossing (CRF 33): the trials that
-    # reach their budget run no probe.
+    # A linear sweep from far below the crossing (CRF 33): every trial
+    # before crf_hat - 1 is budgeted at the target and cut there, so only
+    # crf_hat - 1 and crf_hat run a probe.
     trials, probed = estimate("--c-min", "21", "--c-max", "40")
     assert all(argv[-3] == "-fs" for argv in trials)
     assert len(trials) == 13
-    assert 0 < len(probed) <= 4
+    assert [argv[-1] for argv in probed] == [argv[-1] for argv in trials[-2:]]
 
 
 def test_mock_platform_rejects_odd_resolution(config, tmp_path, quiet, capsys):
@@ -270,6 +271,38 @@ def test_estimate_rejects_bad_trial_seconds_before_any_work(tmp_path, quiet, too
     assert "--trial-seconds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sources", [[], ["originals"], ["originals", "--manifest"],
+                                     ["originals", "shared", "--manifest"]],
+                         ids=["none", "one-dir", "one-dir-and-manifest", "dirs-and-manifest"])
+def test_estimate_takes_two_dirs_or_a_manifest(tmp_path, quiet, tool_calls, capsys, sources):
+    dirs = _unprobed_pair_dirs(tmp_path)
+    manifest = tmp_path / "pairs.csv"
+    manifest.write_text(f"{dirs[0]}/clip.mp4,{dirs[1]}/clip.mp4\n")
+    named = {"originals": dirs[0], "shared": dirs[1], "--manifest": f"--manifest={manifest}"}
+    with pytest.raises(SystemExit) as exc:
+        main(quiet + ["estimate", *map(named.get, sources),
+                      "--platform", "x", "--out", str(tmp_path / "p.json")])
+    assert exc.value.code == 2
+    assert tool_calls == []
+    assert "estimate takes ORIGINALS_DIR and SHARED_DIR, or --manifest FILE" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--workers", "two", "db", "show", "p.json"], "argument --workers: expected an integer, got 'two'"),
+    (["analyze-stability", "--profile", "p.json", "--resolution", "640x360", "--out", "s.csv",
+      "--iterations", "1.5"], "argument --iterations: expected an integer, got '1.5'"),
+    (["estimate", "a", "b", "--platform", "x", "--out", "p.json", "--trial-seconds", "soon"],
+     "argument --trial-seconds: expected a number, got 'soon'"),
+], ids=["workers", "iterations", "trial-seconds"])
+def test_option_types_say_what_they_expect(quiet, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(quiet + argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "invalid" not in err
+
+
 def test_estimate_rejects_unwritable_out_before_any_work(tmp_path, quiet, tool_calls, capsys):
     # The parent of --out is a file, so the profile could not be saved
     # after the encodes.
@@ -336,8 +369,7 @@ def test_estimate_rejects_repeated_pair_ids_before_any_work(tmp_path, quiet, too
         f"{tmp_path / 'b/clip.mp4'},{tmp_path / 'shared/two.mp4'}\n"
     )
     out = tmp_path / "p.json"
-    code = main(quiet + ["estimate", str(tmp_path), str(tmp_path / "shared"),
-                         "--manifest", str(manifest),
+    code = main(quiet + ["estimate", "--manifest", str(manifest),
                          "--platform", "x", "--out", str(out)])
     assert code == 1
     assert tool_calls == []
@@ -364,8 +396,7 @@ def _estimate_with_missing_original(config, tmp_path, quiet):
     )
     code = main(quiet + [
         "--scratch-dir", str(tmp_path / "scratch"),
-        "estimate", str(tmp_path), str(shared_dir),
-        "--manifest", str(manifest),
+        "estimate", "--manifest", str(manifest),
         "--platform", "x", "--out", str(tmp_path / "p.json"),
         "--trial-seconds", "2",
     ])

@@ -213,8 +213,10 @@ def test_batch_all_failed_raises(config, tmp_path):
 # Byte-budgeted trials: the same estimates as probing every trial.
 
 BUDGET_RANGE = {"c_min": 26, "c_max": 36}
-# pair id -> hidden CRF: an integer, a half step, above c_max, below c_min.
-BUDGET_HIDDEN = {"integer": 30.0, "half-step": 30.5, "saturated": 40.0, "at-c_min": 24.0}
+# pair id -> hidden CRF: an integer, a half step, above c_max, below c_min,
+# and one whose crf_hat - 1 is c_min, the first trial.
+BUDGET_HIDDEN = {"integer": 30.0, "half-step": 30.5, "saturated": 40.0, "at-c_min": 24.0,
+                 "above-c_min": 27.0}
 
 
 @pytest.fixture(scope="module")
@@ -222,7 +224,7 @@ def budget_pairs(config, tmp_path_factory):
     root = tmp_path_factory.mktemp("budget")
     pairs = []
     for (name, hidden), source in zip(BUDGET_HIDDEN.items(),
-                                      ["testsrc2", "gradients", "smptebars", "testsrc"]):
+                                      ["testsrc2", "gradients", "smptebars", "testsrc", "mandelbrot"]):
         original = make_clip(config, root / f"{name}.mp4", source=source, size=(640, 360), duration=3)
         shared = root / f"{name}-shared.mp4"
         transcode(original, EncodeSpec(640, 360, hidden, Fraction(30, 1)), shared, config)
@@ -232,9 +234,12 @@ def budget_pairs(config, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def probed_everywhere(config, budget_pairs):
-    """Per trial window, the linear sweep's entries with budgets no trial reaches."""
+    """Per trial window, the linear sweep's entries with no trial budgeted."""
+    def unbudgeted(*args, max_bytes=None, **kwargs):
+        return encode(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(snvse.estimator, "BUDGET_MARGIN", 1e9)
+        patch.setattr(snvse.estimator, "encode", unbudgeted)
         return {seconds: {o.result.pair_id: o.result for o in
                           estimate_batch(budget_pairs, config=config, trial_seconds=seconds,
                                          **BUDGET_RANGE)}
@@ -248,7 +253,7 @@ def test_budget_keeps_every_estimate(config, budget_pairs, probed_everywhere, ba
     reference = probed_everywhere[seconds]
     assert {p: (e.crf_hat, e.saturated) for p, e in reference.items()} == {
         "integer": (30, False), "half-step": (31, False), "saturated": (36, True),
-        "at-c_min": (26, False)}
+        "at-c_min": (26, False), "above-c_min": (27, False)}
     cut = 0
     for outcome in estimate_batch(budget_pairs, strategy=strategy, config=config,
                                   trial_seconds=seconds, **BUDGET_RANGE):
@@ -262,11 +267,13 @@ def test_budget_keeps_every_estimate(config, budget_pairs, probed_everywhere, ba
                 cut += 1
                 if strategy is SearchStrategy.BISECTION_WITH_VERIFY:  # only c_max is budgeted
                     assert crf == BUDGET_RANGE["c_max"] and got.saturated
-                assert got.target_bitrate * snvse.estimator.BUDGET_MARGIN <= rate < measured[crf]
+                assert got.target_bitrate < rate < measured[crf]
         if backend == "sim":  # a 6-CRF-per-halving curve
             rates = dict(got.trial_log)
             if got.pair_id == "integer":  # a rate equal to the target is not cut
                 assert rates[got.crf_hat] == got.target_bitrate
+            # crf_hat - 1 keeps its measured rate: predicted near by the
+            # trial before it, or (above-c_min) the first trial.
             if got.crf_hat > BUDGET_RANGE["c_min"] and not got.saturated:
                 assert rates[got.crf_hat - 1] == measured[got.crf_hat - 1]
     if strategy is SearchStrategy.LINEAR_SWEEP:

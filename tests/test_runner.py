@@ -1,6 +1,7 @@
 """The batch loop that estimate, emulate and mock-platform all run through."""
 
 import logging
+import os
 import signal
 import sys
 import threading
@@ -40,6 +41,23 @@ def test_run_batch_propagates_other_exceptions():
 
     with pytest.raises(KeyError):
         run_batch(work, [0, 1], workers=2)
+
+
+def test_tools_read_no_stdin():
+    # Even with a readable stdin (a pipe here, a terminal under job control),
+    # a tool's stdin is /dev/null.
+    same = ("import os; a, b = os.fstat(0), os.stat('/dev/null'); "
+            "print((a.st_dev, a.st_ino) == (b.st_dev, b.st_ino))")
+    read, write = os.pipe()
+    saved = os.dup(0)
+    os.dup2(read, 0)
+    try:
+        result = run_tool([sys.executable, "-c", same])
+    finally:
+        os.dup2(saved, 0)
+        for fd in (saved, read, write):
+            os.close(fd)
+    assert (result.returncode, result.stdout) == (0, "True\n")
 
 
 def test_interrupted_pool_starts_no_further_tool(tmp_path):

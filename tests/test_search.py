@@ -7,6 +7,7 @@ where the curve is far from log-linear.
 """
 
 import math
+import random
 
 from hypothesis import example, given, strategies as st
 
@@ -130,3 +131,22 @@ def test_log_linear_curve_takes_at_most_three_trials():
         assert (crf_hat, saturated) == (math.ceil(crossing), False), crossing
         assert len(curve.trials) <= 3, (crossing, curve.trials)
 
+
+
+def test_two_passing_trials_give_the_slope():
+    # On curves flatter than the model's 6 CRF per halving, the first model
+    # step from c_max lands above the crossing and passes; the secant
+    # through the two passing trials then lands next to the crossing. The
+    # fixed slope would average 4.9 trials at 8 CRF per halving and 5.8 at
+    # 10 on these curves (max 7 and 8).
+    for slope in (8.0, 10.0):
+        counts = []
+        for crossing in (c / 4 for c in range(19 * 4, 51 * 4 + 1)):
+            rng = random.Random(f"{slope}|{crossing}")  # +-1.5% encoder noise
+            rates = {c: rate * rng.uniform(0.985, 1.015)
+                     for c, rate in _log_linear(21, 50, slope, crossing).items()}
+            curve = Curve(rates)
+            assert _bisection_with_verify(curve, 1e5, 21, 50) == _linear_sweep(rates.__getitem__, 1e5, 21, 50)
+            counts.append(len(curve.trials))
+        assert sum(counts) / len(counts) <= 4.2, slope
+        assert max(counts) <= 5, slope
