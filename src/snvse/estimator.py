@@ -16,43 +16,52 @@ of the range overshoots, the result is clamped there and flagged
 saturated. The range must lie within ``profile_db.CRF_MIN``/``CRF_MAX``,
 the only definition of the bounds, so every estimate can be saved.
 
-A trial whose rate the search reads only as pass or fail carries a byte
-budget (``-fs B``) that no passing trial can reach: every trial of the
-linear sweep, and the bisection's first trial, at ``c_max``, whose
-failure ends the search. With the trial window ``T = min(original
-duration, trial_seconds)``, at most ``N = ceil(T * fps_out) + 1`` frames
-and a duration of at most ``D_max = N / fps_out``, the budget is the
-target's payload plus ``H(N) = 4096 + 16 * N`` bytes, the container
-allowance. A trial output of ``B`` bytes or more holds a payload above
-``target * D_max / 8``, so its rate exceeds the target: it fails without
-a probe, and its ``trial_log`` rate is the lower bound
-``(size - H(N)) * 8 / D_max``. Every other trial is probed and measured,
-so ``crf_hat``, ``saturated`` and the trialled CRFs are those of probing
-every trial.
+Trial encodes and the tool runs they cost. This is the one statement of
+the budget and probe rule; README points here. With the trial window
+``T = min(original duration, trial_seconds)``, at most
+``N = ceil(T * fps_out) + 1`` frames, ``D_max = N / fps_out`` and the
+container allowance ``H(N) = 4096 + 16 * N`` bytes:
 
-A trial that may be ``crf_hat - 1`` is near: its budget,
-``B = ceil(target * D_max / 8 * BUDGET_MARGIN) + H(N)``, admits 2 CRF
-steps of the rate model (about 1.26x) above the target, so that trial
-keeps a measured rate. A trial is near when the search's previous trial
-predicts its rate, one model step below its own (a probed trial's rate,
-or a cut trial's bytes over its kept frames), at most ``NEAR`` (about
-1.19) times the target; a search's first trial, with no prediction, is
-near too. Every other budgeted trial is far and is cut at the target
-itself, ``B = floor(target * D_max / 8) + 1 + H(N)``. A passing trial
-stays under either budget as long as the container adds at most
-``H(N)``; for a passing trial mispredicted as far, that assumption alone
-carries it, without the margin's cushion.
+- A trial whose rate the search reads only as pass or fail carries a
+  byte budget (``-fs B``) that no passing trial can reach: every trial of
+  the linear sweep, and the bisection's first trial, at ``c_max``. An
+  output of ``B`` bytes or more holds a payload above ``target * D_max /
+  8``, so it fails without a probe and logs the lower bound
+  ``(size - H(N)) * 8 / D_max``.
+- A trial that may be ``crf_hat - 1`` is near and gets
+  ``B = ceil(target * D_max / 8 * BUDGET_MARGIN) + H(N)``, 2 CRF steps of
+  the rate model (about 1.26x) above the target, so it keeps a measured
+  rate. It is near when the search's previous trial, one model step up
+  (a probed trial's rate, or a cut trial's bytes over its kept frames,
+  times 2^(-1/6)), predicts at most ``NEAR`` (about 1.19) times the
+  target, and a sweep's first trial is near too. Every other budgeted
+  trial is far and is cut at the target itself,
+  ``B = floor(target * D_max / 8) + 1 + H(N)``; so is a trial at
+  ``c_max``, which can never be ``crf_hat - 1``.
+- A trial of ``F`` frames (from ffmpeg's progress report) whose output
+  is small enough, ``size * 8 <= target * (F - 1) / fps_out``, passes
+  without a probe and logs the upper bound
+  ``size * 8 / ((F - 1) / fps_out)``, which the rate model reads. Its file
+  is kept until the search ends; if it is the answer it is probed then,
+  so ``crf_hat`` keeps a measured rate. Kept files are removed however
+  the search ends.
+- Every other trial is probed. The bisection's later trials carry no
+  budget, because its rate model reads a failing trial's rate, and a cut
+  trial's bound sits at the budget whatever the true rate: on a curve
+  steeper or flatter than ``CRF_PER_HALVING`` per halving, a secant
+  through it would step short of the crossing again and again.
 
-The bisection's later trials carry no budget because its rate model
-reads a failing trial's rate, and a cut trial's bound sits at the budget
-whatever the true rate: on a curve steeper or flatter than
-``CRF_PER_HALVING`` per halving, a secant through it would step short of
-the crossing again and again. A pair costs ``2 + trials + probed
-trials`` tool runs (plus a packet scan wherever the prober reports no
-stream bitrate). This rests on two assumptions, unverified against real
-MP4 files here: the container adds at most ``H(N)`` bytes to the
-payload, and the prober's stream bitrate is the payload's bits over the
-stream duration.
+A pair costs ``2 + trials + probed trials`` tool runs (plus a packet scan
+wherever the prober reports no stream bitrate). A bound lies on the side
+of the target it proves, so the linear sweep's answers are those of
+probing every trial, and so are the bisection's wherever the rate is
+non-increasing in CRF; the bisection's trialled CRFs may differ where a
+bound moves the rate model's rounding. The rule rests on three
+assumptions, unverified against real MP4 files here: the container adds
+at most ``H(N)`` bytes to the payload, the prober's stream bitrate is the
+payload's bits over the stream duration, and that duration spans at
+least ``F - 1`` frame intervals. A passing trial mispredicted as far
+stays under its budget on the first assumption alone.
 """
 
 from __future__ import annotations
@@ -123,11 +132,12 @@ def estimate_crf(
     """Estimate the CRF the platform applied to *pair.shared_path*.
 
     *trial_seconds*, positive and finite, truncates trial encodes to the
-    first K seconds of the original (bitrate is per-second, so the
-    comparison stays valid). Each trial file is removed from the scratch
-    dir once it is measured. A budgeted trial that reaches its byte budget
-    (see the module docstring) is recorded as failed at its bound rate,
-    unprobed.
+    first K seconds of the original. Their bitrate is compared with the
+    shared video's whole-file bitrate, which is like with like only when
+    the content's complexity is constant over time (ROADMAP item 3). Trial
+    files are removed from the scratch dir by the time this returns or
+    raises. Which trials are probed, and which log a bound, is the module
+    docstring's rule.
     """
     _check_search(c_min, c_max, trial_seconds)
     config = config or RunConfig()
@@ -151,11 +161,12 @@ def estimate_crf(
 
     config.scratch_dir.mkdir(parents=True, exist_ok=True)
     trials: dict[int, float] = {}
+    settled: dict[int, Path] = {}  # passes logged at their size bound; files kept
     predicted: float | None = None  # the next trial's rate, one model step down
 
     def trial(crf: int, budgeted: bool = True) -> float:
         nonlocal predicted
-        near = predicted is None or predicted <= NEAR * target
+        near = crf < c_max and (predicted is None or predicted <= NEAR * target)
         max_bytes = (near_bytes if near else far_bytes) if budgeted else None
         spec = EncodeSpec(
             target_width=rho_out[0],
@@ -165,25 +176,34 @@ def estimate_crf(
         )
         out_path = config.scratch_dir / f"trial-{pair.pair_id}-{uuid.uuid4().hex[:8]}-crf{crf}.mp4"
         try:
-            info = encode(pair.original_path, spec, out_path, config,
-                          max_seconds=trial_seconds, max_bytes=max_bytes)
-            if not info.probed:  # cut at its budget: fails
+            info = encode(pair.original_path, spec, out_path, config, max_seconds=trial_seconds,
+                          max_bytes=max_bytes, pass_rate=target)
+            if info.probed:
+                rate = seen = measure_bitrate(info, config).value
+            elif max_bytes is not None and info.file_size >= max_bytes:  # cut: fails
                 rate = (info.file_size - allowance) * 8 / max_duration
                 seen = info.file_size * 8 / info.duration  # its bytes over the kept frames
-            else:
-                rate = seen = measure_bitrate(info, config).value
+            else:  # settled by its size: passes
+                intervals = round(info.duration * shared.frame_rate) - 1
+                rate = seen = float(info.file_size * 8 * shared.frame_rate / intervals)
+                settled[crf] = out_path
         finally:
-            out_path.unlink(missing_ok=True)
+            if crf not in settled:
+                out_path.unlink(missing_ok=True)
         predicted = seen * 2.0 ** (-1 / CRF_PER_HALVING)
         trials[crf] = rate
         logger.debug("pair %s: trial crf=%d -> %.0f bit/s (target %.0f)",
                       pair.pair_id, crf, rate, target)
         return rate
 
-    if strategy is SearchStrategy.LINEAR_SWEEP:
-        crf_hat, saturated = _linear_sweep(trial, target, c_min, c_max)
-    else:
-        crf_hat, saturated = _bisection_with_verify(trial, target, c_min, c_max)
+    search = _linear_sweep if strategy is SearchStrategy.LINEAR_SWEEP else _bisection_with_verify
+    try:
+        crf_hat, saturated = search(trial, target, c_min, c_max)
+        if crf_hat in settled:  # the answer keeps a measured rate
+            trials[crf_hat] = measure_bitrate(probe_media(settled[crf_hat], config), config).value
+    finally:
+        for path in settled.values():
+            path.unlink(missing_ok=True)
 
     return ProfileEntry(
         rho_in=original.resolution,

@@ -37,7 +37,8 @@ class MediaInfo:
     duration: float
     file_size: int
     stream_bitrate: float | None = None
-    # False for an encode output cut at its byte budget (see encoder.encode).
+    # False for an encode output encoder.encode left unprobed: cut at its
+    # byte budget, or settled as a pass by its size.
     probed: bool = True
 
     @property

@@ -146,8 +146,8 @@ def test_spawn_budget_of_mock_platform_and_estimate(config, tmp_path, quiet, too
     assert not any("-fs" in argv for argv in encodes)
 
     # estimate of one pair (the other originals go unpaired): two probes,
-    # then an encode per trial and a probe of each trial that stays under
-    # its budget (or carries none).
+    # then an encode per trial and a probe of each trial that neither
+    # reaches its budget nor settles as a pass by its size, or is the answer.
     for stem in ("clip1", "clip2"):
         (shared / f"{stem}.mp4").unlink()
 
@@ -164,11 +164,16 @@ def test_spawn_budget_of_mock_platform_and_estimate(config, tmp_path, quiet, too
         assert len(tool_calls) == 2 + len(trials) + len(probed)
         return trials, probed
 
-    # Only the bisection's first trial, at c_max, carries a budget; its
-    # trials sit near the crossing, so every one is probed.
+    # Only the bisection's first trial, at c_max, carries a budget. Passes
+    # above the answer (CRF 33 on a 6-CRF-per-halving curve) settle by their
+    # size and run no probe; the answer and the failing trials are probed.
     trials, probed = estimate("--strategy", "bisection", "--trial-seconds", "1")
     assert [argv[-3] == "-fs" for argv in trials] == [True] + [False] * (len(trials) - 1)
-    assert len(probed) == len(trials)
+    crf_hat = json.loads((tmp_path / "p.json").read_text())["entries"][0]["crf_hat"]
+    crf_of = {argv[-1]: int(argv[argv.index("-crf") + 1]) for argv in trials}
+    assert crf_of[trials[0][-1]] == 50 > crf_hat
+    assert sorted(crf_of[argv[-1]] for argv in probed) == sorted(
+        crf for crf in crf_of.values() if crf <= crf_hat)
     # A linear sweep from far below the crossing (CRF 33): every trial
     # before crf_hat - 1 is budgeted at the target and cut there, so only
     # crf_hat - 1 and crf_hat run a probe.

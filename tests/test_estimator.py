@@ -9,7 +9,7 @@ import pytest
 
 import snvse.estimator
 from snvse.encoder import EncodeSpec, encode, transcode
-from snvse.errors import AllItemsFailed, InvalidRange, PreconditionViolation
+from snvse.errors import AllItemsFailed, EncoderFailure, InvalidRange, PreconditionViolation
 from snvse.estimator import (
     SearchStrategy,
     VideoPair,
@@ -210,13 +210,15 @@ def test_batch_all_failed_raises(config, tmp_path):
         estimate_batch([], config=config)
 
 
-# Byte-budgeted trials: the same estimates as probing every trial.
+# Byte-budgeted and size-settled trials: the same estimates as probing
+# every trial.
 
 BUDGET_RANGE = {"c_min": 26, "c_max": 36}
 # pair id -> hidden CRF: an integer, a half step, above c_max, below c_min,
-# and one whose crf_hat - 1 is c_min, the first trial.
+# one whose crf_hat - 1 is c_min, the first trial, and one whose answer is
+# c_max, a pass small enough to settle by its size.
 BUDGET_HIDDEN = {"integer": 30.0, "half-step": 30.5, "saturated": 40.0, "at-c_min": 24.0,
-                 "above-c_min": 27.0}
+                 "above-c_min": 27.0, "settles-at-c_max": 35.5}
 
 
 @pytest.fixture(scope="module")
@@ -224,7 +226,8 @@ def budget_pairs(config, tmp_path_factory):
     root = tmp_path_factory.mktemp("budget")
     pairs = []
     for (name, hidden), source in zip(BUDGET_HIDDEN.items(),
-                                      ["testsrc2", "gradients", "smptebars", "testsrc", "mandelbrot"]):
+                                      ["testsrc2", "gradients", "smptebars", "testsrc", "mandelbrot",
+                                       "rgbtestsrc"]):
         original = make_clip(config, root / f"{name}.mp4", source=source, size=(640, 360), duration=3)
         shared = root / f"{name}-shared.mp4"
         transcode(original, EncodeSpec(640, 360, hidden, Fraction(30, 1)), shared, config)
@@ -234,8 +237,8 @@ def budget_pairs(config, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def probed_everywhere(config, budget_pairs):
-    """Per trial window, the linear sweep's entries with no trial budgeted."""
-    def unbudgeted(*args, max_bytes=None, **kwargs):
+    """Per trial window, the linear sweep's entries with every trial probed."""
+    def unbudgeted(*args, max_bytes=None, pass_rate=None, **kwargs):
         return encode(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -246,22 +249,40 @@ def probed_everywhere(config, budget_pairs):
                 for seconds in (None, 1.0)}
 
 
+@pytest.fixture
+def unprobed(monkeypatch):
+    """The (output file name, crf) of every trial encode the estimator left unprobed."""
+    seen = []
+
+    def spy(input_path, spec, output_path, *args, **kwargs):
+        info = encode(input_path, spec, output_path, *args, **kwargs)
+        if not info.probed:
+            seen.append((output_path.name, spec.crf))
+        return info
+
+    monkeypatch.setattr(snvse.estimator, "encode", spy)
+    return seen
+
+
 @pytest.mark.parametrize("seconds", [None, 1.0], ids=["whole", "1s"])
 @pytest.mark.parametrize("strategy", list(SearchStrategy), ids=lambda s: s.value)
-def test_budget_keeps_every_estimate(config, budget_pairs, probed_everywhere, backend,
+def test_budget_keeps_every_estimate(config, budget_pairs, probed_everywhere, backend, unprobed,
                                      strategy, seconds):
     reference = probed_everywhere[seconds]
     assert {p: (e.crf_hat, e.saturated) for p, e in reference.items()} == {
         "integer": (30, False), "half-step": (31, False), "saturated": (36, True),
-        "at-c_min": (26, False), "above-c_min": (27, False)}
+        "at-c_min": (26, False), "above-c_min": (27, False), "settles-at-c_max": (36, False)}
     cut = 0
     for outcome in estimate_batch(budget_pairs, strategy=strategy, config=config,
                                   trial_seconds=seconds, **BUDGET_RANGE):
         got, want = outcome.result, reference[outcome.result.pair_id]
         assert (got.crf_hat, got.saturated) == (want.crf_hat, want.saturated)
         measured = dict(want.trial_log)
+        rates = dict(got.trial_log)
+        if not got.saturated:  # the answer keeps its measured rate
+            assert rates[got.crf_hat] == measured[got.crf_hat]
         for crf, rate in got.trial_log:
-            if crf not in measured:  # above the sweep's answer: passes, so probed
+            if crf not in measured:  # above the sweep's answer: passes, probed or settled
                 assert crf > want.crf_hat and rate <= got.target_bitrate
             elif rate != measured[crf]:  # cut: a bound that fails, below the measured rate
                 cut += 1
@@ -269,7 +290,6 @@ def test_budget_keeps_every_estimate(config, budget_pairs, probed_everywhere, ba
                     assert crf == BUDGET_RANGE["c_max"] and got.saturated
                 assert got.target_bitrate < rate < measured[crf]
         if backend == "sim":  # a 6-CRF-per-halving curve
-            rates = dict(got.trial_log)
             if got.pair_id == "integer":  # a rate equal to the target is not cut
                 assert rates[got.crf_hat] == got.target_bitrate
             # crf_hat - 1 keeps its measured rate: predicted near by the
@@ -278,3 +298,31 @@ def test_budget_keeps_every_estimate(config, budget_pairs, probed_everywhere, ba
                 assert rates[got.crf_hat - 1] == measured[got.crf_hat - 1]
     if strategy is SearchStrategy.LINEAR_SWEEP:
         assert cut > 0
+    if backend == "sim" and seconds is None:
+        # The answer at c_max settled by its size and was probed after the
+        # search, which is what its measured rate above shows. A 1 s trial
+        # of 30 frames is read over 29 frame intervals; with its container
+        # bytes and the sim's rate jitter, that uses up the half CRF between
+        # this pass and the target, so there it is probed during the search.
+        assert any(name.startswith("trial-settles-at-c_max-") and crf == BUDGET_RANGE["c_max"]
+                   for name, crf in unprobed)
+
+
+def test_search_failing_after_a_settled_pass_leaves_no_trial_file(config, budget_pairs, tmp_path,
+                                                                  unprobed, monkeypatch):
+    # The bisection's c_max trial settles as a pass and its file is kept
+    # for a probe at the search's end; the next encode fails.
+    settling = snvse.estimator.encode
+
+    def fail_second(*args, **kwargs):
+        if unprobed:
+            raise EncoderFailure("second trial fails")
+        return settling(*args, **kwargs)
+
+    monkeypatch.setattr(snvse.estimator, "encode", fail_second)
+    scratch = tmp_path / "scratch"
+    with pytest.raises(EncoderFailure):
+        estimate_crf(budget_pairs[0], strategy=SearchStrategy.BISECTION_WITH_VERIFY,
+                     config=dataclasses.replace(config, scratch_dir=scratch), **BUDGET_RANGE)
+    assert [crf for _, crf in unprobed] == [BUDGET_RANGE["c_max"]]
+    assert list(scratch.iterdir()) == []

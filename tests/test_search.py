@@ -19,17 +19,22 @@ class Curve:
 
     A budgeted trial whose rate reaches *budget* is cut, as the estimator
     cuts one at its byte budget, and reads as the budget itself: the lowest
-    bound a cut trial can log.
+    bound a cut trial can log. A trial in *settled*, a pass the estimator
+    settles by its size, reads as the upper bound given there.
     """
 
-    def __init__(self, rates: dict[int, float], budget: float = math.inf):
+    def __init__(self, rates: dict[int, float], budget: float = math.inf,
+                 settled: dict[int, float] | None = None):
         self.rates = rates
         self.budget = budget
+        self.settled = settled or {}
         self.trials: list[int] = []
         self.budgeted: list[int] = []
 
     def __call__(self, crf: int, budgeted: bool = True) -> float:
         self.trials.append(crf)
+        if crf in self.settled:
+            return self.settled[crf]
         if budgeted:
             self.budgeted.append(crf)
             if self.rates[crf] >= self.budget:
@@ -93,8 +98,38 @@ def searches(draw):
           1e5, 0, 51))
 def test_model_search_matches_linear_sweep(case):
     rates, target, c_min, c_max = case
-    expected = _linear_sweep(rates.__getitem__, target, c_min, c_max)
     curve = Curve(rates)
+    crf_hat, saturated = _search_matching_linear_sweep(curve, target, c_min, c_max)
+
+    # Only the c_max trial, whose failure ends the search, is budgeted, so
+    # cut trials change neither the answer nor the trials of either search.
+    assert curve.budgeted == [c_max]
+    budget = target * BUDGET_MARGIN if target > 0 else math.inf
+    cut = Curve(rates, budget)
+    assert _bisection_with_verify(cut, target, c_min, c_max) == (crf_hat, saturated)
+    assert cut.trials == curve.trials
+    assert _linear_sweep(Curve(rates, budget), target, c_min, c_max) == (crf_hat, saturated)
+
+
+@given(searches(), st.floats(0.0, 1.0), st.lists(st.floats(0.0, 1.0), min_size=52, max_size=52))
+# Every pass settles and reads as the target itself: the model then puts
+# the crossing at each passing trial, and only the midpoint steps bound
+# the trials.
+@example((_log_linear(21, 50, 6.0, 33.0), 1e5, 21, 50), 1.0, [1.0] * 52)
+@example((_log_linear(0, 51, 5.0, 23.0), 1e5, 0, 51), 0.97, [0.5] * 52)
+def test_settled_passes_keep_the_answer(case, line, spread):
+    # A pass under the pass line settles by its size and reads as an upper
+    # bound anywhere in [rate, target]; the answer and its witness must not move.
+    rates, target, c_min, c_max = case
+    settled = {crf: min(target, rate + share * (target - rate))
+               for (crf, rate), share in zip(rates.items(), spread) if rate <= min(target, line * target)}
+    _search_matching_linear_sweep(Curve(rates, settled=settled), target, c_min, c_max)
+
+
+def _search_matching_linear_sweep(curve, target, c_min, c_max):
+    """Run the bisection on *curve*, check it against the linear sweep, return its answer."""
+    rates = curve.rates
+    expected = _linear_sweep(rates.__getitem__, target, c_min, c_max)
     crf_hat, saturated = _bisection_with_verify(curve, target, c_min, c_max)
 
     assert (crf_hat, saturated) == expected
@@ -111,15 +146,7 @@ def test_model_search_matches_linear_sweep(case):
         if crf_hat > c_min:
             assert crf_hat - 1 in curve.trials
             assert rates[crf_hat - 1] > target
-
-    # Only the c_max trial, whose failure ends the search, is budgeted, so
-    # cut trials change neither the answer nor the trials of either search.
-    assert curve.budgeted == [c_max]
-    budget = target * BUDGET_MARGIN if target > 0 else math.inf
-    cut = Curve(rates, budget)
-    assert _bisection_with_verify(cut, target, c_min, c_max) == (crf_hat, saturated)
-    assert cut.trials == curve.trials
-    assert _linear_sweep(Curve(rates, budget), target, c_min, c_max) == expected
+    return crf_hat, saturated
 
 
 def test_log_linear_curve_takes_at_most_three_trials():
