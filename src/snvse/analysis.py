@@ -23,9 +23,8 @@ from pathlib import Path
 
 from .bitrate import measure_bitrate
 from .config import RunConfig
-from .errors import PreconditionViolation, SnvseError
+from .errors import PreconditionViolation
 from .probe import probe_media
-from .runner import run_batch
 
 DEFAULT_ITERATIONS = 1000
 
@@ -159,40 +158,28 @@ def fidelity_report(
     shared: list[str | Path],
     config: RunConfig | None = None,
 ) -> FidelityReport:
-    """Compare emulated outputs against shared counterparts, paired by order.
-
-    Pairs are probed through ``runner.run_batch``, at most
-    ``config.workers`` at a time, and the report keeps their order. A pair
-    that failed there is compared once more in the caller, so the first
-    one raises its own error, as probing them one by one would, and is not
-    logged as a batch failure.
-    """
+    """Compare emulated outputs against shared counterparts, paired by order."""
     if len(emulated) != len(shared):
         raise PreconditionViolation(f"{len(emulated)} emulated vs {len(shared)} shared files")
     if not emulated:
         raise PreconditionViolation("empty file lists")
     config = config or RunConfig()
 
-    def compare(paths: tuple[str | Path, str | Path]) -> FidelityPair:
-        emu_path, shared_path = paths
+    pairs = []
+    for emu_path, shared_path in zip(emulated, shared):
         emu = probe_media(emu_path, config)
         ref = probe_media(shared_path, config)
         emu_rate = measure_bitrate(emu, config).value
         ref_rate = measure_bitrate(ref, config).value
-        return FidelityPair(
-            emulated=Path(emu_path),
-            shared=Path(shared_path),
-            resolution_match=emu.resolution == ref.resolution,
-            codec_match=emu.codec_name == ref.codec_name,
-            pixel_format_match=emu.pixel_format == ref.pixel_format,
-            bitrate_rel_diff=abs(emu_rate - ref_rate) / ref_rate,
+        pairs.append(
+            FidelityPair(
+                emulated=Path(emu_path),
+                shared=Path(shared_path),
+                resolution_match=emu.resolution == ref.resolution,
+                codec_match=emu.codec_name == ref.codec_name,
+                pixel_format_match=emu.pixel_format == ref.pixel_format,
+                bitrate_rel_diff=abs(emu_rate - ref_rate) / ref_rate,
+            )
         )
+    return FidelityReport(pairs=pairs)
 
-    def attempt(paths: tuple[str | Path, str | Path]) -> FidelityPair | None:
-        try:
-            return compare(paths)
-        except (SnvseError, OSError):
-            return None
-
-    outcomes = run_batch(attempt, list(zip(emulated, shared)), config.workers)
-    return FidelityReport(pairs=[o.result or compare(o.item) for o in outcomes])

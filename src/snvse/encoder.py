@@ -14,11 +14,11 @@ every run.
 probe: the exit code is 0, the progress report ends with
 ``progress=end`` and counts at least one frame, and the output file
 exists and is non-empty. ``encode`` is the same encode plus a probe of
-the output, for the estimator's trial encodes, which alone may be
-truncated (``max_seconds``), byte-budgeted (``max_bytes``, which adds
-``-fs max_bytes``) or settled by size (``pass_rate``). ``encode`` skips
-the probe of an output whose size alone settles it; the estimator's
-module docstring states when, and what that assumes. Real ffmpeg's exit
+the output, for callers that need its ``MediaInfo``. Trial encodes alone
+may be truncated (``max_seconds``) or byte-budgeted (``max_bytes``, which
+adds ``-fs max_bytes``: ffmpeg writes no packet once the output has
+reached that size), and the estimator probes them itself
+(``probe=False``), as its module docstring states. Real ffmpeg's exit
 code and progress report after an ``-fs`` cut are unverified here; the
 bundled sim exits 0 and reports the frames it wrote.
 """
@@ -178,28 +178,24 @@ def encode(
     config: RunConfig | None = None,
     max_seconds: float | None = None,
     max_bytes: int | None = None,
-    pass_rate: float | None = None,
+    probe: bool = True,
 ) -> MediaInfo:
     """Re-encode *input_path* as ``transcode`` does, then return the probe of the output.
 
     *max_seconds*, when set, truncates the output to its first K seconds
-    (cheap trial encodes). The output is not probed when it reaches
-    *max_bytes* (cut at its byte budget), or when its size in bits over
-    its ``F - 1`` frame intervals, F being the progress report's frame
-    count, is at most *pass_rate* bit/s (settled by size). An unprobed
-    output's MediaInfo has ``probed=False`` and holds the spec's size,
-    frame rate and codec, F frames over that rate as its duration, and its
-    file size. The estimator reads ``probed``, ``file_size`` and
-    ``duration`` of such an output; only the tracer's ``encode`` span
-    reads the other fields.
+    (cheap trial encodes). The output is not probed when *probe* is False
+    or when it reaches *max_bytes*, the byte budget, at which ffmpeg cuts
+    it. An unprobed output's MediaInfo has ``probed=False`` and holds the
+    spec's size, frame rate and codec, the progress report's frames over
+    that rate as its duration, and its file size. The estimator reads
+    ``file_size`` and ``duration`` of its trials; only the tracer's
+    ``encode`` span reads the other fields.
     """
     config = config or RunConfig()
     output_path = Path(output_path)
     frames = _run_encode(Path(input_path), spec, output_path, config, max_seconds, max_bytes)
     size = output_path.stat().st_size
-    cut = max_bytes is not None and size >= max_bytes
-    settled = pass_rate is not None and size * 8 * spec.frame_rate <= pass_rate * (frames - 1)
-    if not (cut or settled):
+    if probe and (max_bytes is None or size < max_bytes):
         return probe_media(output_path, config)
     return MediaInfo(
         path=output_path,

@@ -32,8 +32,8 @@ container allowance ``H(N) = 4096 + 16 * N`` bytes:
   ``B = ceil(target * D_max / 8 * BUDGET_MARGIN) + H(N)``, 2 CRF steps of
   the rate model (about 1.26x) above the target, so it keeps a measured
   rate. It is near when the search's previous trial, one model step up
-  (a probed trial's rate, or a cut trial's bytes over its kept frames,
-  times 2^(-1/6)), predicts at most ``NEAR`` (about 1.19) times the
+  (a probed trial's rate, else its bytes over its frames, times
+  2^(-1/6)), predicts at most ``NEAR`` (about 1.19) times the
   target, and a sweep's first trial is near too. Every other budgeted
   trial is far and is cut at the target itself,
   ``B = floor(target * D_max / 8) + 1 + H(N)``; so is a trial at
@@ -41,27 +41,31 @@ container allowance ``H(N) = 4096 + 16 * N`` bytes:
 - A trial of ``F`` frames (from ffmpeg's progress report) whose output
   is small enough, ``size * 8 <= target * (F - 1) / fps_out``, passes
   without a probe and logs the upper bound
-  ``size * 8 / ((F - 1) / fps_out)``, which the rate model reads. Its file
-  is kept until the search ends; if it is the answer it is probed then,
-  so ``crf_hat`` keeps a measured rate. Kept files are removed however
-  the search ends.
+  ``size * 8 / ((F - 1) / fps_out)``. The rate model reads its bytes over
+  its ``F`` frames instead, a closer estimate that is still below the
+  target. Its file is kept until the search ends; if it is the answer it
+  is probed then, so ``crf_hat`` keeps a measured rate, and a probe above
+  the target raises ``PreconditionViolation``, since the third
+  assumption below failed. Kept files are removed however the search
+  ends.
 - Every other trial is probed. The bisection's later trials carry no
   budget, because its rate model reads a failing trial's rate, and a cut
   trial's bound sits at the budget whatever the true rate: on a curve
   steeper or flatter than ``CRF_PER_HALVING`` per halving, a secant
   through it would step short of the crossing again and again.
 
-A pair costs ``2 + trials + probed trials`` tool runs (plus a packet scan
-wherever the prober reports no stream bitrate). A bound lies on the side
-of the target it proves, so the linear sweep's answers are those of
-probing every trial, and so are the bisection's wherever the rate is
-non-increasing in CRF; the bisection's trialled CRFs may differ where a
-bound moves the rate model's rounding. The rule rests on three
-assumptions, unverified against real MP4 files here: the container adds
-at most ``H(N)`` bytes to the payload, the prober's stream bitrate is the
-payload's bits over the stream duration, and that duration spans at
-least ``F - 1`` frame intervals. A passing trial mispredicted as far
-stays under its budget on the first assumption alone.
+A pair costs ``2 + trials + probed trials`` tool runs (plus a packet
+scan wherever the prober reports no stream bitrate). An unprobed trial
+reads on the side of the target its size proves, so the linear sweep's
+answers are those of probing every trial, and so are the bisection's
+wherever the rate is non-increasing in CRF; the bisection's trialled
+CRFs may differ where a settled trial's estimate moves the rate model's
+rounding. The rule rests on three assumptions, unverified against real
+MP4 files here: the container adds at most ``H(N)`` bytes to the
+payload, the prober's stream bitrate is the payload's bits over the
+stream duration, and that duration spans at least ``F - 1`` frame
+intervals. A passing trial mispredicted as far stays under its budget on
+the first assumption alone.
 """
 
 from __future__ import annotations
@@ -177,16 +181,16 @@ def estimate_crf(
         out_path = config.scratch_dir / f"trial-{pair.pair_id}-{uuid.uuid4().hex[:8]}-crf{crf}.mp4"
         try:
             info = encode(pair.original_path, spec, out_path, config, max_seconds=trial_seconds,
-                          max_bytes=max_bytes, pass_rate=target)
-            if info.probed:
-                rate = seen = measure_bitrate(info, config).value
-            elif max_bytes is not None and info.file_size >= max_bytes:  # cut: fails
-                rate = (info.file_size - allowance) * 8 / max_duration
-                seen = info.file_size * 8 / info.duration  # its bytes over the kept frames
-            else:  # settled by its size: passes
-                intervals = round(info.duration * shared.frame_rate) - 1
-                rate = seen = float(info.file_size * 8 * shared.frame_rate / intervals)
+                          max_bytes=max_bytes, probe=False)
+            size, intervals = info.file_size, round(info.duration * shared.frame_rate) - 1
+            seen = size * 8 / info.duration  # its bytes over its frames
+            if max_bytes is not None and size >= max_bytes:  # cut: fails
+                rate = reading = (size - allowance) * 8 / max_duration
+            elif size * 8 * shared.frame_rate <= target * intervals:  # settled: passes
+                rate, reading = float(size * 8 * shared.frame_rate / intervals), seen
                 settled[crf] = out_path
+            else:
+                rate = reading = seen = measure_bitrate(probe_media(out_path, config), config).value
         finally:
             if crf not in settled:
                 out_path.unlink(missing_ok=True)
@@ -194,13 +198,19 @@ def estimate_crf(
         trials[crf] = rate
         logger.debug("pair %s: trial crf=%d -> %.0f bit/s (target %.0f)",
                       pair.pair_id, crf, rate, target)
-        return rate
+        return reading
 
     search = _linear_sweep if strategy is SearchStrategy.LINEAR_SWEEP else _bisection_with_verify
     try:
         crf_hat, saturated = search(trial, target, c_min, c_max)
         if crf_hat in settled:  # the answer keeps a measured rate
-            trials[crf_hat] = measure_bitrate(probe_media(settled[crf_hat], config), config).value
+            rate = measure_bitrate(probe_media(settled[crf_hat], config), config).value
+            if rate > target:
+                raise PreconditionViolation(
+                    f"pair {pair.pair_id}: trial crf={crf_hat} passed by its size, but probes at "
+                    f"{rate:.0f} bit/s, above the target {target:.0f}: the settle rule's "
+                    f"assumption that its stream spans F - 1 frame intervals does not hold")
+            trials[crf_hat] = rate
     finally:
         for path in settled.values():
             path.unlink(missing_ok=True)

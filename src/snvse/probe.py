@@ -37,8 +37,8 @@ class MediaInfo:
     duration: float
     file_size: int
     stream_bitrate: float | None = None
-    # False for an encode output encoder.encode left unprobed: cut at its
-    # byte budget, or settled as a pass by its size.
+    # False for an encode output encoder.encode did not probe: asked not
+    # to, or cut at its byte budget.
     probed: bool = True
 
     @property

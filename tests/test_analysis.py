@@ -1,7 +1,6 @@
 """Bootstrap stability study and fidelity reporting."""
 
 import csv
-import dataclasses
 from statistics import fmean
 
 import pytest
@@ -175,26 +174,6 @@ def test_fidelity_identity_lists(config, clips):
 def test_fidelity_reports_mismatch_without_judging(config, clips):
     report = fidelity_report([clips["hd"]], [clips["sd"]], config)
     assert report.summary()["resolution_equality_rate"] < 1.0
-
-
-def test_fidelity_pool_matches_serial_report(config, clips, tmp_path, caplog):
-    # Pairs probed config.workers at a time give the one-at-a-time report,
-    # in the given order, and the first broken pair raises the same error
-    # without a batch-failure log line.
-    names = ["sd", "hd", "flat", "textured", "hd25"]
-    emulated = [clips[n] for n in names]
-    shared = [clips[n] for n in reversed(names)]
-    serial = dataclasses.replace(config, workers=1)
-    report = fidelity_report(emulated, shared, config)
-    assert config.workers > 1
-    assert report == fidelity_report(emulated, shared, serial)
-    assert [p.emulated for p in report.pairs] == emulated
-    missing, corrupt = tmp_path / "missing.mp4", tmp_path / "corrupt.mp4"
-    corrupt.write_bytes(b"not a video")
-    for cfg in (config, serial):
-        with pytest.raises(FileNotFoundError, match="missing.mp4"):
-            fidelity_report(emulated + [clips["hd"]] * 2, shared + [missing, corrupt], cfg)
-    assert not [r for r in caplog.records if r.levelname == "ERROR"]
 
 
 def test_fidelity_length_mismatch(config, clips):

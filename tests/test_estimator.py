@@ -3,11 +3,14 @@
 import dataclasses
 import datetime as dt
 import json
+import threading
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
 import snvse.estimator
+from snvse.bitrate import measure_bitrate
 from snvse.encoder import EncodeSpec, encode, transcode
 from snvse.errors import AllItemsFailed, EncoderFailure, InvalidRange, PreconditionViolation
 from snvse.estimator import (
@@ -237,8 +240,12 @@ def budget_pairs(config, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def probed_everywhere(config, budget_pairs):
-    """Per trial window, the linear sweep's entries with every trial probed."""
-    def unbudgeted(*args, max_bytes=None, pass_rate=None, **kwargs):
+    """Per trial window, the linear sweep's entries with no trial budgeted.
+
+    The sweep's only pass is its answer, which is probed even when it
+    settles by its size, so every logged rate is measured.
+    """
+    def unbudgeted(*args, max_bytes=None, **kwargs):
         return encode(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -250,23 +257,49 @@ def probed_everywhere(config, budget_pairs):
 
 
 @pytest.fixture
-def unprobed(monkeypatch):
-    """The (output file name, crf) of every trial encode the estimator left unprobed."""
-    seen = []
+def trial_events(monkeypatch):
+    """Per thread, in order: each trial encode ("encode", crf, output name),
+    each probe of a trial output ("probe", name) and each search's end ("end",)."""
+    events = defaultdict(list)
 
-    def spy(input_path, spec, output_path, *args, **kwargs):
-        info = encode(input_path, spec, output_path, *args, **kwargs)
-        if not info.probed:
-            seen.append((output_path.name, spec.crf))
-        return info
+    def spy(name, event):
+        original = getattr(snvse.estimator, name)
 
-    monkeypatch.setattr(snvse.estimator, "encode", spy)
-    return seen
+        def call(*args, **kwargs):
+            result = original(*args, **kwargs)
+            if (recorded := event(*args)) is not None:
+                events[threading.get_ident()].append(recorded)
+            return result
+
+        monkeypatch.setattr(snvse.estimator, name, call)
+
+    spy("encode", lambda source, spec, out, *rest: ("encode", int(spec.crf), out.name))
+    spy("probe_media", lambda path, *rest: ("probe", path.name)
+        if path.name.startswith("trial-") else None)
+    for search in ("_linear_sweep", "_bisection_with_verify"):
+        spy(search, lambda *args: ("end",))
+    return events
+
+
+def unprobed_in_search(events):
+    """The (crf, output name) of every trial its search read without a probe."""
+    found = []
+    for log in events.values():
+        pending = {}
+        for kind, *rest in log:
+            if kind == "encode":
+                pending[rest[1]] = rest[0]
+            elif kind == "probe":
+                pending.pop(rest[0], None)
+            else:
+                found += [(crf, name) for name, crf in pending.items()]
+                pending = {}
+    return found
 
 
 @pytest.mark.parametrize("seconds", [None, 1.0], ids=["whole", "1s"])
 @pytest.mark.parametrize("strategy", list(SearchStrategy), ids=lambda s: s.value)
-def test_budget_keeps_every_estimate(config, budget_pairs, probed_everywhere, backend, unprobed,
+def test_budget_keeps_every_estimate(config, budget_pairs, probed_everywhere, backend, trial_events,
                                      strategy, seconds):
     reference = probed_everywhere[seconds]
     assert {p: (e.crf_hat, e.saturated) for p, e in reference.items()} == {
@@ -300,22 +333,22 @@ def test_budget_keeps_every_estimate(config, budget_pairs, probed_everywhere, ba
         assert cut > 0
     if backend == "sim" and seconds is None:
         # The answer at c_max settled by its size and was probed after the
-        # search, which is what its measured rate above shows. A 1 s trial
+        # search, which is how it logs the measured rate above. A 1 s trial
         # of 30 frames is read over 29 frame intervals; with its container
         # bytes and the sim's rate jitter, that uses up the half CRF between
         # this pass and the target, so there it is probed during the search.
         assert any(name.startswith("trial-settles-at-c_max-") and crf == BUDGET_RANGE["c_max"]
-                   for name, crf in unprobed)
+                   for crf, name in unprobed_in_search(trial_events))
 
 
 def test_search_failing_after_a_settled_pass_leaves_no_trial_file(config, budget_pairs, tmp_path,
-                                                                  unprobed, monkeypatch):
+                                                                  trial_events, monkeypatch):
     # The bisection's c_max trial settles as a pass and its file is kept
     # for a probe at the search's end; the next encode fails.
     settling = snvse.estimator.encode
 
     def fail_second(*args, **kwargs):
-        if unprobed:
+        if any(trial_events.values()):
             raise EncoderFailure("second trial fails")
         return settling(*args, **kwargs)
 
@@ -324,5 +357,31 @@ def test_search_failing_after_a_settled_pass_leaves_no_trial_file(config, budget
     with pytest.raises(EncoderFailure):
         estimate_crf(budget_pairs[0], strategy=SearchStrategy.BISECTION_WITH_VERIFY,
                      config=dataclasses.replace(config, scratch_dir=scratch), **BUDGET_RANGE)
-    assert [crf for _, crf in unprobed] == [BUDGET_RANGE["c_max"]]
+    [log] = trial_events.values()
+    assert [event[:2] for event in log] == [("encode", BUDGET_RANGE["c_max"])]
+    assert list(scratch.iterdir()) == []
+
+
+def test_settled_answer_probing_above_the_target_raises(config, budget_pairs, tmp_path,
+                                                        trial_events, monkeypatch):
+    # Every trial output probes at 4x its rate: the answer, a pass settled
+    # by its size, probes above the target after the search, which
+    # contradicts the settle rule's assumption instead of logging the pass.
+    probe = snvse.estimator.probe_media
+
+    def inflated(path, *args):
+        info = probe(path, *args)
+        if not path.name.startswith("trial-"):
+            return info
+        return dataclasses.replace(info, stream_bitrate=measure_bitrate(info, config).value * 4)
+
+    monkeypatch.setattr(snvse.estimator, "probe_media", inflated)
+    scratch = tmp_path / "scratch"
+    with pytest.raises(PreconditionViolation, match="passed by its size, but probes at") as raised:
+        estimate_crf(budget_pairs[0], strategy=SearchStrategy.BISECTION_WITH_VERIFY,
+                     config=dataclasses.replace(config, scratch_dir=scratch), **BUDGET_RANGE)
+    # The bisection's passes only go down, so its last settled one is the answer.
+    settled = [crf for crf, _ in unprobed_in_search(trial_events)]
+    assert settled[0] == BUDGET_RANGE["c_max"]
+    assert f"trial crf={settled[-1]} passed" in str(raised.value)
     assert list(scratch.iterdir()) == []

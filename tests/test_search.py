@@ -20,7 +20,7 @@ class Curve:
     A budgeted trial whose rate reaches *budget* is cut, as the estimator
     cuts one at its byte budget, and reads as the budget itself: the lowest
     bound a cut trial can log. A trial in *settled*, a pass the estimator
-    settles by its size, reads as the upper bound given there.
+    settles by its size, reads as the estimate given there.
     """
 
     def __init__(self, rates: dict[int, float], budget: float = math.inf,
@@ -118,10 +118,11 @@ def test_model_search_matches_linear_sweep(case):
 @example((_log_linear(21, 50, 6.0, 33.0), 1e5, 21, 50), 1.0, [1.0] * 52)
 @example((_log_linear(0, 51, 5.0, 23.0), 1e5, 0, 51), 0.97, [0.5] * 52)
 def test_settled_passes_keep_the_answer(case, line, spread):
-    # A pass under the pass line settles by its size and reads as an upper
-    # bound anywhere in [rate, target]; the answer and its witness must not move.
+    # A pass under the pass line settles by its size and reads as an
+    # estimate anywhere in [0, target], below its rate or above it; the
+    # answer and its witness must not move.
     rates, target, c_min, c_max = case
-    settled = {crf: min(target, rate + share * (target - rate))
+    settled = {crf: share * target
                for (crf, rate), share in zip(rates.items(), spread) if rate <= min(target, line * target)}
     _search_matching_linear_sweep(Curve(rates, settled=settled), target, c_min, c_max)
 
