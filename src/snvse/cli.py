@@ -24,7 +24,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import DEFAULT_ITERATIONS, bootstrap_stability, recommend_sample_size, write_stability_csv
 from .config import RunConfig
-from .encoder import CRF_CEIL, CRF_FLOOR, EncodeSpec, transcode
+from .encoder import CRF_CEIL, CRF_FLOOR, EncodeSpec, encode
 from .errors import AllItemsFailed, InvalidRange, IoFailure, NoSupport, PreconditionViolation, SnvseError
 from .estimator import SearchStrategy, VideoPair, check_range, estimate_batch
 from .planner import emulate_batch, supporting_entries
@@ -336,7 +336,7 @@ def cmd_mock_platform(args) -> int:
             crf=args.crf,
             frame_rate=info.frame_rate,
         )
-        return transcode(path, spec, args.out / f"{path.stem}.mp4", config)
+        return encode(path, spec, args.out / f"{path.stem}.mp4", config).path
 
     outcomes = run_batch(work, inputs, config.workers)
     ok = sum(o.ok for o in outcomes)

@@ -10,17 +10,17 @@ asks for ffmpeg's machine-readable progress report on stdout
 (``-progress pipe:1 -nostats``). The exact argument list is logged for
 every run.
 
-``transcode`` runs the encoder once and verifies the encode without a
-probe: the exit code is 0, the progress report ends with
-``progress=end`` and counts at least one frame, and the output file
-exists and is non-empty. ``encode`` is the same encode plus a probe of
-the output, for callers that need its ``MediaInfo``. Trial encodes alone
-may be truncated (``max_seconds``) or byte-budgeted (``max_bytes``, which
-adds ``-fs max_bytes``: ffmpeg writes no packet once the output has
-reached that size), and the estimator probes them itself
-(``probe=False``), as its module docstring states. Real ffmpeg's exit
-code and progress report after an ``-fs`` cut are unverified here; the
-bundled sim exits 0 and reports the frames it wrote.
+``encode`` is the one call site of the encoder. It runs it once and
+verifies the encode without a probe: the exit code is 0, the progress
+report ends with ``progress=end`` and counts at least one frame, and the
+output file exists and is non-empty. It returns what the run reports,
+not measured facts; callers that need those probe the output. Trial
+encodes alone may be truncated (``max_seconds``) or byte-budgeted
+(``max_bytes``, which adds ``-fs max_bytes``: ffmpeg writes no packet
+once the output has reached that size), as the estimator's module
+docstring states. Real ffmpeg's exit code and progress report after an
+``-fs`` cut are unverified here; the bundled sim exits 0 and reports the
+frames it wrote.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from pathlib import Path
 
 from .config import RunConfig
 from .errors import EncoderFailure, PreconditionViolation
-from .probe import MediaInfo, probe_media
+from .probe import MediaInfo
 from .runner import run_tool
 
 logger = logging.getLogger(__name__)
@@ -121,20 +121,29 @@ def _unfinished(report: dict[str, str], output_path: Path) -> str | None:
     return None if size else "output file is empty"
 
 
-def _run_encode(
-    input_path: Path,
+def encode(
+    input_path: str | Path,
     spec: EncodeSpec,
-    output_path: Path,
-    config: RunConfig,
-    max_seconds: float | None,
-    max_bytes: int | None,
-) -> int:
-    """Run one verified encode and return the frames its progress report counts."""
+    output_path: str | Path,
+    config: RunConfig | None = None,
+    max_seconds: float | None = None,
+    max_bytes: int | None = None,
+) -> MediaInfo:
+    """Re-encode *input_path* per *spec* in one tool run and return what the run reports.
+
+    *max_seconds*, when set, truncates the output to its first K seconds
+    and *max_bytes* cuts it at that size (trial encodes). The MediaInfo
+    holds the spec's size, frame rate and codec, the progress report's
+    frames over that rate as its duration, and the output's file size.
+    An encode that exits nonzero, or exits 0 without a finished, non-empty
+    output, raises EncoderFailure; partial outputs are removed on failure.
+    """
     spec.validate()
+    input_path, output_path = Path(input_path), Path(output_path)
     if not input_path.exists():
         raise FileNotFoundError(str(input_path))
 
-    argv = build_encode_argv(input_path, spec, output_path, config, max_seconds, max_bytes)
+    argv = build_encode_argv(input_path, spec, output_path, config or RunConfig(), max_seconds, max_bytes)
     try:
         result = run_tool(argv)
         if result.returncode != 0:
@@ -152,51 +161,6 @@ def _run_encode(
     except BaseException:
         output_path.unlink(missing_ok=True)
         raise
-    return int(report["frame"])
-
-
-def transcode(
-    input_path: str | Path,
-    spec: EncodeSpec,
-    output_path: str | Path,
-    config: RunConfig | None = None,
-) -> Path:
-    """Re-encode *input_path* per *spec* in one tool run and return the output path.
-
-    An encode that exits nonzero, or exits 0 without a finished, non-empty
-    output, raises EncoderFailure; partial outputs are removed on failure.
-    """
-    output_path = Path(output_path)
-    _run_encode(Path(input_path), spec, output_path, config or RunConfig(), None, None)
-    return output_path
-
-
-def encode(
-    input_path: str | Path,
-    spec: EncodeSpec,
-    output_path: str | Path,
-    config: RunConfig | None = None,
-    max_seconds: float | None = None,
-    max_bytes: int | None = None,
-    probe: bool = True,
-) -> MediaInfo:
-    """Re-encode *input_path* as ``transcode`` does, then return the probe of the output.
-
-    *max_seconds*, when set, truncates the output to its first K seconds
-    (cheap trial encodes). The output is not probed when *probe* is False
-    or when it reaches *max_bytes*, the byte budget, at which ffmpeg cuts
-    it. An unprobed output's MediaInfo has ``probed=False`` and holds the
-    spec's size, frame rate and codec, the progress report's frames over
-    that rate as its duration, and its file size. The estimator reads
-    ``file_size`` and ``duration`` of its trials; only the tracer's
-    ``encode`` span reads the other fields.
-    """
-    config = config or RunConfig()
-    output_path = Path(output_path)
-    frames = _run_encode(Path(input_path), spec, output_path, config, max_seconds, max_bytes)
-    size = output_path.stat().st_size
-    if probe and (max_bytes is None or size < max_bytes):
-        return probe_media(output_path, config)
     return MediaInfo(
         path=output_path,
         width=spec.target_width,
@@ -204,7 +168,6 @@ def encode(
         frame_rate=spec.frame_rate,
         codec_name="h264",
         pixel_format=PIXEL_FORMAT,
-        duration=float(frames / spec.frame_rate),
-        file_size=size,
-        probed=False,
+        duration=float(int(report["frame"]) / spec.frame_rate),
+        file_size=output_path.stat().st_size,
     )

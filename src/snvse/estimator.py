@@ -181,7 +181,7 @@ def estimate_crf(
         out_path = config.scratch_dir / f"trial-{pair.pair_id}-{uuid.uuid4().hex[:8]}-crf{crf}.mp4"
         try:
             info = encode(pair.original_path, spec, out_path, config, max_seconds=trial_seconds,
-                          max_bytes=max_bytes, probe=False)
+                          max_bytes=max_bytes)
             size, intervals = info.file_size, round(info.duration * shared.frame_rate) - 1
             seen = size * 8 / info.duration  # its bytes over its frames
             if max_bytes is not None and size >= max_bytes:  # cut: fails

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .config import RunConfig
-from .encoder import EncodeSpec, normalize_dimensions, transcode
+from .encoder import EncodeSpec, encode, normalize_dimensions
 from .errors import AllItemsFailed, NoSupport, PreconditionViolation, PresetMismatch
 from .probe import probe_media
 from .profile_db import PlatformProfile, ProfileEntry
@@ -167,7 +167,7 @@ def emulate_batch(
     def work(input_path: str | Path) -> EmulationPlan:
         plan = plan_emulation(input_path, profile, config, include_saturated)
         output_path = out_dir / f"{plan.input_path.stem}.{profile.platform_name}.mp4"
-        return replace(plan, output_path=transcode(plan.input_path, plan.spec, output_path, config))
+        return replace(plan, output_path=encode(plan.input_path, plan.spec, output_path, config).path)
 
     outcomes = run_batch(work, inputs, config.workers)
 

@@ -26,7 +26,8 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class MediaInfo:
-    """Probed facts about one video file."""
+    """Facts about one video file: measured by ``probe_media``, or as the
+    run of ``encoder.encode`` reports them, with no stream bitrate."""
 
     path: Path
     width: int
@@ -37,9 +38,6 @@ class MediaInfo:
     duration: float
     file_size: int
     stream_bitrate: float | None = None
-    # False for an encode output encoder.encode did not probe: asked not
-    # to, or cut at its byte budget.
-    probed: bool = True
 
     @property
     def resolution(self) -> tuple[int, int]:

@@ -147,7 +147,7 @@ def _require(doc: dict, key: str, kind, where: str):
 
 def _parse_pair(doc: dict, key: str, where: str) -> tuple[int, int]:
     value = _require(doc, key, list, where)
-    if len(value) != 2 or not all(isinstance(v, int) and v > 0 for v in value):
+    if len(value) != 2 or not all(type(v) is int and v > 0 for v in value):
         raise SchemaViolation(f"{where}.{key} must be [width, height] of positive ints, got {value!r}")
     return (value[0], value[1])
 

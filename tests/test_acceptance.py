@@ -180,8 +180,8 @@ def test_c4_crf_monotonicity(config, clips, tmp_path):
                     crf=float(crf),
                     frame_rate=info.frame_rate,
                 )
-                out = encode(source, spec, tmp_path / f"{name}-{crf}.mp4", config)
-                rates.append(measure_bitrate(out, config).value)
+                out = encode(source, spec, tmp_path / f"{name}-{crf}.mp4", config).path
+                rates.append(measure_bitrate(probe_media(out, config), config).value)
             for earlier, later in zip(rates, rates[1:]):
                 assert later <= earlier or abs(later - earlier) / earlier < 0.02, (name, rates)
 

@@ -9,14 +9,9 @@ import pytest
 
 from snvse import sim
 from snvse.bitrate import measure_bitrate
-from snvse.encoder import (
-    EncodeSpec,
-    build_encode_argv,
-    encode,
-    normalize_dimensions,
-    transcode,
-)
+from snvse.encoder import EncodeSpec, build_encode_argv, encode, normalize_dimensions
 from snvse.errors import EncoderFailure, PreconditionViolation
+from snvse.probe import probe_media
 from conftest import fake_encoder, make_clip
 
 
@@ -29,6 +24,11 @@ def _spec(**overrides):
     )
     defaults.update(overrides)
     return EncodeSpec(**defaults)
+
+
+def _probed(config, source, spec, out):
+    """The probe of an encode's output: measured facts, not what the run reports."""
+    return probe_media(encode(source, spec, out, config).path, config)
 
 
 @pytest.mark.parametrize(
@@ -46,7 +46,7 @@ def test_normalize_dimensions_rejects_tiny():
 
 def test_encode_output_matches_spec(config, clips, tmp_path):
     spec = _spec(target_width=1280, target_height=720, crf=30.0, frame_rate=Fraction(30, 1))
-    info = encode(clips["hd"], spec, tmp_path / "out.mp4", config)
+    info = _probed(config, clips["hd"], spec, tmp_path / "out.mp4")
     assert info.width == 1280
     assert info.height == 720
     assert info.codec_name == "h264"
@@ -56,21 +56,21 @@ def test_encode_output_matches_spec(config, clips, tmp_path):
 
 def test_encode_downscale_and_fps_change(config, clips, tmp_path):
     spec = _spec(frame_rate=Fraction(24, 1))
-    info = encode(clips["hd"], spec, tmp_path / "out.mp4", config)
+    info = _probed(config, clips["hd"], spec, tmp_path / "out.mp4")
     assert info.resolution == (640, 360)
     assert info.frame_rate == Fraction(24, 1)
 
 
 def test_higher_crf_means_lower_bitrate(config, clips, tmp_path):
-    low = encode(clips["textured"], _spec(crf=23.0), tmp_path / "c23.mp4", config)
-    high = encode(clips["textured"], _spec(crf=45.0), tmp_path / "c45.mp4", config)
+    low = _probed(config, clips["textured"], _spec(crf=23.0), tmp_path / "c23.mp4")
+    high = _probed(config, clips["textured"], _spec(crf=45.0), tmp_path / "c45.mp4")
     assert measure_bitrate(low, config).value > measure_bitrate(high, config).value
 
 
 def test_bitrate_non_increasing_across_crf_grid(config, clips, tmp_path):
     rates = []
     for crf in (21, 30, 40, 50):
-        info = encode(clips["textured"], _spec(crf=float(crf)), tmp_path / f"c{crf}.mp4", config)
+        info = _probed(config, clips["textured"], _spec(crf=float(crf)), tmp_path / f"c{crf}.mp4")
         rates.append(measure_bitrate(info, config).value)
     for earlier, later in zip(rates, rates[1:]):
         # Inversions tolerated only when the two rates are within 2%.
@@ -78,8 +78,8 @@ def test_bitrate_non_increasing_across_crf_grid(config, clips, tmp_path):
 
 
 def test_encode_is_rate_stable(config, clips, tmp_path):
-    a = encode(clips["sd"], _spec(), tmp_path / "a.mp4", config)
-    b = encode(clips["sd"], _spec(), tmp_path / "b.mp4", config)
+    a = _probed(config, clips["sd"], _spec(), tmp_path / "a.mp4")
+    b = _probed(config, clips["sd"], _spec(), tmp_path / "b.mp4")
     rate_a = measure_bitrate(a, config).value
     rate_b = measure_bitrate(b, config).value
     assert abs(rate_a - rate_b) / rate_a < 0.01
@@ -114,7 +114,7 @@ def test_fake_encoder_with_finished_output_is_accepted(config, clips, tmp_path):
     # The control for the rejections below: the same kind of script passes
     # when its report and its output are complete.
     fake = fake_encoder(config, _WRITE_BYTES + _FINISHED)
-    assert transcode(clips["flat"], _spec(), tmp_path / "out.mp4", fake).stat().st_size == 64
+    assert encode(clips["flat"], _spec(), tmp_path / "out.mp4", fake).path.stat().st_size == 64
 
 
 @pytest.mark.parametrize("code,reason", [
@@ -128,7 +128,7 @@ def test_fake_encoder_with_finished_output_is_accepted(config, clips, tmp_path):
 def test_exit_0_without_finished_output_fails(config, clips, tmp_path, code, reason):
     out = tmp_path / "out.mp4"
     with pytest.raises(EncoderFailure, match=reason):
-        transcode(clips["flat"], _spec(), out, fake_encoder(config, code))
+        encode(clips["flat"], _spec(), out, fake_encoder(config, code))
     assert not out.exists()
 
 
@@ -191,22 +191,29 @@ def test_argv_pins_the_full_contract(config, tmp_path):
     assert trial == argv[:-1] + ["-t", "2", "-fs", "123456", argv[-1]]
 
 
-def test_encode_over_its_byte_budget_is_not_probed(config, clips, tmp_path, tool_calls):
+def test_every_encode_is_one_tool_run(config, clips, tmp_path, tool_calls):
+    # Budgeted or not, an encode runs the encoder once and never probes;
+    # it returns what the run wrote.
     spec = _spec(crf=20.0)
     whole = encode(clips["textured"], spec, tmp_path / "whole.mp4", config)
     roomy = encode(clips["textured"], spec, tmp_path / "roomy.mp4", config,
                    max_bytes=whole.file_size + 1)
-    assert dataclasses.replace(roomy, path=whole.path) == whole
-    assert len(tool_calls) == 4  # an encode and its probe, twice
-
-    tool_calls.clear()
     budget = whole.file_size // 4
     cut = encode(clips["textured"], spec, tmp_path / "cut.mp4", config, max_bytes=budget)
-    assert len(tool_calls) == 1  # the encode alone
-    assert roomy.probed and not cut.probed
-    assert cut.file_size == (tmp_path / "cut.mp4").stat().st_size >= budget
+    assert ["-fs" in argv for argv in tool_calls] == [False, True, True]
+
+    def frames(info):
+        return round(info.duration * info.frame_rate)
+
+    # An uncut output reports the size and frames its probe measures.
+    assert dataclasses.replace(roomy, path=whole.path) == whole
+    probed = probe_media(whole.path, config)
+    assert (whole.file_size, frames(whole)) == (probed.file_size, frames(probed))
+    assert (whole.resolution, whole.frame_rate) == (probed.resolution, probed.frame_rate)
+    # A cut one reached its budget and wrote fewer frames.
+    assert cut.file_size == cut.path.stat().st_size >= budget
     assert (cut.width, cut.height, cut.frame_rate) == (640, 360, spec.frame_rate)
-    assert 0 < cut.duration * cut.frame_rate < whole.duration * whole.frame_rate
+    assert 0 < frames(cut) < frames(probed)
 
 
 def test_argv_is_logged_verbatim(config, clips, tmp_path, caplog):

@@ -11,7 +11,7 @@ import pytest
 
 import snvse.estimator
 from snvse.bitrate import measure_bitrate
-from snvse.encoder import EncodeSpec, encode, transcode
+from snvse.encoder import EncodeSpec, encode
 from snvse.errors import AllItemsFailed, EncoderFailure, InvalidRange, PreconditionViolation
 from snvse.estimator import (
     SearchStrategy,
@@ -233,7 +233,7 @@ def budget_pairs(config, tmp_path_factory):
                                        "rgbtestsrc"]):
         original = make_clip(config, root / f"{name}.mp4", source=source, size=(640, 360), duration=3)
         shared = root / f"{name}-shared.mp4"
-        transcode(original, EncodeSpec(640, 360, hidden, Fraction(30, 1)), shared, config)
+        encode(original, EncodeSpec(640, 360, hidden, Fraction(30, 1)), shared, config)
         pairs.append(VideoPair(original, shared, pair_id=name))
     return pairs
 

@@ -118,3 +118,17 @@ def test_only_runner_runs_processes_and_pools():
                 continue
             for name in names:
                 assert name.split(".")[0] not in forbidden, (module, name)
+
+
+def test_each_tool_has_one_call_site():
+    # encoder.encode runs the encoder and probe._run_prober the prober;
+    # every other module reaches a tool through one of them.
+    callers = set()
+    for path in sorted(Path(snvse.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id == "run_tool"
+                        or isinstance(node, ast.Attribute) and node.attr == "run_tool"):
+                    callers.add((path.name, owner))
+    assert callers == {("encoder.py", "encode"), ("probe.py", "_run_prober")}

@@ -121,6 +121,19 @@ def test_odd_rho_out_rejected_on_load(tmp_path):
         load_profile(path)
 
 
+@pytest.mark.parametrize("rho_in", [[True, True], [1280, True]], ids=["both", "height"])
+def test_boolean_dimensions_rejected_on_load(tmp_path, rho_in):
+    # JSON true is a Python bool, and bool is an int subclass; it must not
+    # load as a dimension of 1 and save back as true.
+    path = tmp_path / "p.json"
+    save_profile(profile([entry()]), path)
+    doc = json.loads(path.read_text())
+    doc["entries"][0]["rho_in"] = rho_in
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaViolation, match="rho_in"):
+        load_profile(path)
+
+
 def test_crf_out_of_range_rejected_on_load(tmp_path):
     path = tmp_path / "p.json"
     save_profile(profile([entry()]), path)
