@@ -26,7 +26,7 @@ from .analysis import DEFAULT_ITERATIONS, bootstrap_stability, recommend_sample_
 from .config import RunConfig
 from .encoder import CRF_CEIL, CRF_FLOOR, EncodeSpec, encode
 from .errors import AllItemsFailed, InvalidRange, IoFailure, NoSupport, PreconditionViolation, SnvseError
-from .estimator import SearchStrategy, VideoPair, check_range, estimate_batch
+from .estimator import DEFAULT_STRATEGY, SearchStrategy, VideoPair, check_range, estimate_batch
 from .planner import emulate_batch, supporting_entries
 from .probe import probe_media
 from .profile_db import CRF_MAX, CRF_MIN, PlatformProfile, ProfileEntry, load_profile, save_profile
@@ -128,7 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--c-min", type=int, default=CRF_MIN)
     p_est.add_argument("--c-max", type=int, default=CRF_MAX)
     p_est.add_argument("--strategy", choices=[s.value for s in SearchStrategy],
-                       default=SearchStrategy.LINEAR_SWEEP.value)
+                       default=DEFAULT_STRATEGY.value,
+                       help=f"CRF search (default: {DEFAULT_STRATEGY.value}); "
+                            f"{SearchStrategy.LINEAR_SWEEP.value}, every CRF from --c-min up, "
+                            "is the paper's reference and finds the same CRF on monotone rates")
     p_est.add_argument("--trial-seconds", type=_positive_seconds, default=None,
                        help="truncate trial encodes to the first K seconds")
     p_est.set_defaults(func=cmd_estimate)

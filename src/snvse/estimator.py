@@ -4,17 +4,22 @@ at or under the shared video's bitrate.
 For each (original, shared) pair the original is re-encoded at candidate
 CRFs to the shared video's resolution and frame rate, and the first
 candidate whose measured bitrate does not exceed the shared bitrate wins.
-The default search is a linear sweep from the low end, the reference
-definition. The bisection strategy is a rate-model-guided bracket search:
-it assumes bitrate is non-increasing in CRF and that x264's rate is close
-to log-linear in CRF (+6 CRF roughly halves it), predicts the crossing
-from the trials that bound it, and stops only when the trial log holds
-the minimality witness (the answer passes and the CRF below it fails or
-lies below the range). On the sim backend's 1280x720 -> 640x360 CRF-33
-pair it takes 3 trials against the linear sweep's 13. When even the top
-of the range overshoots, the result is clamped there and flagged
-saturated. The range must lie within ``profile_db.CRF_MIN``/``CRF_MAX``,
-the only definition of the bounds, so every estimate can be saved.
+The default search (``DEFAULT_STRATEGY``) is the bisection, a
+rate-model-guided bracket search: it assumes bitrate is non-increasing in
+CRF and that x264's rate is close to log-linear in CRF (+6 CRF roughly
+halves it), predicts the crossing from the trials that bound it, and
+stops only when the trial log holds the minimality witness (the answer
+passes and the CRF below it fails or lies below the range). The linear
+sweep from the low end is the reference definition; the bisection returns
+its answer on every non-increasing rate curve. Where the curve rises, the
+bisection's answer still passes with a failing CRF (or the range's floor)
+below it, but may lie above the sweep's first crossing, and a failing
+``c_max`` reads as saturated. On the sim backend's 1280x720 -> 640x360
+CRF-33 pair the bisection takes 3 trials against the linear sweep's 13.
+When even the top of the range overshoots, the result is clamped there
+and flagged saturated. The range must lie within
+``profile_db.CRF_MIN``/``CRF_MAX``, the only definition of the bounds, so
+every estimate can be saved.
 
 Trial encodes and the tool runs they cost. This is the one statement of
 the budget and probe rule; README points here. With the trial window
@@ -100,6 +105,10 @@ class SearchStrategy(Enum):
     BISECTION_WITH_VERIFY = "bisection"
 
 
+# The search estimate_crf, estimate_batch and ``snvse estimate`` run unless told otherwise.
+DEFAULT_STRATEGY = SearchStrategy.BISECTION_WITH_VERIFY
+
+
 @dataclass(frozen=True)
 class VideoPair:
     """One original video and its platform-shared counterpart."""
@@ -129,7 +138,7 @@ def estimate_crf(
     pair: VideoPair,
     c_min: int = CRF_MIN,
     c_max: int = CRF_MAX,
-    strategy: SearchStrategy = SearchStrategy.LINEAR_SWEEP,
+    strategy: SearchStrategy = DEFAULT_STRATEGY,
     config: RunConfig | None = None,
     trial_seconds: float | None = None,
 ) -> ProfileEntry:
@@ -237,18 +246,20 @@ def _bisection_with_verify(trial, target: float, c_min: int, c_max: int) -> tupl
     """Rate-model-guided search for the lowest passing CRF.
 
     Assumes bitrate is non-increasing in CRF; where encoder noise breaks
-    that, the answer still passes with a failing CRF below it, but may lie
-    above the linear sweep's first crossing. Keeps a bracket (lo, hi]:
-    lo is the highest CRF known to fail (c_min - 1, never trialled, at the
-    start) and hi the lowest known to pass. Each step trials the CRF where
-    the rate model puts the target, clamped strictly inside the bracket,
-    and the search stops when hi - lo == 1, so the trials witness that hi
-    is minimal. A model step that does not halve the bracket is followed by
-    a midpoint step, which keeps the worst case logarithmic for encoders
-    whose rate is not log-linear. The first such step is exempt, because an
-    accurate model that lands just below the crossing closes the bracket on
-    its next step; the exemption costs at most one trial, so the search
-    takes at most 2 + 2 * ceil(log2(c_max - c_min + 1)) trials.
+    that, the answer still passes with a failing CRF (or the range's floor)
+    below it, but may lie above the linear sweep's first crossing, and a
+    failing c_max reads as saturated even if some lower CRF passes. Keeps a
+    bracket (lo, hi]: lo is the highest CRF known to fail (c_min - 1, never
+    trialled, at the start) and hi the lowest known to pass. Each step
+    trials the CRF where the rate model puts the target, clamped strictly
+    inside the bracket, and the search stops when hi - lo == 1, so the
+    trials witness that hi is minimal. A model step that does not halve the
+    bracket is followed by a midpoint step, which keeps the worst case
+    logarithmic for encoders whose rate is not log-linear. The first such
+    step is exempt, because an accurate model that lands just below the
+    crossing closes the bracket on its next step; the exemption costs at
+    most one trial, so the search takes at most
+    2 + 2 * ceil(log2(c_max - c_min + 1)) trials.
     """
     r_hi = trial(c_max)  # budgeted: a failure here ends the search
     if r_hi > target:
@@ -303,7 +314,7 @@ def estimate_batch(
     pairs: list[VideoPair],
     c_min: int = CRF_MIN,
     c_max: int = CRF_MAX,
-    strategy: SearchStrategy = SearchStrategy.LINEAR_SWEEP,
+    strategy: SearchStrategy = DEFAULT_STRATEGY,
     config: RunConfig | None = None,
     trial_seconds: float | None = None,
 ) -> list[Outcome]:

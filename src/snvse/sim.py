@@ -13,6 +13,10 @@ bits/s scales with a per-source content complexity, resolution, frame
 rate, an x264-style halving of rate every +6 CRF, and a preset factor,
 plus a tiny bounded jitter derived from a hash of the encode arguments
 (so repeat runs are bit-stable but distinct settings do not collide).
+A lavfi source may set its own CRF per halving with ``halving=S``, a
+sim-only option that real lavfi rejects: it is kept in the stream header
+and copied to every encode made from that source, so a platform's encode
+and the estimator's trials price with the same slope.
 Rate is strictly decreasing in CRF, which is the property the estimator
 relies on. ``-fs LIMIT`` cuts the output as ffmpeg does: no packet is
 written once the file has reached LIMIT bytes, and the progress report
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -56,6 +61,7 @@ _PRESET_FACTOR = {
 }
 
 _RATE_BASE = 14.0
+_CRF_PER_HALVING = 6.0
 _AUDIO_TRANSCODE_BPS = 128_000.0
 
 
@@ -80,14 +86,18 @@ def video_bits_per_second(
     fps: Fraction,
     crf: float,
     preset: str,
+    halving: float = _CRF_PER_HALVING,
 ) -> float:
-    """Deterministic bits/s for one encode; strictly decreasing in CRF."""
+    """Deterministic bits/s for one encode; strictly decreasing in CRF.
+
+    The rate halves every *halving* CRF; the jitter does not depend on it.
+    """
     rate = (
         _RATE_BASE
         * complexity
         * (width * height) ** 0.92
         * float(fps / 30) ** 0.55
-        * 2.0 ** ((23.0 - crf) / 6.0)
+        * 2.0 ** ((23.0 - crf) / halving)
         * _PRESET_FACTOR.get(preset, 1.0)
     )
     key = f"{complexity:.6f}|{width}x{height}|{fps.numerator}/{fps.denominator}|{crf:.3f}|{preset}"
@@ -179,7 +189,7 @@ def synthesize_source(desc: str) -> dict:
     width, height = _parse_size(params.get("size", params.get("s", "320x240")))
     rate = Fraction(params.get("rate", params.get("r", "25")))
     duration = float(params.get("duration", params.get("d", "0")) or 0)
-    return {
+    stream = {
         "type": "video",
         "codec": "rawvideo",
         "width": width,
@@ -191,6 +201,12 @@ def synthesize_source(desc: str) -> dict:
         "payload": 0,
         "bit_rate": 0.0,
     }
+    if "halving" in params:  # absent unless set, so other headers stay as they were
+        halving = float(params["halving"])
+        if not 0 < halving < math.inf:
+            raise SimError(f"halving must be positive and finite, got {params['halving']!r}")
+        stream["halving"] = halving
+    return stream
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +384,8 @@ def run_ffmpeg(argv: list[str]) -> int:
             out_complexity = _decay_complexity(complexity, 28.0)
         else:
             crf = opts["crf"] if opts["crf"] is not None else 23.0
-            bps = video_bits_per_second(complexity, width, height, fps, crf, opts["preset"])
+            bps = video_bits_per_second(complexity, width, height, fps, crf, opts["preset"],
+                                        video_in.get("halving", _CRF_PER_HALVING))
             out_complexity = _decay_complexity(complexity, crf)
         frames = max(1, round(duration * fps))
         out_streams.append(
@@ -386,6 +403,8 @@ def run_ffmpeg(argv: list[str]) -> int:
                 "frames": frames,
             }
         )
+        if "halving" in video_in:
+            out_streams[-1]["halving"] = video_in["halving"]
 
     wants_audio = not opts["an"] and (not opts["maps"] or any("a" in m for m in opts["maps"]))
     if audio_in is not None and (wants_audio or video_in is None):

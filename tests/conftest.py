@@ -106,9 +106,15 @@ def make_clip(
     duration: float = 6.0,
     crf: float = 18,
     preset: str = "medium",
+    halving: float | None = None,
 ) -> Path:
-    """Generate a fixture clip through the configured encoder binary."""
+    """Generate a fixture clip through the configured encoder binary.
+
+    *halving*, the CRF per halving of the rate, is a sim-only source option.
+    """
     desc = f"{source}=size={size[0]}x{size[1]}:rate={fps}"
+    if halving is not None:
+        desc += f":halving={halving:g}"
     argv = config.ffmpeg_argv() + [
         "-hide_banner", "-loglevel", "error", "-y",
         "-f", "lavfi", "-i", desc,

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import snvse.cli
+import snvse.estimator
 from snvse.cli import build_parser, main
 from snvse.probe import probe_media
 from snvse.profile_db import PlatformProfile, ProfileEntry, load_profile, save_profile
@@ -83,6 +84,16 @@ def test_every_option_is_read():
         for action in parser._actions:
             if not isinstance(action, skipped):
                 assert action.dest in read, (parser.prog, action.dest)
+
+
+def test_estimate_searches_by_bisection_unless_told_otherwise(capsys):
+    # The default lives in the estimator; the linear sweep is the reference.
+    args = build_parser().parse_args(["estimate", "o", "s", "--platform", "p", "--out", "p.json"])
+    assert args.strategy == snvse.estimator.DEFAULT_STRATEGY.value == "bisection"
+    with pytest.raises(SystemExit):
+        main(["estimate", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "(default: bisection)" in help_text and "linear, every CRF" in help_text
 
 
 def test_usage_error_exit_code_2():
@@ -177,7 +188,7 @@ def test_spawn_budget_of_mock_platform_and_estimate(config, tmp_path, quiet, too
     # A linear sweep from far below the crossing (CRF 33): every trial
     # before crf_hat - 1 is budgeted at the target and cut there, so only
     # crf_hat - 1 and crf_hat run a probe.
-    trials, probed = estimate("--c-min", "21", "--c-max", "40")
+    trials, probed = estimate("--strategy", "linear", "--c-min", "21", "--c-max", "40")
     assert all(argv[-3] == "-fs" for argv in trials)
     assert len(trials) == 13
     assert [argv[-1] for argv in probed] == [argv[-1] for argv in trials[-2:]]

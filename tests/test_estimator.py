@@ -105,7 +105,8 @@ def test_high_bitrate_shared_hits_lower_bound(config, tmp_path):
     info = probe_media(original, config)
     shared = tmp_path / "shared.mp4"
     encode(original, EncodeSpec(640, 360, 10.0, info.frame_rate), shared, config)
-    result = estimate_crf(VideoPair(original, shared, "floor"), config=config)
+    result = estimate_crf(VideoPair(original, shared, "floor"),
+                          strategy=SearchStrategy.LINEAR_SWEEP, config=config)
     assert result.crf_hat == 21
     assert not result.saturated
     assert len(result.trial_log) == 1
@@ -117,7 +118,8 @@ def test_adversarial_pair_saturates(config, clips, tmp_path):
     flat_info = probe_media(clips["flat"], config)
     tiny_shared = tmp_path / "tiny.mp4"
     encode(clips["flat"], EncodeSpec(640, 360, 50.0, flat_info.frame_rate), tiny_shared, config)
-    result = estimate_crf(VideoPair(clips["textured"], tiny_shared, "sat"), config=config)
+    result = estimate_crf(VideoPair(clips["textured"], tiny_shared, "sat"),
+                          strategy=SearchStrategy.LINEAR_SWEEP, config=config)
     assert result.crf_hat == 50
     assert result.saturated
     assert len(result.trial_log) == 30
@@ -138,6 +140,13 @@ def test_strategies_agree_on_monotone_pair(hidden_pair, config):
     trials = dict(bisect.trial_log)
     assert trials[bisect.crf_hat] <= bisect.target_bitrate
     assert trials[bisect.crf_hat - 1] > bisect.target_bitrate
+
+
+def test_bisection_is_the_default_search(hidden_pair, config):
+    bisect = estimate_crf(hidden_pair, strategy=SearchStrategy.BISECTION_WITH_VERIFY, config=config)
+    assert estimate_crf(hidden_pair, config=config).trial_log == bisect.trial_log
+    [outcome] = estimate_batch([hidden_pair], config=config)
+    assert outcome.result.trial_log == bisect.trial_log
 
 
 def test_trial_seconds_truncation_still_recovers(hidden_pair, config):
@@ -251,8 +260,8 @@ def probed_everywhere(config, budget_pairs):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(snvse.estimator, "encode", unbudgeted)
         return {seconds: {o.result.pair_id: o.result for o in
-                          estimate_batch(budget_pairs, config=config, trial_seconds=seconds,
-                                         **BUDGET_RANGE)}
+                          estimate_batch(budget_pairs, strategy=SearchStrategy.LINEAR_SWEEP,
+                                         config=config, trial_seconds=seconds, **BUDGET_RANGE)}
                 for seconds in (None, 1.0)}
 
 

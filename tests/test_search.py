@@ -6,6 +6,7 @@ witness in its trials, and stay within a logarithmic number of trials even
 where the curve is far from log-linear.
 """
 
+import itertools
 import math
 import random
 
@@ -117,6 +118,11 @@ def test_model_search_matches_linear_sweep(case):
 # the trials.
 @example((_log_linear(21, 50, 6.0, 33.0), 1e5, 21, 50), 1.0, [1.0] * 52)
 @example((_log_linear(0, 51, 5.0, 23.0), 1e5, 0, 51), 0.97, [0.5] * 52)
+# The bench's seed-7 detour: only CRF 50 settles, read at 0.380x the
+# target where its rate is 0.358x, which moves the first model step from
+# 41 to 42; the search then trials 50, 42, 41, 30, 40 where probing every
+# trial takes 50, 41, 40.
+@example((_log_linear(21, 50, 6.21, 40.8), 1e5, 21, 50), 0.37, [0.380] * 52)
 def test_settled_passes_keep_the_answer(case, line, spread):
     # A pass under the pass line settles by its size and reads as an
     # estimate anywhere in [0, target], below its rate or above it; the
@@ -178,3 +184,81 @@ def test_two_passing_trials_give_the_slope():
             counts.append(len(curve.trials))
         assert sum(counts) / len(counts) <= 4.2, slope
         assert max(counts) <= 5, slope
+
+
+def _seeded_search(rng):
+    """A curve of the searches() families, drawn from *rng*, with a target and a range.
+
+    Log-linear at 3.5-10 CRF per halving, curved or stepped; half of them
+    carry +-1.5% encoder noise, kept non-increasing by a running minimum.
+    """
+    c_min, c_max = (21, 50) if rng.random() < 0.5 else sorted(rng.sample(range(52), 2))
+    crfs = range(c_min, c_max + 1)
+    shape = rng.choice(["log-linear", "curved", "steps"])
+    slope = rng.uniform(3.5, 10.0)
+    if shape == "log-linear":
+        logs = [-(c - c_min) / slope for c in crfs]
+    elif shape == "curved":
+        power = rng.uniform(0.3, 3.0)
+        logs = [-((c - c_min) / slope) ** power for c in crfs]
+    else:
+        drops = [rng.choice([0.0, 0.0, 0.05, 0.2, 1.0, 3.0]) for _ in crfs[1:]]
+        logs = [-sum(drops[:i]) for i in range(len(crfs))]
+    rates = [1e6 * 2.0 ** log for log in logs]
+    if rng.random() < 0.5:
+        rates = itertools.accumulate((r * rng.uniform(0.985, 1.015) for r in rates), min)
+    rates = dict(zip(crfs, rates))
+    values = sorted(rates.values())
+    where = rng.choice(["tie", "between", "between", "at c_min", "saturated"])
+    if where == "tie":
+        target = rng.choice(values)
+    elif where == "between":
+        target = rng.choice(values) * rng.uniform(0.5, 2.0)
+    elif where == "at c_min":
+        target = values[-1] * 1.5
+    else:
+        target = values[0] * 0.5
+    return rates, target, c_min, c_max
+
+
+def test_seeded_corpus_matches_linear_sweep():
+    # The in-process evidence behind the bisection as the default search:
+    # the answer, its witness and the trial bound on a fixed corpus.
+    rng = random.Random(20261019)
+    for _ in range(4000):
+        rates, target, c_min, c_max = _seeded_search(rng)
+        assert all(a >= b for a, b in itertools.pairwise(rates.values()))
+        _search_matching_linear_sweep(Curve(rates), target, c_min, c_max)
+
+
+def test_seeded_rising_curves_keep_a_witnessed_answer():
+    # A bump makes the rate rise at some CRF, as encoder noise can. The
+    # bisection's answer then still passes with a failing CRF (or the
+    # range's floor) below it, and is never below the linear sweep's first
+    # crossing, but may lie above it; a failing c_max reads as saturated.
+    rng = random.Random(18)
+    above = 0
+    for _ in range(2000):
+        rates, _, c_min, c_max = _seeded_search(rng)
+        start = rng.randint(c_min + 1, c_max)
+        window = range(start, min(start + rng.randint(1, 4), c_max + 1))
+        if not rates[start] > 0:  # underflowed to 0: no ratio to bump by
+            continue
+        bump = rates[start - 1] / rates[start] * rng.uniform(1.01, 1.5)
+        rates.update({c: rates[c] * bump for c in window})
+        near = [rates[c] for c in range(max(c_min, start - 2), min(window[-1] + 2, c_max) + 1)]
+        target = rng.choice(near) * rng.uniform(0.9, 1.1)
+
+        curve = Curve(rates)
+        crf_hat, saturated = _bisection_with_verify(curve, target, c_min, c_max)
+        linear, _ = _linear_sweep(rates.__getitem__, target, c_min, c_max)
+        assert len(curve.trials) == len(set(curve.trials))
+        assert len(curve.trials) <= 2 + 2 * math.ceil(math.log2(c_max - c_min + 1))
+        if saturated:
+            assert crf_hat == c_max and rates[c_max] > target
+            continue
+        assert crf_hat in curve.trials and rates[crf_hat] <= target
+        assert crf_hat == c_min or (crf_hat - 1 in curve.trials and rates[crf_hat - 1] > target)
+        assert crf_hat >= linear
+        above += crf_hat > linear
+    assert above > 0  # the corpus does reach curves where the two differ
