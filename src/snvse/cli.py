@@ -17,6 +17,7 @@ import csv
 import datetime as dt
 import logging
 import math
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -86,6 +87,13 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
+def _platform_name(text: str) -> str:
+    # emulate names its outputs <stem>.<platform>.mp4 inside its output dir
+    if {"/", os.sep} & set(text):
+        raise argparse.ArgumentTypeError(f"must not contain a path separator, got {text!r}")
+    return text
+
+
 def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # The same options are accepted before and after the subcommand; the
     # subcommand copies use SUPPRESS so they never clobber root values.
@@ -121,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("originals_dir", type=Path, nargs="?",
                        help="with shared_dir: pair the videos of the two dirs by file stem")
     p_est.add_argument("shared_dir", type=Path, nargs="?")
-    p_est.add_argument("--platform", required=True, help="platform name stored in the profile")
+    p_est.add_argument("--platform", required=True, type=_platform_name,
+                       help="platform name stored in the profile")
     p_est.add_argument("--out", required=True, type=Path, help="output profile JSON path")
     p_est.add_argument("--manifest", type=Path,
                        help="CSV of original,shared paths; given instead of the two dirs")

@@ -27,22 +27,12 @@ the budget and probe rule; README points here. With the trial window
 ``N = ceil(T * fps_out) + 1`` frames, ``D_max = N / fps_out`` and the
 container allowance ``H(N) = 4096 + 16 * N`` bytes:
 
-- A trial whose rate the search reads only as pass or fail carries a
-  byte budget (``-fs B``) that no passing trial can reach: every trial of
-  the linear sweep, and the bisection's first trial, at ``c_max``. An
-  output of ``B`` bytes or more holds a payload above ``target * D_max /
-  8``, so it fails without a probe and logs the lower bound
-  ``(size - H(N)) * 8 / D_max``.
-- A trial that may be ``crf_hat - 1`` is near and gets
-  ``B = ceil(target * D_max / 8 * BUDGET_MARGIN) + H(N)``, 2 CRF steps of
-  the rate model (about 1.26x) above the target, so it keeps a measured
-  rate. It is near when the search's previous trial, one model step up
-  (a probed trial's rate, else its bytes over its frames, times
-  2^(-1/6)), predicts at most ``NEAR`` (about 1.19) times the
-  target, and a sweep's first trial is near too. Every other budgeted
-  trial is far and is cut at the target itself,
-  ``B = floor(target * D_max / 8) + 1 + H(N)``; so is a trial at
-  ``c_max``, which can never be ``crf_hat - 1``.
+- A trial whose rate the search reads only as pass or fail carries the
+  byte budget ``B = floor(target * D_max / 8) + 1 + H(N)`` (``-fs B``),
+  which no passing trial can reach: every trial of the linear sweep, and
+  the bisection's first trial, at ``c_max``. An output of ``B`` bytes or
+  more holds a payload above ``target * D_max / 8``, so it fails without
+  a probe and logs the lower bound ``(size - H(N)) * 8 / D_max``.
 - A trial of ``F`` frames (from ffmpeg's progress report) whose output
   is small enough, ``size * 8 <= target * (F - 1) / fps_out``, passes
   without a probe and logs the upper bound
@@ -69,8 +59,9 @@ rounding. The rule rests on three assumptions, unverified against real
 MP4 files here: the container adds at most ``H(N)`` bytes to the
 payload, the prober's stream bitrate is the payload's bits over the
 stream duration, and that duration spans at least ``F - 1`` frame
-intervals. A passing trial mispredicted as far stays under its budget on
-the first assumption alone.
+intervals. A passing trial stays under its budget on the first
+assumption alone. The linear sweep's ``crf_hat - 1`` logs a bound
+wherever its output reaches the budget; the bisection's is always probed.
 """
 
 from __future__ import annotations
@@ -94,10 +85,6 @@ logger = logging.getLogger(__name__)
 
 # x264's CRF scale: +6 CRF roughly halves the bitrate.
 CRF_PER_HALVING = 6.0
-# A near trial's byte budget admits rates up to this multiple of the target.
-BUDGET_MARGIN = 2.0 ** (2 / CRF_PER_HALVING)
-# A trial is near when its predicted rate is at most this multiple of the target.
-NEAR = 2.0 ** (1.5 / CRF_PER_HALVING)
 
 
 class SearchStrategy(Enum):
@@ -169,18 +156,14 @@ def estimate_crf(
     frames = math.ceil(seconds * shared.frame_rate) + 1
     max_duration = float(frames / shared.frame_rate)
     allowance = 4096 + 16 * frames
-    near_bytes = math.ceil(target * max_duration / 8 * BUDGET_MARGIN) + allowance
-    far_bytes = math.floor(target * max_duration / 8) + 1 + allowance
+    budget = math.floor(target * max_duration / 8) + 1 + allowance
 
     config.scratch_dir.mkdir(parents=True, exist_ok=True)
     trials: dict[int, float] = {}
     settled: dict[int, Path] = {}  # passes logged at their size bound; files kept
-    predicted: float | None = None  # the next trial's rate, one model step down
 
     def trial(crf: int, budgeted: bool = True) -> float:
-        nonlocal predicted
-        near = crf < c_max and (predicted is None or predicted <= NEAR * target)
-        max_bytes = (near_bytes if near else far_bytes) if budgeted else None
+        max_bytes = budget if budgeted else None
         spec = EncodeSpec(
             target_width=rho_out[0],
             target_height=rho_out[1],
@@ -192,18 +175,17 @@ def estimate_crf(
             info = encode(pair.original_path, spec, out_path, config, max_seconds=trial_seconds,
                           max_bytes=max_bytes)
             size, intervals = info.file_size, round(info.duration * shared.frame_rate) - 1
-            seen = size * 8 / info.duration  # its bytes over its frames
             if max_bytes is not None and size >= max_bytes:  # cut: fails
                 rate = reading = (size - allowance) * 8 / max_duration
             elif size * 8 * shared.frame_rate <= target * intervals:  # settled: passes
-                rate, reading = float(size * 8 * shared.frame_rate / intervals), seen
+                rate = float(size * 8 * shared.frame_rate / intervals)
+                reading = size * 8 / info.duration  # its bytes over its frames
                 settled[crf] = out_path
             else:
-                rate = reading = seen = measure_bitrate(probe_media(out_path, config), config).value
+                rate = reading = measure_bitrate(probe_media(out_path, config), config).value
         finally:
             if crf not in settled:
                 out_path.unlink(missing_ok=True)
-        predicted = seen * 2.0 ** (-1 / CRF_PER_HALVING)
         trials[crf] = rate
         logger.debug("pair %s: trial crf=%d -> %.0f bit/s (target %.0f)",
                       pair.pair_id, crf, rate, target)

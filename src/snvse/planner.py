@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -148,7 +149,8 @@ def emulate_batch(
     input succeeded, after the manifest is written.
     Before any work, raises PresetMismatch if *config* has another preset
     than the profile, and PreconditionViolation if the profile has no
-    entries or two inputs share a stem.
+    entries, its platform name contains a path separator, or two inputs
+    share a stem.
     """
     if not inputs:
         raise AllItemsFailed("no inputs to emulate")
@@ -160,6 +162,8 @@ def emulate_batch(
         )
     if not profile.entries:
         raise PreconditionViolation("profile has no entries")
+    if {"/", os.sep} & set(profile.platform_name):  # outputs are <stem>.<platform>.mp4
+        raise PreconditionViolation(f"platform name {profile.platform_name!r} contains a path separator")
     by_stem(inputs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

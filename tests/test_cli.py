@@ -186,12 +186,12 @@ def test_spawn_budget_of_mock_platform_and_estimate(config, tmp_path, quiet, too
     assert sorted(crf_of[argv[-1]] for argv in probed) == sorted(
         crf for crf in crf_of.values() if crf <= crf_hat)
     # A linear sweep from far below the crossing (CRF 33): every trial
-    # before crf_hat - 1 is budgeted at the target and cut there, so only
-    # crf_hat - 1 and crf_hat run a probe.
+    # carries the one budget, and every failing trial is cut there, so
+    # only the answer runs a probe.
     trials, probed = estimate("--strategy", "linear", "--c-min", "21", "--c-max", "40")
-    assert all(argv[-3] == "-fs" for argv in trials)
+    assert {tuple(argv[-3:-1]) for argv in trials} == {("-fs", trials[0][-2])}
     assert len(trials) == 13
-    assert [argv[-1] for argv in probed] == [argv[-1] for argv in trials[-2:]]
+    assert [argv[-1] for argv in probed] == [trials[-1][-1]]
 
 
 def test_mock_platform_rejects_odd_resolution(config, tmp_path, quiet, capsys):
@@ -370,6 +370,21 @@ def test_estimate_rejects_shared_stems_before_any_work(tmp_path, quiet, tool_cal
     assert tool_calls == []
     assert not out.exists()
     assert "share a stem" in capsys.readouterr().err
+
+
+def test_estimate_rejects_a_platform_with_a_path_separator(tmp_path, quiet, tool_calls, capsys):
+    # emulate would write <stem>.../escaped.mp4 outside its output dir.
+    for side in ("originals", "shared"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "clip.mp4").write_bytes(b"never probed")
+    out = tmp_path / "p.json"
+    with pytest.raises(SystemExit) as exc:
+        main(quiet + ["estimate", str(tmp_path / "originals"), str(tmp_path / "shared"),
+                      "--platform", "../escaped", "--out", str(out)])
+    assert exc.value.code == 2
+    assert tool_calls == []
+    assert not out.exists()
+    assert "must not contain a path separator" in capsys.readouterr().err
 
 
 def test_estimate_rejects_repeated_pair_ids_before_any_work(tmp_path, quiet, tool_calls, capsys):

@@ -251,14 +251,17 @@ def budget_pairs(config, tmp_path_factory):
 def probed_everywhere(config, budget_pairs):
     """Per trial window, the linear sweep's entries with no trial budgeted.
 
-    The sweep's only pass is its answer, which is probed even when it
-    settles by its size, so every logged rate is measured.
+    No trial is cut, and the sweep's only pass is its answer, which is
+    probed even when it settles by its size, so every logged rate is
+    measured.
     """
-    def unbudgeted(*args, max_bytes=None, **kwargs):
-        return encode(*args, **kwargs)
+    sweep = snvse.estimator._linear_sweep
+
+    def unbudgeted(trial, *args):
+        return sweep(lambda crf: trial(crf, budgeted=False), *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(snvse.estimator, "encode", unbudgeted)
+        patch.setattr(snvse.estimator, "_linear_sweep", unbudgeted)
         return {seconds: {o.result.pair_id: o.result for o in
                           estimate_batch(budget_pairs, strategy=SearchStrategy.LINEAR_SWEEP,
                                          config=config, trial_seconds=seconds, **BUDGET_RANGE)}
@@ -334,10 +337,15 @@ def test_budget_keeps_every_estimate(config, budget_pairs, probed_everywhere, ba
         if backend == "sim":  # a 6-CRF-per-halving curve
             if got.pair_id == "integer":  # a rate equal to the target is not cut
                 assert rates[got.crf_hat] == got.target_bitrate
-            # crf_hat - 1 keeps its measured rate: predicted near by the
-            # trial before it, or (above-c_min) the first trial.
+            # crf_hat - 1 fails. The bisection probes it; the linear sweep
+            # logs a bound where its output reaches the budget, else probes
+            # it, since the budget is the target plus H(N).
             if got.crf_hat > BUDGET_RANGE["c_min"] and not got.saturated:
-                assert rates[got.crf_hat - 1] == measured[got.crf_hat - 1]
+                below = got.crf_hat - 1
+                if strategy is SearchStrategy.LINEAR_SWEEP:
+                    assert got.target_bitrate < rates[below] <= measured[below]
+                else:
+                    assert rates[below] == measured[below]
     if strategy is SearchStrategy.LINEAR_SWEEP:
         assert cut > 0
     if backend == "sim" and seconds is None:

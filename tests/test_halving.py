@@ -13,8 +13,11 @@ from fractions import Fraction
 
 import pytest
 
+from snvse.bitrate import measure_bitrate
 from snvse.cli import main
 from snvse.encoder import EncodeSpec, encode
+from snvse.estimator import SearchStrategy, VideoPair, estimate_crf
+from snvse.probe import probe_media
 from snvse.sim import main_ffmpeg, read_container
 
 from conftest import make_clip
@@ -104,3 +107,26 @@ def test_default_search_writes_the_linear_sweeps_profile(config, slope_pairs, tm
     entries = json.loads(default[2])["entries"]
     assert {e["pair_id"]: (e["crf_hat"], e["saturated"]) for e in entries} == expected
     assert trials["default"] < trials["linear"]  # the default is the bisection
+
+
+@pytest.mark.parametrize("halving", [4, 5])
+def test_crf_hat_minus_one_on_steep_curves(config, slope_pairs, tmp_path, halving):
+    # The default search probes crf_hat - 1, so it logs the rate of an
+    # unbudgeted encode there. The linear sweep logs a rate above the
+    # target and at most that: a bound where its output reaches the
+    # budget, else the probed rate. On these 1 s clips the container
+    # allowance H(N) is a fifth to a half of the target's payload, so
+    # each crf_hat - 1 here stays under the budget and is probed.
+    originals, shared, expected = slope_pairs
+    for crf in HIDDEN[halving]:
+        stem = f"s{halving}-crf{crf:g}"
+        pair = VideoPair(originals / f"{stem}.mp4", shared / f"{stem}.mp4", stem)
+        default = estimate_crf(pair, config=config)
+        linear = estimate_crf(pair, strategy=SearchStrategy.LINEAR_SWEEP, config=config)
+        assert default.crf_hat == linear.crf_hat == expected[stem][0]
+        below = default.crf_hat - 1
+        info = encode(pair.original_path, EncodeSpec(320, 180, float(below), Fraction(30)),
+                      tmp_path / f"{stem}.mp4", config)
+        measured = measure_bitrate(probe_media(info.path, config), config).value
+        assert dict(default.trial_log)[below] == measured
+        assert default.target_bitrate < dict(linear.trial_log)[below] <= measured

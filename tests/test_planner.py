@@ -248,6 +248,16 @@ def test_emulate_batch_rejects_colliding_stems(config, clips, tmp_path, tool_cal
     assert tool_calls == []
 
 
+def test_emulate_batch_rejects_a_platform_with_a_path_separator(config, clips, tmp_path, tool_calls):
+    # Outputs are named <stem>.<platform>.mp4 inside out_dir.
+    prof = profile([entry((1280, 720), (640, 360), 31)], platform="../escaped")
+    out_dir = tmp_path / "out"
+    with pytest.raises(PreconditionViolation, match="path separator"):
+        emulate_batch([clips["hd"]], prof, out_dir, config=config)
+    assert not out_dir.exists()
+    assert tool_calls == []
+
+
 def test_emulate_batch_outputs_and_manifest(config, clips, tmp_path):
     prof = profile([
         entry((1280, 720), (640, 360), 31, pair_id="a"),

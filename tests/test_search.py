@@ -12,22 +12,23 @@ import random
 
 from hypothesis import example, given, strategies as st
 
-from snvse.estimator import BUDGET_MARGIN, CRF_PER_HALVING, _bisection_with_verify, _linear_sweep
+from snvse.estimator import CRF_PER_HALVING, _bisection_with_verify, _linear_sweep
 
 
 class Curve:
     """A non-increasing CRF -> bit/s table that records every trial.
 
-    A budgeted trial whose rate reaches *budget* is cut, as the estimator
-    cuts one at its byte budget, and reads as the budget itself: the lowest
-    bound a cut trial can log. A trial in *settled*, a pass the estimator
-    settles by its size, reads as the estimate given there.
+    Given a *target*, a budgeted trial whose rate is above it is cut, as
+    the estimator cuts one at its byte budget, and reads just above the
+    target: the lowest bound a cut trial can log. A trial in *settled*, a
+    pass the estimator settles by its size, reads as the estimate given
+    there.
     """
 
-    def __init__(self, rates: dict[int, float], budget: float = math.inf,
+    def __init__(self, rates: dict[int, float], target: float | None = None,
                  settled: dict[int, float] | None = None):
         self.rates = rates
-        self.budget = budget
+        self.target = target
         self.settled = settled or {}
         self.trials: list[int] = []
         self.budgeted: list[int] = []
@@ -38,8 +39,8 @@ class Curve:
             return self.settled[crf]
         if budgeted:
             self.budgeted.append(crf)
-            if self.rates[crf] >= self.budget:
-                return self.budget
+            if self.target is not None and self.rates[crf] > self.target:
+                return math.nextafter(self.target, math.inf)
         return self.rates[crf]
 
 
@@ -91,7 +92,8 @@ def searches(draw):
 @example((_log_linear(30, 31, 6.0, 30.5), 1e5, 30, 31))
 # Far above a crossing on a 5-CRF-per-halving curve, the first model step
 # lands at 17, where a budgeted trial would be cut; a secant through its
-# bound (near 1.26x the target) would step to 19 and 21 before 23.
+# bound (just above the target) would creep up from 18 one CRF at a time,
+# 9 trials where probing takes 4.
 @example((_log_linear(0, 51, 5.0, 23.0), 1e5, 0, 51))
 # Nearly flat just above the target, then a cliff at CRF 50: every secant
 # lands next to the failing end, so only the midpoint steps bound the trials.
@@ -100,16 +102,9 @@ def searches(draw):
 def test_model_search_matches_linear_sweep(case):
     rates, target, c_min, c_max = case
     curve = Curve(rates)
-    crf_hat, saturated = _search_matching_linear_sweep(curve, target, c_min, c_max)
-
-    # Only the c_max trial, whose failure ends the search, is budgeted, so
-    # cut trials change neither the answer nor the trials of either search.
+    _search_matching_linear_sweep(curve, target, c_min, c_max)
+    # Only the c_max trial, whose failure ends the search, is budgeted.
     assert curve.budgeted == [c_max]
-    budget = target * BUDGET_MARGIN if target > 0 else math.inf
-    cut = Curve(rates, budget)
-    assert _bisection_with_verify(cut, target, c_min, c_max) == (crf_hat, saturated)
-    assert cut.trials == curve.trials
-    assert _linear_sweep(Curve(rates, budget), target, c_min, c_max) == (crf_hat, saturated)
 
 
 @given(searches(), st.floats(0.0, 1.0), st.lists(st.floats(0.0, 1.0), min_size=52, max_size=52))
@@ -134,7 +129,11 @@ def test_settled_passes_keep_the_answer(case, line, spread):
 
 
 def _search_matching_linear_sweep(curve, target, c_min, c_max):
-    """Run the bisection on *curve*, check it against the linear sweep, return its answer."""
+    """Run the bisection on *curve* and check it against the linear sweep.
+
+    Both searches run again with budgeted trials cut at the target, which
+    must change neither answer nor the bisection's trials.
+    """
     rates = curve.rates
     expected = _linear_sweep(rates.__getitem__, target, c_min, c_max)
     crf_hat, saturated = _bisection_with_verify(curve, target, c_min, c_max)
@@ -153,7 +152,11 @@ def _search_matching_linear_sweep(curve, target, c_min, c_max):
         if crf_hat > c_min:
             assert crf_hat - 1 in curve.trials
             assert rates[crf_hat - 1] > target
-    return crf_hat, saturated
+
+    cut = Curve(rates, target, curve.settled)
+    assert _bisection_with_verify(cut, target, c_min, c_max) == expected
+    assert cut.trials == curve.trials
+    assert _linear_sweep(Curve(rates, target, curve.settled), target, c_min, c_max) == expected
 
 
 def test_log_linear_curve_takes_at_most_three_trials():
@@ -223,7 +226,8 @@ def _seeded_search(rng):
 
 def test_seeded_corpus_matches_linear_sweep():
     # The in-process evidence behind the bisection as the default search:
-    # the answer, its witness and the trial bound on a fixed corpus.
+    # the answer, its witness and the trial bound on a fixed corpus, and
+    # the same answers and trials with budgeted trials cut at the target.
     rng = random.Random(20261019)
     for _ in range(4000):
         rates, target, c_min, c_max = _seeded_search(rng)
