@@ -57,11 +57,15 @@ def _even_resolution(text: str) -> tuple[int, int]:
     return width, height
 
 
-def _hidden_crf(text: str) -> float:
+def _number(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+
+
+def _hidden_crf(text: str) -> float:
+    value = _number(text)
     if not CRF_FLOOR <= value <= CRF_CEIL:
         raise argparse.ArgumentTypeError(f"must be in [{CRF_FLOOR:g}, {CRF_CEIL:g}], got {text}")
     return value
@@ -78,13 +82,17 @@ def _positive_int(text: str) -> int:
 
 
 def _positive_seconds(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    value = _number(text)
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
     return value
+
+
+def _width(text: str) -> float:
+    value = _number(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a non-negative finite number, got {text}")
+    return abs(value)  # -0 reads as 0
 
 
 def _platform_name(text: str) -> str:
@@ -163,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sta.add_argument("--n-max", type=_positive_int, default=None,
                        help="largest subset size (default: min(50, population))")
     p_sta.add_argument("--include-saturated", action="store_true")
-    p_sta.add_argument("--width-threshold", type=float, default=None,
+    p_sta.add_argument("--width-threshold", type=_width, default=None,
                        help="also report the smallest n' whose CRF range is within this width")
     p_sta.set_defaults(func=cmd_analyze_stability)
 

@@ -15,12 +15,8 @@ verifies the encode without a probe: the exit code is 0, the progress
 report ends with ``progress=end`` and counts at least one frame, and the
 output file exists and is non-empty. It returns what the run reports,
 not measured facts; callers that need those probe the output. Trial
-encodes alone may be truncated (``max_seconds``) or byte-budgeted
-(``max_bytes``, which adds ``-fs max_bytes``: ffmpeg writes no packet
-once the output has reached that size), as the estimator's module
-docstring states. Real ffmpeg's exit code and progress report after an
-``-fs`` cut are unverified here; the bundled sim exits 0 and reports the
-frames it wrote.
+encodes alone may be truncated (``max_seconds``), as the estimator's
+module docstring states.
 """
 
 from __future__ import annotations
@@ -80,7 +76,6 @@ def build_encode_argv(
     output_path: Path,
     config: RunConfig,
     max_seconds: float | None = None,
-    max_bytes: int | None = None,
 ) -> list[str]:
     """Construct the full encoder argument list for one run."""
     argv = config.ffmpeg_argv() + [
@@ -101,8 +96,6 @@ def build_encode_argv(
     ]
     if max_seconds is not None:
         argv += ["-t", f"{max_seconds:g}"]
-    if max_bytes is not None:
-        argv += ["-fs", str(max_bytes)]
     argv.append(str(output_path))
     return argv
 
@@ -127,14 +120,13 @@ def encode(
     output_path: str | Path,
     config: RunConfig | None = None,
     max_seconds: float | None = None,
-    max_bytes: int | None = None,
 ) -> MediaInfo:
     """Re-encode *input_path* per *spec* in one tool run and return what the run reports.
 
     *max_seconds*, when set, truncates the output to its first K seconds
-    and *max_bytes* cuts it at that size (trial encodes). The MediaInfo
-    holds the spec's size, frame rate and codec, the progress report's
-    frames over that rate as its duration, and the output's file size.
+    (trial encodes). The MediaInfo holds the spec's size, frame rate and
+    codec, the progress report's frames over that rate as its duration,
+    and the output's file size.
     An encode that exits nonzero, or exits 0 without a finished, non-empty
     output, raises EncoderFailure; partial outputs are removed on failure.
     """
@@ -143,7 +135,7 @@ def encode(
     if not input_path.exists():
         raise FileNotFoundError(str(input_path))
 
-    argv = build_encode_argv(input_path, spec, output_path, config or RunConfig(), max_seconds, max_bytes)
+    argv = build_encode_argv(input_path, spec, output_path, config or RunConfig(), max_seconds)
     try:
         result = run_tool(argv)
         if result.returncode != 0:

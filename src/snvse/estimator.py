@@ -22,46 +22,38 @@ and flagged saturated. The range must lie within
 every estimate can be saved.
 
 Trial encodes and the tool runs they cost. This is the one statement of
-the budget and probe rule; README points here. With the trial window
-``T = min(original duration, trial_seconds)``, at most
+the trial rule; README points here. Every trial is encoded whole within
+its window, and its size decides it wherever it can. With the trial
+window ``T = min(original duration, trial_seconds)``, at most
 ``N = ceil(T * fps_out) + 1`` frames, ``D_max = N / fps_out`` and the
 container allowance ``H(N) = 4096 + 16 * N`` bytes:
 
-- A trial whose rate the search reads only as pass or fail carries the
-  byte budget ``B = floor(target * D_max / 8) + 1 + H(N)`` (``-fs B``),
-  which no passing trial can reach: every trial of the linear sweep, and
-  the bisection's first trial, at ``c_max``. An output of ``B`` bytes or
+- An output of ``B = floor(target * D_max / 8) + 1 + H(N)`` bytes or
   more holds a payload above ``target * D_max / 8``, so it fails without
   a probe and logs the lower bound ``(size - H(N)) * 8 / D_max``.
 - A trial of ``F`` frames (from ffmpeg's progress report) whose output
   is small enough, ``size * 8 <= target * (F - 1) / fps_out``, passes
   without a probe and logs the upper bound
-  ``size * 8 / ((F - 1) / fps_out)``. The rate model reads its bytes over
-  its ``F`` frames instead, a closer estimate that is still below the
-  target. Its file is kept until the search ends; if it is the answer it
-  is probed then, so ``crf_hat`` keeps a measured rate, and a probe above
-  the target raises ``PreconditionViolation``, since the third
-  assumption below failed. Kept files are removed however the search
-  ends.
-- Every other trial is probed. The bisection's later trials carry no
-  budget, because its rate model reads a failing trial's rate, and a cut
-  trial's bound sits at the budget whatever the true rate: on a curve
-  steeper or flatter than ``CRF_PER_HALVING`` per halving, a secant
-  through it would step short of the crossing again and again.
+  ``size * 8 / ((F - 1) / fps_out)``. Its file is kept until the search
+  ends; if it is the answer it is probed then, so ``crf_hat`` keeps a
+  measured rate, and a probe above the target raises
+  ``PreconditionViolation``, since the third assumption below failed.
+  Kept files are removed however the search ends.
+- Every other trial is probed.
 
-A pair costs ``2 + trials + probed trials`` tool runs (plus a packet
-scan wherever the prober reports no stream bitrate). An unprobed trial
-reads on the side of the target its size proves, so the linear sweep's
-answers are those of probing every trial, and so are the bisection's
-wherever the rate is non-increasing in CRF; the bisection's trialled
-CRFs may differ where a settled trial's estimate moves the rate model's
-rounding. The rule rests on three assumptions, unverified against real
-MP4 files here: the container adds at most ``H(N)`` bytes to the
-payload, the prober's stream bitrate is the payload's bits over the
-stream duration, and that duration spans at least ``F - 1`` frame
-intervals. A passing trial stays under its budget on the first
-assumption alone. The linear sweep's ``crf_hat - 1`` logs a bound
-wherever its output reaches the budget; the bisection's is always probed.
+The search reads a trial its size decides as its bytes over its ``F``
+frames: closer than its bound, and still on its verdict's side of the
+target, because ``F <= N``. So the linear sweep's answers are those of
+probing every trial, and so are the bisection's wherever the rate is
+non-increasing in CRF, though its trialled CRFs may differ where a size
+reading moves the rate model's rounding. A pair costs
+``2 + trials + probed trials`` tool runs (plus a packet scan wherever
+the prober reports no stream bitrate). The rule rests on three
+assumptions, unverified against real MP4 files here: the container adds
+at most ``H(N)`` bytes to the payload, the prober's stream bitrate is
+the payload's bits over the stream duration, and that duration spans at
+least ``F - 1`` frame intervals. A passing trial stays under ``B`` on
+the first assumption alone.
 """
 
 from __future__ import annotations
@@ -156,14 +148,13 @@ def estimate_crf(
     frames = math.ceil(seconds * shared.frame_rate) + 1
     max_duration = float(frames / shared.frame_rate)
     allowance = 4096 + 16 * frames
-    budget = math.floor(target * max_duration / 8) + 1 + allowance
+    fails_at = math.floor(target * max_duration / 8) + 1 + allowance  # B: no pass is this large
 
     config.scratch_dir.mkdir(parents=True, exist_ok=True)
     trials: dict[int, float] = {}
     settled: dict[int, Path] = {}  # passes logged at their size bound; files kept
 
-    def trial(crf: int, budgeted: bool = True) -> float:
-        max_bytes = budget if budgeted else None
+    def trial(crf: int) -> float:
         spec = EncodeSpec(
             target_width=rho_out[0],
             target_height=rho_out[1],
@@ -172,14 +163,13 @@ def estimate_crf(
         )
         out_path = config.scratch_dir / f"trial-{pair.pair_id}-{uuid.uuid4().hex[:8]}-crf{crf}.mp4"
         try:
-            info = encode(pair.original_path, spec, out_path, config, max_seconds=trial_seconds,
-                          max_bytes=max_bytes)
+            info = encode(pair.original_path, spec, out_path, config, max_seconds=trial_seconds)
             size, intervals = info.file_size, round(info.duration * shared.frame_rate) - 1
-            if max_bytes is not None and size >= max_bytes:  # cut: fails
-                rate = reading = (size - allowance) * 8 / max_duration
+            reading = size * 8 / info.duration  # its bytes over its frames
+            if size >= fails_at:  # fails by its size
+                rate = (size - allowance) * 8 / max_duration
             elif size * 8 * shared.frame_rate <= target * intervals:  # settled: passes
                 rate = float(size * 8 * shared.frame_rate / intervals)
-                reading = size * 8 / info.duration  # its bytes over its frames
                 settled[crf] = out_path
             else:
                 rate = reading = measure_bitrate(probe_media(out_path, config), config).value
@@ -243,7 +233,7 @@ def _bisection_with_verify(trial, target: float, c_min: int, c_max: int) -> tupl
     most one trial, so the search takes at most
     2 + 2 * ceil(log2(c_max - c_min + 1)) trials.
     """
-    r_hi = trial(c_max)  # budgeted: a failure here ends the search
+    r_hi = trial(c_max)
     if r_hi > target:
         return c_max, True
     lo, hi = c_min - 1, c_max
@@ -258,7 +248,7 @@ def _bisection_with_verify(trial, target: float, c_min: int, c_max: int) -> tupl
         else:
             predicted = _model_crossing(lo, r_lo, hi, r_hi, target, above)
             crf = min(max(round(predicted), lo + 1), hi - 1)
-        rate = trial(crf, budgeted=False)  # the rate model reads a failing rate
+        rate = trial(crf)
         if rate <= target:
             above, (hi, r_hi) = (hi, r_hi), (crf, rate)
         else:

@@ -45,9 +45,9 @@ class ProfileEntry:
     pair_id: str
     target_bitrate: float
     # The estimate's sorted (crf, bitrate) trials; not saved, not compared.
-    # A trial cut at its byte budget holds a lower bound on its bitrate and
-    # a pass settled by its size an upper bound; an unsaturated crf_hat is
-    # always measured (the rule is in snvse.estimator's docstring).
+    # A fail decided by its size holds a lower bound on its bitrate and a
+    # pass an upper bound; an unsaturated crf_hat is always measured (the
+    # rule is in snvse.estimator's docstring).
     trial_log: list[tuple[int, float]] = field(default_factory=list, compare=False)
 
     def validate(self, where: str = "entry") -> None:

@@ -18,9 +18,7 @@ sim-only option that real lavfi rejects: it is kept in the stream header
 and copied to every encode made from that source, so a platform's encode
 and the estimator's trials price with the same slope.
 Rate is strictly decreasing in CRF, which is the property the estimator
-relies on. ``-fs LIMIT`` cuts the output as ffmpeg does: no packet is
-written once the file has reached LIMIT bytes, and the progress report
-counts the frames kept. None of the production code imports this module; it is wired
+relies on. None of the production code imports this module; it is wired
 in through the same ``--ffmpeg-bin``/``--ffprobe-bin`` seam a real
 binary uses.
 """
@@ -128,17 +126,8 @@ def read_container(path: Path) -> dict:
         raise SimError(f"{path}: Invalid data found when processing input") from exc
 
 
-def _header(streams: list[dict]) -> bytes:
-    return json.dumps({"streams": streams}, sort_keys=True).encode()
-
-
-def _container_size(streams: list[dict]) -> int:
-    """The size in bytes of the file ``write_container`` makes of *streams*."""
-    return len(MAGIC) + len(_header(streams)) + 2 + sum(int(s.get("payload", 0)) for s in streams)
-
-
 def write_container(path: Path, streams: list[dict]) -> None:
-    header = _header(streams)
+    header = json.dumps({"streams": streams}, sort_keys=True).encode()
     payload_total = sum(int(s.get("payload", 0)) for s in streams)
     block = hashlib.sha256(header).digest() * 128  # 4 KiB deterministic filler
     try:
@@ -233,32 +222,6 @@ def _packetize(payload: int, frames: int) -> list[int]:
     return sizes
 
 
-def _cut_at_size(streams: list[dict], limit: int) -> None:
-    """Cut the video stream the way ffmpeg's ``-fs`` cuts an output.
-
-    No packet is written once the file has reached *limit* bytes, so a cut
-    file ends with the packet that takes it to the limit or past it. The
-    cut stream keeps its leading frames and reports their duration and
-    bits per second.
-    """
-    if _container_size(streams) < limit:
-        return
-    video = next((s for s in streams if s["type"] == "video"), None)
-    if video is None:
-        raise SimError("-fs without a video stream is not simulated")
-    whole = dict(video)
-    fps = Fraction(*whole["fps"])
-    written = 0
-    for frames, size in enumerate(_packetize(int(whole["payload"]), whole["frames"])[:-1], 1):
-        written += size
-        duration = frames / fps
-        video.update(frames=frames, payload=written, duration=float(duration),
-                     bit_rate=float(written * 8 / duration))
-        if _container_size(streams) >= limit:
-            return
-    video.update(whole)  # only the last packet reaches the limit
-
-
 def run_ffmpeg(argv: list[str]) -> int:
     if "-version" in argv:
         print(_VERSION_LINE)
@@ -279,7 +242,6 @@ def run_ffmpeg(argv: list[str]) -> int:
         "b_v": None,
         "maps": [],
         "progress": None,
-        "fs": None,
     }
     output: Path | None = None
 
@@ -336,8 +298,6 @@ def run_ffmpeg(argv: list[str]) -> int:
             opts["rate"] = Fraction(value())
         elif arg == "-t":
             opts["t"] = float(value())
-        elif arg == "-fs":
-            opts["fs"] = int(value())
         elif arg == "-b:v":
             opts["b_v"] = _parse_rate_suffix(value())
         elif arg == "-map":
@@ -430,8 +390,6 @@ def run_ffmpeg(argv: list[str]) -> int:
 
     if not out_streams:
         raise SimError("nothing to encode (no mapped streams)")
-    if opts["fs"] is not None:
-        _cut_at_size(out_streams, opts["fs"])
     write_container(output, out_streams)
     if opts["progress"] is not None:
         # The final block of ffmpeg's -progress report.

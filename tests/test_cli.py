@@ -154,11 +154,9 @@ def test_spawn_budget_of_mock_platform_and_estimate(config, tmp_path, quiet, too
     assert len(encodes) == 3
     assert len(tool_calls) == 6
 
-    assert not any("-fs" in argv for argv in encodes)
-
     # estimate of one pair (the other originals go unpaired): two probes,
-    # then an encode per trial and a probe of each trial that neither
-    # reaches its budget nor settles as a pass by its size, or is the answer.
+    # then an encode per trial and a probe of each trial that its size does
+    # not decide, or is the answer. No trial is cut at a size.
     for stem in ("clip1", "clip2"):
         (shared / f"{stem}.mp4").unlink()
 
@@ -172,24 +170,22 @@ def test_spawn_budget_of_mock_platform_and_estimate(config, tmp_path, quiet, too
         outputs = {argv[-1] for argv in trials}
         probed = [argv for argv in tool_calls if argv[-1] in outputs and "-crf" not in argv]
         assert trials
+        assert not any("-fs" in argv for argv in trials)
         assert len(tool_calls) == 2 + len(trials) + len(probed)
         return trials, probed
 
-    # Only the bisection's first trial, at c_max, carries a budget. Passes
-    # above the answer (CRF 33 on a 6-CRF-per-halving curve) settle by their
-    # size and run no probe; the answer and the failing trials are probed.
+    # Passes above the answer (CRF 33 on a 6-CRF-per-halving curve) settle
+    # by their size and run no probe. The answer is probed, and so is the
+    # failing CRF below it, whose 1 s output stays under B.
     trials, probed = estimate("--strategy", "bisection", "--trial-seconds", "1")
-    assert [argv[-3] == "-fs" for argv in trials] == [True] + [False] * (len(trials) - 1)
     crf_hat = json.loads((tmp_path / "p.json").read_text())["entries"][0]["crf_hat"]
     crf_of = {argv[-1]: int(argv[argv.index("-crf") + 1]) for argv in trials}
     assert crf_of[trials[0][-1]] == 50 > crf_hat
     assert sorted(crf_of[argv[-1]] for argv in probed) == sorted(
         crf for crf in crf_of.values() if crf <= crf_hat)
-    # A linear sweep from far below the crossing (CRF 33): every trial
-    # carries the one budget, and every failing trial is cut there, so
-    # only the answer runs a probe.
+    # A linear sweep from far below the crossing (CRF 33), with 2 s trials:
+    # every failing trial's output reaches B, so only the answer runs a probe.
     trials, probed = estimate("--strategy", "linear", "--c-min", "21", "--c-max", "40")
-    assert {tuple(argv[-3:-1]) for argv in trials} == {("-fs", trials[0][-2])}
     assert len(trials) == 13
     assert [argv[-1] for argv in probed] == [trials[-1][-1]]
 
@@ -486,7 +482,6 @@ def test_emulate_runs_under_the_profile_preset(clips, tmp_path, quiet, tool_call
     encodes = [argv for argv in tool_calls if "-crf" in argv]
     assert len(encodes) == 1
     assert "-preset slow" in " ".join(encodes[0])
-    assert "-fs" not in encodes[0]
 
 
 def test_emulate_partial_and_total_failure(config, clips, tmp_path, quiet):
@@ -538,6 +533,25 @@ def test_analyze_stability_flow(tmp_path, quiet, capsys):
     assert out_csv.read_bytes() == first
     out = capsys.readouterr().out
     assert "smallest n'" in out or "no n'" in out
+
+
+@pytest.mark.parametrize("threshold, code", [("0", 0), ("-0", 0), ("nan", 2), ("-1", 2),
+                                             ("inf", 2), ("wide", 2)])
+def test_analyze_stability_width_threshold_is_a_finite_width(tmp_path, quiet, capsys, threshold,
+                                                             code):
+    # Two estimates at one CRF: every subset's range is 0.
+    profile_path = write_profile(tmp_path / "p.json", [entry(pair, (1280, 720), (1280, 720), 30)
+                                                       for pair in "ab"])
+    argv = quiet + ["analyze-stability", "--profile", str(profile_path), "--resolution",
+                    "1280x720", "--out", str(tmp_path / "r.csv"), f"--width-threshold={threshold}"]
+    if code:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        assert "--width-threshold" in capsys.readouterr().err
+    else:
+        assert main(argv) == 0
+        assert "smallest n' with CRF range <= 0: 1" in capsys.readouterr().out
 
 
 def test_analyze_stability_unknown_resolution(tmp_path, quiet, capsys):

@@ -5,13 +5,14 @@ import datetime as dt
 import json
 import threading
 from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
 import snvse.estimator
 from snvse.bitrate import measure_bitrate
-from snvse.encoder import EncodeSpec, encode
+from snvse.encoder import EncodeSpec, encode, normalize_dimensions
 from snvse.errors import AllItemsFailed, EncoderFailure, InvalidRange, PreconditionViolation
 from snvse.estimator import (
     SearchStrategy,
@@ -222,8 +223,7 @@ def test_batch_all_failed_raises(config, tmp_path):
         estimate_batch([], config=config)
 
 
-# Byte-budgeted and size-settled trials: the same estimates as probing
-# every trial.
+# Trials decided by their size: the same estimates as probing every trial.
 
 BUDGET_RANGE = {"c_min": 26, "c_max": 36}
 # pair id -> hidden CRF: an integer, a half step, above c_max, below c_min,
@@ -248,24 +248,34 @@ def budget_pairs(config, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def probed_everywhere(config, budget_pairs):
-    """Per trial window, the linear sweep's entries with no trial budgeted.
+def probed_everywhere(config, budget_pairs, tmp_path_factory):
+    """Per (trial window, pair id): the target, the measured rate of every
+    CRF in BUDGET_RANGE, and the answer by the paper's definition, the
+    first CRF at or under the target (else c_max, saturated).
 
-    No trial is cut, and the sweep's only pass is its answer, which is
-    probed even when it settles by its size, so every logged rate is
-    measured.
+    Every CRF is encoded with the trial's spec and probed, without the
+    estimator's code.
     """
-    sweep = snvse.estimator._linear_sweep
+    root = tmp_path_factory.mktemp("probed")
+    crfs = range(BUDGET_RANGE["c_min"], BUDGET_RANGE["c_max"] + 1)
 
-    def unbudgeted(trial, *args):
-        return sweep(lambda crf: trial(crf, budgeted=False), *args)
+    def sweep(seconds, pair):
+        shared = probe_media(pair.shared_path, config)
+        target = measure_bitrate(shared, config).value
+        measured = {}
+        for crf in crfs:
+            spec = EncodeSpec(*normalize_dimensions(shared.width, shared.height), float(crf),
+                              shared.frame_rate)
+            out = encode(pair.original_path, spec, root / f"{pair.pair_id}-{seconds}-{crf}.mp4",
+                         config, max_seconds=seconds)
+            measured[crf] = measure_bitrate(probe_media(out.path, config), config).value
+        answer = next((crf for crf in crfs if measured[crf] <= target), None)
+        return target, measured, (crfs[-1], True) if answer is None else (answer, False)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(snvse.estimator, "_linear_sweep", unbudgeted)
-        return {seconds: {o.result.pair_id: o.result for o in
-                          estimate_batch(budget_pairs, strategy=SearchStrategy.LINEAR_SWEEP,
-                                         config=config, trial_seconds=seconds, **BUDGET_RANGE)}
-                for seconds in (None, 1.0)}
+    items = [(seconds, pair) for seconds in (None, 1.0) for pair in budget_pairs]
+    with ThreadPoolExecutor(config.workers) as pool:
+        results = pool.map(lambda item: sweep(*item), items)
+        return {(seconds, pair.pair_id): result for (seconds, pair), result in zip(items, results)}
 
 
 @pytest.fixture
@@ -313,41 +323,35 @@ def unprobed_in_search(events):
 @pytest.mark.parametrize("strategy", list(SearchStrategy), ids=lambda s: s.value)
 def test_budget_keeps_every_estimate(config, budget_pairs, probed_everywhere, backend, trial_events,
                                      strategy, seconds):
-    reference = probed_everywhere[seconds]
-    assert {p: (e.crf_hat, e.saturated) for p, e in reference.items()} == {
+    # One rule for both strategies: the answer of probing every CRF, with
+    # its measured rate and the failing CRF below it logged. Every other
+    # logged rate is measured, or a bound its size proves on its verdict's
+    # side of the target: a fail's lower bound, a pass's upper bound.
+    assert {pair: answer for (window, pair), (*_, answer) in probed_everywhere.items()
+            if window == seconds} == {
         "integer": (30, False), "half-step": (31, False), "saturated": (36, True),
         "at-c_min": (26, False), "above-c_min": (27, False), "settles-at-c_max": (36, False)}
-    cut = 0
+    bounds = 0
     for outcome in estimate_batch(budget_pairs, strategy=strategy, config=config,
                                   trial_seconds=seconds, **BUDGET_RANGE):
-        got, want = outcome.result, reference[outcome.result.pair_id]
-        assert (got.crf_hat, got.saturated) == (want.crf_hat, want.saturated)
-        measured = dict(want.trial_log)
+        got = outcome.result
+        target, measured, answer = probed_everywhere[seconds, got.pair_id]
+        assert (got.target_bitrate, (got.crf_hat, got.saturated)) == (target, answer)
         rates = dict(got.trial_log)
-        if not got.saturated:  # the answer keeps its measured rate
+        if not got.saturated:
             assert rates[got.crf_hat] == measured[got.crf_hat]
+            if got.crf_hat > BUDGET_RANGE["c_min"]:
+                assert rates[got.crf_hat - 1] > target
         for crf, rate in got.trial_log:
-            if crf not in measured:  # above the sweep's answer: passes, probed or settled
-                assert crf > want.crf_hat and rate <= got.target_bitrate
-            elif rate != measured[crf]:  # cut: a bound that fails, below the measured rate
-                cut += 1
-                if strategy is SearchStrategy.BISECTION_WITH_VERIFY:  # only c_max is budgeted
-                    assert crf == BUDGET_RANGE["c_max"] and got.saturated
-                assert got.target_bitrate < rate < measured[crf]
-        if backend == "sim":  # a 6-CRF-per-halving curve
-            if got.pair_id == "integer":  # a rate equal to the target is not cut
-                assert rates[got.crf_hat] == got.target_bitrate
-            # crf_hat - 1 fails. The bisection probes it; the linear sweep
-            # logs a bound where its output reaches the budget, else probes
-            # it, since the budget is the target plus H(N).
-            if got.crf_hat > BUDGET_RANGE["c_min"] and not got.saturated:
-                below = got.crf_hat - 1
-                if strategy is SearchStrategy.LINEAR_SWEEP:
-                    assert got.target_bitrate < rates[below] <= measured[below]
+            if rate != measured[crf]:
+                bounds += 1
+                if measured[crf] > target:
+                    assert target < rate < measured[crf]
                 else:
-                    assert rates[below] == measured[below]
-    if strategy is SearchStrategy.LINEAR_SWEEP:
-        assert cut > 0
+                    assert measured[crf] < rate <= target
+        if backend == "sim" and got.pair_id == "integer":  # a rate equal to the target passes
+            assert rates[got.crf_hat] == target
+    assert bounds > 0
     if backend == "sim" and seconds is None:
         # The answer at c_max settled by its size and was probed after the
         # search, which is how it logs the measured rate above. A 1 s trial

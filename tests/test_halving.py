@@ -57,8 +57,8 @@ def test_halving_must_be_positive_and_finite(tmp_path, capsys, value):
 
 
 # CRF per halving -> hidden CRFs: an integer and a half step each. The
-# bisection's rate model assumes 6; at 5 a cut trial fed to its secant
-# would stall it. The last pair lies above c_max and saturates.
+# bisection's rate model assumes 6. The last pair lies above c_max and
+# saturates.
 HIDDEN = {4: (27.0, 23.5), 5: (24.0, 30.5), 8: (32.0, 25.5), 10: (22.0, 28.5)}
 SATURATED = (5, 51.0)  # a slope of HIDDEN
 
@@ -111,12 +111,11 @@ def test_default_search_writes_the_linear_sweeps_profile(config, slope_pairs, tm
 
 @pytest.mark.parametrize("halving", [4, 5])
 def test_crf_hat_minus_one_on_steep_curves(config, slope_pairs, tmp_path, halving):
-    # The default search probes crf_hat - 1, so it logs the rate of an
-    # unbudgeted encode there. The linear sweep logs a rate above the
-    # target and at most that: a bound where its output reaches the
-    # budget, else the probed rate. On these 1 s clips the container
-    # allowance H(N) is a fifth to a half of the target's payload, so
-    # each crf_hat - 1 here stays under the budget and is probed.
+    # One rule for both searches: crf_hat - 1 logs a rate above the target
+    # and at most the probed rate of its encode, a bound where its size
+    # reaches B, else the probed rate. On these 1 s clips the container
+    # allowance H(N) is a fifth to a half of the target's payload, so each
+    # crf_hat - 1 here stays under B and is probed.
     originals, shared, expected = slope_pairs
     for crf in HIDDEN[halving]:
         stem = f"s{halving}-crf{crf:g}"
@@ -128,5 +127,6 @@ def test_crf_hat_minus_one_on_steep_curves(config, slope_pairs, tmp_path, halvin
         info = encode(pair.original_path, EncodeSpec(320, 180, float(below), Fraction(30)),
                       tmp_path / f"{stem}.mp4", config)
         measured = measure_bitrate(probe_media(info.path, config), config).value
-        assert dict(default.trial_log)[below] == measured
-        assert default.target_bitrate < dict(linear.trial_log)[below] <= measured
+        rate = dict(default.trial_log)[below]
+        assert rate == dict(linear.trial_log)[below]
+        assert default.target_bitrate < rate <= measured

@@ -16,36 +16,45 @@ from snvse.estimator import CRF_PER_HALVING, _bisection_with_verify, _linear_swe
 
 
 class Curve:
-    """A non-increasing CRF -> bit/s table that records every trial.
+    """A CRF -> bit/s table that records every trial.
 
-    Given a *target*, a budgeted trial whose rate is above it is cut, as
-    the estimator cuts one at its byte budget, and reads just above the
-    target: the lowest bound a cut trial can log. A trial in *settled*, a
-    pass the estimator settles by its size, reads as the estimate given
-    there.
+    A trial in *decided*, one the estimator decides by its size, reads as
+    the estimate given there instead of its rate.
     """
 
-    def __init__(self, rates: dict[int, float], target: float | None = None,
-                 settled: dict[int, float] | None = None):
+    def __init__(self, rates: dict[int, float], decided: dict[int, float] | None = None):
         self.rates = rates
-        self.target = target
-        self.settled = settled or {}
+        self.decided = decided or {}
         self.trials: list[int] = []
-        self.budgeted: list[int] = []
 
-    def __call__(self, crf: int, budgeted: bool = True) -> float:
+    def __call__(self, crf: int) -> float:
         self.trials.append(crf)
-        if crf in self.settled:
-            return self.settled[crf]
-        if budgeted:
-            self.budgeted.append(crf)
-            if self.target is not None and self.rates[crf] > self.target:
-                return math.nextafter(self.target, math.inf)
-        return self.rates[crf]
+        return self.decided.get(crf, self.rates[crf])
 
 
 def _log_linear(c_min, c_max, slope, crossing, target=1e5):
     return {c: target * 2.0 ** ((crossing - c) / slope) for c in range(c_min, c_max + 1)}
+
+
+def _size_decided(rates, target, shares):
+    """The readings of the trials decided by their size: each CRF, from c_min, with a share.
+
+    A pass reads as ``share * target``, anywhere in [0, target]. A fail
+    reads above the target: from just above it (share 0) to
+    ``2 * rate - target`` (share 1).
+    """
+    decided = {}
+    for (crf, rate), share in zip(rates.items(), shares):
+        if share is None:
+            continue
+        if rate <= target:
+            decided[crf] = share * target
+        else:
+            decided[crf] = max(math.nextafter(target, math.inf), target + 2 * share * (rate - target))
+    return decided
+
+
+PROBED = [None] * 52  # no trial decided by its size
 
 
 @st.composite
@@ -84,79 +93,66 @@ def searches(draw):
     return rates, target, c_min, c_max
 
 
-@given(searches())
-@example((_log_linear(21, 50, 6.0, 33.0), 1e5, 21, 50))
-@example((_log_linear(21, 50, 6.0, 32.5), 1e5, 21, 50))
-@example((_log_linear(21, 50, 6.0, 10.0), 1e5, 21, 50))
-@example((_log_linear(21, 50, 6.0, 60.0), 1e5, 21, 50))
-@example((_log_linear(30, 31, 6.0, 30.5), 1e5, 30, 31))
+@given(searches(), st.lists(st.none() | st.floats(0.0, 1.0), min_size=52, max_size=52))
+@example((_log_linear(21, 50, 6.0, 33.0), 1e5, 21, 50), PROBED)
+@example((_log_linear(21, 50, 6.0, 32.5), 1e5, 21, 50), PROBED)
+@example((_log_linear(21, 50, 6.0, 10.0), 1e5, 21, 50), PROBED)
+@example((_log_linear(21, 50, 6.0, 60.0), 1e5, 21, 50), PROBED)
+@example((_log_linear(30, 31, 6.0, 30.5), 1e5, 30, 31), PROBED)
 # Far above a crossing on a 5-CRF-per-halving curve, the first model step
-# lands at 17, where a budgeted trial would be cut; a secant through its
-# bound (just above the target) would creep up from 18 one CRF at a time,
-# 9 trials where probing takes 4.
-@example((_log_linear(0, 51, 5.0, 23.0), 1e5, 0, 51))
+# lands at 17. Where every fail reads just above the target, a secant
+# through 17 creeps up from 18 one CRF at a time, and only the midpoint
+# steps bound the trials: 9 where reading each fail at its rate takes 4.
+@example((_log_linear(0, 51, 5.0, 23.0), 1e5, 0, 51), [0.0] * 23 + [None] * 29)
 # Nearly flat just above the target, then a cliff at CRF 50: every secant
 # lands next to the failing end, so only the midpoint steps bound the trials.
 @example(({c: 1e5 * (1.001 ** (50 - c) if c < 50 else 2.0 ** -20) for c in range(52)},
-          1e5, 0, 51))
-def test_model_search_matches_linear_sweep(case):
-    rates, target, c_min, c_max = case
-    curve = Curve(rates)
-    _search_matching_linear_sweep(curve, target, c_min, c_max)
-    # Only the c_max trial, whose failure ends the search, is budgeted.
-    assert curve.budgeted == [c_max]
-
-
-@given(searches(), st.floats(0.0, 1.0), st.lists(st.floats(0.0, 1.0), min_size=52, max_size=52))
-# Every pass settles and reads as the target itself: the model then puts
-# the crossing at each passing trial, and only the midpoint steps bound
-# the trials.
-@example((_log_linear(21, 50, 6.0, 33.0), 1e5, 21, 50), 1.0, [1.0] * 52)
-@example((_log_linear(0, 51, 5.0, 23.0), 1e5, 0, 51), 0.97, [0.5] * 52)
-# The bench's seed-7 detour: only CRF 50 settles, read at 0.380x the
+          1e5, 0, 51), PROBED)
+# Every pass reads as the target itself: the model then puts the crossing
+# at each passing trial, and only the midpoint steps bound the trials.
+@example((_log_linear(21, 50, 6.0, 33.0), 1e5, 21, 50), [None] * 12 + [1.0] * 40)
+@example((_log_linear(0, 51, 5.0, 23.0), 1e5, 0, 51), [None] * 24 + [0.5] * 28)
+# The bench's seed-7 detour: only CRF 50 is decided, read at 0.380x the
 # target where its rate is 0.358x, which moves the first model step from
-# 41 to 42; the search then trials 50, 42, 41, 30, 40 where probing every
-# trial takes 50, 41, 40.
-@example((_log_linear(21, 50, 6.21, 40.8), 1e5, 21, 50), 0.37, [0.380] * 52)
-def test_settled_passes_keep_the_answer(case, line, spread):
-    # A pass under the pass line settles by its size and reads as an
-    # estimate anywhere in [0, target], below its rate or above it; the
-    # answer and its witness must not move.
+# 41 to 42; the search then trials 50, 42, 41, 30, 40 where reading every
+# trial's rate takes 50, 41, 40.
+@example((_log_linear(21, 50, 6.21, 40.8), 1e5, 21, 50), [None] * 29 + [0.380] + [None] * 22)
+def test_model_search_matches_linear_sweep(case, shares):
+    # A trial decided by its size reads anywhere on its verdict's side of
+    # the target, below its rate or above it; the answer, its witness and
+    # the trial bound must not move.
     rates, target, c_min, c_max = case
-    settled = {crf: share * target
-               for (crf, rate), share in zip(rates.items(), spread) if rate <= min(target, line * target)}
-    _search_matching_linear_sweep(Curve(rates, settled=settled), target, c_min, c_max)
+    _search_matching_linear_sweep(rates, target, c_min, c_max, _size_decided(rates, target, shares))
 
 
-def _search_matching_linear_sweep(curve, target, c_min, c_max):
-    """Run the bisection on *curve* and check it against the linear sweep.
+def _search_matching_linear_sweep(rates, target, c_min, c_max, decided):
+    """Run the bisection on *rates* and check it against the linear sweep.
 
-    Both searches run again with budgeted trials cut at the target, which
-    must change neither answer nor the bisection's trials.
+    Both searches run again with the trials in *decided* read as given
+    there, which must change neither answer, though the bisection's trials
+    may differ.
     """
-    rates = curve.rates
     expected = _linear_sweep(rates.__getitem__, target, c_min, c_max)
-    crf_hat, saturated = _bisection_with_verify(curve, target, c_min, c_max)
+    for readings in ({}, decided):
+        curve = Curve(rates, readings)
+        crf_hat, saturated = _bisection_with_verify(curve, target, c_min, c_max)
 
-    assert (crf_hat, saturated) == expected
-    assert len(curve.trials) == len(set(curve.trials))
-    assert all(c_min <= crf <= c_max for crf in curve.trials)
-    assert len(curve.trials) <= 2 + 2 * math.ceil(math.log2(c_max - c_min + 1))
-    # The witness: crf_hat's own trial, and the failing trial just below it
-    # unless crf_hat is the floor of the range (or saturated at the top).
-    assert crf_hat in curve.trials
-    if saturated:
-        assert rates[c_max] > target
-    else:
-        assert rates[crf_hat] <= target
-        if crf_hat > c_min:
-            assert crf_hat - 1 in curve.trials
-            assert rates[crf_hat - 1] > target
+        assert (crf_hat, saturated) == expected
+        assert len(curve.trials) == len(set(curve.trials))
+        assert all(c_min <= crf <= c_max for crf in curve.trials)
+        assert len(curve.trials) <= 2 + 2 * math.ceil(math.log2(c_max - c_min + 1))
+        # The witness: crf_hat's own trial, and the failing trial just below
+        # it unless crf_hat is the floor of the range (or saturated at the top).
+        assert crf_hat in curve.trials
+        if saturated:
+            assert rates[c_max] > target
+        else:
+            assert rates[crf_hat] <= target
+            if crf_hat > c_min:
+                assert crf_hat - 1 in curve.trials
+                assert rates[crf_hat - 1] > target
 
-    cut = Curve(rates, target, curve.settled)
-    assert _bisection_with_verify(cut, target, c_min, c_max) == expected
-    assert cut.trials == curve.trials
-    assert _linear_sweep(Curve(rates, target, curve.settled), target, c_min, c_max) == expected
+        assert _linear_sweep(Curve(rates, readings), target, c_min, c_max) == expected
 
 
 def test_log_linear_curve_takes_at_most_three_trials():
@@ -167,7 +163,6 @@ def test_log_linear_curve_takes_at_most_three_trials():
         crf_hat, saturated = _bisection_with_verify(curve, 1e5, 21, 50)
         assert (crf_hat, saturated) == (math.ceil(crossing), False), crossing
         assert len(curve.trials) <= 3, (crossing, curve.trials)
-
 
 
 def test_two_passing_trials_give_the_slope():
@@ -226,13 +221,15 @@ def _seeded_search(rng):
 
 def test_seeded_corpus_matches_linear_sweep():
     # The in-process evidence behind the bisection as the default search:
-    # the answer, its witness and the trial bound on a fixed corpus, and
-    # the same answers and trials with budgeted trials cut at the target.
+    # the answer, its witness and the trial bound on a fixed corpus, read
+    # at every trial's rate and with half the trials decided by their size.
     rng = random.Random(20261019)
     for _ in range(4000):
         rates, target, c_min, c_max = _seeded_search(rng)
         assert all(a >= b for a, b in itertools.pairwise(rates.values()))
-        _search_matching_linear_sweep(Curve(rates), target, c_min, c_max)
+        shares = [rng.random() if rng.random() < 0.5 else None for _ in rates]
+        _search_matching_linear_sweep(rates, target, c_min, c_max,
+                                      _size_decided(rates, target, shares))
 
 
 def test_seeded_rising_curves_keep_a_witnessed_answer():

@@ -98,27 +98,8 @@ def test_cli_progress_report(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["frame=120", f"total_size={out.stat().st_size}", "progress=end"]
     assert main_ffmpeg(["-progress", "report.txt", "-y", "-i", str(out), str(tmp_path / "o.mp4")]) == 1
-
-
-def test_cli_file_size_limit_cuts_frames(tmp_path, capsys):
-    # -fs: no packet is written once the file has reached the limit, so the
-    # file ends just past it, and the progress report counts the frames kept.
-    encode = ["-nostats", "-progress", "pipe:1", "-y",
-              "-f", "lavfi", "-i", "testsrc2=size=640x360:rate=30",
-              "-c:v", "libx264", "-crf", "23", "-pix_fmt", "yuv420p", "-t", "4"]
-    whole, cut, roomy = tmp_path / "whole.mp4", tmp_path / "cut.mp4", tmp_path / "roomy.mp4"
-    assert main_ffmpeg(encode + [str(whole)]) == 0
+    # No caller cuts an encode at a size, so -fs is not simulated.
     capsys.readouterr()
-    limit = whole.stat().st_size // 3
-    assert main_ffmpeg(encode + ["-fs", str(limit), str(cut)]) == 0
-    report = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
-    stream = read_container(cut)["streams"][0]
-    assert 1 <= stream["frames"] < 120
-    assert report == {"frame": str(stream["frames"]), "total_size": str(cut.stat().st_size),
-                      "progress": "end"}
-    largest_packet = max(_packetize(read_container(whole)["streams"][0]["payload"], 120))
-    assert limit <= cut.stat().st_size < limit + largest_packet
-    assert stream["duration"] == stream["frames"] / 30
-    # A limit the whole file stays under changes nothing.
-    assert main_ffmpeg(encode + ["-fs", str(whole.stat().st_size + 1), str(roomy)]) == 0
-    assert roomy.read_bytes() == whole.read_bytes()
+    assert main_ffmpeg(["-y", "-i", str(out), "-fs", "1000", str(tmp_path / "fs.mp4")]) == 1
+    assert "option -fs is not simulated" in capsys.readouterr().err
+
