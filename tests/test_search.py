@@ -108,20 +108,32 @@ def searches(draw):
 # lands next to the failing end, so only the midpoint steps bound the trials.
 @example(({c: 1e5 * (1.001 ** (50 - c) if c < 50 else 2.0 ** -20) for c in range(52)},
           1e5, 0, 51), PROBED)
-# Every pass reads as the target itself: the model then puts the crossing
-# at each passing trial, and only the midpoint steps bound the trials.
-@example((_log_linear(21, 50, 6.0, 33.0), 1e5, 21, 50), [None] * 12 + [1.0] * 40)
-@example((_log_linear(0, 51, 5.0, 23.0), 1e5, 0, 51), [None] * 24 + [0.5] * 28)
-# The bench's seed-7 detour: only CRF 50 is decided, read at 0.380x the
-# target where its rate is 0.358x, which moves the first model step from
-# 41 to 42; the search then trials 50, 42, 41, 30, 40 where reading every
-# trial's rate takes 50, 41, 40.
-@example((_log_linear(21, 50, 6.21, 40.8), 1e5, 21, 50), [None] * 29 + [0.380] + [None] * 22)
 def test_model_search_matches_linear_sweep(case, shares):
     # A trial decided by its size reads anywhere on its verdict's side of
     # the target, below its rate or above it; the answer, its witness and
     # the trial bound must not move.
     rates, target, c_min, c_max = case
+    _search_matching_linear_sweep(rates, target, c_min, c_max, _size_decided(rates, target, shares))
+
+
+@given(searches(), st.floats(0.0, 1.0), st.lists(st.floats(0.0, 1.0), min_size=52, max_size=52))
+# Every pass settles and reads as the target itself: the model then puts
+# the crossing at each passing trial, and only the midpoint steps bound
+# the trials.
+@example((_log_linear(21, 50, 6.0, 33.0), 1e5, 21, 50), 1.0, [1.0] * 52)
+@example((_log_linear(0, 51, 5.0, 23.0), 1e5, 0, 51), 0.97, [0.5] * 52)
+# The bench's seed-7 detour: only CRF 50 settles, read at 0.380x the
+# target where its rate is 0.358x, which moves the first model step from
+# 41 to 42; the search then trials 50, 42, 41, 30, 40 where reading every
+# trial's rate takes 50, 41, 40.
+@example((_log_linear(21, 50, 6.21, 40.8), 1e5, 21, 50), 0.37, [0.380] * 52)
+def test_settled_passes_keep_the_answer(case, line, spread):
+    # A pass under the pass line settles by its size and reads as an
+    # estimate anywhere in [0, target], below its rate or above it; every
+    # fail reads at its rate. The answer and its witness must not move.
+    rates, target, c_min, c_max = case
+    shares = [share if rate <= min(target, line * target) else None
+              for rate, share in zip(rates.values(), spread)]
     _search_matching_linear_sweep(rates, target, c_min, c_max, _size_decided(rates, target, shares))
 
 
