@@ -374,6 +374,8 @@ def main(argv: list[str] | None = None) -> int:
         dirs = (args.originals_dir, args.shared_dir).count(None)
         if dirs != (2 if args.manifest else 0):
             parser.error("estimate takes ORIGINALS_DIR and SHARED_DIR, or --manifest FILE")
+    if args.command == "analyze-stability" and args.n_max is not None and args.n_min > args.n_max:
+        parser.error(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     logging.basicConfig(
         level=args.log_level.upper(),
         format="%(levelname)s %(name)s: %(message)s",

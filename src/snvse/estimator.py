@@ -78,6 +78,9 @@ logger = logging.getLogger(__name__)
 # x264's CRF scale: +6 CRF roughly halves the bitrate.
 CRF_PER_HALVING = 6.0
 
+# The bisection's steps beyond halving's, spent where the rate model misses.
+_SLACK_STEPS = 3
+
 
 class SearchStrategy(Enum):
     LINEAR_SWEEP = "linear"
@@ -222,16 +225,14 @@ def _bisection_with_verify(trial, target: float, c_min: int, c_max: int) -> tupl
     below it, but may lie above the linear sweep's first crossing, and a
     failing c_max reads as saturated even if some lower CRF passes. Keeps a
     bracket (lo, hi]: lo is the highest CRF known to fail (c_min - 1, never
-    trialled, at the start) and hi the lowest known to pass. Each step
-    trials the CRF where the rate model puts the target, clamped strictly
-    inside the bracket, and the search stops when hi - lo == 1, so the
-    trials witness that hi is minimal. A model step that does not halve the
-    bracket is followed by a midpoint step, which keeps the worst case
-    logarithmic for encoders whose rate is not log-linear. The first such
-    step is exempt, because an accurate model that lands just below the
-    crossing closes the bracket on its next step; the exemption costs at
-    most one trial, so the search takes at most
-    2 + 2 * ceil(log2(c_max - c_min + 1)) trials.
+    trialled, at the start) and hi the lowest known to pass. After c_max it
+    has ceil(log2(c_max - c_min + 1)) + _SLACK_STEPS steps. Each trials the
+    CRF where the rate model puts the target, clamped strictly inside the
+    bracket and into [hi - 2**left, lo + 2**left], left being the steps
+    after this one, so either verdict leaves a bracket that halving closes
+    in time, however far the rate is from log-linear. The search stops
+    when hi - lo == 1, so the trials witness that hi is minimal, within
+    4 + ceil(log2(c_max - c_min + 1)) trials.
     """
     r_hi = trial(c_max)
     if r_hi > target:
@@ -239,26 +240,16 @@ def _bisection_with_verify(trial, target: float, c_min: int, c_max: int) -> tupl
     lo, hi = c_min - 1, c_max
     r_lo = None
     above = None  # the passing trial hi replaced: (crf, rate)
-    midpoint_next = False
-    exempt = True
+    left = math.ceil(math.log2(c_max - c_min + 1)) + _SLACK_STEPS
     while hi - lo > 1:
-        width = hi - lo
-        if midpoint_next:
-            crf = (lo + hi) // 2
-        else:
-            predicted = _model_crossing(lo, r_lo, hi, r_hi, target, above)
-            crf = min(max(round(predicted), lo + 1), hi - 1)
+        left -= 1
+        predicted = round(_model_crossing(lo, r_lo, hi, r_hi, target, above))
+        crf = min(max(predicted, lo + 1, hi - 2 ** left), hi - 1, lo + 2 ** left)
         rate = trial(crf)
         if rate <= target:
             above, (hi, r_hi) = (hi, r_hi), (crf, rate)
         else:
             lo, r_lo = crf, rate
-        if midpoint_next or 2 * (hi - lo) <= width:
-            midpoint_next = False
-        elif exempt:
-            exempt = False
-        else:
-            midpoint_next = True
     return hi, False
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import logging
+import math
 import os
 import tempfile
 from collections import Counter
@@ -57,6 +58,9 @@ class ProfileEntry:
             raise SchemaViolation(
                 f"{where}.crf_hat must be in [{CRF_MIN}, {CRF_MAX}], got {self.crf_hat}"
             )
+        if not 0 <= self.target_bitrate < math.inf:  # zero: a stream of empty packets
+            raise SchemaViolation(f"{where}.target_bitrate must be finite and non-negative, "
+                                  f"got {self.target_bitrate}")
 
 
 @dataclass(frozen=True)

@@ -554,6 +554,27 @@ def test_analyze_stability_width_threshold_is_a_finite_width(tmp_path, quiet, ca
         assert "smallest n' with CRF range <= 0: 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("sizes, code", [(["--n-min", "5", "--n-max", "3"], 2),
+                                         (["--n-min", "20"], 1), (["--n-max", "20"], 1)],
+                         ids=["min-above-max", "min-above-population", "max-above-population"])
+def test_analyze_stability_subset_sizes(tmp_path, quiet, capsys, sizes, code):
+    # An empty range is a usage error; one the profile's population cannot
+    # fill is found only once the profile is read.
+    profile_path = write_profile(tmp_path / "p.json", [entry(f"p{i}", (1280, 720), (1280, 720), 30)
+                                                       for i in range(10)])
+    argv = quiet + ["analyze-stability", "--profile", str(profile_path), "--resolution",
+                    "1280x720", "--out", str(tmp_path / "r.csv")] + sizes
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--n-min 5 exceeds --n-max 3" in capsys.readouterr().err
+    else:
+        assert main(argv) == 1
+        assert "PreconditionViolation" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_analyze_stability_unknown_resolution(tmp_path, quiet, capsys):
     profile_path = write_profile(tmp_path / "p.json", [entry("a", (1280, 720), (1280, 720), 30)])
     code = main(quiet + [

@@ -3,6 +3,7 @@
 import datetime as dt
 import errno
 import json
+import math
 import os
 import random
 
@@ -142,6 +143,28 @@ def test_crf_out_of_range_rejected_on_load(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaViolation, match="crf_hat"):
         load_profile(path)
+
+
+@pytest.mark.parametrize("bitrate", [math.nan, math.inf, -5.0], ids=["nan", "inf", "negative"])
+def test_target_bitrate_rejected_on_load_and_save(tmp_path, bitrate):
+    # json reads and writes NaN and Infinity bare, which is not JSON.
+    path = tmp_path / "p.json"
+    save_profile(profile([entry()]), path)
+    doc = json.loads(path.read_text())
+    doc["entries"][0]["target_bitrate"] = bitrate
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaViolation, match="target_bitrate"):
+        load_profile(path)
+    with pytest.raises(SchemaViolation, match="target_bitrate"):
+        save_profile(profile([entry(target_bitrate=bitrate)]), tmp_path / "q.json")
+    assert not (tmp_path / "q.json").exists()
+
+
+def test_zero_target_bitrate_round_trips(tmp_path):
+    # A shared stream of empty packets measures 0 bit/s; its estimate is kept.
+    path = tmp_path / "p.json"
+    save_profile(profile([entry(target_bitrate=0.0)]), path)
+    assert load_profile(path).entries[0].target_bitrate == 0.0
 
 
 def test_duplicate_pair_ids_rejected_on_load(tmp_path):

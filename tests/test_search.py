@@ -101,11 +101,11 @@ def searches(draw):
 @example((_log_linear(30, 31, 6.0, 30.5), 1e5, 30, 31), PROBED)
 # Far above a crossing on a 5-CRF-per-halving curve, the first model step
 # lands at 17. Where every fail reads just above the target, a secant
-# through 17 creeps up from 18 one CRF at a time, and only the midpoint
-# steps bound the trials: 9 where reading each fail at its rate takes 4.
+# through 17 creeps up from 18 one CRF at a time, and only the step budget
+# bounds the trials.
 @example((_log_linear(0, 51, 5.0, 23.0), 1e5, 0, 51), [0.0] * 23 + [None] * 29)
 # Nearly flat just above the target, then a cliff at CRF 50: every secant
-# lands next to the failing end, so only the midpoint steps bound the trials.
+# lands next to the failing end, so only the step budget bounds the trials.
 @example(({c: 1e5 * (1.001 ** (50 - c) if c < 50 else 2.0 ** -20) for c in range(52)},
           1e5, 0, 51), PROBED)
 def test_model_search_matches_linear_sweep(case, shares):
@@ -118,14 +118,14 @@ def test_model_search_matches_linear_sweep(case, shares):
 
 @given(searches(), st.floats(0.0, 1.0), st.lists(st.floats(0.0, 1.0), min_size=52, max_size=52))
 # Every pass settles and reads as the target itself: the model then puts
-# the crossing at each passing trial, and only the midpoint steps bound
-# the trials.
+# the crossing at each passing trial, and only the step budget bounds the
+# trials.
 @example((_log_linear(21, 50, 6.0, 33.0), 1e5, 21, 50), 1.0, [1.0] * 52)
 @example((_log_linear(0, 51, 5.0, 23.0), 1e5, 0, 51), 0.97, [0.5] * 52)
-# The bench's seed-7 detour: only CRF 50 settles, read at 0.380x the
+# The bench's seed-7 pair p3: only CRF 50 settles, read at 0.380x the
 # target where its rate is 0.358x, which moves the first model step from
-# 41 to 42; the search then trials 50, 42, 41, 30, 40 where reading every
-# trial's rate takes 50, 41, 40.
+# 41 to 42; the search then trials 50, 42, 41, 40 where reading every
+# trial's rate takes 50, 41, 40 (test_seed_7_pair_takes_no_detour).
 @example((_log_linear(21, 50, 6.21, 40.8), 1e5, 21, 50), 0.37, [0.380] * 52)
 def test_settled_passes_keep_the_answer(case, line, spread):
     # A pass under the pass line settles by its size and reads as an
@@ -142,9 +142,11 @@ def _search_matching_linear_sweep(rates, target, c_min, c_max, decided):
 
     Both searches run again with the trials in *decided* read as given
     there, which must change neither answer, though the bisection's trials
-    may differ.
+    may differ. Returns the bisection's trial counts, without and with
+    *decided*.
     """
     expected = _linear_sweep(rates.__getitem__, target, c_min, c_max)
+    counts = []
     for readings in ({}, decided):
         curve = Curve(rates, readings)
         crf_hat, saturated = _bisection_with_verify(curve, target, c_min, c_max)
@@ -152,7 +154,7 @@ def _search_matching_linear_sweep(rates, target, c_min, c_max, decided):
         assert (crf_hat, saturated) == expected
         assert len(curve.trials) == len(set(curve.trials))
         assert all(c_min <= crf <= c_max for crf in curve.trials)
-        assert len(curve.trials) <= 2 + 2 * math.ceil(math.log2(c_max - c_min + 1))
+        assert len(curve.trials) <= 4 + math.ceil(math.log2(c_max - c_min + 1))
         # The witness: crf_hat's own trial, and the failing trial just below
         # it unless crf_hat is the floor of the range (or saturated at the top).
         assert crf_hat in curve.trials
@@ -165,6 +167,8 @@ def _search_matching_linear_sweep(rates, target, c_min, c_max, decided):
                 assert rates[crf_hat - 1] > target
 
         assert _linear_sweep(Curve(rates, readings), target, c_min, c_max) == expected
+        counts.append(len(curve.trials))
+    return counts
 
 
 def test_log_linear_curve_takes_at_most_three_trials():
@@ -182,7 +186,7 @@ def test_two_passing_trials_give_the_slope():
     # step from c_max lands above the crossing and passes; the secant
     # through the two passing trials then lands next to the crossing. The
     # fixed slope would average 4.9 trials at 8 CRF per halving and 5.8 at
-    # 10 on these curves (max 7 and 8).
+    # 10 on these curves (max 7 and 8); the secant averages 3.64 and 3.74.
     for slope in (8.0, 10.0):
         counts = []
         for crossing in (c / 4 for c in range(19 * 4, 51 * 4 + 1)):
@@ -193,7 +197,16 @@ def test_two_passing_trials_give_the_slope():
             assert _bisection_with_verify(curve, 1e5, 21, 50) == _linear_sweep(rates.__getitem__, 1e5, 21, 50)
             counts.append(len(curve.trials))
         assert sum(counts) / len(counts) <= 4.2, slope
-        assert max(counts) <= 5, slope
+        assert max(counts) <= 4, slope
+
+
+def test_seed_7_pair_takes_no_detour():
+    # The bench's seed-7 pair p3: c_max settles and reads at 0.380x the
+    # target, the first model step lands one above the crossing at 42, and
+    # the secant then needs only the answer and its witness.
+    curve = Curve(_log_linear(21, 50, 6.21, 40.8), {50: 0.380 * 1e5})
+    assert _bisection_with_verify(curve, 1e5, 21, 50) == (41, False)
+    assert curve.trials == [50, 42, 41, 40]
 
 
 def _seeded_search(rng):
@@ -235,13 +248,18 @@ def test_seeded_corpus_matches_linear_sweep():
     # The in-process evidence behind the bisection as the default search:
     # the answer, its witness and the trial bound on a fixed corpus, read
     # at every trial's rate and with half the trials decided by their size.
+    # The corpus totals, every reading measured and half of them decided
+    # by their size, may only fall.
     rng = random.Random(20261019)
+    totals = [0, 0]
     for _ in range(4000):
         rates, target, c_min, c_max = _seeded_search(rng)
         assert all(a >= b for a, b in itertools.pairwise(rates.values()))
         shares = [rng.random() if rng.random() < 0.5 else None for _ in rates]
-        _search_matching_linear_sweep(rates, target, c_min, c_max,
-                                      _size_decided(rates, target, shares))
+        counts = _search_matching_linear_sweep(rates, target, c_min, c_max,
+                                               _size_decided(rates, target, shares))
+        totals = [t + c for t, c in zip(totals, counts)]
+    assert totals[0] <= 13_156 and totals[1] <= 15_519, totals
 
 
 def test_seeded_rising_curves_keep_a_witnessed_answer():
@@ -266,7 +284,7 @@ def test_seeded_rising_curves_keep_a_witnessed_answer():
         crf_hat, saturated = _bisection_with_verify(curve, target, c_min, c_max)
         linear, _ = _linear_sweep(rates.__getitem__, target, c_min, c_max)
         assert len(curve.trials) == len(set(curve.trials))
-        assert len(curve.trials) <= 2 + 2 * math.ceil(math.log2(c_max - c_min + 1))
+        assert len(curve.trials) <= 4 + math.ceil(math.log2(c_max - c_min + 1))
         if saturated:
             assert crf_hat == c_max and rates[c_max] > target
             continue
