@@ -158,7 +158,11 @@ def fidelity_report(
     shared: list[str | Path],
     config: RunConfig | None = None,
 ) -> FidelityReport:
-    """Compare emulated outputs against shared counterparts, paired by order."""
+    """Compare emulated outputs against shared counterparts, paired by order.
+
+    Raises PreconditionViolation when a shared file measures 0 bit/s, which
+    no relative bitrate difference can be taken against.
+    """
     if len(emulated) != len(shared):
         raise PreconditionViolation(f"{len(emulated)} emulated vs {len(shared)} shared files")
     if not emulated:
@@ -171,6 +175,8 @@ def fidelity_report(
         ref = probe_media(shared_path, config)
         emu_rate = measure_bitrate(emu, config).value
         ref_rate = measure_bitrate(ref, config).value
+        if ref_rate == 0:
+            raise PreconditionViolation(f"shared file {shared_path} measures 0 bit/s")
         pairs.append(
             FidelityPair(
                 emulated=Path(emu_path),

@@ -23,37 +23,48 @@ every estimate can be saved.
 
 Trial encodes and the tool runs they cost. This is the one statement of
 the trial rule; README points here. Every trial is encoded whole within
-its window, and its size decides it wherever it can. With the trial
-window ``T = min(original duration, trial_seconds)``, at most
-``N = ceil(T * fps_out) + 1`` frames, ``D_max = N / fps_out`` and the
-container allowance ``H(N) = 4096 + 16 * N`` bytes:
+its window, and its payload decides it wherever it can. The payload is
+the summed ``mdat`` box bytes of the trial's MP4 file, read in-process
+(``probe.mp4_payload_bytes``); a trial holds one stream, so that is its
+video. With the trial window ``T = min(original duration,
+trial_seconds)``, at most ``N = ceil(T * fps_out) + 1`` frames and
+``D_max = N / fps_out``:
 
-- An output of ``B = floor(target * D_max / 8) + 1 + H(N)`` bytes or
-  more holds a payload above ``target * D_max / 8``, so it fails without
-  a probe and logs the lower bound ``(size - H(N)) * 8 / D_max``.
-- A trial of ``F`` frames (from ffmpeg's progress report) whose output
-  is small enough, ``size * 8 <= target * (F - 1) / fps_out``, passes
+- A payload of ``floor(target * D_max / 8) + 1`` bytes or more is above
+  ``target * D_max / 8``, so the trial fails without a probe and logs the
+  lower bound ``payload * 8 / D_max``.
+- A trial of ``F`` frames (from ffmpeg's progress report) whose payload
+  is small enough, ``payload * 8 <= target * (F - 1) / fps_out``, passes
   without a probe and logs the upper bound
-  ``size * 8 / ((F - 1) / fps_out)``. Its file is kept until the search
+  ``payload * 8 / ((F - 1) / fps_out)``. Its file is kept until the search
   ends; if it is the answer it is probed then, so ``crf_hat`` keeps a
   measured rate, and a probe above the target raises
-  ``PreconditionViolation``, since the third assumption below failed.
+  ``PreconditionViolation``, since the second assumption below failed.
   Kept files are removed however the search ends.
 - Every other trial is probed.
 
-The search reads a trial its size decides as its bytes over its ``F``
-frames: closer than its bound, and still on its verdict's side of the
-target, because ``F <= N``. So the linear sweep's answers are those of
-probing every trial, and so are the bisection's wherever the rate is
-non-increasing in CRF, though its trialled CRFs may differ where a size
-reading moves the rate model's rounding. A pair costs
-``2 + trials + probed trials`` tool runs (plus a packet scan wherever
-the prober reports no stream bitrate). The rule rests on three
-assumptions, unverified against real MP4 files here: the container adds
-at most ``H(N)`` bytes to the payload, the prober's stream bitrate is
-the payload's bits over the stream duration, and that duration spans at
-least ``F - 1`` frame intervals. A passing trial stays under ``B`` on
-the first assumption alone.
+The search reads a trial its payload decides as its payload over its
+``F`` frames, ``payload * 8 / (F / fps_out)``: closer than its bound, and
+still on its verdict's side of the target, because ``F <= N``. So the
+linear sweep's answers are those of probing every trial, and so are the
+bisection's wherever the rate is non-increasing in CRF, though its
+trialled CRFs may differ where a payload reading moves the rate model's
+rounding. A pair costs ``2 + trials + probed trials`` tool runs (plus a
+packet scan wherever the prober reports no stream bitrate). The rule
+rests on two assumptions:
+
+1. The prober's stream bitrate is the payload's bits over the stream
+   duration. Every probe of a trial checks that ``payload * 8 / duration``
+   equals the probed rate within ``8 / duration + 1 + 1e-5 * rate``
+   bit/s (a payload byte over the duration, the prober's whole bit/s and
+   its printed duration's rounding), and raises ``PreconditionViolation``
+   naming both rates if not.
+2. The stream duration spans at least ``F - 1`` frame intervals. A settled
+   pass that breaks it can probe above the target, which is caught where
+   that pass is the answer, before its probe is checked as in 1.
+
+Neither is verified against real ffmpeg output; on the sim backend both
+hold for every trial.
 """
 
 from __future__ import annotations
@@ -69,7 +80,7 @@ from .bitrate import measure_bitrate
 from .config import RunConfig
 from .encoder import EncodeSpec, encode, normalize_dimensions
 from .errors import AllItemsFailed, InvalidRange, PreconditionViolation
-from .probe import probe_media
+from .probe import mp4_payload_bytes, probe_media
 from .profile_db import CRF_MAX, CRF_MIN, ProfileEntry, check_unique_pair_ids
 from .runner import Outcome, run_batch
 
@@ -150,12 +161,29 @@ def estimate_crf(
     seconds = original.duration if trial_seconds is None else min(original.duration, trial_seconds)
     frames = math.ceil(seconds * shared.frame_rate) + 1
     max_duration = float(frames / shared.frame_rate)
-    allowance = 4096 + 16 * frames
-    fails_at = math.floor(target * max_duration / 8) + 1 + allowance  # B: no pass is this large
+    fails_at = math.floor(target * max_duration / 8) + 1  # no pass holds this payload
 
     config.scratch_dir.mkdir(parents=True, exist_ok=True)
     trials: dict[int, float] = {}
-    settled: dict[int, Path] = {}  # passes logged at their size bound; files kept
+    settled: dict[int, tuple[Path, int]] = {}  # passes logged at their payload bound; files kept
+
+    def probe_trial(crf: int, path: Path, payload: int, settled_pass: bool = False) -> float:
+        """The probed rate of a trial output, checked against its payload."""
+        info = probe_media(path, config)
+        rate = measure_bitrate(info, config).value
+        if settled_pass and rate > target:
+            raise PreconditionViolation(
+                f"pair {pair.pair_id}: trial crf={crf} passed by its size, but probes at "
+                f"{rate:.0f} bit/s, above the target {target:.0f}: the settle rule's "
+                f"assumption that its stream spans F - 1 frame intervals does not hold")
+        from_payload = payload * 8 / info.duration
+        if abs(from_payload - rate) > 8 / info.duration + 1 + 1e-5 * rate:
+            raise PreconditionViolation(
+                f"pair {pair.pair_id}: trial crf={crf} probes at {rate:.0f} bit/s, but its "
+                f"{payload}-byte payload over its {info.duration:g} s stream is "
+                f"{from_payload:.0f} bit/s: the trial rule's assumption that the stream "
+                f"bitrate is the payload's bits over the stream duration does not hold")
+        return rate
 
     def trial(crf: int) -> float:
         spec = EncodeSpec(
@@ -167,15 +195,16 @@ def estimate_crf(
         out_path = config.scratch_dir / f"trial-{pair.pair_id}-{uuid.uuid4().hex[:8]}-crf{crf}.mp4"
         try:
             info = encode(pair.original_path, spec, out_path, config, max_seconds=trial_seconds)
-            size, intervals = info.file_size, round(info.duration * shared.frame_rate) - 1
-            reading = size * 8 / info.duration  # its bytes over its frames
-            if size >= fails_at:  # fails by its size
-                rate = (size - allowance) * 8 / max_duration
-            elif size * 8 * shared.frame_rate <= target * intervals:  # settled: passes
-                rate = float(size * 8 * shared.frame_rate / intervals)
-                settled[crf] = out_path
+            payload = mp4_payload_bytes(out_path)
+            intervals = round(info.duration * shared.frame_rate) - 1
+            reading = payload * 8 / info.duration  # its payload over its frames
+            if payload >= fails_at:  # fails by its payload
+                rate = payload * 8 / max_duration
+            elif payload * 8 * shared.frame_rate <= target * intervals:  # settled: passes
+                rate = float(payload * 8 * shared.frame_rate / intervals)
+                settled[crf] = out_path, payload
             else:
-                rate = reading = measure_bitrate(probe_media(out_path, config), config).value
+                rate = reading = probe_trial(crf, out_path, payload)
         finally:
             if crf not in settled:
                 out_path.unlink(missing_ok=True)
@@ -188,15 +217,9 @@ def estimate_crf(
     try:
         crf_hat, saturated = search(trial, target, c_min, c_max)
         if crf_hat in settled:  # the answer keeps a measured rate
-            rate = measure_bitrate(probe_media(settled[crf_hat], config), config).value
-            if rate > target:
-                raise PreconditionViolation(
-                    f"pair {pair.pair_id}: trial crf={crf_hat} passed by its size, but probes at "
-                    f"{rate:.0f} bit/s, above the target {target:.0f}: the settle rule's "
-                    f"assumption that its stream spans F - 1 frame intervals does not hold")
-            trials[crf_hat] = rate
+            trials[crf_hat] = probe_trial(crf_hat, *settled[crf_hat], settled_pass=True)
     finally:
-        for path in settled.values():
+        for path, _ in settled.values():
             path.unlink(missing_ok=True)
 
     return ProfileEntry(

@@ -6,6 +6,9 @@ frame rate comes from the declared average rate with the real base rate as
 fallback; duration comes from the video stream, then the container.
 ``scan_video_stream_bytes`` runs the same prober to sum video packet
 sizes, and a failed scan raises ``ProberFailure`` like a failed probe.
+``mp4_payload_bytes`` is its in-process counterpart for an MP4 file that
+holds one stream, such as a trial encode: it reads the ``mdat`` boxes and
+runs no tool.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -87,6 +91,9 @@ def probe_media(path: str | Path, config: RunConfig | None = None) -> MediaInfo:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
+    file_size = os.stat(path).st_size
+    if file_size <= 0:
+        raise ProberFailure(f"{path} is empty")
 
     doc = _run_prober(["-show_format", "-show_streams"], path, config)
 
@@ -123,9 +130,6 @@ def probe_media(path: str | Path, config: RunConfig | None = None) -> MediaInfo:
     codec_name = video.get("codec_name", "")
     pixel_format = video.get("pix_fmt", "")
     stream_bitrate = _parse_positive_float(video.get("bit_rate"))
-    file_size = os.stat(path).st_size
-    if file_size <= 0:
-        raise ProberFailure(f"{path} is empty")
 
     return MediaInfo(
         path=path,
@@ -154,3 +158,48 @@ def scan_video_stream_bytes(path: str | Path, config: RunConfig | None = None) -
     if not sizes:
         raise ProberFailure(f"no video packets reported for {path}")
     return sum(sizes)
+
+
+def mp4_payload_bytes(path: str | Path) -> int:
+    """Sum the payloads of the top-level ``mdat`` boxes of an MP4 file, in bytes.
+
+    Walks the file's top-level ISO-BMFF boxes: a 32-bit size and a 4CC,
+    where size 1 means a 64-bit size follows and size 0 a box that runs to
+    the end of the file. Several ``mdat`` boxes (a fragmented file) add up,
+    and ``moov`` may come before or after them. For a file holding one
+    stream, as every trial encode does, this is that stream's payload.
+    Raises ProberFailure on a box that overruns the file or is smaller
+    than its header, and when no ``mdat`` box or only empty ones are found.
+    """
+    path = Path(path)
+    payload, found = 0, False
+    try:
+        with open(path, "rb") as fh:
+            end = os.fstat(fh.fileno()).st_size
+            offset = 0
+            while offset < end:
+                fh.seek(offset)
+                header = fh.read(16)
+                head = 16 if header[:4] == b"\0\0\0\1" else 8  # size 1: a 64-bit size follows
+                if len(header) < head:
+                    raise ProberFailure(f"the box header at byte {offset} of {path} overruns the file")
+                size, kind = struct.unpack_from(">I4s", header)
+                if size == 1:
+                    size = struct.unpack_from(">Q", header, 8)[0]
+                elif size == 0:  # runs to the end of the file
+                    size = end - offset
+                if size < head:
+                    raise ProberFailure(f"box {kind!r} at byte {offset} of {path} is {size} bytes, "
+                                        f"below its {head}-byte header")
+                if offset + size > end:
+                    raise ProberFailure(f"box {kind!r} at byte {offset} of {path} overruns the file")
+                if kind == b"mdat":
+                    payload, found = payload + size - head, True
+                offset += size
+    except OSError as exc:
+        raise ProberFailure(f"cannot read {path}: {exc}") from exc
+    if not found:
+        raise ProberFailure(f"no mdat box in {path}")
+    if payload == 0:
+        raise ProberFailure(f"the mdat boxes of {path} are empty")
+    return payload

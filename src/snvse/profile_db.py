@@ -35,6 +35,12 @@ CRF_MIN = 21
 CRF_MAX = 50
 
 
+def _check_resolution(value, where: str) -> None:
+    if not (isinstance(value, (tuple, list)) and len(value) == 2
+            and all(type(v) is int and v > 0 for v in value)):
+        raise SchemaViolation(f"{where} must be [width, height] of positive ints, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProfileEntry:
     """One estimated (input resolution, output resolution, CRF) triplet."""
@@ -46,12 +52,14 @@ class ProfileEntry:
     pair_id: str
     target_bitrate: float
     # The estimate's sorted (crf, bitrate) trials; not saved, not compared.
-    # A fail decided by its size holds a lower bound on its bitrate and a
-    # pass an upper bound; an unsaturated crf_hat is always measured (the
-    # rule is in snvse.estimator's docstring).
+    # A fail decided by its MP4 payload holds a lower bound on its bitrate
+    # and a pass an upper bound; every other trial, and an unsaturated
+    # crf_hat, is measured (the rule is in snvse.estimator's docstring).
     trial_log: list[tuple[int, float]] = field(default_factory=list, compare=False)
 
     def validate(self, where: str = "entry") -> None:
+        for key in ("rho_in", "rho_out"):
+            _check_resolution(getattr(self, key), f"{where}.{key}")
         if self.rho_out[0] % 2 or self.rho_out[1] % 2:
             raise SchemaViolation(f"{where}.rho_out must have even dimensions, got {self.rho_out}")
         if not CRF_MIN <= self.crf_hat <= CRF_MAX:
@@ -149,11 +157,9 @@ def _require(doc: dict, key: str, kind, where: str):
     return value
 
 
-def _parse_pair(doc: dict, key: str, where: str) -> tuple[int, int]:
-    value = _require(doc, key, list, where)
-    if len(value) != 2 or not all(type(v) is int and v > 0 for v in value):
-        raise SchemaViolation(f"{where}.{key} must be [width, height] of positive ints, got {value!r}")
-    return (value[0], value[1])
+def _parse_pair(doc: dict, key: str, where: str) -> tuple:
+    # ProfileEntry.validate checks it is a width and a height.
+    return tuple(_require(doc, key, list, where))
 
 
 def load_profile(path: str | Path) -> PlatformProfile:

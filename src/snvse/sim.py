@@ -4,9 +4,10 @@ These are command-line stand-ins installed as ``snvse-sim-ffmpeg`` and
 ``snvse-sim-ffprobe`` (also runnable as ``python -m snvse.sim_ffmpeg`` /
 ``sim_ffprobe``). They accept the exact invocations this package
 constructs, plus the lavfi source forms the test fixtures use, and operate
-on a tiny private container:
-
-    SIMVID01\\n<json stream header>\\n<payload bytes>
+on a tiny container shaped like the MP4 files ffmpeg writes: top-level
+ISO-BMFF boxes in ffmpeg's default order, an ``ftyp`` box, an ``mdat``
+box holding the payload bytes of every stream, and a private ``snvs``
+box (in place of ``moov``) holding a JSON stream header.
 
 The encoder prices a video stream with a deterministic rate model:
 bits/s scales with a per-source content complexity, resolution, frame
@@ -28,11 +29,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import struct
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-MAGIC = b"SIMVID01"
+# ffmpeg's own ftyp: major brand isom, minor version 512, four compatible brands.
+_FTYP = struct.pack(">I4s4sI", 32, b"ftyp", b"isom", 512) + b"isomiso2avc1mp41"
+_HEADER_BOX = b"snvs"
 _VERSION_LINE = "sim-ffmpeg version 0.1.0 (snvse deterministic encoder simulation)"
 
 # Per-pixel content complexity of the lavfi sources the fixtures draw on.
@@ -111,19 +116,38 @@ def _decay_complexity(complexity: float, crf: float) -> float:
 # container
 
 
+def _box_header(kind: bytes, body: int) -> bytes:
+    """A box header for *body* bytes: a 64-bit largesize where 32 bits cannot hold it."""
+    if body + 8 < 2**32:
+        return struct.pack(">I4s", body + 8, kind)
+    return struct.pack(">I4sQ", 1, kind, body + 16)
+
+
 def read_container(path: Path) -> dict:
+    """The JSON stream header of a sim container: the ``snvs`` box after its ``ftyp``."""
     try:
         with open(path, "rb") as fh:
-            magic = fh.read(len(MAGIC))
-            if magic != MAGIC:
-                raise SimError(f"{path}: Invalid data found when processing input")
-            fh.read(1)  # newline
-            header_line = fh.readline()
-        return json.loads(header_line.decode())
+            end = os.fstat(fh.fileno()).st_size
+            offset, first = 0, None
+            while offset + 8 <= end:
+                fh.seek(offset)
+                size, kind = struct.unpack(">I4s", fh.read(8))
+                head = 8
+                if size == 1:
+                    (size,), head = struct.unpack(">Q", fh.read(8)), 16
+                elif size == 0:
+                    size = end - offset
+                if not head <= size <= end - offset:
+                    break
+                first = first or kind
+                if kind == _HEADER_BOX and first == b"ftyp":
+                    return json.loads(fh.read(size - head).decode())
+                offset += size
     except OSError as exc:
         raise SimError(f"{path}: {exc.strerror or exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (struct.error, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SimError(f"{path}: Invalid data found when processing input") from exc
+    raise SimError(f"{path}: Invalid data found when processing input")
 
 
 def write_container(path: Path, streams: list[dict]) -> None:
@@ -132,12 +156,13 @@ def write_container(path: Path, streams: list[dict]) -> None:
     block = hashlib.sha256(header).digest() * 128  # 4 KiB deterministic filler
     try:
         with open(path, "wb") as fh:
-            fh.write(MAGIC + b"\n" + header + b"\n")
+            fh.write(_FTYP + _box_header(b"mdat", payload_total))
             remaining = payload_total
             while remaining > 0:
                 chunk = block[: min(len(block), remaining)]
                 fh.write(chunk)
                 remaining -= len(chunk)
+            fh.write(_box_header(_HEADER_BOX, len(header)) + header)
     except OSError as exc:
         raise SimError(f"{path}: {exc.strerror or exc}") from exc
 

@@ -15,6 +15,7 @@ from snvse.analysis import (
     recommend_sample_size,
     write_stability_csv,
 )
+from snvse import sim
 from snvse.errors import PreconditionViolation
 from snvse.profile_db import ProfileEntry
 
@@ -182,3 +183,15 @@ def test_fidelity_length_mismatch(config, clips):
     with pytest.raises(PreconditionViolation, match="empty file lists"):
         fidelity_report([], [], config)
 
+
+
+def test_fidelity_rejects_a_shared_file_at_zero_bit_rate(config, backend, clips, tmp_path):
+    # A video stream of empty packets measures 0 bit/s, which ProfileEntry
+    # accepts as a target; no relative difference can be taken against it.
+    if backend != "sim":
+        pytest.skip("the empty stream is written into a sim container")
+    shared = tmp_path / "silent.mp4"
+    [stream] = sim.read_container(clips["sd"])["streams"]
+    sim.write_container(shared, [dict(stream, payload=0, bit_rate=0.0)])
+    with pytest.raises(PreconditionViolation, match=f"shared file {shared} measures 0 bit/s"):
+        fidelity_report([clips["sd"]], [shared], config)

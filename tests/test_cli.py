@@ -155,8 +155,8 @@ def test_spawn_budget_of_mock_platform_and_estimate(config, tmp_path, quiet, too
     assert len(tool_calls) == 6
 
     # estimate of one pair (the other originals go unpaired): two probes,
-    # then an encode per trial and a probe of each trial that its size does
-    # not decide, or is the answer. No trial is cut at a size.
+    # then an encode per trial and a probe of each trial that its payload
+    # does not decide, or is the answer. No trial is cut at a size.
     for stem in ("clip1", "clip2"):
         (shared / f"{stem}.mp4").unlink()
 
@@ -175,16 +175,16 @@ def test_spawn_budget_of_mock_platform_and_estimate(config, tmp_path, quiet, too
         return trials, probed
 
     # Passes above the answer (CRF 33 on a 6-CRF-per-halving curve) settle
-    # by their size and run no probe. The answer is probed, and so is the
-    # failing CRF below it, whose 1 s output stays under B.
+    # by their payload and run no probe, and the failing CRF below it fails
+    # by its payload. Only the answer is probed.
     trials, probed = estimate("--strategy", "bisection", "--trial-seconds", "1")
     crf_hat = json.loads((tmp_path / "p.json").read_text())["entries"][0]["crf_hat"]
     crf_of = {argv[-1]: int(argv[argv.index("-crf") + 1]) for argv in trials}
     assert crf_of[trials[0][-1]] == 50 > crf_hat
-    assert sorted(crf_of[argv[-1]] for argv in probed) == sorted(
-        crf for crf in crf_of.values() if crf <= crf_hat)
+    assert crf_hat - 1 in crf_of.values()
+    assert [crf_of[argv[-1]] for argv in probed] == [crf_hat]
     # A linear sweep from far below the crossing (CRF 33), with 2 s trials:
-    # every failing trial's output reaches B, so only the answer runs a probe.
+    # every failing trial fails by its payload, so only the answer runs a probe.
     trials, probed = estimate("--strategy", "linear", "--c-min", "21", "--c-max", "40")
     assert len(trials) == 13
     assert [argv[-1] for argv in probed] == [trials[-1][-1]]

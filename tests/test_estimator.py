@@ -3,6 +3,7 @@
 import dataclasses
 import datetime as dt
 import json
+import re
 import threading
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
@@ -352,12 +353,11 @@ def test_budget_keeps_every_estimate(config, budget_pairs, probed_everywhere, ba
         if backend == "sim" and got.pair_id == "integer":  # a rate equal to the target passes
             assert rates[got.crf_hat] == target
     assert bounds > 0
-    if backend == "sim" and seconds is None:
-        # The answer at c_max settled by its size and was probed after the
-        # search, which is how it logs the measured rate above. A 1 s trial
-        # of 30 frames is read over 29 frame intervals; with its container
-        # bytes and the sim's rate jitter, that uses up the half CRF between
-        # this pass and the target, so there it is probed during the search.
+    if backend == "sim":
+        # The answer at c_max settled by its payload and was probed after
+        # the search, which is how it logs the measured rate above. A 1 s
+        # trial of 30 frames is read over 29 frame intervals, which the half
+        # CRF between this pass and the target still covers.
         assert any(name.startswith("trial-settles-at-c_max-") and crf == BUDGET_RANGE["c_max"]
                    for crf, name in unprobed_in_search(trial_events))
 
@@ -385,16 +385,20 @@ def test_search_failing_after_a_settled_pass_leaves_no_trial_file(config, budget
 
 def test_settled_answer_probing_above_the_target_raises(config, budget_pairs, tmp_path,
                                                         trial_events, monkeypatch):
-    # Every trial output probes at 4x its rate: the answer, a pass settled
-    # by its size, probes above the target after the search, which
-    # contradicts the settle rule's assumption instead of logging the pass.
+    # Every trial output probes at 4x its rate over a quarter of its
+    # duration, so its rate is still its payload's bits over its duration,
+    # but its stream spans fewer than F - 1 frame intervals: the answer, a
+    # pass settled by its size, probes above the target after the search,
+    # which contradicts the settle rule's assumption instead of logging
+    # the pass.
     probe = snvse.estimator.probe_media
 
     def inflated(path, *args):
         info = probe(path, *args)
         if not path.name.startswith("trial-"):
             return info
-        return dataclasses.replace(info, stream_bitrate=measure_bitrate(info, config).value * 4)
+        return dataclasses.replace(info, stream_bitrate=measure_bitrate(info, config).value * 4,
+                                   duration=info.duration / 4)
 
     monkeypatch.setattr(snvse.estimator, "probe_media", inflated)
     scratch = tmp_path / "scratch"
@@ -405,4 +409,26 @@ def test_settled_answer_probing_above_the_target_raises(config, budget_pairs, tm
     settled = [crf for crf, _ in unprobed_in_search(trial_events)]
     assert settled[0] == BUDGET_RANGE["c_max"]
     assert f"trial crf={settled[-1]} passed" in str(raised.value)
+    assert list(scratch.iterdir()) == []
+
+
+def test_trial_probing_apart_from_its_payload_raises(config, budget_pairs, tmp_path, monkeypatch):
+    # Every trial output probes at half its rate over its whole duration,
+    # so the first probed trial contradicts the rule's assumption that the
+    # stream bitrate is the payload's bits over the stream duration.
+    probe = snvse.estimator.probe_media
+
+    def halved(path, *args):
+        info = probe(path, *args)
+        if not path.name.startswith("trial-"):
+            return info
+        return dataclasses.replace(info, stream_bitrate=measure_bitrate(info, config).value / 2)
+
+    monkeypatch.setattr(snvse.estimator, "probe_media", halved)
+    scratch = tmp_path / "scratch"
+    with pytest.raises(PreconditionViolation, match="payload's bits over the stream duration") as raised:
+        estimate_crf(budget_pairs[0], config=dataclasses.replace(config, scratch_dir=scratch),
+                     **BUDGET_RANGE)
+    rates = re.search(r"probes at (\d+) bit/s, .* stream is (\d+) bit/s", str(raised.value))
+    assert int(rates[2]) == pytest.approx(2 * int(rates[1]), abs=2)
     assert list(scratch.iterdir()) == []

@@ -112,10 +112,8 @@ def test_default_search_writes_the_linear_sweeps_profile(config, slope_pairs, tm
 @pytest.mark.parametrize("halving", [4, 5])
 def test_crf_hat_minus_one_on_steep_curves(config, slope_pairs, tmp_path, halving):
     # One rule for both searches: crf_hat - 1 logs a rate above the target
-    # and at most the probed rate of its encode, a bound where its size
-    # reaches B, else the probed rate. On these 1 s clips the container
-    # allowance H(N) is a fifth to a half of the target's payload, so each
-    # crf_hat - 1 here stays under B and is probed.
+    # and at most the probed rate of its encode, a bound where its payload
+    # decides it, else the probed rate.
     originals, shared, expected = slope_pairs
     for crf in HIDDEN[halving]:
         stem = f"s{halving}-crf{crf:g}"

@@ -1,11 +1,14 @@
 """Probe contract: metadata extraction, stream selection, failure modes."""
 
+import struct
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from snvse.errors import NoVideoStream, ProberFailure
-from snvse.probe import probe_media
+from snvse.probe import mp4_payload_bytes, probe_media
 
 from conftest import make_audio_only, make_clip
 
@@ -42,11 +45,12 @@ def test_missing_file_raises(config, tmp_path):
         probe_media(tmp_path / "nope.mp4", config)
 
 
-def test_zero_byte_file_raises_prober_failure(config, tmp_path):
+def test_zero_byte_file_raises_prober_failure(config, tmp_path, tool_calls):
     empty = tmp_path / "empty.mp4"
     empty.touch()
-    with pytest.raises(ProberFailure):
+    with pytest.raises(ProberFailure, match="is empty"):
         probe_media(empty, config)
+    assert tool_calls == []
 
 
 def test_garbage_file_raises_prober_failure(config, tmp_path):
@@ -66,3 +70,82 @@ def test_default_config_comes_from_env(clips):
     # _tool_env points SNVSE_FFPROBE at the test backend.
     info = probe_media(clips["hd"])
     assert info.resolution == (1280, 720)
+
+
+# --- the in-process mdat reader ---
+
+# One top-level box: its 4CC, its body length, and its size field: 32-bit,
+# a 64-bit largesize, or 0 (runs to the end of the file; last box only).
+boxes = st.lists(st.tuples(st.sampled_from([b"mdat", b"moov", b"ftyp", b"free", b"moof"]),
+                           st.integers(0, 40), st.sampled_from(["32", "64"])),
+                 max_size=5)
+
+
+def box_file(sequence, last_to_eof):
+    """The file's bytes, and per box its (start, header end, end, 4CC)."""
+    data, spans = b"", []
+    for index, (kind, body, width) in enumerate(sequence):
+        if index == len(sequence) - 1 and last_to_eof:
+            header = struct.pack(">I4s", 0, kind)
+        elif width == "64":
+            header = struct.pack(">I4sQ", 1, kind, 16 + body)
+        else:
+            header = struct.pack(">I4s", 8 + body, kind)
+        spans.append((len(data), len(data) + len(header), len(data) + len(header) + body, kind))
+        data += header + bytes(range(body))
+    return data, spans
+
+
+def expected_payload(spans, cut, last_to_eof):
+    """What the reader returns for the file's first *cut* bytes, or None where it raises.
+
+    A cut at a box boundary leaves a shorter valid file, and so does one
+    past the header of a last box that runs to the end of the file; any
+    other cut falls inside a box and overruns the file.
+    """
+    payload, found = 0, False
+    for index, (start, body_start, end, kind) in enumerate(spans):
+        if start >= cut:
+            break
+        if end > cut and not (last_to_eof and index == len(spans) - 1 and body_start <= cut):
+            return None
+        if kind == b"mdat":
+            payload, found = payload + min(end, cut) - body_start, True
+    return payload if found and payload else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(sequence=boxes, last_to_eof=st.booleans())
+@example(sequence=[(b"ftyp", 4, "32"), (b"mdat", 30, "64"), (b"moov", 12, "32")], last_to_eof=False)
+@example(sequence=[(b"moov", 12, "32"), (b"mdat", 3, "32"), (b"moof", 5, "32"),
+                   (b"mdat", 7, "64")], last_to_eof=True)
+def test_mp4_payload_bytes_sums_every_mdat_and_rejects_truncation(tmp_path_factory, sequence,
+                                                                  last_to_eof):
+    data, spans = box_file(sequence, last_to_eof)
+    path = tmp_path_factory.mktemp("boxes") / "trial.mp4"
+    for cut in range(len(data) + 1):
+        path.write_bytes(data[:cut])
+        expected = expected_payload(spans, cut, last_to_eof)
+        if expected is None:
+            with pytest.raises(ProberFailure):
+                mp4_payload_bytes(path)
+        else:
+            assert mp4_payload_bytes(path) == expected
+    if sequence:  # the whole file: the sum of its mdat payloads
+        mdat = sum(body for kind, body, _ in sequence if kind == b"mdat")
+        assert expected_payload(spans, len(data), last_to_eof) == (mdat or None)
+
+
+@pytest.mark.parametrize("data, problem", [
+    (struct.pack(">I4s", 4, b"mdat") + b"abcd", "below its 8-byte header"),
+    (struct.pack(">I4sQ", 1, b"mdat", 12) + b"abcd", "below its 16-byte header"),
+    (struct.pack(">I4s", 20, b"mdat") + b"abcd", "overruns the file"),
+    (struct.pack(">I4s", 8, b"mdat") + struct.pack(">I4s", 12, b"moov") + b"abcd",
+     "mdat boxes of .* are empty"),
+    (struct.pack(">I4s", 12, b"moov") + b"abcd", "no mdat box"),
+], ids=["small", "small-largesize", "overrun", "empty", "no-mdat"])
+def test_mp4_payload_bytes_names_what_is_wrong(tmp_path, data, problem):
+    path = tmp_path / "trial.mp4"
+    path.write_bytes(data)
+    with pytest.raises(ProberFailure, match=problem):
+        mp4_payload_bytes(path)

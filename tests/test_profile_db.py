@@ -160,6 +160,19 @@ def test_target_bitrate_rejected_on_load_and_save(tmp_path, bitrate):
     assert not (tmp_path / "q.json").exists()
 
 
+@pytest.mark.parametrize("resolution", [
+    {"rho_in": (0, 720)}, {"rho_out": (0, 0)}, {"rho_in": (-1280, 720)},
+    {"rho_in": (True, 720)}, {"rho_out": (640.0, 360)}, {"rho_out": (640,)},
+], ids=["rho_in-zero", "rho_out-zeros", "rho_in-negative", "rho_in-bool", "rho_out-float",
+        "rho_out-one-int"])
+def test_resolution_rejected_on_save(tmp_path, resolution):
+    # load_profile rejects these, so save_profile must not write them.
+    path = tmp_path / "p.json"
+    with pytest.raises(SchemaViolation, match="must be \\[width, height\\] of positive ints"):
+        save_profile(profile([entry(**resolution)]), path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_zero_target_bitrate_round_trips(tmp_path):
     # A shared stream of empty packets measures 0 bit/s; its estimate is kept.
     path = tmp_path / "p.json"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from snvse.probe import mp4_payload_bytes
 from snvse.sim import (
     SimError,
     _packetize,
@@ -66,6 +67,20 @@ def test_cli_roundtrip(tmp_path, capsys):
     assert header["streams"][0]["width"] == 640
     assert main_ffprobe(["-show_streams", "-print_format", "json", str(out)]) == 0
     assert '"codec_name": "h264"' in capsys.readouterr().out
+
+
+def test_container_holds_the_payload_in_its_mdat_box(tmp_path):
+    # ffmpeg's box order: ftyp, then mdat, then the sim's stream header in
+    # place of moov.
+    out = tmp_path / "clip.mp4"
+    assert main_ffmpeg([
+        "-y", "-f", "lavfi", "-i", "testsrc2=size=640x360:rate=30",
+        "-c:v", "libx264", "-crf", "31", "-pix_fmt", "yuv420p", "-t", "2", str(out),
+    ]) == 0
+    [stream] = read_container(out)["streams"]
+    data = out.read_bytes()
+    assert [data[4:8], data[36:40]] == [b"ftyp", b"mdat"]
+    assert mp4_payload_bytes(out) == stream["payload"] > 0
 
 
 def test_cli_rejects_odd_yuv420p(tmp_path, capsys):
