@@ -116,13 +116,6 @@ def _decay_complexity(complexity: float, crf: float) -> float:
 # container
 
 
-def _box_header(kind: bytes, body: int) -> bytes:
-    """A box header for *body* bytes: a 64-bit largesize where 32 bits cannot hold it."""
-    if body + 8 < 2**32:
-        return struct.pack(">I4s", body + 8, kind)
-    return struct.pack(">I4sQ", 1, kind, body + 16)
-
-
 def read_container(path: Path) -> dict:
     """The JSON stream header of a sim container: the ``snvs`` box after its ``ftyp``."""
     try:
@@ -132,20 +125,15 @@ def read_container(path: Path) -> dict:
             while offset + 8 <= end:
                 fh.seek(offset)
                 size, kind = struct.unpack(">I4s", fh.read(8))
-                head = 8
-                if size == 1:
-                    (size,), head = struct.unpack(">Q", fh.read(8)), 16
-                elif size == 0:
-                    size = end - offset
-                if not head <= size <= end - offset:
+                if not 8 <= size <= end - offset:  # the sim writes only 32-bit sized boxes
                     break
                 first = first or kind
                 if kind == _HEADER_BOX and first == b"ftyp":
-                    return json.loads(fh.read(size - head).decode())
+                    return json.loads(fh.read(size - 8).decode())
                 offset += size
     except OSError as exc:
         raise SimError(f"{path}: {exc.strerror or exc}") from exc
-    except (struct.error, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SimError(f"{path}: Invalid data found when processing input") from exc
     raise SimError(f"{path}: Invalid data found when processing input")
 
@@ -156,13 +144,13 @@ def write_container(path: Path, streams: list[dict]) -> None:
     block = hashlib.sha256(header).digest() * 128  # 4 KiB deterministic filler
     try:
         with open(path, "wb") as fh:
-            fh.write(_FTYP + _box_header(b"mdat", payload_total))
+            fh.write(_FTYP + struct.pack(">I4s", 8 + payload_total, b"mdat"))
             remaining = payload_total
             while remaining > 0:
                 chunk = block[: min(len(block), remaining)]
                 fh.write(chunk)
                 remaining -= len(chunk)
-            fh.write(_box_header(_HEADER_BOX, len(header)) + header)
+            fh.write(struct.pack(">I4s", 8 + len(header), _HEADER_BOX) + header)
     except OSError as exc:
         raise SimError(f"{path}: {exc.strerror or exc}") from exc
 
