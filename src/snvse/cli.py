@@ -244,6 +244,8 @@ def cmd_estimate(args) -> int:
         args.out.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot write profile to {args.out}: {exc}") from exc
+    if args.out.is_dir():
+        raise IoFailure(f"cannot write profile to {args.out}: it is a directory")
 
     outcomes = estimate_batch(
         pairs,
@@ -386,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidRange as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SnvseError, FileNotFoundError) as exc:
+    except (SnvseError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -59,9 +59,10 @@ rests on two assumptions:
    bit/s (a payload byte over the duration, the prober's whole bit/s and
    its printed duration's rounding), and raises ``PreconditionViolation``
    naming both rates if not.
-2. The stream duration spans at least ``F - 1`` frame intervals. A settled
-   pass that breaks it can probe above the target, which is caught where
-   that pass is the answer, before its probe is checked as in 1.
+2. The stream duration spans at least ``F - 1`` frame intervals. Every
+   probe of a trial checks, after 1, that its duration is at least
+   ``(F - 1) / fps_out`` within the prober's printed microsecond; a settled
+   answer probing above the target is caught before either check.
 
 Neither is verified against real ffmpeg output; on the sim backend both
 hold for every trial.
@@ -165,9 +166,10 @@ def estimate_crf(
 
     config.scratch_dir.mkdir(parents=True, exist_ok=True)
     trials: dict[int, float] = {}
-    settled: dict[int, tuple[Path, int]] = {}  # passes logged at their payload bound; files kept
+    settled: dict[int, tuple] = {}  # passes logged at their payload bound: (path, payload, F - 1)
 
-    def probe_trial(crf: int, path: Path, payload: int, settled_pass: bool = False) -> float:
+    def probe_trial(crf: int, path: Path, payload: int, intervals: int,
+                    settled_pass: bool = False) -> float:
         """The probed rate of a trial output, checked against its payload."""
         info = probe_media(path, config)
         rate = measure_bitrate(info, config).value
@@ -183,6 +185,11 @@ def estimate_crf(
                 f"{payload}-byte payload over its {info.duration:g} s stream is "
                 f"{from_payload:.0f} bit/s: the trial rule's assumption that the stream "
                 f"bitrate is the payload's bits over the stream duration does not hold")
+        if info.duration < intervals / shared.frame_rate - 1e-6:  # printed to the microsecond
+            raise PreconditionViolation(
+                f"pair {pair.pair_id}: trial crf={crf} probes at {info.duration:g} s, under its "
+                f"{intervals} frame intervals: the trial rule's assumption that its stream "
+                f"spans F - 1 frame intervals does not hold")
         return rate
 
     def trial(crf: int) -> float:
@@ -202,9 +209,9 @@ def estimate_crf(
                 rate = payload * 8 / max_duration
             elif payload * 8 * shared.frame_rate <= target * intervals:  # settled: passes
                 rate = float(payload * 8 * shared.frame_rate / intervals)
-                settled[crf] = out_path, payload
+                settled[crf] = out_path, payload, intervals
             else:
-                rate = reading = probe_trial(crf, out_path, payload)
+                rate = reading = probe_trial(crf, out_path, payload, intervals)
         finally:
             if crf not in settled:
                 out_path.unlink(missing_ok=True)
@@ -219,7 +226,7 @@ def estimate_crf(
         if crf_hat in settled:  # the answer keeps a measured rate
             trials[crf_hat] = probe_trial(crf_hat, *settled[crf_hat], settled_pass=True)
     finally:
-        for path, _ in settled.values():
+        for path, *_ in settled.values():
             path.unlink(missing_ok=True)
 
     return ProfileEntry(

@@ -4,7 +4,10 @@ A profile is one JSON document per platform per capture date. The encoder
 preset is stored inside the profile because CRF semantics are
 preset-relative; emulation refuses to run under a different preset.
 Writes are atomic (temp file + rename) and save/load round-trips are
-byte-stable. ``CRF_MIN``/``CRF_MAX`` are defined here and only here.
+byte-stable. ``PlatformProfile.validate`` and ``ProfileEntry.validate`` are
+the schema's one owner: they check every field's type and value, and both
+``save_profile`` (before writing) and ``load_profile`` run them.
+``CRF_MIN``/``CRF_MAX`` are defined here and only here.
 """
 
 from __future__ import annotations
@@ -35,10 +38,19 @@ CRF_MIN = 21
 CRF_MAX = 50
 
 
-def _check_resolution(value, where: str) -> None:
+def _check_resolution(obj, key: str, where: str) -> None:
+    value = getattr(obj, key)
     if not (isinstance(value, (tuple, list)) and len(value) == 2
-            and all(type(v) is int and v > 0 for v in value)):
-        raise SchemaViolation(f"{where} must be [width, height] of positive ints, got {value!r}")
+            and type(value[0]) is int is type(value[1]) and value[0] > 0 and value[1] > 0):
+        raise SchemaViolation(f"{where}.{key} must be [width, height] of positive ints, "
+                              f"got {value!r}")
+
+
+def _check_type(obj, key: str, kind, where: str) -> None:
+    # bool is an int subclass; a field of another type must not accept it.
+    value = getattr(obj, key)
+    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+        raise SchemaViolation(f"{where}.{key} must be {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,17 +70,19 @@ class ProfileEntry:
     trial_log: list[tuple[int, float]] = field(default_factory=list, compare=False)
 
     def validate(self, where: str = "entry") -> None:
-        for key in ("rho_in", "rho_out"):
-            _check_resolution(getattr(self, key), f"{where}.{key}")
+        _check_resolution(self, "rho_in", where)
+        _check_resolution(self, "rho_out", where)
         if self.rho_out[0] % 2 or self.rho_out[1] % 2:
             raise SchemaViolation(f"{where}.rho_out must have even dimensions, got {self.rho_out}")
-        if not CRF_MIN <= self.crf_hat <= CRF_MAX:
-            raise SchemaViolation(
-                f"{where}.crf_hat must be in [{CRF_MIN}, {CRF_MAX}], got {self.crf_hat}"
-            )
-        if not 0 <= self.target_bitrate < math.inf:  # zero: a stream of empty packets
-            raise SchemaViolation(f"{where}.target_bitrate must be finite and non-negative, "
-                                  f"got {self.target_bitrate}")
+        if type(self.crf_hat) is not int or not CRF_MIN <= self.crf_hat <= CRF_MAX:
+            raise SchemaViolation(f"{where}.crf_hat must be an int in [{CRF_MIN}, {CRF_MAX}], "
+                                  f"got {self.crf_hat!r}")
+        _check_type(self, "saturated", bool, where)
+        _check_type(self, "pair_id", str, where)
+        rate = self.target_bitrate  # zero: a stream of empty packets
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 <= rate < math.inf:
+            raise SchemaViolation(f"{where}.target_bitrate must be a finite, non-negative "
+                                  f"number, got {rate!r}")
 
 
 @dataclass(frozen=True)
@@ -82,15 +96,17 @@ class PlatformProfile:
     tool_version: str = __version__
 
     def validate(self) -> None:
+        for key in ("platform_name", "preset", "tool_version"):
+            _check_type(self, key, str, "profile")
+        if type(self.captured_at) is not dt.date:  # a datetime saves its time of day
+            raise SchemaViolation(f"profile.captured_at must be date, got {self.captured_at!r}")
+        _check_type(self, "entries", list, "profile")
         for index, entry in enumerate(self.entries):
-            entry.validate(where=f"entries[{index}]")
+            entry.validate(where=f"profile.entries[{index}]")
         check_unique_pair_ids(self.entries)
 
     def resolutions_out(self) -> list[tuple[int, int]]:
-        seen: dict[tuple[int, int], None] = {}
-        for entry in self.entries:
-            seen.setdefault(entry.rho_out, None)
-        return list(seen)
+        return list(dict.fromkeys(entry.rho_out for entry in self.entries))
 
 
 def check_unique_pair_ids(items) -> None:
@@ -101,29 +117,22 @@ def check_unique_pair_ids(items) -> None:
         raise DuplicatePair(f"pair ids appear more than once: {repeated}")
 
 
+# The keys a document holds, in the order they are written; loading requires
+# each. Fixed key order keeps save -> load -> save byte-identical.
+_PROFILE_KEYS = ("platform_name", "captured_at", "preset", "tool_version", "entries")
+_ENTRY_KEYS = ("rho_in", "rho_out", "crf_hat", "saturated", "pair_id", "target_bitrate")
+
+
 def _profile_document(profile: PlatformProfile) -> dict:
-    # Fixed key order keeps save -> load -> save byte-identical.
-    return {
-        "platform_name": profile.platform_name,
-        "captured_at": profile.captured_at.isoformat(),
-        "preset": profile.preset,
-        "tool_version": profile.tool_version,
-        "entries": [
-            {
-                "rho_in": list(entry.rho_in),
-                "rho_out": list(entry.rho_out),
-                "crf_hat": entry.crf_hat,
-                "saturated": entry.saturated,
-                "pair_id": entry.pair_id,
-                "target_bitrate": entry.target_bitrate,
-            }
-            for entry in profile.entries
-        ],
-    }
+    doc = {key: getattr(profile, key) for key in _PROFILE_KEYS}
+    doc["captured_at"] = profile.captured_at.isoformat()
+    doc["entries"] = [{key: getattr(entry, key) for key in _ENTRY_KEYS}
+                      for entry in profile.entries]
+    return doc
 
 
 def save_profile(profile: PlatformProfile, path: str | Path) -> None:
-    """Write *profile* as one JSON document, atomically."""
+    """Write *profile* as one JSON document, atomically, if it passes ``validate``."""
     profile.validate()
     if not profile.entries:
         logger.warning("saving profile %r with zero entries (inspection only)",
@@ -144,26 +153,26 @@ def save_profile(profile: PlatformProfile, path: str | Path) -> None:
         raise IoFailure(f"cannot write profile to {path}: {exc}") from exc
 
 
-def _require(doc: dict, key: str, kind, where: str):
-    if key not in doc:
-        raise SchemaViolation(f"{where}.{key} is missing")
-    value = doc[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaViolation(f"{where}.{key} must be a number, got {value!r}")
-        return float(value)
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise SchemaViolation(f"{where}.{key} has wrong type: {value!r}")
-    return value
+def _fields(doc, keys: tuple[str, ...], where: str) -> dict:
+    """The *keys* of the JSON object *doc*, each of which must be present."""
+    if not isinstance(doc, dict):
+        raise SchemaViolation(f"{where} must be an object")
+    try:
+        return {key: doc[key] for key in keys}
+    except KeyError as exc:
+        raise SchemaViolation(f"{where}.{exc.args[0]} is missing") from None
 
 
-def _parse_pair(doc: dict, key: str, where: str) -> tuple:
-    # ProfileEntry.validate checks it is a width and a height.
-    return tuple(_require(doc, key, list, where))
+def _entry(doc, where: str) -> ProfileEntry:
+    fields = _fields(doc, _ENTRY_KEYS, where)
+    for key in ("rho_in", "rho_out"):
+        if isinstance(fields[key], list):
+            fields[key] = tuple(fields[key])
+    return ProfileEntry(**fields)
 
 
 def load_profile(path: str | Path) -> PlatformProfile:
-    """Load and re-validate a profile document."""
+    """Load a profile document and check it with ``validate``, as saving does."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
@@ -174,37 +183,18 @@ def load_profile(path: str | Path) -> PlatformProfile:
         raise IoFailure(f"cannot read profile {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"profile {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaViolation("profile root must be an object")
 
-    captured_raw = _require(doc, "captured_at", str, "profile")
-    try:
-        captured_at = dt.date.fromisoformat(captured_raw)
-    except ValueError as exc:
-        raise SchemaViolation(f"profile.captured_at is not an ISO date: {captured_raw!r}") from exc
-
-    entries_raw = _require(doc, "entries", list, "profile")
-    entries = []
-    for index, entry_doc in enumerate(entries_raw):
-        where = f"profile.entries[{index}]"
-        if not isinstance(entry_doc, dict):
-            raise SchemaViolation(f"{where} must be an object")
-        entries.append(ProfileEntry(
-            rho_in=_parse_pair(entry_doc, "rho_in", where),
-            rho_out=_parse_pair(entry_doc, "rho_out", where),
-            crf_hat=_require(entry_doc, "crf_hat", int, where),
-            saturated=_require(entry_doc, "saturated", bool, where),
-            pair_id=_require(entry_doc, "pair_id", str, where),
-            target_bitrate=_require(entry_doc, "target_bitrate", float, where),
-        ))
-
-    profile = PlatformProfile(
-        platform_name=_require(doc, "platform_name", str, "profile"),
-        captured_at=captured_at,
-        preset=_require(doc, "preset", str, "profile"),
-        entries=entries,
-        tool_version=_require(doc, "tool_version", str, "profile"),
-    )
+    fields = _fields(doc, _PROFILE_KEYS, "profile")
+    if isinstance(fields["captured_at"], str):
+        try:
+            fields["captured_at"] = dt.date.fromisoformat(fields["captured_at"])
+        except ValueError as exc:
+            raise SchemaViolation(
+                f"profile.captured_at is not an ISO date: {fields['captured_at']!r}") from exc
+    if isinstance(fields["entries"], list):
+        fields["entries"] = [_entry(entry, f"profile.entries[{index}]")
+                             for index, entry in enumerate(fields["entries"])]
+    profile = PlatformProfile(**fields)
     profile.validate()
     return profile
 

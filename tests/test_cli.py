@@ -326,6 +326,37 @@ def test_estimate_rejects_unwritable_out_before_any_work(tmp_path, quiet, tool_c
     assert "IoFailure: cannot write profile" in capsys.readouterr().err
 
 
+def test_estimate_rejects_a_directory_out_before_any_work(tmp_path, quiet, tool_calls, capsys):
+    dirs = _unprobed_pair_dirs(tmp_path)
+    code = main(quiet + ["estimate", *dirs, "--platform", "x", "--out", str(tmp_path)])
+    assert code == 1
+    assert tool_calls == []
+    assert "IoFailure: cannot write profile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, error", [
+    ("analyze-stability", "IsADirectoryError"), ("emulate", "FileExistsError"),
+    ("mock-platform", "FileExistsError"),
+])
+def test_bad_output_path_is_operational_error(tmp_path, quiet, capsys, command, error):
+    # analyze-stability writes a CSV at --out; the others make a directory there.
+    profile_path = write_profile(tmp_path / "p.json",
+                                 [entry(f"p{i}", (1280, 720), (640, 360), 30) for i in range(3)])
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    (inputs / "clip.mp4").write_bytes(b"never probed")
+    argv = {
+        "analyze-stability": ["--profile", str(profile_path), "--resolution", "640x360",
+                              "--iterations", "10", "--out", str(tmp_path)],
+        "emulate": [str(inputs / "clip.mp4"), "--profile", str(profile_path),
+                    "--out", str(profile_path)],
+        "mock-platform": [str(inputs), "--resolution", "640x360", "--crf", "33",
+                          "--out", str(profile_path)],
+    }[command]
+    assert main(quiet + [command, *argv]) == 1
+    assert f"error: {error}: " in capsys.readouterr().err
+
+
 def test_interrupt_exits_130(tmp_path, quiet, monkeypatch, capsys):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt

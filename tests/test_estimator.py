@@ -385,17 +385,20 @@ def test_search_failing_after_a_settled_pass_leaves_no_trial_file(config, budget
 
 def test_settled_answer_probing_above_the_target_raises(config, budget_pairs, tmp_path,
                                                         trial_events, monkeypatch):
-    # Every trial output probes at 4x its rate over a quarter of its
-    # duration, so its rate is still its payload's bits over its duration,
-    # but its stream spans fewer than F - 1 frame intervals: the answer, a
-    # pass settled by its size, probes above the target after the search,
-    # which contradicts the settle rule's assumption instead of logging
-    # the pass.
+    # After the search, a trial output probes at 4x its rate over a quarter
+    # of its duration, so its rate is still its payload's bits over its
+    # duration, but its stream spans fewer than F - 1 frame intervals: the
+    # answer, a pass settled by its size, probes above the target, which
+    # contradicts the settle rule's assumption instead of logging the pass.
+    # A probe in the search that read so short would fail the duration
+    # check instead, so the search's probes are left alone, and the pair is
+    # one whose answer, c_max, settles.
     probe = snvse.estimator.probe_media
 
     def inflated(path, *args):
         info = probe(path, *args)
-        if not path.name.startswith("trial-"):
+        if not path.name.startswith("trial-") or not any(("end",) in log
+                                                         for log in trial_events.values()):
             return info
         return dataclasses.replace(info, stream_bitrate=measure_bitrate(info, config).value * 4,
                                    duration=info.duration / 4)
@@ -403,12 +406,12 @@ def test_settled_answer_probing_above_the_target_raises(config, budget_pairs, tm
     monkeypatch.setattr(snvse.estimator, "probe_media", inflated)
     scratch = tmp_path / "scratch"
     with pytest.raises(PreconditionViolation, match="passed by its size, but probes at") as raised:
-        estimate_crf(budget_pairs[0], strategy=SearchStrategy.BISECTION_WITH_VERIFY,
+        estimate_crf(budget_pairs[list(BUDGET_HIDDEN).index("settles-at-c_max")],
+                     strategy=SearchStrategy.BISECTION_WITH_VERIFY,
                      config=dataclasses.replace(config, scratch_dir=scratch), **BUDGET_RANGE)
-    # The bisection's passes only go down, so its last settled one is the answer.
-    settled = [crf for crf, _ in unprobed_in_search(trial_events)]
-    assert settled[0] == BUDGET_RANGE["c_max"]
-    assert f"trial crf={settled[-1]} passed" in str(raised.value)
+    # The answer, c_max, was the search's first trial, read by its payload.
+    assert unprobed_in_search(trial_events)[0][0] == BUDGET_RANGE["c_max"]
+    assert f"trial crf={BUDGET_RANGE['c_max']} passed" in str(raised.value)
     assert list(scratch.iterdir()) == []
 
 
@@ -431,4 +434,30 @@ def test_trial_probing_apart_from_its_payload_raises(config, budget_pairs, tmp_p
                      **BUDGET_RANGE)
     rates = re.search(r"probes at (\d+) bit/s, .* stream is (\d+) bit/s", str(raised.value))
     assert int(rates[2]) == pytest.approx(2 * int(rates[1]), abs=2)
+    assert list(scratch.iterdir()) == []
+
+
+def test_trial_probing_short_of_its_frame_intervals_raises(config, budget_pairs, tmp_path,
+                                                          monkeypatch):
+    # Every trial output probes two frame intervals short, at the rate that
+    # keeps its payload's bits over its duration, so the first probed trial
+    # contradicts the rule's assumption that its stream spans F - 1 frame
+    # intervals, though the payload check passes.
+    probe = snvse.estimator.probe_media
+
+    def short(path, *args):
+        info = probe(path, *args)
+        if not path.name.startswith("trial-"):
+            return info
+        duration = info.duration - 2 / info.frame_rate
+        rate = measure_bitrate(info, config).value * info.duration / duration
+        return dataclasses.replace(info, stream_bitrate=rate, duration=duration)
+
+    monkeypatch.setattr(snvse.estimator, "probe_media", short)
+    scratch = tmp_path / "scratch"
+    with pytest.raises(PreconditionViolation,
+                       match="stream spans F - 1 frame intervals does not hold") as raised:
+        estimate_crf(budget_pairs[0], config=dataclasses.replace(config, scratch_dir=scratch),
+                     **BUDGET_RANGE)
+    assert "passed by its size" not in str(raised.value)
     assert list(scratch.iterdir()) == []

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -171,6 +173,64 @@ def test_resolution_rejected_on_save(tmp_path, resolution):
     with pytest.raises(SchemaViolation, match="must be \\[width, height\\] of positive ints"):
         save_profile(profile([entry(**resolution)]), path)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key, value", [
+    ("rho_in", "1280x720"), ("rho_out", None), ("crf_hat", 33.0), ("crf_hat", True),
+    ("saturated", 1), ("saturated", "no"), ("pair_id", 5), ("target_bitrate", True),
+    ("target_bitrate", "1000"), ("platform_name", 5), ("captured_at", 20250601),
+    ("preset", None), ("tool_version", 1.0), ("entries", None),
+])
+def test_save_and_load_reject_a_wrong_typed_field_alike(tmp_path, key, value):
+    # One schema: what save_profile refuses to write, load_profile refuses
+    # to read, with the same message naming the field.
+    on_entry = key in ("rho_in", "rho_out", "crf_hat", "saturated", "pair_id", "target_bitrate")
+    if on_entry:
+        bad = profile([replace(entry(), **{key: value})])
+    else:
+        bad = replace(profile([entry()]), **{key: value})
+    where = f"profile.entries[0].{key}" if on_entry else f"profile.{key}"
+    path = tmp_path / "p.json"
+    with pytest.raises(SchemaViolation, match=re.escape(where)) as saved:
+        save_profile(bad, path)
+    assert list(tmp_path.iterdir()) == []
+
+    save_profile(profile([entry()]), path)
+    doc = json.loads(path.read_text())
+    (doc["entries"][0] if on_entry else doc)[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaViolation) as loaded:
+        load_profile(path)
+    assert str(loaded.value) == str(saved.value)
+
+
+@pytest.mark.parametrize("captured_at", ["2025-06-01", dt.datetime(2025, 6, 1)],
+                         ids=["str", "datetime"])
+def test_captured_at_must_be_a_date_on_save(tmp_path, captured_at):
+    # A string has no isoformat(); a datetime's holds a time that loading refuses.
+    with pytest.raises(SchemaViolation, match="profile.captured_at must be date"):
+        save_profile(replace(profile([entry()]), captured_at=captured_at), tmp_path / "p.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_missing_entry_key_named_in_error(tmp_path):
+    path = tmp_path / "p.json"
+    save_profile(profile([entry("a"), entry("b")]), path)
+    doc = json.loads(path.read_text())
+    del doc["entries"][1]["saturated"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaViolation, match=re.escape("profile.entries[1].saturated is missing")):
+        load_profile(path)
+
+
+def test_integer_target_bitrate_round_trips_byte_identically(tmp_path):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_profile(profile([entry(target_bitrate=1000)]), first)
+    assert '"target_bitrate": 1000\n' in first.read_text()
+    loaded = load_profile(first)
+    assert type(loaded.entries[0].target_bitrate) is int
+    save_profile(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_zero_target_bitrate_round_trips(tmp_path):
