@@ -39,7 +39,7 @@ trial_seconds)``, at most ``N = ceil(T * fps_out) + 1`` frames and
   ``payload * 8 / ((F - 1) / fps_out)``. Its file is kept until the search
   ends; if it is the answer it is probed then, so ``crf_hat`` keeps a
   measured rate, and a probe above the target raises
-  ``PreconditionViolation``, since the second assumption below failed.
+  ``PreconditionViolation``, since the third assumption below failed.
   Kept files are removed however the search ends.
 - Every other trial is probed.
 
@@ -51,21 +51,25 @@ bisection's wherever the rate is non-increasing in CRF, though its
 trialled CRFs may differ where a payload reading moves the rate model's
 rounding. A pair costs ``2 + trials + probed trials`` tool runs (plus a
 packet scan wherever the prober reports no stream bitrate). The rule
-rests on two assumptions:
+rests on three assumptions:
 
-1. The prober's stream bitrate is the payload's bits over the stream
+1. A trial holds at most ``N`` frames. Every trial checks ``F <= N``
+   before its payload decides it, and raises ``PreconditionViolation``
+   naming the assumption if not: a trial of more frames could fail by its
+   payload yet read under the target over its ``F`` frames.
+2. The prober's stream bitrate is the payload's bits over the stream
    duration. Every probe of a trial checks that ``payload * 8 / duration``
    equals the probed rate within ``8 / duration + 1 + 1e-5 * rate``
    bit/s (a payload byte over the duration, the prober's whole bit/s and
    its printed duration's rounding), and raises ``PreconditionViolation``
    naming both rates if not.
-2. The stream duration spans at least ``F - 1`` frame intervals. Every
-   probe of a trial checks, after 1, that its duration is at least
+3. The stream duration spans at least ``F - 1`` frame intervals. Every
+   probe of a trial checks, after 2, that its duration is at least
    ``(F - 1) / fps_out`` within the prober's printed microsecond; a settled
    answer probing above the target is caught before either check.
 
-Neither is verified against real ffmpeg output; on the sim backend both
-hold for every trial.
+None is verified against real ffmpeg output; on the sim backend all
+three hold for every trial.
 """
 
 from __future__ import annotations
@@ -202,8 +206,12 @@ def estimate_crf(
         out_path = config.scratch_dir / f"trial-{pair.pair_id}-{uuid.uuid4().hex[:8]}-crf{crf}.mp4"
         try:
             info = encode(pair.original_path, spec, out_path, config, max_seconds=trial_seconds)
-            payload = mp4_payload_bytes(out_path)
             intervals = round(info.duration * shared.frame_rate) - 1
+            if intervals >= frames:  # checked before the payload decides the trial
+                raise PreconditionViolation(
+                    f"pair {pair.pair_id}: trial crf={crf} holds {intervals + 1} frames: the trial "
+                    f"rule's assumption that it holds at most N = {frames} does not hold")
+            payload = mp4_payload_bytes(out_path)
             reading = payload * 8 / info.duration  # its payload over its frames
             if payload >= fails_at:  # fails by its payload
                 rate = payload * 8 / max_duration

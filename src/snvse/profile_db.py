@@ -98,6 +98,9 @@ class PlatformProfile:
     def validate(self) -> None:
         for key in ("platform_name", "preset", "tool_version"):
             _check_type(self, key, str, "profile")
+        if {"/", os.sep} & set(self.platform_name):  # emulate writes <stem>.<platform>.mp4
+            raise SchemaViolation(f"profile.platform_name must not contain a path separator, "
+                                  f"got {self.platform_name!r}")
         if type(self.captured_at) is not dt.date:  # a datetime saves its time of day
             raise SchemaViolation(f"profile.captured_at must be date, got {self.captured_at!r}")
         _check_type(self, "entries", list, "profile")
@@ -185,12 +188,15 @@ def load_profile(path: str | Path) -> PlatformProfile:
         raise SchemaViolation(f"profile {path} is not valid JSON: {exc}") from exc
 
     fields = _fields(doc, _PROFILE_KEYS, "profile")
-    if isinstance(fields["captured_at"], str):
+    text = fields["captured_at"]
+    if isinstance(text, str):  # exactly YYYY-MM-DD, so it re-saves byte-identically
         try:
-            fields["captured_at"] = dt.date.fromisoformat(fields["captured_at"])
-        except ValueError as exc:
-            raise SchemaViolation(
-                f"profile.captured_at is not an ISO date: {fields['captured_at']!r}") from exc
+            date = dt.date.fromisoformat(text)
+        except ValueError:
+            date = None
+        if date is None or date.isoformat() != text:
+            raise SchemaViolation(f"profile.captured_at is not a YYYY-MM-DD date: {text!r}")
+        fields["captured_at"] = date
     if isinstance(fields["entries"], list):
         fields["entries"] = [_entry(entry, f"profile.entries[{index}]")
                              for index, entry in enumerate(fields["entries"])]

@@ -2,8 +2,10 @@
 
 These are command-line stand-ins installed as ``snvse-sim-ffmpeg`` and
 ``snvse-sim-ffprobe`` (also runnable as ``python -m snvse.sim_ffmpeg`` /
-``sim_ffprobe``). They accept the exact invocations this package
-constructs, plus the lavfi source forms the test fixtures use, and operate
+``sim_ffprobe``). Their contract is two option tables, ``_FFMPEG_OPTIONS``
+and ``_FFPROBE_OPTIONS``: each holds exactly the options this package, its
+tests and its bench pass, with the parser of each option's value, and one
+argv parser reads both; any other option is "not simulated". They operate
 on a tiny container shaped like the MP4 files ffmpeg writes: top-level
 ISO-BMFF boxes in ffmpeg's default order, an ``ftyp`` box, an ``mdat``
 box holding the payload bytes of every stream, and a private ``snvs``
@@ -168,17 +170,12 @@ def _parse_params(text: str) -> dict[str, str]:
     return params
 
 
-def _parse_size(text: str) -> tuple[int, int]:
-    w, _, h = text.lower().partition("x")
-    return int(w), int(h)
-
-
 def synthesize_source(desc: str) -> dict:
     """Build the stream dict a lavfi source description denotes."""
     name, _, rest = desc.partition("=")
     params = _parse_params(rest)
+    duration = float(params.get("duration", "0") or 0)
     if name == "sine":
-        duration = float(params.get("duration", params.get("d", "0")) or 0)
         return {
             "type": "audio",
             "codec": "pcm_s16le",
@@ -188,14 +185,13 @@ def synthesize_source(desc: str) -> dict:
         }
     if name not in SOURCE_COMPLEXITY:
         raise SimError(f"lavfi source {name!r} is not simulated")
-    width, height = _parse_size(params.get("size", params.get("s", "320x240")))
-    rate = Fraction(params.get("rate", params.get("r", "25")))
-    duration = float(params.get("duration", params.get("d", "0")) or 0)
+    width, _, height = params.get("size", "320x240").lower().partition("x")
+    rate = Fraction(params.get("rate", "25"))
     stream = {
         "type": "video",
         "codec": "rawvideo",
-        "width": width,
-        "height": height,
+        "width": int(width),
+        "height": int(height),
         "pix_fmt": "rgb24" if name == "rgbtestsrc" else "yuv420p",
         "fps": [rate.numerator, rate.denominator],
         "duration": duration,  # 0 means unbounded; -t must cap it
@@ -212,17 +208,89 @@ def synthesize_source(desc: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# argv
+
+
+def _parse_kilobits(text: str) -> float:
+    if not text.endswith("k"):
+        raise SimError(f"bitrate {text!r} is not simulated")
+    return float(text[:-1]) * 1e3
+
+
+def _parse_scale(expr: str) -> tuple[int, int]:
+    if not expr.startswith("scale="):
+        raise SimError(f"filter {expr!r} is not simulated")
+    w, _, h = expr[len("scale="):].partition(":")
+    return int(w), int(h)
+
+
+def _parse_progress(target: str) -> str:
+    if target != "pipe:1":
+        raise SimError(f"progress target {target!r} is not simulated")
+    return target
+
+
+# The sims' contract: every option each accepts, mapped to the parser of its
+# value, or to None for a bare flag. They hold exactly what snvse, its tests
+# and its bench pass; ``-version`` is read before them, and any other option
+# is "not simulated".
+_FFMPEG_OPTIONS = {
+    "-y": None,
+    "-hide_banner": None,
+    "-nostats": None,
+    "-an": None,
+    "-loglevel": str,
+    "-f": str,
+    "-i": str,
+    "-map": str,
+    "-c:v": str,
+    "-preset": str,
+    "-pix_fmt": str,
+    "-crf": float,
+    "-t": float,
+    "-r": Fraction,
+    "-b:v": _parse_kilobits,
+    "-vf": _parse_scale,
+    "-progress": _parse_progress,
+}
+
+_FFPROBE_OPTIONS = {
+    "-show_format": None,
+    "-show_streams": None,
+    "-v": str,
+    "-print_format": str,
+    "-select_streams": str,
+    "-show_entries": str,
+}
+
+
+def _parse_argv(argv: list[str], options: dict) -> tuple[dict, str | None]:
+    """(parsed option values, last operand) of *argv*; a flag's value is True.
+
+    Each option may be given once, so a single ``-i`` is the only input.
+    """
+    values: dict = {}
+    operand = None
+    args = iter(argv)
+    for arg in args:
+        if not arg.startswith("-"):
+            operand = arg
+        elif arg not in options:
+            raise SimError(f"option {arg} is not simulated")
+        elif arg in values:
+            raise SimError(f"option {arg} given twice is not simulated")
+        elif options[arg] is None:
+            values[arg] = True
+        else:
+            text = next(args, None)
+            if text is None:
+                raise SimError(f"option {arg} requires an argument")
+            values[arg] = options[arg](text)
+    return values, operand
+
+
+# ---------------------------------------------------------------------------
 # sim ffmpeg
-
-
-def _parse_rate_suffix(text: str) -> float:
-    text = text.strip().lower()
-    factor = 1.0
-    if text.endswith("k"):
-        factor, text = 1e3, text[:-1]
-    elif text.endswith("m"):
-        factor, text = 1e6, text[:-1]
-    return float(text) * factor
 
 
 def _packetize(payload: int, frames: int) -> list[int]:
@@ -235,129 +303,55 @@ def _packetize(payload: int, frames: int) -> list[int]:
     return sizes
 
 
+def _capped(stream: dict, limit: float | None) -> float:
+    """The duration of *stream* under ``-t`` *limit*; an unbounded source needs one."""
+    duration = float(stream.get("duration") or 0)
+    if limit is not None:
+        duration = min(duration, limit) if duration > 0 else limit
+    if duration <= 0:
+        raise SimError("unbounded source requires -t")
+    return duration
+
+
 def run_ffmpeg(argv: list[str]) -> int:
     if "-version" in argv:
         print(_VERSION_LINE)
         return 0
 
-    inputs: list[dict] = []
-    opts = {
-        "lavfi_next": False,
-        "an": False,
-        "acodec": None,
-        "vcodec": None,
-        "crf": None,
-        "preset": "medium",
-        "pix_fmt": None,
-        "scale": None,
-        "rate": None,
-        "t": None,
-        "b_v": None,
-        "maps": [],
-        "progress": None,
-    }
-    output: Path | None = None
-
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-
-        def value() -> str:
-            nonlocal i
-            i += 1
-            if i >= len(argv):
-                raise SimError(f"option {arg} requires an argument")
-            return argv[i]
-
-        if arg == "-f":
-            fmt = value()
-            if fmt == "lavfi":
-                opts["lavfi_next"] = True
-        elif arg == "-i":
-            src = value()
-            if opts["lavfi_next"]:
-                inputs.append({"streams": [synthesize_source(src)]})
-                opts["lavfi_next"] = False
-            else:
-                path = Path(src)
-                if not path.exists():
-                    raise SimError(f"{src}: No such file or directory")
-                inputs.append(read_container(path))
-        elif arg in ("-y", "-n", "-hide_banner", "-nostdin", "-nostats"):
-            pass
-        elif arg in ("-loglevel", "-v", "-passlogfile", "-threads"):
-            value()
-        elif arg == "-pass":
-            value()
-        elif arg == "-an":
-            opts["an"] = True
-        elif arg in ("-c:a", "-acodec"):
-            opts["acodec"] = value()
-        elif arg in ("-c:v", "-vcodec"):
-            opts["vcodec"] = value()
-        elif arg == "-crf":
-            opts["crf"] = float(value())
-        elif arg == "-preset":
-            opts["preset"] = value()
-        elif arg == "-pix_fmt":
-            opts["pix_fmt"] = value()
-        elif arg in ("-vf", "-filter:v"):
-            expr = value()
-            if not expr.startswith("scale="):
-                raise SimError(f"filter {expr!r} is not simulated")
-            w, _, h = expr[len("scale="):].partition(":")
-            opts["scale"] = (int(w), int(h))
-        elif arg == "-r":
-            opts["rate"] = Fraction(value())
-        elif arg == "-t":
-            opts["t"] = float(value())
-        elif arg == "-b:v":
-            opts["b_v"] = _parse_rate_suffix(value())
-        elif arg == "-map":
-            opts["maps"].append(value())
-        elif arg == "-progress":
-            opts["progress"] = value()
-            if opts["progress"] != "pipe:1":
-                raise SimError(f"progress target {opts['progress']!r} is not simulated")
-        elif arg.startswith("-"):
-            raise SimError(f"option {arg} is not simulated")
-        else:
-            output = Path(arg)
-        i += 1
-
-    if not inputs:
+    opts, output = _parse_argv(argv, _FFMPEG_OPTIONS)
+    if "-i" not in opts:
         raise SimError("no input given")
     if output is None:
         raise SimError("no output given")
-    if len(inputs) > 1:
-        raise SimError("multiple inputs are not simulated")
+    if opts.get("-f") == "lavfi":
+        in_streams = [synthesize_source(opts["-i"])]
+    else:
+        in_streams = read_container(Path(opts["-i"]))["streams"]
+    output = Path(output)
 
-    in_streams = inputs[0]["streams"]
     video_in = next((s for s in in_streams if s["type"] == "video"), None)
     audio_in = next((s for s in in_streams if s["type"] == "audio"), None)
     out_streams: list[dict] = []
 
     if video_in is not None:
-        width, height = opts["scale"] or (video_in["width"], video_in["height"])
-        fps = opts["rate"] or Fraction(*video_in["fps"])
-        pix_fmt = opts["pix_fmt"] or video_in.get("pix_fmt", "yuv420p")
-        duration = float(video_in.get("duration") or 0)
-        if opts["t"] is not None:
-            duration = min(duration, opts["t"]) if duration > 0 else opts["t"]
-        if duration <= 0:
-            raise SimError("unbounded source requires -t")
+        width, height = opts.get("-vf") or (video_in["width"], video_in["height"])
+        fps = opts.get("-r") or Fraction(*video_in["fps"])
+        pix_fmt = opts.get("-pix_fmt") or video_in.get("pix_fmt", "yuv420p")
+        duration = _capped(video_in, opts.get("-t"))
         if pix_fmt == "yuv420p" and (width % 2 or height % 2):
             raise SimError(
                 f"width or height not divisible by 2 ({width}x{height}) "
                 "required by yuv420p"
             )
         complexity = float(video_in.get("complexity", 0.5))
-        if opts["b_v"] is not None:
-            bps = opts["b_v"] * _jitter(f"abr|{complexity:.6f}|{width}x{height}|{opts['b_v']:.1f}")
+        if "-b:v" in opts:
+            b_v = opts["-b:v"]
+            bps = b_v * _jitter(f"abr|{complexity:.6f}|{width}x{height}|{b_v:.1f}")
             out_complexity = _decay_complexity(complexity, 28.0)
         else:
-            crf = opts["crf"] if opts["crf"] is not None else 23.0
-            bps = video_bits_per_second(complexity, width, height, fps, crf, opts["preset"],
+            crf = opts.get("-crf", 23.0)
+            bps = video_bits_per_second(complexity, width, height, fps, crf,
+                                        opts.get("-preset", "medium"),
                                         video_in.get("halving", _CRF_PER_HALVING))
             out_complexity = _decay_complexity(complexity, crf)
         frames = max(1, round(duration * fps))
@@ -379,32 +373,23 @@ def run_ffmpeg(argv: list[str]) -> int:
         if "halving" in video_in:
             out_streams[-1]["halving"] = video_in["halving"]
 
-    wants_audio = not opts["an"] and (not opts["maps"] or any("a" in m for m in opts["maps"]))
+    wants_audio = "-an" not in opts and "a" in opts.get("-map", "a")
     if audio_in is not None and (wants_audio or video_in is None):
-        duration = float(audio_in.get("duration") or 0)
-        if opts["t"] is not None:
-            duration = min(duration, opts["t"]) if duration > 0 else opts["t"]
-        if duration <= 0:
-            raise SimError("unbounded source requires -t")
-        if opts["acodec"] == "copy":
-            out = dict(audio_in)
-            out["duration"] = duration
-            out_streams.append(out)
-        else:
-            out_streams.append(
-                {
-                    "type": "audio",
-                    "codec": "aac",
-                    "duration": duration,
-                    "payload": int(_AUDIO_TRANSCODE_BPS * duration / 8.0),
-                    "bit_rate": _AUDIO_TRANSCODE_BPS,
-                }
-            )
+        duration = _capped(audio_in, opts.get("-t"))
+        out_streams.append(
+            {
+                "type": "audio",
+                "codec": "aac",
+                "duration": duration,
+                "payload": int(_AUDIO_TRANSCODE_BPS * duration / 8.0),
+                "bit_rate": _AUDIO_TRANSCODE_BPS,
+            }
+        )
 
     if not out_streams:
         raise SimError("nothing to encode (no mapped streams)")
     write_container(output, out_streams)
-    if opts["progress"] is not None:
+    if "-progress" in opts:
         # The final block of ffmpeg's -progress report.
         frames = sum(s.get("frames", 0) for s in out_streams)
         print(f"frame={frames}\ntotal_size={output.stat().st_size}\nprogress=end")
@@ -424,52 +409,21 @@ def run_ffprobe(argv: list[str]) -> int:
         print(_VERSION_LINE.replace("ffmpeg", "ffprobe"))
         return 0
 
-    show_format = "-show_format" in argv
-    show_streams = "-show_streams" in argv
-    show_packets = False
-    select_video = False
-    path: Path | None = None
-
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg in ("-v", "-loglevel", "-print_format", "-of"):
-            i += 1
-        elif arg == "-select_streams":
-            i += 1
-            select_video = argv[i].startswith("v")
-        elif arg == "-show_entries":
-            i += 1
-            if argv[i].startswith("packet"):
-                show_packets = True
-        elif arg in ("-show_format", "-show_streams", "-show_packets"):
-            if arg == "-show_packets":
-                show_packets = True
-        elif arg.startswith("-"):
-            raise SimError(f"option {arg} is not simulated")
-        else:
-            path = Path(arg)
-        i += 1
-
+    opts, path = _parse_argv(argv, _FFPROBE_OPTIONS)
     if path is None:
         raise SimError("no input given")
-    if not path.exists():
-        raise SimError(f"{path}: No such file or directory")
-    container = read_container(path)
-    streams = container["streams"]
+    path = Path(path)
+    streams = read_container(path)["streams"]
     doc: dict = {}
 
-    if show_packets:
-        packets = []
-        for stream in streams:
-            if stream["type"] != "video" and select_video:
-                continue
-            if stream["type"] == "video":
-                sizes = _packetize(int(stream["payload"]), int(stream.get("frames", 1)))
-                packets.extend({"size": str(size)} for size in sizes)
-        doc["packets"] = packets
+    if opts.get("-show_entries", "").startswith("packet"):  # only video has packets
+        doc["packets"] = [
+            {"size": str(size)}
+            for stream in streams if stream["type"] == "video"
+            for size in _packetize(int(stream["payload"]), int(stream.get("frames", 1)))
+        ]
 
-    if show_streams:
+    if "-show_streams" in opts:
         out = []
         for index, stream in enumerate(streams):
             duration = float(stream.get("duration") or 0)
@@ -503,7 +457,7 @@ def run_ffprobe(argv: list[str]) -> int:
                 )
         doc["streams"] = out
 
-    if show_format:
+    if "-show_format" in opts:
         duration = max((float(s.get("duration") or 0) for s in streams), default=0.0)
         size = path.stat().st_size
         doc["format"] = {
@@ -524,23 +478,20 @@ def run_ffprobe(argv: list[str]) -> int:
 # entry points
 
 
-def main_ffmpeg(argv: list[str] | None = None) -> int:
+def _main(run, name: str, argv: list[str] | None) -> int:
     try:
-        return run_ffmpeg(sys.argv[1:] if argv is None else argv)
+        return run(sys.argv[1:] if argv is None else argv)
     except SimError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except Exception as exc:  # malformed invocation; mirror a tool crash
-        print(f"sim-ffmpeg: {exc}", file=sys.stderr)
+        print(f"{name}: {exc}", file=sys.stderr)
         return 1
+
+
+def main_ffmpeg(argv: list[str] | None = None) -> int:
+    return _main(run_ffmpeg, "sim-ffmpeg", argv)
 
 
 def main_ffprobe(argv: list[str] | None = None) -> int:
-    try:
-        return run_ffprobe(sys.argv[1:] if argv is None else argv)
-    except SimError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except Exception as exc:
-        print(f"sim-ffprobe: {exc}", file=sys.stderr)
-        return 1
+    return _main(run_ffprobe, "sim-ffprobe", argv)

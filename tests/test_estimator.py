@@ -3,6 +3,7 @@
 import dataclasses
 import datetime as dt
 import json
+import math
 import re
 import threading
 from collections import defaultdict
@@ -24,7 +25,7 @@ from snvse.estimator import (
 from snvse.probe import probe_media
 from snvse.profile_db import PlatformProfile, load_profile, save_profile
 
-from conftest import make_clip
+from conftest import fake_encoder, make_clip
 
 HIDDEN_RHO = (640, 360)
 HIDDEN_CRF = 33.0
@@ -460,4 +461,24 @@ def test_trial_probing_short_of_its_frame_intervals_raises(config, budget_pairs,
         estimate_crf(budget_pairs[0], config=dataclasses.replace(config, scratch_dir=scratch),
                      **BUDGET_RANGE)
     assert "passed by its size" not in str(raised.value)
+    assert list(scratch.iterdir()) == []
+
+
+def test_trial_over_its_frame_bound_raises(config, budget_pairs, tmp_path):
+    # The trial rule bounds a trial at N = ceil(T * fps) + 1 frames. An
+    # encoder that writes a payload at the fail line but reports N + 2
+    # frames reads under the target over its F frames, so without the
+    # check the sweep would take its first trial as the answer.
+    pair = budget_pairs[0]
+    original, shared = (probe_media(path, config) for path in (pair.original_path, pair.shared_path))
+    target = measure_bitrate(shared, config).value
+    frames = math.ceil(original.duration * shared.frame_rate) + 1
+    payload = math.floor(target * float(frames / shared.frame_rate) / 8) + 1
+    code = (f"import struct, sys; open(sys.argv[-1], 'wb').write(struct.pack('>I4s', {8 + payload}, "
+            f"b'mdat') + bytes({payload})); print('frame={frames + 2}\\nprogress=end')")
+    scratch = tmp_path / "scratch"
+    with pytest.raises(PreconditionViolation, match=f"holds {frames + 2} frames: .* at most N = "
+                                                    f"{frames} does not hold"):
+        estimate_crf(pair, strategy=SearchStrategy.LINEAR_SWEEP,
+                     config=dataclasses.replace(fake_encoder(config, code), scratch_dir=scratch))
     assert list(scratch.iterdir()) == []

@@ -213,6 +213,34 @@ def test_captured_at_must_be_a_date_on_save(tmp_path, captured_at):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("platform", [f"a{sep}b" for sep in dict.fromkeys(["/", os.sep])])
+def test_platform_name_with_a_path_separator_is_refused_on_save_and_load(tmp_path, platform):
+    # emulate names its outputs <stem>.<platform>.mp4.
+    path = tmp_path / "p.json"
+    with pytest.raises(SchemaViolation, match="profile.platform_name must not contain a path"):
+        save_profile(profile([entry()], platform=platform), path)
+    assert list(tmp_path.iterdir()) == []
+    save_profile(profile([entry()]), path)
+    doc = json.loads(path.read_text())
+    doc["platform_name"] = platform
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaViolation, match="profile.platform_name must not contain a path"):
+        load_profile(path)
+
+
+@pytest.mark.parametrize("text", ["20250601", "2025-W23-1", "2025-06-1", "2025-6-01", "2025-06-01T00:00",
+                                  "2025-13-01", ""])
+def test_captured_at_loads_only_as_yyyy_mm_dd(tmp_path, text):
+    # Other ISO forms some Pythons parse would re-save as another string.
+    path = tmp_path / "p.json"
+    save_profile(profile([entry()]), path)
+    doc = json.loads(path.read_text())
+    doc["captured_at"] = text
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaViolation, match=re.escape(f"not a YYYY-MM-DD date: {text!r}")):
+        load_profile(path)
+
+
 def test_missing_entry_key_named_in_error(tmp_path):
     path = tmp_path / "p.json"
     save_profile(profile([entry("a"), entry("b")]), path)

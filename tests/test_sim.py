@@ -1,11 +1,16 @@
 """Simulated tool backend: rate model properties and container handling."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import snvse.sim
 from snvse.probe import mp4_payload_bytes
 from snvse.sim import (
+    _FFMPEG_OPTIONS,
+    _FFPROBE_OPTIONS,
     SimError,
     _packetize,
     main_ffmpeg,
@@ -118,3 +123,25 @@ def test_cli_progress_report(tmp_path, capsys):
     assert main_ffmpeg(["-y", "-i", str(out), "-fs", "1000", str(tmp_path / "fs.mp4")]) == 1
     assert "option -fs is not simulated" in capsys.readouterr().err
 
+
+def test_every_simulated_option_is_passed_somewhere():
+    # The option tables hold what snvse, its tests and its bench pass, and
+    # nothing more: an option that no invocation names is dead sim code.
+    root = Path(__file__).resolve().parents[1]
+    sources = [path for path in Path(snvse.sim.__file__).parent.glob("*.py") if path.name != "sim.py"]
+    sources += [*root.glob("tests/*.py"), *root.glob("perfbench/*.py")]
+    passed = {node.value for path in sources for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    for table in (_FFMPEG_OPTIONS, _FFPROBE_OPTIONS):
+        assert set(table) - passed == set()
+
+
+@pytest.mark.parametrize("main, argv, message", [
+    (main_ffmpeg, ["-y", "-crf"], "option -crf requires an argument"),
+    (main_ffprobe, ["-select_streams"], "option -select_streams requires an argument"),
+    (main_ffmpeg, ["-t", "1", "-t", "2"], "option -t given twice is not simulated"),
+    (main_ffprobe, ["-show_packets"], "option -show_packets is not simulated"),
+], ids=["ffmpeg-value", "ffprobe-value", "ffmpeg-twice", "ffprobe-unknown"])
+def test_argv_errors_name_the_option(capsys, main, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == message + "\n"
