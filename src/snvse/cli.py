@@ -26,7 +26,7 @@ from . import __version__
 from .analysis import DEFAULT_ITERATIONS, bootstrap_stability, recommend_sample_size, write_stability_csv
 from .config import RunConfig
 from .encoder import CRF_CEIL, CRF_FLOOR, EncodeSpec, encode
-from .errors import AllItemsFailed, InvalidRange, IoFailure, NoSupport, PreconditionViolation, SnvseError
+from .errors import AllItemsFailed, InvalidRange, IoFailure, PreconditionViolation, SnvseError
 from .estimator import DEFAULT_STRATEGY, SearchStrategy, VideoPair, check_range, estimate_batch
 from .planner import emulate_batch, supporting_entries
 from .probe import probe_media
@@ -298,9 +298,6 @@ def cmd_analyze_stability(args) -> int:
     profile = load_profile(args.profile)
     rho = args.resolution
     entries = supporting_entries(rho, profile, args.include_saturated)
-    if not entries:
-        available = ", ".join(f"{w}x{h}" for w, h in profile.resolutions_out()) or "none"
-        raise NoSupport(f"no entries at {rho[0]}x{rho[1]}; available output resolutions: {available}")
     n_max = args.n_max if args.n_max is not None else min(50, len(entries))
     report = bootstrap_stability(
         entries, (args.n_min, n_max), iterations=args.iterations, seed=args.seed

@@ -47,17 +47,16 @@ class RunConfig:
         return shlex.split(self.ffprobe)
 
     def check_tools(self) -> None:
-        """Verify both tool commands resolve to something executable.
-
-        Raises ToolNotFound with the offending command so misconfiguration
-        fails at startup instead of mid-batch.
+        """Verify each command's first token as ``Popen`` finds it, by ``shutil.which``:
+        an executable file at a path, or a bare name on ``PATH``. Raises ToolNotFound
+        with the offending command, so misconfiguration fails at startup, not mid-batch.
         """
         for name, cmd in (("ffmpeg", self.ffmpeg), ("ffprobe", self.ffprobe)):
             tokens = shlex.split(cmd)
             if not tokens:
                 raise ToolNotFound(f"{name} command is empty")
             exe = tokens[0]
-            if shutil.which(exe) is None and not Path(exe).exists():
+            if shutil.which(exe) is None:
                 raise ToolNotFound(
                     f"{name} command {cmd!r} not found; install it, pass --{name}-bin, "
                     f"or set {ENV_FFMPEG if name == 'ffmpeg' else ENV_FFPROBE}"

@@ -152,6 +152,7 @@ def estimate_crf(
     """
     _check_search(c_min, c_max, trial_seconds)
     config = config or RunConfig()
+    config.scratch_dir.mkdir(parents=True, exist_ok=True)
 
     original = probe_media(pair.original_path, config)
     shared = probe_media(pair.shared_path, config)
@@ -168,7 +169,6 @@ def estimate_crf(
     max_duration = float(frames / shared.frame_rate)
     fails_at = math.floor(target * max_duration / 8) + 1  # no pass holds this payload
 
-    config.scratch_dir.mkdir(parents=True, exist_ok=True)
     trials: dict[int, float] = {}
     settled: dict[int, tuple] = {}  # passes logged at their payload bound: (path, payload, F - 1)
 
@@ -203,7 +203,7 @@ def estimate_crf(
             crf=float(crf),
             frame_rate=shared.frame_rate,
         )
-        out_path = config.scratch_dir / f"trial-{pair.pair_id}-{uuid.uuid4().hex[:8]}-crf{crf}.mp4"
+        out_path = config.scratch_dir / f"trial-{uuid.uuid4().hex}-crf{crf}.mp4"
         try:
             info = encode(pair.original_path, spec, out_path, config, max_seconds=trial_seconds)
             intervals = round(info.duration * shared.frame_rate) - 1

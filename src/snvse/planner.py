@@ -73,11 +73,17 @@ def select_resolution(
 def supporting_entries(
     rho_out: tuple[int, int], profile: PlatformProfile, include_saturated: bool
 ) -> list[ProfileEntry]:
-    """Entries with output resolution *rho_out*, saturated ones only if asked for."""
-    return [
-        entry for entry in profile.entries
-        if entry.rho_out == rho_out and (include_saturated or not entry.saturated)
-    ]
+    """The CRF group: entries at output resolution *rho_out*, saturated ones only
+    if asked for. Raises NoSupport, naming the usable output resolutions, if empty."""
+    group = [entry for entry in profile.entries
+             if entry.rho_out == rho_out and (include_saturated or not entry.saturated)]
+    if not group:
+        usable = dict.fromkeys(f"{e.rho_out[0]}x{e.rho_out[1]}" for e in profile.entries
+                               if include_saturated or not e.saturated)
+        raise NoSupport(f"no entries at {rho_out[0]}x{rho_out[1]}"
+                        + ("" if include_saturated else " (saturated ones excluded)")
+                        + f"; usable output resolutions: {', '.join(usable) or 'none'}")
+    return group
 
 
 def select_crf(
@@ -87,11 +93,6 @@ def select_crf(
 ) -> tuple[float, int]:
     """Mean estimated CRF over entries with output resolution *rho_star*."""
     group = supporting_entries(rho_star, profile, include_saturated)
-    if not group:
-        raise NoSupport(
-            f"no usable entries at output resolution {rho_star[0]}x{rho_star[1]}"
-            + ("" if include_saturated else " (saturated entries excluded; retry with include_saturated)")
-        )
     return sum(entry.crf_hat for entry in group) / len(group), len(group)
 
 

@@ -108,9 +108,6 @@ class PlatformProfile:
             entry.validate(where=f"profile.entries[{index}]")
         check_unique_pair_ids(self.entries)
 
-    def resolutions_out(self) -> list[tuple[int, int]]:
-        return list(dict.fromkeys(entry.rho_out for entry in self.entries))
-
 
 def check_unique_pair_ids(items) -> None:
     """Raise DuplicatePair if two items (entries or pairs) share a pair_id."""

@@ -56,6 +56,7 @@ def run_tool(argv: list[str]) -> subprocess.CompletedProcess:
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        errors="replace",  # ffmpeg quotes file names, which need not be UTF-8
     )
     with _ACTIVE_LOCK:
         _ACTIVE.add(proc)

@@ -96,6 +96,13 @@ def fake_encoder(config: RunConfig, code: str) -> RunConfig:
     return dataclasses.replace(config, ffmpeg=shlex.join([sys.executable, "-c", code]))
 
 
+def fake_prober(config: RunConfig, stdout: bytes) -> RunConfig:
+    """*config* with its prober replaced by a Python script that writes *stdout*
+    and exits 0, whatever file it is asked about."""
+    code = f"import sys; sys.stdout.buffer.write({stdout!r})"
+    return dataclasses.replace(config, ffprobe=shlex.join([sys.executable, "-c", code]))
+
+
 def make_clip(
     config: RunConfig,
     path: Path,

@@ -4,6 +4,9 @@ import argparse
 import ast
 import datetime as dt
 import json
+import os
+import shutil
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,10 +15,11 @@ import pytest
 import snvse.cli
 import snvse.estimator
 from snvse.cli import build_parser, main
+from snvse.config import RunConfig
 from snvse.probe import probe_media
 from snvse.profile_db import PlatformProfile, ProfileEntry, load_profile, save_profile
 
-from conftest import make_clip
+from conftest import fake_encoder, make_clip
 
 
 def entry(pair_id, rho_in, rho_out, crf_hat, saturated=False):
@@ -218,6 +222,63 @@ def test_mock_platform_empty_or_failed_batch_fails(tmp_path, quiet, capsys):
     assert "error: AllItemsFailed: every input failed; first error:" in capsys.readouterr().err
 
 
+def test_tool_output_that_is_not_utf8_fails_only_its_item(config, clips, tmp_path, quiet,
+                                                          capsys):
+    # ffmpeg quotes file names, which need not be UTF-8.
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    shutil.copy(clips["flat"], inputs / "flat.mp4")
+    encoder = fake_encoder(config, "import sys; sys.stderr.buffer.write(b'cannot open caf"
+                                   "\\xe9.mp4'); sys.exit(1)")
+    code = main(quiet + ["--ffmpeg-bin", encoder.ffmpeg, "mock-platform", str(inputs),
+                         "--out", str(tmp_path / "out"), "--resolution", "640x360", "--crf", "30"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: AllItemsFailed: every input failed; first error: EncoderFailure: " in err
+    assert "cannot open caf\ufffd.mp4" in err
+
+
+@pytest.mark.parametrize("command", ["not-executable", "directory", "working-dir-only", "empty"])
+def test_tool_check_refuses_what_popen_cannot_start(tmp_path, quiet, tool_calls, capsys,
+                                                    monkeypatch, command):
+    # Each of these exists as a path, but no tool run could start it.
+    script = tmp_path / "cwdff"
+    script.write_text("#!/bin/sh\nexit 0\n")
+    (tmp_path / "ffdir").mkdir()
+    if command == "working-dir-only":
+        script.chmod(0o755)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("PATH", os.path.dirname(sys.executable))
+    ffmpeg = {"not-executable": str(script), "directory": str(tmp_path / "ffdir"),
+              "working-dir-only": "cwdff", "empty": ""}[command]
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    (inputs / "clip.mp4").write_bytes(b"never probed")
+    out = tmp_path / "out"
+    assert main(quiet + ["--ffmpeg-bin", ffmpeg, "mock-platform", str(inputs), "--out", str(out),
+                         "--resolution", "640x360", "--crf", "30"]) == 1
+    assert tool_calls == []
+    assert not out.exists()
+    err = capsys.readouterr().err
+    if command == "empty":
+        assert "error: ToolNotFound: ffmpeg command is empty" in err
+    else:
+        assert f"error: ToolNotFound: ffmpeg command {ffmpeg!r} not found" in err
+        assert "--ffmpeg-bin" in err and "SNVSE_FFMPEG" in err
+
+
+def test_tool_check_accepts_what_popen_starts(tmp_path, monkeypatch):
+    script = tmp_path / "bin" / "myffmpeg"
+    script.parent.mkdir()
+    script.write_text("#!/bin/sh\nexit 0\n")
+    script.chmod(0o755)
+    monkeypatch.setenv("PATH", os.pathsep.join([str(script.parent), os.path.dirname(sys.executable),
+                                                os.environ["PATH"]]))
+    for command in ["myffmpeg -hide_banner", str(script), "python -m snvse.sim_ffmpeg",
+                    f"{sys.executable} -m snvse.sim_ffmpeg"]:
+        RunConfig(ffmpeg=command, ffprobe=command).check_tools()
+
+
 def _unprobed_pair_dirs(tmp_path):
     """originals/ and shared/ holding one stem pair of files that are not videos."""
     for side in ("originals", "shared"):
@@ -324,6 +385,18 @@ def test_estimate_rejects_unwritable_out_before_any_work(tmp_path, quiet, tool_c
     assert code == 1
     assert tool_calls == []
     assert "IoFailure: cannot write profile" in capsys.readouterr().err
+
+
+def test_estimate_makes_the_scratch_dir_before_any_tool_runs(tmp_path, quiet, tool_calls,
+                                                            capsys):
+    dirs = _unprobed_pair_dirs(tmp_path)
+    notadir = tmp_path / "notadir"
+    notadir.write_bytes(b"")
+    code = main(quiet + ["--scratch-dir", str(notadir / "sub"), "estimate", *dirs,
+                         "--platform", "x", "--out", str(tmp_path / "p.json")])
+    assert code == 1
+    assert tool_calls == []
+    assert "first error: NotADirectoryError: " in capsys.readouterr().err
 
 
 def test_estimate_rejects_a_directory_out_before_any_work(tmp_path, quiet, tool_calls, capsys):
@@ -616,6 +689,23 @@ def test_analyze_stability_unknown_resolution(tmp_path, quiet, capsys):
     err = capsys.readouterr().err
     assert "error: NoSupport: no entries at 854x480" in err
     assert "1280x720" in err
+
+
+def test_empty_crf_group_reads_alike_in_every_command(clips, tmp_path, quiet, capsys):
+    # Every entry at 640x360 is saturated: analyze-stability refuses the
+    # resolution, and emulate each input, with planner's one message.
+    profile_path = write_profile(tmp_path / "p.json", [
+        entry(f"p{i}", (640, 360), (640, 360), 50, saturated=True) for i in range(3)])
+    message = ("NoSupport: no entries at 640x360 (saturated ones excluded); "
+               "usable output resolutions: none")
+    assert main(quiet + ["analyze-stability", "--profile", str(profile_path), "--resolution",
+                         "640x360", "--out", str(tmp_path / "r.csv")]) == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+    out_dir = tmp_path / "emu"
+    assert main(quiet + ["emulate", "--profile", str(profile_path), "--out", str(out_dir),
+                         str(clips["flat"])]) == 1
+    [record] = json.loads((out_dir / "manifest.json").read_text())
+    assert record["error"] == message
 
 
 def test_db_show(tmp_path, quiet, capsys):

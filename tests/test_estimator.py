@@ -9,6 +9,7 @@ import threading
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +174,22 @@ def test_trials_mirror_shared_frame_rate(config, tmp_path, tool_calls):
     assert list(scratch.iterdir()) == []
 
 
+def test_pair_with_a_long_stem_estimates(config, backend, tmp_path):
+    # Trial names leave out the pair id: a 240-character stem in them
+    # would pass the 255-byte file-name limit.
+    stem = "p" * 240
+    original = make_clip(config, tmp_path / f"{stem}.mp4", size=(320, 180), duration=2)
+    shared = tmp_path / "shared.mp4"
+    encode(original, EncodeSpec(320, 180, 30.0, Fraction(30, 1)), shared, config)
+    scratch = tmp_path / "scratch"
+    got = estimate_crf(VideoPair(original, shared, stem), c_min=26, c_max=36,
+                       config=dataclasses.replace(config, scratch_dir=scratch))
+    assert got.pair_id == stem
+    if backend == "sim":
+        assert (got.crf_hat, got.saturated) == (30, False)
+    assert list(scratch.iterdir()) == []
+
+
 @pytest.mark.parametrize("seconds", [0.0, -2.0, float("nan"), float("inf")])
 def test_bad_trial_seconds_rejected_before_any_tool_runs(hidden_pair, config, tool_calls,
                                                          seconds):
@@ -282,7 +299,7 @@ def probed_everywhere(config, budget_pairs, tmp_path_factory):
 
 @pytest.fixture
 def trial_events(monkeypatch):
-    """Per thread, in order: each trial encode ("encode", crf, output name),
+    """Per thread, in order: each trial encode ("encode", crf, output name, input stem),
     each probe of a trial output ("probe", name) and each search's end ("end",)."""
     events = defaultdict(list)
 
@@ -297,7 +314,8 @@ def trial_events(monkeypatch):
 
         monkeypatch.setattr(snvse.estimator, name, call)
 
-    spy("encode", lambda source, spec, out, *rest: ("encode", int(spec.crf), out.name))
+    spy("encode", lambda source, spec, out, *rest: ("encode", int(spec.crf), out.name,
+                                                    Path(source).stem))
     spy("probe_media", lambda path, *rest: ("probe", path.name)
         if path.name.startswith("trial-") else None)
     for search in ("_linear_sweep", "_bisection_with_verify"):
@@ -306,17 +324,17 @@ def trial_events(monkeypatch):
 
 
 def unprobed_in_search(events):
-    """The (crf, output name) of every trial its search read without a probe."""
+    """The (crf, input stem) of every trial its search read without a probe."""
     found = []
     for log in events.values():
         pending = {}
         for kind, *rest in log:
             if kind == "encode":
-                pending[rest[1]] = rest[0]
+                pending[rest[1]] = rest[0], rest[2]
             elif kind == "probe":
                 pending.pop(rest[0], None)
             else:
-                found += [(crf, name) for name, crf in pending.items()]
+                found += pending.values()
                 pending = {}
     return found
 
@@ -359,8 +377,8 @@ def test_budget_keeps_every_estimate(config, budget_pairs, probed_everywhere, ba
         # the search, which is how it logs the measured rate above. A 1 s
         # trial of 30 frames is read over 29 frame intervals, which the half
         # CRF between this pass and the target still covers.
-        assert any(name.startswith("trial-settles-at-c_max-") and crf == BUDGET_RANGE["c_max"]
-                   for crf, name in unprobed_in_search(trial_events))
+        assert any(stem == "settles-at-c_max" and crf == BUDGET_RANGE["c_max"]
+                   for crf, stem in unprobed_in_search(trial_events))
 
 
 def test_search_failing_after_a_settled_pass_leaves_no_trial_file(config, budget_pairs, tmp_path,

@@ -132,3 +132,32 @@ def test_each_tool_has_one_call_site():
                         or isinstance(node, ast.Attribute) and node.attr == "run_tool"):
                     callers.add((path.name, owner))
     assert callers == {("encoder.py", "encode"), ("probe.py", "_run_prober")}
+
+
+def _owners(predicate):
+    """(file name, top-level function or class) of each node *predicate* accepts."""
+    owners = set()
+    for path in sorted(Path(snvse.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            owners |= {(path.name, owner) for node in ast.walk(top) if predicate(node)}
+    return owners
+
+
+def test_no_support_has_one_owner():
+    # supporting_entries decides and words an empty CRF group; every
+    # command that needs the group calls it.
+    def raises_no_support(node):
+        return (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and ast.unparse(node.exc.func) == "NoSupport")
+
+    assert _owners(raises_no_support) == {("planner.py", "supporting_entries")}
+
+
+def test_only_config_looks_up_commands():
+    # RunConfig.check_tools admits a tool command by Popen's own lookup.
+    def names_which(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "which"
+                or isinstance(node, ast.alias) and node.name == "which")
+
+    assert _owners(names_which) == {("config.py", "RunConfig")}

@@ -20,6 +20,7 @@ from snvse.planner import (
     plan_emulation,
     select_crf,
     select_resolution,
+    supporting_entries,
 )
 from snvse.probe import probe_media
 from snvse.profile_db import PlatformProfile, ProfileEntry
@@ -177,6 +178,25 @@ def test_crf_no_support():
     with pytest.raises(NoSupport):
         select_crf((640, 480), prof)
     assert select_crf((640, 480), prof, include_saturated=True) == (50.0, 1)
+
+
+def test_empty_group_names_only_usable_resolutions():
+    prof = profile([
+        entry((1, 1), (640, 360), 50, saturated=True, pair_id="a"),
+        entry((1, 1), (1280, 720), 30, pair_id="b"),
+        entry((1, 1), (854, 480), 50, saturated=True, pair_id="c"),
+        entry((1, 1), (1280, 720), 31, pair_id="d"),
+    ])
+    with pytest.raises(NoSupport) as raised:
+        select_crf((640, 360), prof)
+    assert str(raised.value) == ("no entries at 640x360 (saturated ones excluded); "
+                                 "usable output resolutions: 1280x720")
+    with pytest.raises(NoSupport) as raised:
+        supporting_entries((320, 240), prof, include_saturated=True)
+    assert str(raised.value) == ("no entries at 320x240; usable output resolutions: "
+                                 "640x360, 1280x720, 854x480")
+    with pytest.raises(NoSupport, match="usable output resolutions: none$"):
+        supporting_entries((640, 360), profile([prof.entries[0]]), include_saturated=False)
 
 
 def test_crf_matches_brute_force_on_random_instances():

@@ -1,5 +1,7 @@
 """Probe contract: metadata extraction, stream selection, failure modes."""
 
+import json
+import logging
 import struct
 from fractions import Fraction
 
@@ -8,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snvse.errors import NoVideoStream, ProberFailure
-from snvse.probe import mp4_payload_bytes, probe_media
+from snvse.probe import mp4_payload_bytes, probe_media, scan_video_stream_bytes
 
-from conftest import make_audio_only, make_clip
+from conftest import fake_prober, make_audio_only, make_clip
 
 
 def test_probe_reports_generation_settings(config, tmp_path):
@@ -70,6 +72,63 @@ def test_default_config_comes_from_env(clips):
     # _tool_env points SNVSE_FFPROBE at the test backend.
     info = probe_media(clips["hd"])
     assert info.resolution == (1280, 720)
+
+
+# --- hostile prober output ---
+
+def prober_doc(format_duration="2.5", **stream) -> bytes:
+    """A prober's JSON for one video stream; a stream field given as None is left out."""
+    video = {"codec_type": "video", "codec_name": "h264", "pix_fmt": "yuv420p",
+             "width": 640, "height": 360, "avg_frame_rate": "30/1", "r_frame_rate": "30/1",
+             "duration": "2.000000", **stream}
+    video = {key: value for key, value in video.items() if value is not None}
+    return json.dumps({"streams": [video], "format": {"duration": format_duration}}).encode()
+
+
+@pytest.mark.parametrize("call, stdout, expected", [
+    (probe_media, b'{"streams": [', ("raises", "unparseable prober output")),
+    (probe_media, prober_doc(width=None), ("raises", "lacks dimensions")),
+    (probe_media, prober_doc(height=0), ("raises", "nonpositive dimensions 640x0")),
+    (probe_media, prober_doc(avg_frame_rate=None, r_frame_rate="30/0"),
+     ("raises", "no usable frame rate")),
+    (probe_media, prober_doc(avg_frame_rate="25/1"),
+     ("warns", "looks variable-frame-rate (avg 25 vs base 30)")),
+    (probe_media, prober_doc(duration=None), ("duration", 2.5)),
+    (probe_media, prober_doc(duration="N/A", format_duration="0"),
+     ("raises", "no usable duration")),
+    (scan_video_stream_bytes, b'{"packets": [{"size": "many"}]}',
+     ("raises", "unparseable packet list")),
+    (scan_video_stream_bytes, b'{"packets": []}', ("raises", "no video packets")),
+], ids=["json", "no-width", "zero-height", "no-rate", "vfr", "format-duration", "no-duration",
+        "packet-size", "no-packets"])
+def test_hostile_prober_output(config, tmp_path, caplog, call, stdout, expected):
+    path = tmp_path / "in.mp4"
+    path.write_bytes(b"read by no tool")
+    kind, value = expected
+    config = fake_prober(config, stdout)
+    if kind == "raises":
+        with pytest.raises(ProberFailure, match=value):
+            call(path, config)
+        return
+    with caplog.at_level(logging.WARNING, logger="snvse.probe"):
+        info = call(path, config)
+    if kind == "warns":
+        assert value in caplog.text
+    else:
+        assert (info.duration, caplog.text) == (value, "")
+
+
+def test_prober_output_that_is_not_utf8_still_probes(config, tmp_path):
+    # File names and tags need not be UTF-8; the prober prints them as they are.
+    path = tmp_path / "in.mp4"
+    path.write_bytes(b"read by no tool")
+    stdout = prober_doc(tags={"title": "cafe"}).replace(b"cafe", b"caf\xe9")
+    assert probe_media(path, fake_prober(config, stdout)).resolution == (640, 360)
+
+
+def test_mp4_payload_bytes_of_an_unreadable_file(tmp_path):
+    with pytest.raises(ProberFailure, match="cannot read"):
+        mp4_payload_bytes(tmp_path)
 
 
 # --- the in-process mdat reader ---
