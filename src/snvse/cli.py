@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime as dt
+import io
 import logging
 import math
 import os
@@ -31,7 +32,7 @@ from .estimator import DEFAULT_STRATEGY, SearchStrategy, VideoPair, check_range,
 from .planner import emulate_batch, supporting_entries
 from .probe import probe_media
 from .profile_db import CRF_MAX, CRF_MIN, PlatformProfile, ProfileEntry, load_profile, save_profile
-from .runner import by_stem, run_batch, terminate_active
+from .runner import by_stem, run_batch
 
 logger = logging.getLogger(__name__)
 
@@ -219,15 +220,18 @@ def _pair_by_stem(originals_dir: Path, shared_dir: Path) -> list[VideoPair]:
 
 
 def _pair_by_manifest(manifest: Path) -> list[VideoPair]:
+    try:
+        text = manifest.read_bytes().decode()
+    except UnicodeDecodeError as exc:
+        raise PreconditionViolation(f"manifest {manifest} is not UTF-8: {exc}") from exc
     pairs = []
-    with open(manifest, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().lower() == "original":
-                continue
-            if len(row) < 2:
-                raise PreconditionViolation(f"manifest row needs 2 columns: {row!r}")
-            original, shared = Path(row[0].strip()), Path(row[1].strip())
-            pairs.append(VideoPair(original, shared, pair_id=original.stem))
+    for row in csv.reader(io.StringIO(text, newline="")):
+        if not row or row[0].strip().lower() == "original":
+            continue
+        if len(row) < 2:
+            raise PreconditionViolation(f"manifest row needs 2 columns: {row!r}")
+        original, shared = Path(row[0].strip()), Path(row[1].strip())
+        pairs.append(VideoPair(original, shared, pair_id=original.stem))
     return pairs
 
 
@@ -389,9 +393,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
-        # The interrupted pool has already terminated its tools; this catches
-        # any tool a command ran outside a pool.
-        terminate_active()
         print("interrupted; running tools terminated", file=sys.stderr)
         return 130
 

@@ -21,7 +21,6 @@ module docstring states.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -30,8 +29,6 @@ from .config import RunConfig
 from .errors import EncoderFailure, PreconditionViolation
 from .probe import MediaInfo
 from .runner import run_tool
-
-logger = logging.getLogger(__name__)
 
 PIXEL_FORMAT = "yuv420p"
 CRF_FLOOR = 0.0

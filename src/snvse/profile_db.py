@@ -177,11 +177,10 @@ def load_profile(path: str | Path) -> PlatformProfile:
     if not path.exists():
         raise FileNotFoundError(str(path))
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = json.loads(path.read_bytes())
     except OSError as exc:
         raise IoFailure(f"cannot read profile {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a UnicodeDecodeError names the byte offset, as JSON errors do
         raise SchemaViolation(f"profile {path} is not valid JSON: {exc}") from exc
 
     fields = _fields(doc, _PROFILE_KEYS, "profile")

@@ -73,15 +73,6 @@ def run_tool(argv: list[str]) -> subprocess.CompletedProcess:
     return subprocess.CompletedProcess(argv, proc.returncode, stdout, stderr)
 
 
-def terminate_active() -> None:
-    """Terminate all in-flight tool processes (used on user interrupt)."""
-    with _ACTIVE_LOCK:
-        procs = list(_ACTIVE)
-    for proc in procs:
-        if proc.poll() is None:
-            proc.terminate()
-
-
 def run_pool(work, items, workers: int) -> list:
     """Order-preserving bounded map over *items*.
 
@@ -96,8 +87,10 @@ def run_pool(work, items, workers: int) -> list:
     except BaseException:
         with _ACTIVE_LOCK:
             stop.set()
+            procs = list(_ACTIVE)
         pool.shutdown(wait=False, cancel_futures=True)
-        terminate_active()
+        for proc in procs:
+            proc.terminate()  # a no-op once the process has been reaped
         raise
     pool.shutdown(wait=True)
     return results

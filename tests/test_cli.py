@@ -724,3 +724,69 @@ def test_db_show(tmp_path, quiet, capsys):
 def test_missing_profile_is_operational_error(tmp_path, quiet):
     code = main(quiet + ["db", "show", str(tmp_path / "absent.json")])
     assert code == 1
+
+
+def _last_error(capsys) -> str:
+    return capsys.readouterr().err.splitlines()[-1]
+
+
+def test_unsplittable_ffmpeg_command_is_refused_before_any_work(tmp_path, quiet, tool_calls,
+                                                                capsys):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    (inputs / "clip.mp4").write_bytes(b"never probed")
+    out = tmp_path / "out"
+    assert main(quiet + ["--ffmpeg-bin", "ff 'x", "mock-platform", str(inputs), "--out", str(out),
+                         "--resolution", "640x360", "--crf", "30"]) == 1
+    assert tool_calls == []
+    assert not out.exists()
+    assert _last_error(capsys) == ("error: ToolNotFound: ffmpeg command \"ff 'x\" cannot be split: "
+                                   "No closing quotation; fix --ffmpeg-bin or SNVSE_FFMPEG")
+    with pytest.raises(snvse.errors.ToolNotFound):
+        RunConfig(ffmpeg="ff 'x")
+
+
+def test_unsplittable_ffprobe_command_is_refused_before_any_work(config, tmp_path, quiet,
+                                                                 tool_calls, capsys, monkeypatch):
+    monkeypatch.setenv("SNVSE_FFPROBE", "ff 'x")
+    out = tmp_path / "p.json"
+    assert main(quiet + ["--ffmpeg-bin", config.ffmpeg, "estimate", *_unprobed_pair_dirs(tmp_path),
+                         "--platform", "x", "--out", str(out)]) == 1
+    assert tool_calls == []
+    assert not out.exists()
+    assert _last_error(capsys) == ("error: ToolNotFound: ffprobe command \"ff 'x\" cannot be split: "
+                                   "No closing quotation; fix --ffprobe-bin or SNVSE_FFPROBE")
+
+
+def test_manifest_that_is_not_utf8_is_refused_before_any_work(tmp_path, quiet, tool_calls, capsys):
+    manifest = tmp_path / "pairs.csv"
+    manifest.write_bytes(b"original,shared\ncaf\xe9.mp4,shared.mp4\n")
+    out = tmp_path / "p.json"
+    assert main(quiet + ["estimate", "--manifest", str(manifest), "--platform", "x",
+                         "--out", str(out)]) == 1
+    assert tool_calls == []
+    assert not out.exists()
+    assert _last_error(capsys) == (
+        f"error: PreconditionViolation: manifest {manifest} is not UTF-8: 'utf-8' codec can't "
+        "decode byte 0xe9 in position 19: invalid continuation byte")
+
+
+@pytest.mark.parametrize("command", ["db show", "emulate", "analyze-stability"])
+def test_profile_that_is_not_utf8_is_refused_before_any_work(tmp_path, quiet, tool_calls, capsys,
+                                                             command):
+    profile_path = tmp_path / "p.json"
+    profile_path.write_bytes(b'{"platform_name": "caf\xe9"}\n')
+    out = tmp_path / "out"
+    argv = {
+        "db show": ["db", "show", str(profile_path)],
+        "emulate": ["emulate", str(tmp_path / "clip.mp4"), "--profile", str(profile_path),
+                    "--out", str(out)],
+        "analyze-stability": ["analyze-stability", "--profile", str(profile_path),
+                              "--resolution", "640x360", "--out", str(out)],
+    }[command]
+    assert main(quiet + argv) == 1
+    assert tool_calls == []
+    assert not out.exists()
+    assert _last_error(capsys) == (
+        f"error: SchemaViolation: profile {profile_path} is not valid JSON: 'utf-8' codec can't "
+        "decode byte 0xe9 in position 22: invalid continuation byte")

@@ -161,3 +161,21 @@ def test_only_config_looks_up_commands():
                 or isinstance(node, ast.alias) and node.name == "which")
 
     assert _owners(names_which) == {("config.py", "RunConfig")}
+
+
+def test_only_config_splits_commands():
+    # RunConfig splits each tool command once, when it is built.
+    def names_split(node):
+        return (isinstance(node, ast.Attribute) and ast.unparse(node) == "shlex.split"
+                or isinstance(node, ast.alias) and node.name == "split")
+
+    assert _owners(names_split) == {("config.py", "RunConfig")}
+
+
+def test_only_the_runner_ends_tools():
+    # run_tool ends its own process; run_pool terminates the pool's on an interrupt.
+    def ends_a_process(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("terminate", "kill"))
+
+    assert _owners(ends_a_process) == {("runner.py", "run_tool"), ("runner.py", "run_pool")}
