@@ -126,11 +126,15 @@ def encode(
     and the output's file size.
     An encode that exits nonzero, or exits 0 without a finished, non-empty
     output, raises EncoderFailure; partial outputs are removed on failure.
+    An output that resolves to the input raises PreconditionViolation
+    before the tool runs, so the input is neither overwritten nor removed.
     """
     spec.validate()
     input_path, output_path = Path(input_path), Path(output_path)
     if not input_path.exists():
         raise FileNotFoundError(str(input_path))
+    if output_path.resolve() == input_path.resolve():
+        raise PreconditionViolation(f"output {output_path} is the input {input_path}")
 
     argv = build_encode_argv(input_path, spec, output_path, config or RunConfig(), max_seconds)
     try:

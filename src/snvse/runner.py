@@ -1,11 +1,11 @@
 """Subprocess execution for the external prober/encoder, and the batch loop.
 
 Every invocation logs its exact argument list at DEBUG (forensic
-reproducibility), and live processes are tracked so an interrupt can
-terminate them and the caller can clean up partial outputs; an interrupted
-pool starts no further tool. Every batch (estimate, emulate, mock-platform)
-runs through ``run_batch``, and every name derived from a file's stem is
-checked for collisions by ``by_stem``.
+reproducibility). Each tool process has one owner, the ``run_tool`` call
+that started it, which terminates it within one poll of an interrupt so
+the caller can clean up partial outputs; an interrupted pool starts no
+further tool. Every batch runs through ``run_batch``, and every name
+derived from a file's stem is checked for collisions by ``by_stem``.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from .errors import PreconditionViolation, SnvseError
 
 logger = logging.getLogger(__name__)
 
-_ACTIVE: set[subprocess.Popen] = set()
-_ACTIVE_LOCK = threading.Lock()
+_POLL_S = 0.1  # how often a running tool's owner checks its pool's stop flag
 
 
 class _Worker(threading.local):
@@ -38,16 +37,13 @@ def run_tool(argv: list[str]) -> subprocess.CompletedProcess:
     """Run one tool invocation on an empty stdin, capturing stdout/stderr as text.
 
     Does not raise on nonzero exit; callers interpret the return code so
-    they can attach domain-specific diagnostics. In a worker of an
-    interrupted pool the tool does not start, and the result reads as a
-    terminated tool's.
+    they can attach domain-specific diagnostics. The call owns its process:
+    in an interrupted pool's worker the tool does not start (the result
+    reads as a terminated tool's) or is terminated within one poll.
     """
-    # The stop flag is set and read under _ACTIVE_LOCK, so a process either
-    # is registered before run_pool's interrupt path looks, or sees the flag.
-    with _ACTIVE_LOCK:
-        if _worker.stop.is_set():
-            return subprocess.CompletedProcess(argv, -signal.SIGTERM, "", "interrupted")
-        logger.debug("exec: %s", shlex.join(argv))
+    if _worker.stop.is_set():
+        return subprocess.CompletedProcess(argv, -signal.SIGTERM, "", "interrupted")
+    logger.debug("exec: %s", shlex.join(argv))
     # No tool reads stdin: ffmpeg would read it for its interactive keys,
     # and a background job that reads its terminal is stopped (SIGTTIN).
     proc = subprocess.Popen(
@@ -58,15 +54,17 @@ def run_tool(argv: list[str]) -> subprocess.CompletedProcess:
         text=True,
         errors="replace",  # ffmpeg quotes file names, which need not be UTF-8
     )
-    with _ACTIVE_LOCK:
-        _ACTIVE.add(proc)
-        if _worker.stop.is_set():
-            proc.terminate()
     try:
-        stdout, stderr = proc.communicate()
+        while not _worker.stop.is_set():
+            try:
+                stdout, stderr = proc.communicate(timeout=_POLL_S)
+                break
+            except subprocess.TimeoutExpired:
+                pass  # retrying loses no output
+        else:
+            proc.terminate()
+            stdout, stderr = proc.communicate()
     finally:
-        with _ACTIVE_LOCK:
-            _ACTIVE.discard(proc)
         if proc.poll() is None:
             proc.kill()
             proc.wait()
@@ -76,21 +74,17 @@ def run_tool(argv: list[str]) -> subprocess.CompletedProcess:
 def run_pool(work, items, workers: int) -> list:
     """Order-preserving bounded map over *items*.
 
-    On interrupt, pending items are cancelled, in-flight tool processes
-    terminated and the workers' further tool runs refused, so the pool
-    unwinds promptly instead of draining encodes.
+    On interrupt, pending items are cancelled and the pool's stop flag is
+    set, which each worker's ``run_tool`` reads within one poll, so the
+    pool unwinds promptly instead of draining encodes.
     """
     stop = threading.Event()
     pool = ThreadPoolExecutor(max_workers=workers, initializer=setattr, initargs=(_worker, "stop", stop))
     try:
         results = list(pool.map(work, items))
     except BaseException:
-        with _ACTIVE_LOCK:
-            stop.set()
-            procs = list(_ACTIVE)
+        stop.set()
         pool.shutdown(wait=False, cancel_futures=True)
-        for proc in procs:
-            proc.terminate()  # a no-op once the process has been reaped
         raise
     pool.shutdown(wait=True)
     return results

@@ -222,6 +222,24 @@ def test_mock_platform_empty_or_failed_batch_fails(tmp_path, quiet, capsys):
     assert "error: AllItemsFailed: every input failed; first error:" in capsys.readouterr().err
 
 
+def test_mock_platform_into_its_inputs_dir_keeps_the_originals(clips, tmp_path, quiet, tool_calls,
+                                                               capsys):
+    # --out is the inputs dir, so clip.mp4's output would be clip.mp4 itself.
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    original = inputs / "clip.mp4"
+    shutil.copy(clips["flat"], original)
+    before = original.read_bytes()
+    code = main(quiet + ["mock-platform", str(inputs), "--out", str(inputs),
+                         "--resolution", "160x120", "--crf", "30"])
+    assert code == 1
+    assert original.read_bytes() == before
+    assert not [argv for argv in tool_calls if "-crf" in argv]
+    assert _last_error(capsys) == (
+        "error: AllItemsFailed: every input failed; first error: PreconditionViolation: "
+        f"output {original} is the input {original}")
+
+
 def test_tool_output_that_is_not_utf8_fails_only_its_item(config, clips, tmp_path, quiet,
                                                           capsys):
     # ffmpeg quotes file names, which need not be UTF-8.
@@ -366,7 +384,13 @@ def test_estimate_takes_two_dirs_or_a_manifest(tmp_path, quiet, tool_calls, caps
       "--iterations", "1.5"], "argument --iterations: expected an integer, got '1.5'"),
     (["estimate", "a", "b", "--platform", "x", "--out", "p.json", "--trial-seconds", "soon"],
      "argument --trial-seconds: expected a number, got 'soon'"),
-], ids=["workers", "iterations", "trial-seconds"])
+    (["--workers", "0", "db", "show", "p.json"], "argument --workers: must be >= 1, got 0"),
+    (["analyze-stability", "--profile", "p.json", "--resolution", "wide", "--out", "s.csv"],
+     "argument --resolution: expected WIDTHxHEIGHT, got 'wide'"),
+    (["analyze-stability", "--profile", "p.json", "--resolution", "0x360", "--out", "s.csv"],
+     "argument --resolution: dimensions must be positive, got '0x360'"),
+], ids=["workers", "iterations", "trial-seconds", "workers-zero", "resolution",
+        "resolution-zero"])
 def test_option_types_say_what_they_expect(quiet, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(quiet + argv)
@@ -637,6 +661,9 @@ def test_analyze_stability_flow(tmp_path, quiet, capsys):
     assert out_csv.read_bytes() == first
     out = capsys.readouterr().out
     assert "smallest n'" in out or "no n'" in out
+    # Subsets of 5 of 40 spread estimates never agree exactly.
+    assert main(argv + ["--width-threshold", "0", "--n-max", "5"]) == 0
+    assert "no n' reaches range <= 0; largest studied: 5" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("threshold, code", [("0", 0), ("-0", 0), ("nan", 2), ("-1", 2),
@@ -721,9 +748,18 @@ def test_db_show(tmp_path, quiet, capsys):
     assert "platform:     testnet" in out
 
 
-def test_missing_profile_is_operational_error(tmp_path, quiet):
+def test_missing_profile_is_operational_error(tmp_path, quiet, capsys):
     code = main(quiet + ["db", "show", str(tmp_path / "absent.json")])
     assert code == 1
+    # So are a directory, and a profile whose entry is not an object.
+    assert main(quiet + ["db", "show", str(tmp_path)]) == 1
+    assert _last_error(capsys).startswith(f"error: IoFailure: cannot read profile {tmp_path}: ")
+    profile_path = write_profile(tmp_path / "p.json", [entry("a", (1280, 720), (640, 360), 31)])
+    doc = json.loads(profile_path.read_text())
+    doc["entries"][0] = ["a"]
+    profile_path.write_text(json.dumps(doc))
+    assert main(quiet + ["db", "show", str(profile_path)]) == 1
+    assert _last_error(capsys) == "error: SchemaViolation: profile.entries[0] must be an object"
 
 
 def _last_error(capsys) -> str:
@@ -769,6 +805,14 @@ def test_manifest_that_is_not_utf8_is_refused_before_any_work(tmp_path, quiet, t
     assert _last_error(capsys) == (
         f"error: PreconditionViolation: manifest {manifest} is not UTF-8: 'utf-8' codec can't "
         "decode byte 0xe9 in position 19: invalid continuation byte")
+    # So is a row of one column.
+    manifest.write_text("original,shared\nclip.mp4\n")
+    assert main(quiet + ["estimate", "--manifest", str(manifest), "--platform", "x",
+                         "--out", str(out)]) == 1
+    assert tool_calls == []
+    assert not out.exists()
+    assert _last_error(capsys) == (
+        "error: PreconditionViolation: manifest row needs 2 columns: ['clip.mp4']")
 
 
 @pytest.mark.parametrize("command", ["db show", "emulate", "analyze-stability"])

@@ -3,6 +3,7 @@
 import dataclasses
 import datetime as dt
 import json
+import logging
 import math
 import re
 import threading
@@ -158,20 +159,31 @@ def test_trial_seconds_truncation_still_recovers(hidden_pair, config):
     assert 32 <= result.crf_hat <= 34
 
 
-def test_trials_mirror_shared_frame_rate(config, tmp_path, tool_calls):
+def test_trials_mirror_shared_frame_rate(config, tmp_path, tool_calls, monkeypatch, caplog):
     # The platform emitted 24 fps from a 30 fps source; trial encodes must
     # match the shared side, which is what the bitrate target reflects.
+    # They stay h264 when the shared side reads as another codec, with a warning.
     original = make_clip(config, tmp_path / "orig.mp4", size=(640, 360), fps=30, duration=4)
     shared = tmp_path / "shared.mp4"
     encode(original, EncodeSpec(640, 360, 28.0, Fraction(24, 1)), shared, config)
     scratch = tmp_path / "scratch"
     cfg = dataclasses.replace(config, scratch_dir=scratch)
+
+    def shared_as_vp9(path, config):
+        info = probe_media(path, config)
+        return dataclasses.replace(info, codec_name="vp9") if path == shared else info
+
+    monkeypatch.setattr(snvse.estimator, "probe_media", shared_as_vp9)
     tool_calls.clear()
-    estimate_crf(VideoPair(original, shared, "fps"), config=cfg)
+    with caplog.at_level(logging.WARNING, logger="snvse.estimator"):
+        estimate_crf(VideoPair(original, shared, "fps"), config=cfg)
     trials = [" ".join(argv) for argv in tool_calls if "-crf" in argv]
     assert trials
-    assert all("-r 24/1" in argv and "scale=640:360" in argv for argv in trials)
+    assert all("-r 24/1" in argv and "scale=640:360" in argv and "-c:v libx264" in argv
+               for argv in trials)
     assert list(scratch.iterdir()) == []
+    assert "pair fps: shared video codec is 'vp9', not h264; trial encodes still use h264" in [
+        r.getMessage() for r in caplog.records]
 
 
 def test_pair_with_a_long_stem_estimates(config, backend, tmp_path):

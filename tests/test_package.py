@@ -173,9 +173,9 @@ def test_only_config_splits_commands():
 
 
 def test_only_the_runner_ends_tools():
-    # run_tool ends its own process; run_pool terminates the pool's on an interrupt.
+    # run_tool ends the process it started, on an interrupt too; nothing else does.
     def ends_a_process(node):
         return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr in ("terminate", "kill"))
 
-    assert _owners(ends_a_process) == {("runner.py", "run_tool"), ("runner.py", "run_pool")}
+    assert _owners(ends_a_process) == {("runner.py", "run_tool")}
