@@ -32,7 +32,7 @@ from .estimator import DEFAULT_STRATEGY, SearchStrategy, VideoPair, check_range,
 from .planner import emulate_batch, supporting_entries
 from .probe import probe_media
 from .profile_db import CRF_MAX, CRF_MIN, PlatformProfile, ProfileEntry, load_profile, save_profile
-from .runner import by_stem, run_batch
+from .runner import by_stem, refuse_overwrite, run_batch
 
 logger = logging.getLogger(__name__)
 
@@ -243,6 +243,10 @@ def cmd_estimate(args) -> int:
         pairs = _pair_by_manifest(args.manifest)
     else:
         pairs = _pair_by_stem(args.originals_dir, args.shared_dir)
+    inputs = [path for pair in pairs for path in (pair.original_path, pair.shared_path)]
+    if args.manifest is not None:
+        inputs.append(args.manifest)
+    refuse_overwrite([args.out], inputs)
     try:
         # An unwritable --out must fail before the encodes, not after them.
         args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -284,6 +288,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_emulate(args) -> int:
+    refuse_overwrite([args.out / "manifest.json"], [args.profile])
     profile = load_profile(args.profile)
     config = _config_from_args(args, preset=args.preset or profile.preset)
     outcomes = emulate_batch(
@@ -299,6 +304,7 @@ def cmd_emulate(args) -> int:
 
 
 def cmd_analyze_stability(args) -> int:
+    refuse_overwrite([args.out], [args.profile])
     profile = load_profile(args.profile)
     rho = args.resolution
     entries = supporting_entries(rho, profile, args.include_saturated)

@@ -28,7 +28,7 @@ from pathlib import Path
 from .config import RunConfig
 from .errors import EncoderFailure, PreconditionViolation
 from .probe import MediaInfo
-from .runner import run_tool
+from .runner import refuse_overwrite, run_tool
 
 PIXEL_FORMAT = "yuv420p"
 CRF_FLOOR = 0.0
@@ -133,8 +133,7 @@ def encode(
     input_path, output_path = Path(input_path), Path(output_path)
     if not input_path.exists():
         raise FileNotFoundError(str(input_path))
-    if output_path.resolve() == input_path.resolve():
-        raise PreconditionViolation(f"output {output_path} is the input {input_path}")
+    refuse_overwrite([output_path], [input_path])
 
     argv = build_encode_argv(input_path, spec, output_path, config or RunConfig(), max_seconds)
     try:

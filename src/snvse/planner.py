@@ -25,7 +25,7 @@ from .encoder import EncodeSpec, encode, normalize_dimensions
 from .errors import AllItemsFailed, NoSupport, PreconditionViolation, PresetMismatch
 from .probe import probe_media
 from .profile_db import PlatformProfile, ProfileEntry
-from .runner import Outcome, by_stem, run_batch
+from .runner import Outcome, by_stem, refuse_overwrite, run_batch
 
 logger = logging.getLogger(__name__)
 
@@ -150,8 +150,8 @@ def emulate_batch(
     input succeeded, after the manifest is written.
     Before any work, raises PresetMismatch if *config* has another preset
     than the profile, and PreconditionViolation if the profile has no
-    entries, its platform name contains a path separator, or two inputs
-    share a stem.
+    entries, its platform name contains a path separator, two inputs share
+    a stem, or an output (the manifest too) resolves to an input.
     """
     if not inputs:
         raise AllItemsFailed("no inputs to emulate")
@@ -167,11 +167,13 @@ def emulate_batch(
         raise PreconditionViolation(f"platform name {profile.platform_name!r} contains a path separator")
     by_stem(inputs)
     out_dir = Path(out_dir)
+    output_of = {Path(path): out_dir / f"{Path(path).stem}.{profile.platform_name}.mp4" for path in inputs}
+    refuse_overwrite([*output_of.values(), out_dir / "manifest.json"], inputs)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def work(input_path: str | Path) -> EmulationPlan:
         plan = plan_emulation(input_path, profile, config, include_saturated)
-        output_path = out_dir / f"{plan.input_path.stem}.{profile.platform_name}.mp4"
+        output_path = output_of[plan.input_path]
         return replace(plan, output_path=encode(plan.input_path, plan.spec, output_path, config).path)
 
     outcomes = run_batch(work, inputs, config.workers)

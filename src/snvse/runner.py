@@ -4,8 +4,9 @@ Every invocation logs its exact argument list at DEBUG (forensic
 reproducibility). Each tool process has one owner, the ``run_tool`` call
 that started it, which terminates it within one poll of an interrupt so
 the caller can clean up partial outputs; an interrupted pool starts no
-further tool. Every batch runs through ``run_batch``, and every name
-derived from a file's stem is checked for collisions by ``by_stem``.
+further tool. Every batch runs through ``run_batch``, every name
+derived from a file's stem is checked for collisions by ``by_stem``, and
+every output path is checked against the inputs by ``refuse_overwrite``.
 """
 
 from __future__ import annotations
@@ -134,3 +135,11 @@ def by_stem(paths) -> dict[str, Path]:
             raise PreconditionViolation(f"{named[path.stem]} and {path} share a stem")
         named[path.stem] = path
     return named
+
+
+def refuse_overwrite(outputs, inputs) -> None:
+    """Raise PreconditionViolation if one of *outputs* resolves to one of *inputs*."""
+    resolved = {Path(path).resolve(): path for path in inputs}
+    for output in outputs:
+        if (path := resolved.get(Path(output).resolve())) is not None:
+            raise PreconditionViolation(f"output {output} is the input {path}")

@@ -2,10 +2,14 @@
 
 These are command-line stand-ins installed as ``snvse-sim-ffmpeg`` and
 ``snvse-sim-ffprobe`` (also runnable as ``python -m snvse.sim_ffmpeg`` /
-``sim_ffprobe``). Their contract is two option tables, ``_FFMPEG_OPTIONS``
+``sim_ffprobe``). They accept exactly the options snvse passes, and print
+exactly the fields it reads. The options are two tables, ``_FFMPEG_OPTIONS``
 and ``_FFPROBE_OPTIONS``: each holds exactly the options this package, its
 tests and its bench pass, with the parser of each option's value, and one
-argv parser reads both; any other option is "not simulated". They operate
+argv parser reads both; any other option is "not simulated". The prober
+prints only what ``probe.py`` reads: the fields of a video stream that
+``probe_media`` uses, the ``codec_type`` of any other stream, the
+container's ``duration``, and each video packet's ``size``. They operate
 on a tiny container shaped like the MP4 files ffmpeg writes: top-level
 ISO-BMFF boxes in ffmpeg's default order, an ``ftyp`` box, an ``mdat``
 box holding the payload bytes of every stream, and a private ``snvs``
@@ -176,28 +180,19 @@ def synthesize_source(desc: str) -> dict:
     params = _parse_params(rest)
     duration = float(params.get("duration", "0") or 0)
     if name == "sine":
-        return {
-            "type": "audio",
-            "codec": "pcm_s16le",
-            "duration": duration,
-            "payload": 0,
-            "bit_rate": 1_411_200.0,
-        }
+        return {"type": "audio", "duration": duration}
     if name not in SOURCE_COMPLEXITY:
         raise SimError(f"lavfi source {name!r} is not simulated")
     width, _, height = params.get("size", "320x240").lower().partition("x")
     rate = Fraction(params.get("rate", "25"))
     stream = {
         "type": "video",
-        "codec": "rawvideo",
         "width": int(width),
         "height": int(height),
         "pix_fmt": "rgb24" if name == "rgbtestsrc" else "yuv420p",
         "fps": [rate.numerator, rate.denominator],
         "duration": duration,  # 0 means unbounded; -t must cap it
         "complexity": SOURCE_COMPLEXITY[name],
-        "payload": 0,
-        "bit_rate": 0.0,
     }
     if "halving" in params:  # absent unless set, so other headers stay as they were
         halving = float(params["halving"])
@@ -232,8 +227,8 @@ def _parse_progress(target: str) -> str:
 
 # The sims' contract: every option each accepts, mapped to the parser of its
 # value, or to None for a bare flag. They hold exactly what snvse, its tests
-# and its bench pass; ``-version`` is read before them, and any other option
-# is "not simulated".
+# and its bench pass; the encoder reads ``-version`` before them, and any
+# other option is "not simulated".
 _FFMPEG_OPTIONS = {
     "-y": None,
     "-hide_banner": None,
@@ -376,15 +371,8 @@ def run_ffmpeg(argv: list[str]) -> int:
     wants_audio = "-an" not in opts and "a" in opts.get("-map", "a")
     if audio_in is not None and (wants_audio or video_in is None):
         duration = _capped(audio_in, opts.get("-t"))
-        out_streams.append(
-            {
-                "type": "audio",
-                "codec": "aac",
-                "duration": duration,
-                "payload": int(_AUDIO_TRANSCODE_BPS * duration / 8.0),
-                "bit_rate": _AUDIO_TRANSCODE_BPS,
-            }
-        )
+        out_streams.append({"type": "audio", "duration": duration,
+                            "payload": int(_AUDIO_TRANSCODE_BPS * duration / 8.0)})
 
     if not out_streams:
         raise SimError("nothing to encode (no mapped streams)")
@@ -405,15 +393,10 @@ def _fmt_float(value: float) -> str:
 
 
 def run_ffprobe(argv: list[str]) -> int:
-    if "-version" in argv:
-        print(_VERSION_LINE.replace("ffmpeg", "ffprobe"))
-        return 0
-
     opts, path = _parse_argv(argv, _FFPROBE_OPTIONS)
     if path is None:
         raise SimError("no input given")
-    path = Path(path)
-    streams = read_container(path)["streams"]
+    streams = read_container(Path(path))["streams"]
     doc: dict = {}
 
     if opts.get("-show_entries", "").startswith("packet"):  # only video has packets
@@ -425,49 +408,29 @@ def run_ffprobe(argv: list[str]) -> int:
 
     if "-show_streams" in opts:
         out = []
-        for index, stream in enumerate(streams):
-            duration = float(stream.get("duration") or 0)
-            if stream["type"] == "video":
-                fps = Fraction(*stream["fps"])
-                rate_text = f"{fps.numerator}/{fps.denominator}"
-                out.append(
-                    {
-                        "index": index,
-                        "codec_name": stream["codec"],
-                        "codec_type": "video",
-                        "width": stream["width"],
-                        "height": stream["height"],
-                        "pix_fmt": stream["pix_fmt"],
-                        "avg_frame_rate": rate_text,
-                        "r_frame_rate": rate_text,
-                        "duration": _fmt_float(duration),
-                        "bit_rate": str(int(round(float(stream["bit_rate"])))),
-                        "nb_frames": str(int(stream.get("frames", max(1, round(duration * fps))))),
-                    }
-                )
-            else:
-                out.append(
-                    {
-                        "index": index,
-                        "codec_name": stream["codec"],
-                        "codec_type": "audio",
-                        "duration": _fmt_float(duration),
-                        "bit_rate": str(int(round(float(stream.get("bit_rate", 0.0))))),
-                    }
-                )
+        for stream in streams:
+            if stream["type"] != "video":
+                out.append({"codec_type": "audio"})
+                continue
+            rate_text = "{}/{}".format(*stream["fps"])  # stored in lowest terms
+            out.append(
+                {
+                    "codec_name": stream["codec"],
+                    "codec_type": "video",
+                    "width": stream["width"],
+                    "height": stream["height"],
+                    "pix_fmt": stream["pix_fmt"],
+                    "avg_frame_rate": rate_text,
+                    "r_frame_rate": rate_text,
+                    "duration": _fmt_float(float(stream.get("duration") or 0)),
+                    "bit_rate": str(int(round(float(stream["bit_rate"])))),
+                }
+            )
         doc["streams"] = out
 
     if "-show_format" in opts:
         duration = max((float(s.get("duration") or 0) for s in streams), default=0.0)
-        size = path.stat().st_size
-        doc["format"] = {
-            "filename": str(path),
-            "nb_streams": len(streams),
-            "format_name": "mov,mp4,m4a,3gp,3g2,mj2",
-            "duration": _fmt_float(duration),
-            "size": str(size),
-            "bit_rate": str(int(round(size * 8.0 / duration))) if duration > 0 else "0",
-        }
+        doc["format"] = {"duration": _fmt_float(duration)}
 
     json.dump(doc, sys.stdout, indent=1)
     print()

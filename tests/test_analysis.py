@@ -122,6 +122,8 @@ def test_population_bounds_enforced():
         bootstrap_stability(crf_entries([30, 31]), (1, 5), iterations=10, seed=0)
     with pytest.raises(PreconditionViolation, match="no estimates"):
         bootstrap_stability([], (1, 1), iterations=10, seed=0)
+    with pytest.raises(PreconditionViolation, match="iterations must be positive"):
+        bootstrap_stability(crf_entries([30, 31]), (1, 2), iterations=0, seed=0)
 
 
 def _report(widths):

@@ -240,6 +240,39 @@ def test_mock_platform_into_its_inputs_dir_keeps_the_originals(clips, tmp_path, 
         f"output {original} is the input {original}")
 
 
+@pytest.mark.parametrize("command", ["emulate", "emulate-profile", "estimate", "analyze-stability"])
+def test_no_command_writes_over_its_own_input(clips, tmp_path, quiet, tool_calls, capsys, command):
+    # emulate runs a second time over d/*.mp4 into d, so d/x.yt.mp4, the
+    # first run's output, is now an input; emulate's manifest would be its
+    # profile; estimate's --out is a shared video; analyze-stability's
+    # --out is its profile.
+    d, s = tmp_path / "d", tmp_path / "s"
+    d.mkdir()
+    s.mkdir()
+    for path in (d / "x.mp4", d / "x.yt.mp4", s / "x.mp4"):
+        shutil.copy(clips["flat"], path)
+    profile = write_profile(tmp_path / "p.json", [entry("a", (640, 360), (640, 360), 31),
+                                                  entry("b", (640, 360), (640, 360), 33)],
+                            platform="yt")
+    shutil.copy(profile, d / "manifest.json")
+    argv, target = {
+        "emulate": (["emulate", str(d / "x.mp4"), str(d / "x.yt.mp4"), "--profile", str(profile),
+                     "--out", str(d)], d / "x.yt.mp4"),
+        "emulate-profile": (["emulate", str(d / "x.mp4"), "--profile", str(d / "manifest.json"),
+                             "--out", str(d)], d / "manifest.json"),
+        "estimate": (["estimate", str(d), str(s), "--platform", "yt", "--out", str(s / "x.mp4")],
+                     s / "x.mp4"),
+        "analyze-stability": (["analyze-stability", "--profile", str(profile),
+                               "--resolution", "640x360", "--out", str(profile)], profile),
+    }[command]
+    inputs = [*d.iterdir(), *s.iterdir(), profile]
+    before = {path: path.read_bytes() for path in inputs}
+    assert main(quiet + argv) == 1
+    assert {path: path.read_bytes() for path in inputs} == before
+    assert tool_calls == []
+    assert _last_error(capsys) == f"error: PreconditionViolation: output {target} is the input {target}"
+
+
 def test_tool_output_that_is_not_utf8_fails_only_its_item(config, clips, tmp_path, quiet,
                                                           capsys):
     # ffmpeg quotes file names, which need not be UTF-8.

@@ -84,10 +84,17 @@ def test_encode_is_rate_stable(config, clips, tmp_path):
     assert abs(rate_a - rate_b) / rate_a < 0.01
 
 
-def test_odd_target_rejected_before_running(config, clips, tmp_path):
-    with pytest.raises(PreconditionViolation):
-        encode(clips["hd"], _spec(target_width=641, target_height=480), tmp_path / "x.mp4", config)
+def test_odd_target_rejected_before_running(config, clips, tmp_path, tool_calls):
+    # So are a frame rate that is not positive and a missing input.
+    for spec, message in [(_spec(target_width=641, target_height=480), "target width"),
+                          (_spec(target_height=361), "target height"),
+                          (_spec(frame_rate=Fraction(0)), "frame rate must be positive")]:
+        with pytest.raises(PreconditionViolation, match=message):
+            encode(clips["hd"], spec, tmp_path / "x.mp4", config)
+    with pytest.raises(FileNotFoundError):
+        encode(tmp_path / "missing.mp4", _spec(), tmp_path / "x.mp4", config)
     assert not (tmp_path / "x.mp4").exists()
+    assert tool_calls == []
 
 
 @pytest.mark.parametrize("crf", [-1.0, 52.0])

@@ -5,6 +5,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
 import snvse
 from snvse import errors
 from snvse.config import RunConfig
@@ -15,6 +17,7 @@ def test_every_export_resolves():
     # the name is first used; resolve each one here.
     for name in snvse.__all__:
         getattr(snvse, name)
+    assert dir(snvse) == sorted(snvse.__all__)
 
 
 def test_package_imports_only_the_standard_library():
@@ -60,6 +63,35 @@ def test_run_config_defaults_come_from_the_environment(monkeypatch):
     monkeypatch.delenv("SNVSE_FFPROBE")
     config = RunConfig()
     assert (config.ffmpeg, config.ffprobe) == ("ffmpeg", "ffprobe")
+
+
+def test_run_config_refuses_no_workers():
+    with pytest.raises(errors.PreconditionViolation, match="workers must be >= 1, got 0"):
+        RunConfig(workers=0)
+
+
+def _imported_modules(tree) -> set[str]:
+    """Each module a syntax tree imports, in absolute form within snvse."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["snvse" if node.level else None, node.module]))
+            modules |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+    return modules
+
+
+def test_the_sim_and_the_pipeline_stay_apart():
+    # The pipeline reaches the sim only as a tool command, through the same
+    # seam as real ffmpeg; only the two shims import it, and it imports
+    # nothing from snvse.
+    for path in sorted(Path(snvse.__file__).parent.glob("*.py")):
+        imported = _imported_modules(ast.parse(path.read_text()))
+        if path.name == "sim.py":
+            assert {name for name in imported if name.startswith("snvse")} == set()
+        elif path.name not in ("sim_ffmpeg.py", "sim_ffprobe.py"):
+            assert "snvse.sim" not in imported, path.name
 
 
 def _package_sources():

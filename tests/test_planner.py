@@ -326,6 +326,9 @@ def test_emulate_batch_all_failed(config, tmp_path):
         emulate_batch([corrupt], prof, tmp_path / "out", config=config)
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert "error" in manifest[0]
+    with pytest.raises(AllItemsFailed, match="no inputs to emulate"):
+        emulate_batch([], prof, tmp_path / "none", config=config)
+    assert not (tmp_path / "none").exists()
 
 
 def test_emulate_batch_spawns_one_probe_and_one_encode_per_input(config, clips, tmp_path,

@@ -3,6 +3,7 @@
 import logging
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -123,3 +124,22 @@ def test_interrupted_item_is_not_logged_as_failed(caplog):
         (logging.DEBUG, f"1 interrupted: EncoderFailure: encoder exited {-signal.SIGTERM}"),
     ]
     assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+def test_an_interrupted_wait_kills_and_reaps_its_tool(monkeypatch):
+    # An interrupt that reaches run_tool while it waits propagates, and the
+    # tool it started does not outlive the call.
+    sleeper = [sys.executable, "-c", "import time; time.sleep(30)"]
+    waited = []
+
+    def interrupted(self, *args, **kwargs):
+        waited.append(self)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_tool(sleeper)
+    [proc] = waited
+    assert proc.returncode == -signal.SIGKILL
+    proc.stdout.close()
+    proc.stderr.close()

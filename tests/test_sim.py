@@ -1,13 +1,17 @@
 """Simulated tool backend: rate model properties and container handling."""
 
 import ast
+import json
+import subprocess
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import snvse.probe
 import snvse.sim
-from snvse.probe import mp4_payload_bytes
+from snvse.config import RunConfig
+from snvse.probe import mp4_payload_bytes, probe_media, scan_video_stream_bytes
 from snvse.sim import (
     _FFMPEG_OPTIONS,
     _FFPROBE_OPTIONS,
@@ -18,6 +22,7 @@ from snvse.sim import (
     read_container,
     synthesize_source,
     video_bits_per_second,
+    write_container,
 )
 
 
@@ -124,16 +129,58 @@ def test_cli_progress_report(tmp_path, capsys):
     assert "option -fs is not simulated" in capsys.readouterr().err
 
 
-def test_every_simulated_option_is_passed_somewhere():
-    # The option tables hold what snvse, its tests and its bench pass, and
-    # nothing more: an option that no invocation names is dead sim code.
+def _named_outside_sim() -> set[str]:
+    """Every string constant in snvse without sim.py, in tests/ and in perfbench/."""
     root = Path(__file__).resolve().parents[1]
     sources = [path for path in Path(snvse.sim.__file__).parent.glob("*.py") if path.name != "sim.py"]
     sources += [*root.glob("tests/*.py"), *root.glob("perfbench/*.py")]
-    passed = {node.value for path in sources for node in ast.walk(ast.parse(path.read_text()))
-              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return {node.value for path in sources for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_every_simulated_option_is_passed_somewhere():
+    # The option tables hold what snvse, its tests and its bench pass, and
+    # nothing more: an option that no invocation names is dead sim code.
+    passed = _named_outside_sim()
     for table in (_FFMPEG_OPTIONS, _FFPROBE_OPTIONS):
         assert set(table) - passed == set()
+
+
+def _keys(doc) -> set[str]:
+    if isinstance(doc, list):
+        return set().union(*map(_keys, doc))
+    if isinstance(doc, dict):
+        return set(doc).union(*map(_keys, doc.values()))
+    return set()
+
+
+def test_every_printed_key_is_read_somewhere(tmp_path, monkeypatch, capsys):
+    # The prober prints what snvse reads, and nothing more: a key that no
+    # source names is dead sim code. The sim prober runs in-process, with
+    # the invocations probe.py makes, on a container with a video and an
+    # audio stream. Limit: the format's size and bit_rate would pass here
+    # as the names of stream keys that probe.py reads; they were removed by
+    # reading probe.py, which reads only the format's duration.
+    clip = tmp_path / "clip.mp4"
+    assert main_ffmpeg(["-y", "-f", "lavfi", "-i", "testsrc2=size=320x240:rate=30",
+                        "-crf", "30", "-t", "1", str(clip)]) == 0
+    write_container(clip, read_container(clip)["streams"]
+                    + [synthesize_source("sine=frequency=440:duration=1")])
+    printed = []
+
+    def sim_prober(argv):
+        code = main_ffprobe(argv[1:])  # argv[0] is the prober command
+        out = capsys.readouterr().out
+        printed.append(json.loads(out))
+        return subprocess.CompletedProcess(argv, code, out, "")
+
+    monkeypatch.setattr(snvse.probe, "run_tool", sim_prober)
+    config = RunConfig(ffprobe="sim-ffprobe")
+    probe_media(clip, config)
+    scan_video_stream_bytes(clip, config)
+    assert [sorted(doc) for doc in printed] == [["format", "streams"], ["packets"]]
+    assert len(printed[0]["streams"]) == 2
+    assert _keys(printed) - _named_outside_sim() == set()
 
 
 @pytest.mark.parametrize("main, argv, message", [
