@@ -235,6 +235,17 @@ def _pair_by_manifest(manifest: Path) -> list[VideoPair]:
     return pairs
 
 
+def _prepare_out(out: Path, inputs: list[Path], what: str) -> None:
+    # An unusable --out must fail before the work that fills it, not after.
+    refuse_overwrite([out], inputs)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {what} to {out}: {exc}") from exc
+    if out.is_dir():
+        raise IoFailure(f"cannot write {what} to {out}: it is a directory")
+
+
 def cmd_estimate(args) -> int:
     # Usage errors are reported before the tool check.
     check_range(args.c_min, args.c_max)
@@ -246,14 +257,7 @@ def cmd_estimate(args) -> int:
     inputs = [path for pair in pairs for path in (pair.original_path, pair.shared_path)]
     if args.manifest is not None:
         inputs.append(args.manifest)
-    refuse_overwrite([args.out], inputs)
-    try:
-        # An unwritable --out must fail before the encodes, not after them.
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot write profile to {args.out}: {exc}") from exc
-    if args.out.is_dir():
-        raise IoFailure(f"cannot write profile to {args.out}: it is a directory")
+    _prepare_out(args.out, inputs, "profile")
 
     outcomes = estimate_batch(
         pairs,
@@ -304,8 +308,8 @@ def cmd_emulate(args) -> int:
 
 
 def cmd_analyze_stability(args) -> int:
-    refuse_overwrite([args.out], [args.profile])
     profile = load_profile(args.profile)
+    _prepare_out(args.out, [args.profile], "CSV")
     rho = args.resolution
     entries = supporting_entries(rho, profile, args.include_saturated)
     n_max = args.n_max if args.n_max is not None else min(50, len(entries))

@@ -7,7 +7,8 @@ plain strings: explicit argument > ``SNVSE_FFMPEG`` / ``SNVSE_FFPROBE``
 A command may contain several tokens (e.g. ``python -m snvse.sim_ffmpeg``);
 it is split once, by shlex, and one that cannot be split (an unbalanced
 quote) or is empty raises ToolNotFound. Every encode of a run uses its
-``preset``; trial encodes go to ``scratch_dir``, the system temp dir by default.
+``preset``; each pair's trial encodes go to a directory of its own in
+``scratch_dir``, the system temp dir by default.
 """
 
 from __future__ import annotations

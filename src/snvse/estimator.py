@@ -23,10 +23,11 @@ every estimate can be saved.
 
 Trial encodes and the tool runs they cost. This is the one statement of
 the trial rule; README points here. Every trial is encoded whole within
-its window, and its payload decides it wherever it can. The payload is
-the summed ``mdat`` box bytes of the trial's MP4 file, read in-process
-(``probe.mp4_payload_bytes``); a trial holds one stream, so that is its
-video. With the trial window ``T = min(original duration,
+its window, to ``trial-crf{crf}.mp4`` in a directory of its pair's own
+in the scratch dir, and its payload decides it wherever it can. The
+payload is the summed ``mdat`` box bytes of the trial's MP4 file, read
+in-process (``probe.mp4_payload_bytes``); a trial holds one stream, so
+that is its video. With the trial window ``T = min(original duration,
 trial_seconds)``, at most ``N = ceil(T * fps_out) + 1`` frames and
 ``D_max = N / fps_out``:
 
@@ -40,7 +41,8 @@ trial_seconds)``, at most ``N = ceil(T * fps_out) + 1`` frames and
   ends; if it is the answer it is probed then, so ``crf_hat`` keeps a
   measured rate, and a probe above the target raises
   ``PreconditionViolation``, since the third assumption below failed.
-  Kept files are removed however the search ends.
+  The pair's directory, with any file left in it, is removed however the
+  search ends.
 - Every other trial is probed.
 
 The search reads a trial its payload decides as its payload over its
@@ -76,7 +78,7 @@ from __future__ import annotations
 
 import logging
 import math
-import uuid
+import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -145,10 +147,10 @@ def estimate_crf(
     *trial_seconds*, positive and finite, truncates trial encodes to the
     first K seconds of the original. Their bitrate is compared with the
     shared video's whole-file bitrate, which is like with like only when
-    the content's complexity is constant over time (ROADMAP item 3). Trial
-    files are removed from the scratch dir by the time this returns or
-    raises. Which trials are probed, and which log a bound, is the module
-    docstring's rule.
+    the content's complexity is constant over time (ROADMAP item 3). Its
+    trials go to a ``trials-*`` directory of its own in ``config.scratch_dir``,
+    removed by the time this returns or raises. Which trials are probed,
+    and which log a bound, is the module docstring's rule.
     """
     _check_search(c_min, c_max, trial_seconds)
     config = config or RunConfig()
@@ -170,12 +172,15 @@ def estimate_crf(
     fails_at = math.floor(target * max_duration / 8) + 1  # no pass holds this payload
 
     trials: dict[int, float] = {}
-    settled: dict[int, tuple] = {}  # passes logged at their payload bound: (path, payload, F - 1)
+    settled: dict[int, tuple[int, int]] = {}  # passes at their payload bound: (payload, F - 1)
 
-    def probe_trial(crf: int, path: Path, payload: int, intervals: int,
-                    settled_pass: bool = False) -> float:
+    def trial_path(crf: int) -> Path:
+        # trial_dir, the pair's own, is made around the search below; a pair trials a CRF once.
+        return Path(trial_dir) / f"trial-crf{crf}.mp4"
+
+    def probe_trial(crf: int, payload: int, intervals: int, settled_pass: bool = False) -> float:
         """The probed rate of a trial output, checked against its payload."""
-        info = probe_media(path, config)
+        info = probe_media(trial_path(crf), config)
         rate = measure_bitrate(info, config).value
         if settled_pass and rate > target:
             raise PreconditionViolation(
@@ -197,45 +202,35 @@ def estimate_crf(
         return rate
 
     def trial(crf: int) -> float:
-        spec = EncodeSpec(
-            target_width=rho_out[0],
-            target_height=rho_out[1],
-            crf=float(crf),
-            frame_rate=shared.frame_rate,
-        )
-        out_path = config.scratch_dir / f"trial-{uuid.uuid4().hex}-crf{crf}.mp4"
-        try:
-            info = encode(pair.original_path, spec, out_path, config, max_seconds=trial_seconds)
-            intervals = round(info.duration * shared.frame_rate) - 1
-            if intervals >= frames:  # checked before the payload decides the trial
-                raise PreconditionViolation(
-                    f"pair {pair.pair_id}: trial crf={crf} holds {intervals + 1} frames: the trial "
-                    f"rule's assumption that it holds at most N = {frames} does not hold")
-            payload = mp4_payload_bytes(out_path)
-            reading = payload * 8 / info.duration  # its payload over its frames
-            if payload >= fails_at:  # fails by its payload
-                rate = payload * 8 / max_duration
-            elif payload * 8 * shared.frame_rate <= target * intervals:  # settled: passes
-                rate = float(payload * 8 * shared.frame_rate / intervals)
-                settled[crf] = out_path, payload, intervals
-            else:
-                rate = reading = probe_trial(crf, out_path, payload, intervals)
-        finally:
-            if crf not in settled:
-                out_path.unlink(missing_ok=True)
+        spec = EncodeSpec(*rho_out, float(crf), shared.frame_rate)
+        out_path = trial_path(crf)
+        info = encode(pair.original_path, spec, out_path, config, max_seconds=trial_seconds)
+        intervals = round(info.duration * shared.frame_rate) - 1
+        if intervals >= frames:  # checked before the payload decides the trial
+            raise PreconditionViolation(
+                f"pair {pair.pair_id}: trial crf={crf} holds {intervals + 1} frames: the trial "
+                f"rule's assumption that it holds at most N = {frames} does not hold")
+        payload = mp4_payload_bytes(out_path)
+        reading = payload * 8 / info.duration  # its payload over its frames
+        if payload >= fails_at:  # fails by its payload
+            rate = payload * 8 / max_duration
+        elif payload * 8 * shared.frame_rate <= target * intervals:  # settled: passes
+            rate = float(payload * 8 * shared.frame_rate / intervals)
+            settled[crf] = payload, intervals
+        else:
+            rate = reading = probe_trial(crf, payload, intervals)
+        if crf not in settled:  # only a settled pass is kept until the search ends
+            out_path.unlink()
         trials[crf] = rate
         logger.debug("pair %s: trial crf=%d -> %.0f bit/s (target %.0f)",
                       pair.pair_id, crf, rate, target)
         return reading
 
     search = _linear_sweep if strategy is SearchStrategy.LINEAR_SWEEP else _bisection_with_verify
-    try:
+    with tempfile.TemporaryDirectory(prefix="trials-", dir=config.scratch_dir) as trial_dir:
         crf_hat, saturated = search(trial, target, c_min, c_max)
         if crf_hat in settled:  # the answer keeps a measured rate
             trials[crf_hat] = probe_trial(crf_hat, *settled[crf_hat], settled_pass=True)
-    finally:
-        for path, *_ in settled.values():
-            path.unlink(missing_ok=True)
 
     return ProfileEntry(
         rho_in=original.resolution,

@@ -465,7 +465,7 @@ def test_estimate_rejects_a_directory_out_before_any_work(tmp_path, quiet, tool_
 
 
 @pytest.mark.parametrize("command, error", [
-    ("analyze-stability", "IsADirectoryError"), ("emulate", "FileExistsError"),
+    ("analyze-stability", "IoFailure"), ("emulate", "FileExistsError"),
     ("mock-platform", "FileExistsError"),
 ])
 def test_bad_output_path_is_operational_error(tmp_path, quiet, capsys, command, error):
@@ -485,6 +485,29 @@ def test_bad_output_path_is_operational_error(tmp_path, quiet, capsys, command, 
     }[command]
     assert main(quiet + [command, *argv]) == 1
     assert f"error: {error}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["dir", "under-a-file"])
+def test_analyze_stability_refuses_an_unusable_out_before_the_bootstrap(tmp_path, quiet, capsys,
+                                                                       monkeypatch, out):
+    profile_path = write_profile(tmp_path / "p.json",
+                                 [entry(f"p{i}", (1280, 720), (640, 360), 30) for i in range(3)])
+    calls = []
+    monkeypatch.setattr(snvse.cli, "bootstrap_stability", lambda *args, **kw: calls.append(args))
+    out_path = {"dir": tmp_path, "under-a-file": profile_path / "s.csv"}[out]
+    assert main(quiet + ["analyze-stability", "--profile", str(profile_path), "--resolution",
+                         "640x360", "--out", str(out_path)]) == 1
+    assert calls == []
+    assert f"error: IoFailure: cannot write CSV to {out_path}: " in capsys.readouterr().err
+
+
+def test_analyze_stability_makes_the_parent_of_out(tmp_path, quiet):
+    profile_path = write_profile(tmp_path / "p.json",
+                                 [entry(f"p{i}", (1280, 720), (640, 360), 30) for i in range(3)])
+    out_csv = tmp_path / "new" / "sub" / "s.csv"
+    assert main(quiet + ["analyze-stability", "--profile", str(profile_path), "--resolution",
+                         "640x360", "--iterations", "10", "--out", str(out_csv)]) == 0
+    assert out_csv.read_text().startswith("n_prime,crf_min,crf_max,crf_mean,crf_stddev")
 
 
 def test_interrupt_exits_130(tmp_path, quiet, monkeypatch, capsys):

@@ -414,6 +414,57 @@ def test_search_failing_after_a_settled_pass_leaves_no_trial_file(config, budget
     assert list(scratch.iterdir()) == []
 
 
+def test_interrupt_mid_search_leaves_the_scratch_dir_empty(config, budget_pairs, tmp_path,
+                                                         monkeypatch):
+    # The bisection's c_max trial settles as a pass and its file is kept
+    # for a probe at the search's end; the third encode is interrupted.
+    scratch = tmp_path / "scratch"
+    settled = f"trials-*/trial-crf{BUDGET_RANGE['c_max']}.mp4"
+    encode_trial = snvse.estimator.encode
+    kept = []
+
+    def interrupt_third(*args, **kwargs):
+        kept.append(len(list(scratch.glob(settled))))
+        if len(kept) == 3:
+            raise KeyboardInterrupt
+        return encode_trial(*args, **kwargs)
+
+    monkeypatch.setattr(snvse.estimator, "encode", interrupt_third)
+    with pytest.raises(KeyboardInterrupt):
+        estimate_crf(budget_pairs[0], strategy=SearchStrategy.BISECTION_WITH_VERIFY,
+                     config=dataclasses.replace(config, scratch_dir=scratch), **BUDGET_RANGE)
+    assert kept[2] == 1
+    assert list(scratch.iterdir()) == []
+
+
+def test_concurrent_pairs_never_share_a_trial_path(config, budget_pairs, tmp_path, monkeypatch):
+    # Both pairs' bisections trial c_max first, at once, under one scratch dir.
+    scratch = tmp_path / "scratch"
+    encode_trial = snvse.estimator.encode
+    outputs = defaultdict(list)  # input stem -> trial output paths
+
+    def spy(source, spec, out, *args, **kwargs):
+        outputs[Path(source).stem].append(out)
+        return encode_trial(source, spec, out, *args, **kwargs)
+
+    monkeypatch.setattr(snvse.estimator, "encode", spy)
+    pairs = budget_pairs[:2]
+    outcomes = estimate_batch(pairs, strategy=SearchStrategy.BISECTION_WITH_VERIFY,
+                              config=dataclasses.replace(config, workers=2, scratch_dir=scratch),
+                              **BUDGET_RANGE)
+    assert all(o.ok for o in outcomes)
+    dirs = set()
+    for pair in pairs:
+        paths = outputs[pair.original_path.stem]
+        assert paths[0].name == f"trial-crf{BUDGET_RANGE['c_max']}.mp4"
+        assert len(set(paths)) == len(paths)
+        [directory] = {path.parent for path in paths}
+        assert directory.parent == scratch and directory.name.startswith("trials-")
+        dirs.add(directory)
+    assert len(dirs) == len(pairs)
+    assert list(scratch.iterdir()) == []
+
+
 def test_settled_answer_probing_above_the_target_raises(config, budget_pairs, tmp_path,
                                                         trial_events, monkeypatch):
     # After the search, a trial output probes at 4x its rate over a quarter
