@@ -1,13 +1,14 @@
 """Stability and fidelity diagnostics for estimated profiles.
 
 The bootstrap study answers "how many shared videos per resolution do I
-need": for each subset size n', it repeatedly draws random subsets of the
-estimated CRFs (without replacement within a subset, independent across
-iterations), averages each subset, and reports the spread of those
-averages. It runs on the standard library: ``random.sample`` draws each
-subset, ``math.fsum`` sums it, and the exact ``statistics.mean`` and
-``pstdev`` summarise each row, so a row of equal means has exactly that
-mean and a stddev of 0. The fidelity report compares emulated outputs
+need": for each subset size n', it repeatedly draws random subsets of one
+CRF group's estimates (without replacement within a subset, independent
+across iterations), averages each subset, and reports the spread of those
+averages. ``planner.supporting_entries`` owns the group; the study takes
+its CRFs as plain numbers. It runs on the standard library:
+``random.sample`` draws each subset, ``math.fsum`` sums it, and the exact
+``statistics.mean`` and ``pstdev`` summarise each row, so a row of equal
+means has exactly that mean and a stddev of 0. The fidelity report compares emulated outputs
 against their actually-shared counterparts file by file;
 ``FidelityReport.summary()`` holds its rates.
 """
@@ -44,34 +45,24 @@ class StabilityRow:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    resolution: tuple[int, int]
     iterations: int
     rows: list[StabilityRow]
     seed: int
 
 
 def bootstrap_stability(
-    estimates: list,
+    crfs: list[float],
     n_prime_range: tuple[int, int],
     iterations: int = DEFAULT_ITERATIONS,
     seed: int = 0,
 ) -> StabilityReport:
-    """Bootstrap the per-resolution CRF mean over subset sizes.
+    """Bootstrap the mean of one CRF group's estimates, *crfs*, over subset sizes.
 
-    *estimates* is any sequence of records with ``rho_out``, ``crf_hat``
-    and ``saturated`` attributes (estimation results or stored profile
-    entries) sharing one output resolution. Pure computation: no probing
-    or encoding happens here. Deterministic for a given seed; each n'
-    uses its own generator seeded with ``seed + n'`` so the result does
-    not depend on scheduling.
+    Pure computation: no probing or encoding happens here. Deterministic
+    for a given seed; each n' uses its own generator seeded with
+    ``seed + n'`` so the result does not depend on scheduling.
     """
-    if not estimates:
-        raise PreconditionViolation("no estimates given")
-    resolutions = {tuple(e.rho_out) for e in estimates}
-    if len(resolutions) != 1:
-        raise PreconditionViolation(f"estimates span several output resolutions: {sorted(resolutions)}")
-    values = [float(e.crf_hat) for e in estimates]
-    population = len(values)
+    population = len(crfs)
     if population < 2:
         raise PreconditionViolation(f"need at least 2 estimates, got {population}")
 
@@ -88,7 +79,7 @@ def bootstrap_stability(
     rows = []
     for n_prime in range(lo, hi + 1):
         rng = random.Random(seed + n_prime)
-        means = [math.fsum(rng.sample(values, n_prime)) / n_prime for _ in range(iterations)]
+        means = [math.fsum(rng.sample(crfs, n_prime)) / n_prime for _ in range(iterations)]
         rows.append(
             StabilityRow(
                 n_prime=n_prime,
@@ -98,12 +89,7 @@ def bootstrap_stability(
                 crf_stddev=statistics.pstdev(means),
             )
         )
-    return StabilityReport(
-        resolution=next(iter(resolutions)),
-        iterations=iterations,
-        rows=rows,
-        seed=seed,
-    )
+    return StabilityReport(iterations=iterations, rows=rows, seed=seed)
 
 
 def recommend_sample_size(report: StabilityReport, width_threshold: float) -> int | None:

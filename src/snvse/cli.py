@@ -313,9 +313,8 @@ def cmd_analyze_stability(args) -> int:
     rho = args.resolution
     entries = supporting_entries(rho, profile, args.include_saturated)
     n_max = args.n_max if args.n_max is not None else min(50, len(entries))
-    report = bootstrap_stability(
-        entries, (args.n_min, n_max), iterations=args.iterations, seed=args.seed
-    )
+    report = bootstrap_stability([e.crf_hat for e in entries], (args.n_min, n_max),
+                                 iterations=args.iterations, seed=args.seed)
     write_stability_csv(report, args.out)
     first, last = report.rows[0], report.rows[-1]
     print(f"stability of {rho[0]}x{rho[1]} over {len(entries)} estimates "

@@ -9,19 +9,22 @@ resolutions, the one backed by the most entries wins.
 CRF: the arithmetic mean of the estimated CRFs of all entries sharing the
 selected output resolution; saturated entries are excluded unless asked
 for. The fractional mean goes to the encoder as-is.
+
+The planner trusts the profile schema (``PlatformProfile.validate``),
+which ``emulate_batch`` runs before any work: resolutions are tuples and
+each ``rho_out`` is even, so the selected one is encoded as it is.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .config import RunConfig
-from .encoder import EncodeSpec, encode, normalize_dimensions
+from .encoder import EncodeSpec, encode
 from .errors import AllItemsFailed, NoSupport, PreconditionViolation, PresetMismatch
 from .probe import probe_media
 from .profile_db import PlatformProfile, ProfileEntry
@@ -105,9 +108,8 @@ def plan_emulation(
     """Probe *input_path* and derive its emulation encode spec."""
     config = config or RunConfig()
     info = probe_media(input_path, config)
-    rho_star_raw, matched = select_resolution(info.resolution, profile)
-    rho_star = normalize_dimensions(*rho_star_raw)
-    crf_star, support = select_crf(rho_star_raw, profile, include_saturated)
+    rho_star, matched = select_resolution(info.resolution, profile)
+    crf_star, support = select_crf(rho_star, profile, include_saturated)
 
     in_aspect = info.width / info.height
     out_aspect = rho_star[0] / rho_star[1]
@@ -148,13 +150,14 @@ def emulate_batch(
     ``<stem>.<platform>.mp4`` and a JSON manifest of the plans is written
     next to them. Raises AllItemsFailed when *inputs* is empty, and when no
     input succeeded, after the manifest is written.
-    Before any work, raises PresetMismatch if *config* has another preset
-    than the profile, and PreconditionViolation if the profile has no
-    entries, its platform name contains a path separator, two inputs share
-    a stem, or an output (the manifest too) resolves to an input.
+    Before any work, raises SchemaViolation if the profile fails its
+    ``validate``, PresetMismatch if *config* has another preset than the
+    profile, and PreconditionViolation if the profile has no entries, two
+    inputs share a stem, or an output (the manifest too) resolves to an input.
     """
     if not inputs:
         raise AllItemsFailed("no inputs to emulate")
+    profile.validate()
     config = config or RunConfig(preset=profile.preset)
     if config.preset != profile.preset:
         raise PresetMismatch(
@@ -163,8 +166,6 @@ def emulate_batch(
         )
     if not profile.entries:
         raise PreconditionViolation("profile has no entries")
-    if {"/", os.sep} & set(profile.platform_name):  # outputs are <stem>.<platform>.mp4
-        raise PreconditionViolation(f"platform name {profile.platform_name!r} contains a path separator")
     by_stem(inputs)
     out_dir = Path(out_dir)
     output_of = {Path(path): out_dir / f"{Path(path).stem}.{profile.platform_name}.mp4" for path in inputs}

@@ -8,13 +8,15 @@ fallback; duration comes from the video stream, then the container.
 sizes, and a failed scan raises ``ProberFailure`` like a failed probe.
 ``mp4_payload_bytes`` is its in-process counterpart for an MP4 file that
 holds one stream, such as a trial encode: it reads the ``mdat`` boxes and
-runs no tool.
+runs no tool. A number that is not finite, or too large for a float,
+reads as absent; a document of another shape raises ``ProberFailure``.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -62,13 +64,13 @@ def _parse_rate(text: str | None) -> Fraction | None:
 def _parse_positive_float(text) -> float | None:
     try:
         value = float(text)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return None
-    return value if value > 0 else None
+    return value if 0 < value < math.inf else None
 
 
 def _run_prober(options: list[str], path: Path, config: RunConfig) -> dict:
-    """Run the prober with *options* on *path* and return its JSON document."""
+    """Run the prober with *options* on *path* and return its JSON object."""
     argv = config.ffprobe_argv() + ["-v", "error", "-print_format", "json", *options, str(path)]
     result = run_tool(argv)
     if result.returncode != 0:
@@ -76,9 +78,12 @@ def _run_prober(options: list[str], path: Path, config: RunConfig) -> dict:
             f"prober exited {result.returncode} for {path}: {result.stderr.strip()}"
         )
     try:
-        return json.loads(result.stdout)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(result.stdout)
+    except (ValueError, RecursionError) as exc:
         raise ProberFailure(f"unparseable prober output for {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ProberFailure(f"prober output for {path} is not a JSON object")
+    return doc
 
 
 def probe_media(path: str | Path, config: RunConfig | None = None) -> MediaInfo:
@@ -97,7 +102,10 @@ def probe_media(path: str | Path, config: RunConfig | None = None) -> MediaInfo:
 
     doc = _run_prober(["-show_format", "-show_streams"], path, config)
 
-    streams = doc.get("streams", [])
+    streams, container = doc.get("streams", []), doc.get("format", {})
+    if not (isinstance(streams, list) and all(isinstance(s, dict) for s in [container, *streams])):
+        raise ProberFailure(f"prober output for {path} needs a list of stream objects "
+                            "and a format object")
     video = next((s for s in streams if s.get("codec_type") == "video"), None)
     if video is None:
         raise NoVideoStream(f"no video stream in {path}")
@@ -110,8 +118,10 @@ def probe_media(path: str | Path, config: RunConfig | None = None) -> MediaInfo:
     if width < 1 or height < 1:
         raise ProberFailure(f"nonpositive dimensions {width}x{height} in {path}")
 
-    avg = _parse_rate(video.get("avg_frame_rate"))
-    base = _parse_rate(video.get("r_frame_rate"))
+    rates = video.get("avg_frame_rate"), video.get("r_frame_rate")
+    if not all(rate is None or isinstance(rate, str) for rate in rates):
+        raise ProberFailure(f"frame rates of {path} are not strings: {rates}")
+    avg, base = map(_parse_rate, rates)
     frame_rate = avg or base
     if frame_rate is None:
         raise ProberFailure(f"no usable frame rate reported for {path}")
@@ -123,7 +133,7 @@ def probe_media(path: str | Path, config: RunConfig | None = None) -> MediaInfo:
 
     duration = _parse_positive_float(video.get("duration"))
     if duration is None:
-        duration = _parse_positive_float(doc.get("format", {}).get("duration"))
+        duration = _parse_positive_float(container.get("duration"))
     if duration is None:
         raise ProberFailure(f"no usable duration reported for {path}")
 

@@ -39,11 +39,13 @@ CRF_MAX = 50
 
 
 def _check_resolution(obj, key: str, where: str) -> None:
+    # A tuple, as load_profile and the estimator build it: the planner hashes it.
     value = getattr(obj, key)
-    if not (isinstance(value, (tuple, list)) and len(value) == 2
+    if not (isinstance(value, tuple) and len(value) == 2
             and type(value[0]) is int is type(value[1]) and value[0] > 0 and value[1] > 0):
+        hint = " (a list; it must be a tuple)" if isinstance(value, list) else ""
         raise SchemaViolation(f"{where}.{key} must be [width, height] of positive ints, "
-                              f"got {value!r}")
+                              f"got {value!r}{hint}")
 
 
 def _check_type(obj, key: str, kind, where: str) -> None:
@@ -180,7 +182,7 @@ def load_profile(path: str | Path) -> PlatformProfile:
         doc = json.loads(path.read_bytes())
     except OSError as exc:
         raise IoFailure(f"cannot read profile {path}: {exc}") from exc
-    except ValueError as exc:  # a UnicodeDecodeError names the byte offset, as JSON errors do
+    except (ValueError, RecursionError) as exc:  # a UnicodeDecodeError names the byte offset
         raise SchemaViolation(f"profile {path} is not valid JSON: {exc}") from exc
 
     fields = _fields(doc, _PROFILE_KEYS, "profile")

@@ -17,20 +17,11 @@ from snvse.analysis import (
 )
 from snvse import sim
 from snvse.errors import PreconditionViolation
-from snvse.profile_db import ProfileEntry
-
-
-def crf_entries(values, rho_out=(1280, 720)):
-    return [
-        ProfileEntry(rho_in=(1280, 720), rho_out=rho_out, crf_hat=v, saturated=False,
-                     pair_id=f"p{i}", target_bitrate=1e6)
-        for i, v in enumerate(values)
-    ]
 
 
 def test_full_population_subset_collapses_to_mean():
     values = [28, 30, 35, 31]
-    report = bootstrap_stability(crf_entries(values), (4, 4), iterations=200, seed=1)
+    report = bootstrap_stability(values, (4, 4), iterations=200, seed=1)
     row = report.rows[0]
     assert row.crf_min == row.crf_max == row.crf_mean == pytest.approx(31.0)
     assert row.crf_stddev == 0.0
@@ -38,31 +29,31 @@ def test_full_population_subset_collapses_to_mean():
 
 def test_singleton_subsets_reach_population_extremes():
     # 1000 draws of size 1 from 3 values: all values appear w.p. ~1.
-    report = bootstrap_stability(crf_entries([28, 30, 35]), (1, 1), iterations=1000, seed=3)
+    report = bootstrap_stability([28, 30, 35], (1, 1), iterations=1000, seed=3)
     row = report.rows[0]
     assert row.crf_min == 28.0
     assert row.crf_max == 35.0
 
 
 def test_rows_cover_range_ascending():
-    report = bootstrap_stability(crf_entries(range(21, 41)), (1, 10), iterations=50, seed=0)
+    report = bootstrap_stability(list(range(21, 41)), (1, 10), iterations=50, seed=0)
     assert [r.n_prime for r in report.rows] == list(range(1, 11))
     for row in report.rows:
         assert row.crf_min <= row.crf_mean <= row.crf_max
 
 
 def test_same_seed_reproduces_bit_identically():
-    entries = crf_entries([29, 31, 33, 30, 28, 35, 27, 32])
-    a = bootstrap_stability(entries, (1, 8), iterations=300, seed=11)
-    b = bootstrap_stability(entries, (1, 8), iterations=300, seed=11)
+    crfs = [29, 31, 33, 30, 28, 35, 27, 32]
+    a = bootstrap_stability(crfs, (1, 8), iterations=300, seed=11)
+    b = bootstrap_stability(crfs, (1, 8), iterations=300, seed=11)
     assert a == b
-    c = bootstrap_stability(entries, (1, 8), iterations=300, seed=12)
+    c = bootstrap_stability(crfs, (1, 8), iterations=300, seed=12)
     assert a != c
 
 
 def test_range_width_shrinks_with_subset_size():
     values = [28, 30, 35, 31, 27, 33, 29, 30, 32, 34, 26, 31]
-    report = bootstrap_stability(crf_entries(values), (1, 12), iterations=1000, seed=5)
+    report = bootstrap_stability(values, (1, 12), iterations=1000, seed=5)
     widths = [row.range_width for row in report.rows]
     tolerance = 0.05 * widths[0]
     inversions = sum(1 for a, b in zip(widths, widths[1:]) if b - a > tolerance)
@@ -84,7 +75,7 @@ def test_rows_are_consistent_without_tolerance(case):
     # largest values, and the row's mean between its min and max; at n' = N
     # every subset is the population, so the row is one value, exactly.
     values, n_prime = case
-    report = bootstrap_stability(crf_entries(values), (1, n_prime), iterations=50, seed=7)
+    report = bootstrap_stability(values, (1, n_prime), iterations=50, seed=7)
     ordered = sorted(values)
     for row in report.rows:
         k = row.n_prime
@@ -105,25 +96,19 @@ def test_bootstrap_spawns_no_tool_processes(monkeypatch):
         raise AssertionError(f"tool invoked during bootstrap: {argv}")
 
     monkeypatch.setattr(runner_mod, "run_tool", forbidden)
-    report = bootstrap_stability(crf_entries([30, 31, 32, 33]), (1, 4), iterations=50, seed=0)
+    report = bootstrap_stability([30, 31, 32, 33], (1, 4), iterations=50, seed=0)
     assert len(report.rows) == 4
-
-
-def test_mixed_resolutions_rejected():
-    entries = crf_entries([30, 31]) + crf_entries([32], rho_out=(640, 480))
-    with pytest.raises(PreconditionViolation, match="several output resolutions"):
-        bootstrap_stability(entries, (1, 2), iterations=10, seed=0)
 
 
 def test_population_bounds_enforced():
     with pytest.raises(PreconditionViolation, match="at least 2 estimates"):
-        bootstrap_stability(crf_entries([30]), (1, 1), iterations=10, seed=0)
+        bootstrap_stability([30], (1, 1), iterations=10, seed=0)
     with pytest.raises(PreconditionViolation, match="exceeds population"):
-        bootstrap_stability(crf_entries([30, 31]), (1, 5), iterations=10, seed=0)
-    with pytest.raises(PreconditionViolation, match="no estimates"):
+        bootstrap_stability([30, 31], (1, 5), iterations=10, seed=0)
+    with pytest.raises(PreconditionViolation, match="need at least 2 estimates, got 0"):
         bootstrap_stability([], (1, 1), iterations=10, seed=0)
     with pytest.raises(PreconditionViolation, match="iterations must be positive"):
-        bootstrap_stability(crf_entries([30, 31]), (1, 2), iterations=0, seed=0)
+        bootstrap_stability([30, 31], (1, 2), iterations=0, seed=0)
 
 
 def _report(widths):
@@ -132,7 +117,7 @@ def _report(widths):
                      crf_stddev=w / 4)
         for n, w in widths
     ]
-    return StabilityReport(resolution=(1280, 720), iterations=1000, rows=rows, seed=0)
+    return StabilityReport(iterations=1000, rows=rows, seed=0)
 
 
 def test_recommend_crossing_threshold():
@@ -153,7 +138,7 @@ def test_recommend_unreachable_flags_largest():
 
 
 def test_stability_csv_columns(tmp_path):
-    report = bootstrap_stability(crf_entries([28, 30, 33, 31]), (1, 3), iterations=20, seed=0)
+    report = bootstrap_stability([28, 30, 33, 31], (1, 3), iterations=20, seed=0)
     path = tmp_path / "report.csv"
     write_stability_csv(report, path)
     with open(path, newline="") as fh:

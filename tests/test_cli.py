@@ -19,7 +19,7 @@ from snvse.config import RunConfig
 from snvse.probe import probe_media
 from snvse.profile_db import PlatformProfile, ProfileEntry, load_profile, save_profile
 
-from conftest import fake_encoder, make_clip
+from conftest import fake_encoder, fake_prober, make_clip
 
 
 def entry(pair_id, rho_in, rho_out, crf_hat, saturated=False):
@@ -890,3 +890,23 @@ def test_profile_that_is_not_utf8_is_refused_before_any_work(tmp_path, quiet, to
     assert _last_error(capsys) == (
         f"error: SchemaViolation: profile {profile_path} is not valid JSON: 'utf-8' codec can't "
         "decode byte 0xe9 in position 22: invalid continuation byte")
+
+
+def test_a_prober_document_that_is_not_an_object_fails_its_pair(config, tmp_path, quiet, capsys):
+    # A prober printing [] once ended estimate in an AttributeError traceback.
+    out = tmp_path / "p.json"
+    prober = fake_prober(config, b"[]").ffprobe
+    assert main(quiet + ["--ffprobe-bin", prober, "estimate", *_unprobed_pair_dirs(tmp_path),
+                         "--platform", "x", "--out", str(out)]) == 1
+    assert _last_error(capsys).startswith(
+        "error: AllItemsFailed: every pair failed; first error: ProberFailure: prober output for ")
+    assert not out.exists()
+
+
+def test_a_deeply_nested_profile_is_a_schema_violation(tmp_path, quiet, capsys):
+    # json raises RecursionError on deep nesting, which once ended db show in a traceback.
+    profile_path = tmp_path / "p.json"
+    profile_path.write_bytes(b"[" * 100_000)
+    assert main(quiet + ["db", "show", str(profile_path)]) == 1
+    assert _last_error(capsys).startswith(
+        f"error: SchemaViolation: profile {profile_path} is not valid JSON: maximum recursion depth")

@@ -186,6 +186,25 @@ def test_no_support_has_one_owner():
     assert _owners(raises_no_support) == {("planner.py", "supporting_entries")}
 
 
+def test_the_bootstrap_reads_no_resolution():
+    # bootstrap_stability takes one CRF group's numbers; supporting_entries
+    # alone decides which entries form the group.
+    tree = ast.parse(Path(snvse.__file__).with_name("analysis.py").read_text())
+    names = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert "rho_out" not in names
+
+
+def test_the_schema_owns_the_platform_name_rule():
+    # validate refuses a separator in a platform name, and emulate_batch runs
+    # it; the CLI keeps its copy, so a usage error exits 2 before any work.
+    def names_os_sep(node):
+        return isinstance(node, ast.Attribute) and ast.unparse(node) == "os.sep"
+
+    assert _owners(names_os_sep) == {("profile_db.py", "PlatformProfile"),
+                                     ("cli.py", "_platform_name")}
+
+
 def test_only_config_looks_up_commands():
     # RunConfig.check_tools admits a tool command by Popen's own lookup.
     def names_which(node):

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import shutil
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from snvse.errors import (
     NoSupport,
     PreconditionViolation,
     PresetMismatch,
+    SchemaViolation,
 )
 from snvse.planner import (
     emulate_batch,
@@ -272,7 +274,21 @@ def test_emulate_batch_rejects_a_platform_with_a_path_separator(config, clips, t
     # Outputs are named <stem>.<platform>.mp4 inside out_dir.
     prof = profile([entry((1280, 720), (640, 360), 31)], platform="../escaped")
     out_dir = tmp_path / "out"
-    with pytest.raises(PreconditionViolation, match="path separator"):
+    with pytest.raises(SchemaViolation, match="path separator"):
+        emulate_batch([clips["hd"]], prof, out_dir, config=config)
+    assert not out_dir.exists()
+    assert tool_calls == []
+
+
+@pytest.mark.parametrize("key", ["rho_in", "rho_out"])
+def test_emulate_batch_refuses_a_list_built_profile_before_any_work(config, clips, tmp_path,
+                                                                   tool_calls, key):
+    # The planner hashes resolutions; a list once passed the schema and then
+    # ended emulate_batch in a TypeError after its first probe.
+    prof = profile([replace(entry((1280, 720), (640, 360), 31), **{key: [640, 360]})])
+    out_dir = tmp_path / "out"
+    with pytest.raises(SchemaViolation, match=rf"entries\[0\]\.{key} must be \[width, height\] "
+                                              r"of positive ints, got \[640, 360\] \(a list"):
         emulate_batch([clips["hd"]], prof, out_dir, config=config)
     assert not out_dir.exists()
     assert tool_calls == []

@@ -126,6 +126,47 @@ def test_prober_output_that_is_not_utf8_still_probes(config, tmp_path):
     assert probe_media(path, fake_prober(config, stdout)).resolution == (640, 360)
 
 
+def _with_top(**top) -> bytes:
+    """prober_doc without a stream duration, its top-level keys replaced by *top*."""
+    return json.dumps({**json.loads(prober_doc(duration=None)), **top}).encode()
+
+
+@pytest.mark.parametrize("stdout, problem", [
+    (b"[]", "is not a JSON object"),
+    (_with_top(streams={"0": {}}), "needs a list of stream objects"),
+    (_with_top(streams=["video"]), "needs a list of stream objects"),
+    (_with_top(format="2.5"), "and a format object"),
+    (prober_doc(avg_frame_rate=[30, 1]), "frame rates of .* are not strings"),
+    (b"[" * 100_000, "unparseable prober output .*: maximum recursion depth"),
+    (prober_doc(duration="1e999", format_duration="inf"), "no usable duration"),
+], ids=["list", "streams-object", "stream-string", "format-string", "rate-list", "nested",
+        "no-finite-duration"])
+def test_unusable_prober_json_is_a_prober_failure(config, tmp_path, stdout, problem):
+    # Each of these once ended in an AttributeError, TypeError or RecursionError,
+    # or read an infinite duration.
+    path = tmp_path / "in.mp4"
+    path.write_bytes(b"read by no tool")
+    with pytest.raises(ProberFailure, match=problem):
+        probe_media(path, fake_prober(config, stdout))
+
+
+@pytest.mark.parametrize("stream, duration, bit_rate", [
+    ({"bit_rate": "800000"}, 2.0, 800000.0),
+    ({"bit_rate": "1e999"}, 2.0, None),
+    ({"bit_rate": "inf"}, 2.0, None),
+    ({"bit_rate": 10 ** 400}, 2.0, None),
+    ({"duration": "inf", "bit_rate": "nan"}, 2.5, None),
+    ({"duration": 10 ** 400}, 2.5, None),
+], ids=["finite", "1e999", "inf", "400-digits", "inf-duration", "400-digit-duration"])
+def test_a_number_that_is_not_finite_reads_as_absent(config, tmp_path, stream, duration, bit_rate):
+    # An infinite bit rate once ended estimate in an OverflowError; absent, it
+    # falls back to the packet scan, and a duration to the container's.
+    path = tmp_path / "in.mp4"
+    path.write_bytes(b"read by no tool")
+    info = probe_media(path, fake_prober(config, prober_doc(**stream)))
+    assert (info.duration, info.stream_bitrate) == (duration, bit_rate)
+
+
 def test_mp4_payload_bytes_of_an_unreadable_file(tmp_path):
     with pytest.raises(ProberFailure, match="cannot read"):
         mp4_payload_bytes(tmp_path)
