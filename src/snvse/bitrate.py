@@ -3,8 +3,8 @@
 One fixed definition everywhere: video-stream bits per second, audio
 excluded. Prefers the prober-reported stream bitrate; falls back to
 summing video packet sizes over the stream duration, where a failed
-packet scan raises ``ProberFailure``. Shared videos and trial encodes are
-always measured by this same function.
+packet scan raises ``ProberFailure``. Shared videos are measured by it;
+a trial encode's rate is read from its MP4 (``probe.mp4_stream_rate``).
 """
 
 from __future__ import annotations

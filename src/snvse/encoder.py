@@ -15,8 +15,7 @@ verifies the encode without a probe: the exit code is 0, the progress
 report ends with ``progress=end`` and counts at least one frame, and the
 output file exists and is non-empty. It returns what the run reports,
 not measured facts; callers that need those probe the output. Trial
-encodes alone may be truncated (``max_seconds``), as the estimator's
-module docstring states.
+encodes alone may be truncated (``max_seconds``).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ class ToolNotFound(SnvseError):
 
 
 class ProberFailure(SnvseError):
-    """ffprobe (a probe or a packet scan) exited nonzero or produced unusable output."""
+    """ffprobe exited nonzero or printed unusable output, or an MP4 read in-process is unusable."""
 
 
 class NoVideoStream(SnvseError):

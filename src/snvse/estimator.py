@@ -21,57 +21,14 @@ and flagged saturated. The range must lie within
 ``profile_db.CRF_MIN``/``CRF_MAX``, the only definition of the bounds, so
 every estimate can be saved.
 
-Trial encodes and the tool runs they cost. This is the one statement of
-the trial rule; README points here. Every trial is encoded whole within
-its window, to ``trial-crf{crf}.mp4`` in a directory of its pair's own
-in the scratch dir, and its payload decides it wherever it can. The
-payload is the summed ``mdat`` box bytes of the trial's MP4 file, read
-in-process (``probe.mp4_payload_bytes``); a trial holds one stream, so
-that is its video. With the trial window ``T = min(original duration,
-trial_seconds)``, at most ``N = ceil(T * fps_out) + 1`` frames and
-``D_max = N / fps_out``:
-
-- A payload of ``floor(target * D_max / 8) + 1`` bytes or more is above
-  ``target * D_max / 8``, so the trial fails without a probe and logs the
-  lower bound ``payload * 8 / D_max``.
-- A trial of ``F`` frames (from ffmpeg's progress report) whose payload
-  is small enough, ``payload * 8 <= target * (F - 1) / fps_out``, passes
-  without a probe and logs the upper bound
-  ``payload * 8 / ((F - 1) / fps_out)``. Its file is kept until the search
-  ends; if it is the answer it is probed then, so ``crf_hat`` keeps a
-  measured rate, and a probe above the target raises
-  ``PreconditionViolation``, since the third assumption below failed.
-  The pair's directory, with any file left in it, is removed however the
-  search ends.
-- Every other trial is probed.
-
-The search reads a trial its payload decides as its payload over its
-``F`` frames, ``payload * 8 / (F / fps_out)``: closer than its bound, and
-still on its verdict's side of the target, because ``F <= N``. So the
-linear sweep's answers are those of probing every trial, and so are the
-bisection's wherever the rate is non-increasing in CRF, though its
-trialled CRFs may differ where a payload reading moves the rate model's
-rounding. A pair costs ``2 + trials + probed trials`` tool runs (plus a
-packet scan wherever the prober reports no stream bitrate). The rule
-rests on three assumptions:
-
-1. A trial holds at most ``N`` frames. Every trial checks ``F <= N``
-   before its payload decides it, and raises ``PreconditionViolation``
-   naming the assumption if not: a trial of more frames could fail by its
-   payload yet read under the target over its ``F`` frames.
-2. The prober's stream bitrate is the payload's bits over the stream
-   duration. Every probe of a trial checks that ``payload * 8 / duration``
-   equals the probed rate within ``8 / duration + 1 + 1e-5 * rate``
-   bit/s (a payload byte over the duration, the prober's whole bit/s and
-   its printed duration's rounding), and raises ``PreconditionViolation``
-   naming both rates if not.
-3. The stream duration spans at least ``F - 1`` frame intervals. Every
-   probe of a trial checks, after 2, that its duration is at least
-   ``(F - 1) / fps_out`` within the prober's printed microsecond; a settled
-   answer probing above the target is caught before either check.
-
-None is verified against real ffmpeg output; on the sim backend all
-three hold for every trial.
+Trial encodes and the tool runs they cost (README points here). Every
+trial is encoded whole within its window, to ``trial-crf{crf}.mp4`` in a
+directory of its pair's own in the scratch dir, which is removed however
+the search ends. Its rate is read in-process from the MP4's sample table
+(``probe.mp4_stream_rate``, the stream bitrate ffprobe reports), and the
+file is removed at once. So no trial is probed, every logged rate is
+measured, and a pair costs ``2 + trials`` tool runs (plus a packet scan
+where the prober reports no bitrate for the shared video).
 """
 
 from __future__ import annotations
@@ -87,7 +44,7 @@ from .bitrate import measure_bitrate
 from .config import RunConfig
 from .encoder import EncodeSpec, encode, normalize_dimensions
 from .errors import AllItemsFailed, InvalidRange, PreconditionViolation
-from .probe import mp4_payload_bytes, probe_media
+from .probe import mp4_stream_rate, probe_media
 from .profile_db import CRF_MAX, CRF_MIN, ProfileEntry, check_unique_pair_ids
 from .runner import Outcome, run_batch
 
@@ -149,8 +106,7 @@ def estimate_crf(
     shared video's whole-file bitrate, which is like with like only when
     the content's complexity is constant over time (ROADMAP item 3). Its
     trials go to a ``trials-*`` directory of its own in ``config.scratch_dir``,
-    removed by the time this returns or raises. Which trials are probed,
-    and which log a bound, is the module docstring's rule.
+    removed by the time this returns or raises.
     """
     _check_search(c_min, c_max, trial_seconds)
     config = config or RunConfig()
@@ -166,71 +122,22 @@ def estimate_crf(
     target = measure_bitrate(shared, config).value
     rho_out = normalize_dimensions(shared.width, shared.height)
 
-    seconds = original.duration if trial_seconds is None else min(original.duration, trial_seconds)
-    frames = math.ceil(seconds * shared.frame_rate) + 1
-    max_duration = float(frames / shared.frame_rate)
-    fails_at = math.floor(target * max_duration / 8) + 1  # no pass holds this payload
-
     trials: dict[int, float] = {}
-    settled: dict[int, tuple[int, int]] = {}  # passes at their payload bound: (payload, F - 1)
-
-    def trial_path(crf: int) -> Path:
-        # trial_dir, the pair's own, is made around the search below; a pair trials a CRF once.
-        return Path(trial_dir) / f"trial-crf{crf}.mp4"
-
-    def probe_trial(crf: int, payload: int, intervals: int, settled_pass: bool = False) -> float:
-        """The probed rate of a trial output, checked against its payload."""
-        info = probe_media(trial_path(crf), config)
-        rate = measure_bitrate(info, config).value
-        if settled_pass and rate > target:
-            raise PreconditionViolation(
-                f"pair {pair.pair_id}: trial crf={crf} passed by its size, but probes at "
-                f"{rate:.0f} bit/s, above the target {target:.0f}: the settle rule's "
-                f"assumption that its stream spans F - 1 frame intervals does not hold")
-        from_payload = payload * 8 / info.duration
-        if abs(from_payload - rate) > 8 / info.duration + 1 + 1e-5 * rate:
-            raise PreconditionViolation(
-                f"pair {pair.pair_id}: trial crf={crf} probes at {rate:.0f} bit/s, but its "
-                f"{payload}-byte payload over its {info.duration:g} s stream is "
-                f"{from_payload:.0f} bit/s: the trial rule's assumption that the stream "
-                f"bitrate is the payload's bits over the stream duration does not hold")
-        if info.duration < intervals / shared.frame_rate - 1e-6:  # printed to the microsecond
-            raise PreconditionViolation(
-                f"pair {pair.pair_id}: trial crf={crf} probes at {info.duration:g} s, under its "
-                f"{intervals} frame intervals: the trial rule's assumption that its stream "
-                f"spans F - 1 frame intervals does not hold")
-        return rate
 
     def trial(crf: int) -> float:
-        spec = EncodeSpec(*rho_out, float(crf), shared.frame_rate)
-        out_path = trial_path(crf)
-        info = encode(pair.original_path, spec, out_path, config, max_seconds=trial_seconds)
-        intervals = round(info.duration * shared.frame_rate) - 1
-        if intervals >= frames:  # checked before the payload decides the trial
-            raise PreconditionViolation(
-                f"pair {pair.pair_id}: trial crf={crf} holds {intervals + 1} frames: the trial "
-                f"rule's assumption that it holds at most N = {frames} does not hold")
-        payload = mp4_payload_bytes(out_path)
-        reading = payload * 8 / info.duration  # its payload over its frames
-        if payload >= fails_at:  # fails by its payload
-            rate = payload * 8 / max_duration
-        elif payload * 8 * shared.frame_rate <= target * intervals:  # settled: passes
-            rate = float(payload * 8 * shared.frame_rate / intervals)
-            settled[crf] = payload, intervals
-        else:
-            rate = reading = probe_trial(crf, payload, intervals)
-        if crf not in settled:  # only a settled pass is kept until the search ends
-            out_path.unlink()
-        trials[crf] = rate
-        logger.debug("pair %s: trial crf=%d -> %.0f bit/s (target %.0f)",
-                      pair.pair_id, crf, rate, target)
-        return reading
+        # trial_dir, the pair's own, is made around the search below; a pair trials a CRF once.
+        out_path = Path(trial_dir) / f"trial-crf{crf}.mp4"
+        encode(pair.original_path, EncodeSpec(*rho_out, float(crf), shared.frame_rate), out_path,
+               config, max_seconds=trial_seconds)
+        rate = trials[crf] = mp4_stream_rate(out_path)
+        out_path.unlink()
+        logger.debug("pair %s: trial crf=%d -> %d bit/s (target %.0f)",
+                     pair.pair_id, crf, rate, target)
+        return rate
 
     search = _linear_sweep if strategy is SearchStrategy.LINEAR_SWEEP else _bisection_with_verify
     with tempfile.TemporaryDirectory(prefix="trials-", dir=config.scratch_dir) as trial_dir:
         crf_hat, saturated = search(trial, target, c_min, c_max)
-        if crf_hat in settled:  # the answer keeps a measured rate
-            trials[crf_hat] = probe_trial(crf_hat, *settled[crf_hat], settled_pass=True)
 
     return ProfileEntry(
         rho_in=original.resolution,

@@ -6,10 +6,10 @@ frame rate comes from the declared average rate with the real base rate as
 fallback; duration comes from the video stream, then the container.
 ``scan_video_stream_bytes`` runs the same prober to sum video packet
 sizes, and a failed scan raises ``ProberFailure`` like a failed probe.
-``mp4_payload_bytes`` is its in-process counterpart for an MP4 file that
-holds one stream, such as a trial encode: it reads the ``mdat`` boxes and
-runs no tool. A number that is not finite, or too large for a float,
-reads as absent; a document of another shape raises ``ProberFailure``.
+``mp4_stream_rate`` reads the stream bitrate of an MP4 file that holds one
+stream, such as a trial encode, from its sample table, and runs no tool.
+A number that is not finite, or too large for a float, reads as absent; a
+document of another shape raises ``ProberFailure``.
 """
 
 from __future__ import annotations
@@ -157,7 +157,8 @@ def probe_media(path: str | Path, config: RunConfig | None = None) -> MediaInfo:
 def scan_video_stream_bytes(path: str | Path, config: RunConfig | None = None) -> int:
     """Sum the packet sizes of the first video stream, in bytes.
 
-    Raises ProberFailure when the scan fails or reports no video packets.
+    Raises ProberFailure when the scan fails, or reports no video packets
+    or a negative size.
     """
     doc = _run_prober(["-select_streams", "v:0", "-show_entries", "packet=size"],
                       path, config or RunConfig())
@@ -167,49 +168,83 @@ def scan_video_stream_bytes(path: str | Path, config: RunConfig | None = None) -
         raise ProberFailure(f"unparseable packet list for {path}: {exc}") from exc
     if not sizes:
         raise ProberFailure(f"no video packets reported for {path}")
+    if min(sizes) < 0:
+        raise ProberFailure(f"negative packet size {min(sizes)} reported for {path}")
     return sum(sizes)
 
 
-def mp4_payload_bytes(path: str | Path) -> int:
-    """Sum the payloads of the top-level ``mdat`` boxes of an MP4 file, in bytes.
+def _boxes(fh, start: int, end: int, path: str | Path) -> list[tuple[bytes, int, int]]:
+    """The (4CC, body start, body end) of each ISO-BMFF box in bytes [start, end) of *fh*.
 
-    Walks the file's top-level ISO-BMFF boxes: a 32-bit size and a 4CC,
-    where size 1 means a 64-bit size follows and size 0 a box that runs to
-    the end of the file. Several ``mdat`` boxes (a fragmented file) add up,
-    and ``moov`` may come before or after them. For a file holding one
-    stream, as every trial encode does, this is that stream's payload.
-    Raises ProberFailure on a box that overruns the file or is smaller
-    than its header, and when no ``mdat`` box or only empty ones are found.
+    A 32-bit size of 1 means a 64-bit size follows, and 0 a box that runs to
+    *end*. Raises ProberFailure on a box smaller than its header or past *end*.
     """
-    path = Path(path)
-    payload, found = 0, False
+    boxes, offset = [], start
+    while offset < end:
+        fh.seek(offset)
+        header = fh.read(min(16, end - offset))
+        head = 16 if header[:4] == b"\0\0\0\1" else 8
+        if len(header) < head:
+            raise ProberFailure(f"the box header at byte {offset} of {path} is truncated")
+        size, kind = struct.unpack_from(">I4s", header)
+        if size == 1:
+            size = struct.unpack_from(">Q", header, 8)[0]
+        elif size == 0:
+            size = end - offset
+        if size < head:
+            raise ProberFailure(f"box {kind!r} at byte {offset} of {path} is {size} bytes, "
+                                f"below its {head}-byte header")
+        if offset + size > end:
+            raise ProberFailure(f"box {kind!r} at byte {offset} of {path} is truncated")
+        boxes.append((kind, offset + head, offset + size))
+        offset += size
+    return boxes
+
+
+def _body(fh, where: str, path: str | Path) -> bytes:
+    """The body of the one box at *where*, a path of 4CCs from the top of the file *fh*."""
+    start, end = 0, os.fstat(fh.fileno()).st_size
+    for kind in where.split("/"):
+        found = [(s, e) for k, s, e in _boxes(fh, start, end, path) if k == kind.encode()]
+        if len(found) != 1:
+            raise ProberFailure(f"{path} holds {len(found)} {kind} boxes where {where} reads one")
+        [(start, end)] = found
+    fh.seek(start)
+    return fh.read(end - start)
+
+
+def _unpack(layout: str, body: bytes, kind: str, path: str | Path) -> tuple:
+    try:
+        return struct.unpack_from(layout, body)
+    except struct.error as exc:
+        raise ProberFailure(f"the {kind} box of {path} is truncated") from exc
+
+
+def mp4_stream_rate(path: str | Path) -> int:
+    """The bitrate of an MP4 file's one stream, in bit/s, as ffprobe reports it.
+
+    libavformat's mov demuxer computes it from ``moov/trak/mdia``: the sizes
+    in ``minf/stbl/stsz`` (a fixed one, or one per sample), in bits, over the
+    duration in ``mdhd`` (version 0 or 1) in its time scale, rounded to the
+    nearest bit/s as ``av_rescale`` rounds. This reads them without a tool
+    run. Raises ProberFailure unless the file holds exactly one ``trak``,
+    and on a missing or truncated box or a zero duration or time scale. An
+    edit list (``elst``) may shift the duration ffprobe divides by, and
+    equality with real ffprobe is unverified (ROADMAP item 10).
+    """
     try:
         with open(path, "rb") as fh:
-            end = os.fstat(fh.fileno()).st_size
-            offset = 0
-            while offset < end:
-                fh.seek(offset)
-                header = fh.read(16)
-                head = 16 if header[:4] == b"\0\0\0\1" else 8  # size 1: a 64-bit size follows
-                if len(header) < head:
-                    raise ProberFailure(f"the box header at byte {offset} of {path} overruns the file")
-                size, kind = struct.unpack_from(">I4s", header)
-                if size == 1:
-                    size = struct.unpack_from(">Q", header, 8)[0]
-                elif size == 0:  # runs to the end of the file
-                    size = end - offset
-                if size < head:
-                    raise ProberFailure(f"box {kind!r} at byte {offset} of {path} is {size} bytes, "
-                                        f"below its {head}-byte header")
-                if offset + size > end:
-                    raise ProberFailure(f"box {kind!r} at byte {offset} of {path} overruns the file")
-                if kind == b"mdat":
-                    payload, found = payload + size - head, True
-                offset += size
+            mdhd = _body(fh, "moov/trak/mdia/mdhd", path)
+            stsz = _body(fh, "moov/trak/mdia/minf/stbl/stsz", path)
     except OSError as exc:
         raise ProberFailure(f"cannot read {path}: {exc}") from exc
-    if not found:
-        raise ProberFailure(f"no mdat box in {path}")
-    if payload == 0:
-        raise ProberFailure(f"the mdat boxes of {path} are empty")
-    return payload
+    if mdhd[:1] not in (b"\0", b"\1"):
+        raise ProberFailure(f"the mdhd box of {path} is not of version 0 or 1")
+    # After the version and flags: the creation and modification times.
+    time_scale, duration = _unpack((">12xII", ">20xIQ")[mdhd[0]], mdhd, "mdhd", path)
+    if not (duration and time_scale):
+        raise ProberFailure(f"{path} has a duration of {duration} at a time scale of {time_scale}")
+    sample_size, count = _unpack(">4xII", stsz, "stsz", path)
+    data_size = (sample_size * count if sample_size
+                 else sum(_unpack(f">12x{count}I", stsz, "stsz", path)))
+    return (data_size * 8 * time_scale + duration // 2) // duration

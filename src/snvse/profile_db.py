@@ -65,10 +65,8 @@ class ProfileEntry:
     saturated: bool
     pair_id: str
     target_bitrate: float
-    # The estimate's sorted (crf, bitrate) trials; not saved, not compared.
-    # A fail decided by its MP4 payload holds a lower bound on its bitrate
-    # and a pass an upper bound; every other trial, and an unsaturated
-    # crf_hat, is measured (the rule is in snvse.estimator's docstring).
+    # The estimate's sorted (crf, bitrate) trials, each rate measured from
+    # its MP4's sample table; not saved, not compared.
     trial_log: list[tuple[int, float]] = field(default_factory=list, compare=False)
 
     def validate(self, where: str = "entry") -> None:

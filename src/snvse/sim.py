@@ -12,8 +12,13 @@ prints only what ``probe.py`` reads: the fields of a video stream that
 container's ``duration``, and each video packet's ``size``. They operate
 on a tiny container shaped like the MP4 files ffmpeg writes: top-level
 ISO-BMFF boxes in ffmpeg's default order, an ``ftyp`` box, an ``mdat``
-box holding the payload bytes of every stream, and a private ``snvs``
-box (in place of ``moov``) holding a JSON stream header.
+box holding the payload bytes of every stream, then a ``moov`` box, and
+last a private ``snvs`` box holding a JSON stream header. The ``moov``
+holds a ``trak`` per stream with only the boxes a stream's bitrate is
+read from: ``mdia/mdhd`` (time scale and duration) and
+``mdia/minf/stbl/stsz`` (the packet sizes). The prober prints a video
+stream's ``bit_rate`` from those fields, as libavformat's mov demuxer
+computes it.
 
 The encoder prices a video stream with a deterministic rate model:
 bits/s scales with a per-source content complexity, resolution, frame
@@ -144,6 +149,43 @@ def read_container(path: Path) -> dict:
     raise SimError(f"{path}: Invalid data found when processing input")
 
 
+def _box(kind: bytes, *children: bytes) -> bytes:
+    body = b"".join(children)
+    return struct.pack(">I4s", 8 + len(body), kind) + body
+
+
+def _samples(stream: dict) -> tuple[int, int, list[int]]:
+    """(time scale, duration in it, sample sizes) of a stream's ``trak``.
+
+    A video stream's time scale is its frame rate's numerator, doubled
+    until it reaches 10000, as ffmpeg's MP4 muxer picks it; its samples
+    are its packets. Any other stream is one sample at 44.1 kHz.
+    """
+    time_scale = stream["fps"][0] if stream["type"] == "video" else 44100
+    while time_scale < 10000:
+        time_scale *= 2
+    sizes = _packetize(int(stream.get("payload", 0)), int(stream.get("frames", 1)))
+    duration = max(1, round(float(stream.get("duration") or 0) * time_scale))  # one tick at least
+    return time_scale, duration, sizes
+
+
+def _mov_bit_rate(stream: dict) -> int:
+    """The stream's bitrate as libavformat's mov demuxer computes it from its ``trak``."""
+    time_scale, duration, sizes = _samples(stream)
+    return (sum(sizes) * 8 * time_scale + duration // 2) // duration
+
+
+def _moov(streams: list[dict]) -> bytes:
+    traks = []
+    for stream in streams:
+        time_scale, duration, sizes = _samples(stream)
+        mdhd = struct.pack(">4xIIIIHH", 0, 0, time_scale, duration, 0x55C4, 0)  # v0, "und"
+        stsz = struct.pack(f">4xII{len(sizes)}I", 0, len(sizes), *sizes)
+        traks.append(_box(b"trak", _box(b"mdia", _box(b"mdhd", mdhd), _box(
+            b"minf", _box(b"stbl", _box(b"stsz", stsz))))))
+    return _box(b"moov", *traks)
+
+
 def write_container(path: Path, streams: list[dict]) -> None:
     header = json.dumps({"streams": streams}, sort_keys=True).encode()
     payload_total = sum(int(s.get("payload", 0)) for s in streams)
@@ -156,7 +198,7 @@ def write_container(path: Path, streams: list[dict]) -> None:
                 chunk = block[: min(len(block), remaining)]
                 fh.write(chunk)
                 remaining -= len(chunk)
-            fh.write(struct.pack(">I4s", 8 + len(header), _HEADER_BOX) + header)
+            fh.write(_moov(streams) + _box(_HEADER_BOX, header))
     except OSError as exc:
         raise SimError(f"{path}: {exc.strerror or exc}") from exc
 
@@ -403,7 +445,7 @@ def run_ffprobe(argv: list[str]) -> int:
         doc["packets"] = [
             {"size": str(size)}
             for stream in streams if stream["type"] == "video"
-            for size in _packetize(int(stream["payload"]), int(stream.get("frames", 1)))
+            for size in _samples(stream)[2]
         ]
 
     if "-show_streams" in opts:
@@ -423,7 +465,7 @@ def run_ffprobe(argv: list[str]) -> int:
                     "avg_frame_rate": rate_text,
                     "r_frame_rate": rate_text,
                     "duration": _fmt_float(float(stream.get("duration") or 0)),
-                    "bit_rate": str(int(round(float(stream["bit_rate"])))),
+                    "bit_rate": str(_mov_bit_rate(stream)),
                 }
             )
         doc["streams"] = out

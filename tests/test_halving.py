@@ -111,9 +111,8 @@ def test_default_search_writes_the_linear_sweeps_profile(config, slope_pairs, tm
 
 @pytest.mark.parametrize("halving", [4, 5])
 def test_crf_hat_minus_one_on_steep_curves(config, slope_pairs, tmp_path, halving):
-    # One rule for both searches: crf_hat - 1 logs a rate above the target
-    # and at most the probed rate of its encode, a bound where its payload
-    # decides it, else the probed rate.
+    # One rule for both searches: crf_hat - 1 logs a rate above the target,
+    # the probed rate of its encode.
     originals, shared, expected = slope_pairs
     for crf in HIDDEN[halving]:
         stem = f"s{halving}-crf{crf:g}"
@@ -127,4 +126,4 @@ def test_crf_hat_minus_one_on_steep_curves(config, slope_pairs, tmp_path, halvin
         measured = measure_bitrate(probe_media(info.path, config), config).value
         rate = dict(default.trial_log)[below]
         assert rate == dict(linear.trial_log)[below]
-        assert default.target_bitrate < rate <= measured
+        assert default.target_bitrate < rate == measured

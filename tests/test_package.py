@@ -230,3 +230,15 @@ def test_only_the_runner_ends_tools():
                 and node.func.attr in ("terminate", "kill"))
 
     assert _owners(ends_a_process) == {("runner.py", "run_tool")}
+
+
+def test_every_source_parses_at_the_python_floor():
+    # pyproject's requires-python is the floor. A newer syntax, such as
+    # except* or a type statement, would fail only on that interpreter,
+    # which a local run need not use.
+    root = Path(__file__).resolve().parents[1]
+    assert 'requires-python = ">=3.10"' in (root / "pyproject.toml").read_text()
+    sources = sorted([*root.glob("src/**/*.py"), *root.glob("tests/**/*.py")])
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

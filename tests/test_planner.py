@@ -1,6 +1,7 @@
 """Resolution/CRF selection vs independent brute force, plan and batch behavior."""
 
 import datetime as dt
+import itertools
 import json
 import math
 import random
@@ -30,10 +31,13 @@ from snvse.profile_db import PlatformProfile, ProfileEntry
 from conftest import fake_encoder
 
 
+_pair_ids = itertools.count()
+
+
 def entry(rho_in, rho_out, crf_hat=30, saturated=False, pair_id=None):
     return ProfileEntry(
         rho_in=tuple(rho_in), rho_out=tuple(rho_out), crf_hat=crf_hat,
-        saturated=saturated, pair_id=pair_id or f"p{id(object())}",
+        saturated=saturated, pair_id=pair_id or f"p{next(_pair_ids)}",
         target_bitrate=500_000.0,
     )
 

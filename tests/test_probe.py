@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snvse.errors import NoVideoStream, ProberFailure
-from snvse.probe import mp4_payload_bytes, probe_media, scan_video_stream_bytes
+from snvse.probe import mp4_stream_rate, probe_media, scan_video_stream_bytes
+from snvse.sim import main_ffmpeg, read_container, synthesize_source, write_container
 
 from conftest import fake_prober, make_audio_only, make_clip
 
@@ -99,8 +100,10 @@ def prober_doc(format_duration="2.5", **stream) -> bytes:
     (scan_video_stream_bytes, b'{"packets": [{"size": "many"}]}',
      ("raises", "unparseable packet list")),
     (scan_video_stream_bytes, b'{"packets": []}', ("raises", "no video packets")),
+    (scan_video_stream_bytes, b'{"packets": [{"size": "900"}, {"size": "-5000"}]}',
+     ("raises", "negative packet size -5000")),
 ], ids=["json", "no-width", "zero-height", "no-rate", "vfr", "format-duration", "no-duration",
-        "packet-size", "no-packets"])
+        "packet-size", "no-packets", "negative-packet"])
 def test_hostile_prober_output(config, tmp_path, caplog, call, stdout, expected):
     path = tmp_path / "in.mp4"
     path.write_bytes(b"read by no tool")
@@ -167,85 +170,140 @@ def test_a_number_that_is_not_finite_reads_as_absent(config, tmp_path, stream, d
     assert (info.duration, info.stream_bitrate) == (duration, bit_rate)
 
 
-def test_mp4_payload_bytes_of_an_unreadable_file(tmp_path):
+def test_mp4_stream_rate_of_an_unreadable_file(tmp_path):
     with pytest.raises(ProberFailure, match="cannot read"):
-        mp4_payload_bytes(tmp_path)
+        mp4_stream_rate(tmp_path)
 
 
-# --- the in-process mdat reader ---
+# --- the in-process sample-table reader ---
 
-# One top-level box: its 4CC, its body length, and its size field: 32-bit,
-# a 64-bit largesize, or 0 (runs to the end of the file; last box only).
-boxes = st.lists(st.tuples(st.sampled_from([b"mdat", b"moov", b"ftyp", b"free", b"moof"]),
-                           st.integers(0, 40), st.sampled_from(["32", "64"])),
-                 max_size=5)
+def box(kind: bytes, *parts: bytes) -> bytes:
+    body = b"".join(parts)
+    return struct.pack(">I4s", 8 + len(body), kind) + body
 
 
-def box_file(sequence, last_to_eof):
-    """The file's bytes, and per box its (start, header end, end, 4CC)."""
-    data, spans = b"", []
-    for index, (kind, body, width) in enumerate(sequence):
-        if index == len(sequence) - 1 and last_to_eof:
-            header = struct.pack(">I4s", 0, kind)
-        elif width == "64":
-            header = struct.pack(">I4sQ", 1, kind, 16 + body)
-        else:
-            header = struct.pack(">I4s", 8 + body, kind)
-        spans.append((len(data), len(data) + len(header), len(data) + len(header) + body, kind))
-        data += header + bytes(range(body))
-    return data, spans
+def mdhd(time_scale: int, duration: int, version: int = 0) -> bytes:
+    """An mdhd box: version and flags, creation and modification times, time
+    scale, duration, then language and a reserved field."""
+    times = ">B3xQQIQ4x" if version == 1 else ">B3xIIII4x"
+    return box(b"mdhd", struct.pack(times, version, 0, 0, time_scale, duration))
 
 
-def expected_payload(spans, cut, last_to_eof):
-    """What the reader returns for the file's first *cut* bytes, or None where it raises.
-
-    A cut at a box boundary leaves a shorter valid file, and so does one
-    past the header of a last box that runs to the end of the file; any
-    other cut falls inside a box and overruns the file.
-    """
-    payload, found = 0, False
-    for index, (start, body_start, end, kind) in enumerate(spans):
-        if start >= cut:
-            break
-        if end > cut and not (last_to_eof and index == len(spans) - 1 and body_start <= cut):
-            return None
-        if kind == b"mdat":
-            payload, found = payload + min(end, cut) - body_start, True
-    return payload if found and payload else None
+def stsz(sizes=(), fixed: int = 0, count: int | None = None) -> bytes:
+    count = len(sizes) if count is None else count
+    return box(b"stsz", struct.pack(f">4xII{len(sizes)}I", fixed, count, *sizes))
 
 
-@settings(max_examples=60, deadline=None)
-@given(sequence=boxes, last_to_eof=st.booleans())
-@example(sequence=[(b"ftyp", 4, "32"), (b"mdat", 30, "64"), (b"moov", 12, "32")], last_to_eof=False)
-@example(sequence=[(b"moov", 12, "32"), (b"mdat", 3, "32"), (b"moof", 5, "32"),
-                   (b"mdat", 7, "64")], last_to_eof=True)
-def test_mp4_payload_bytes_sums_every_mdat_and_rejects_truncation(tmp_path_factory, sequence,
-                                                                  last_to_eof):
-    data, spans = box_file(sequence, last_to_eof)
-    path = tmp_path_factory.mktemp("boxes") / "trial.mp4"
-    for cut in range(len(data) + 1):
-        path.write_bytes(data[:cut])
-        expected = expected_payload(spans, cut, last_to_eof)
-        if expected is None:
-            with pytest.raises(ProberFailure):
-                mp4_payload_bytes(path)
-        else:
-            assert mp4_payload_bytes(path) == expected
-    if sequence:  # the whole file: the sum of its mdat payloads
-        mdat = sum(body for kind, body, _ in sequence if kind == b"mdat")
-        assert expected_payload(spans, len(data), last_to_eof) == (mdat or None)
+def trak(header: bytes, table: bytes) -> bytes:
+    return box(b"trak", box(b"mdia", header, box(b"minf", box(b"stbl", table))))
+
+
+def mp4(*traks: bytes) -> bytes:
+    """ffmpeg's default box order: ftyp, mdat, then moov."""
+    return box(b"ftyp", b"isom") + box(b"mdat", bytes(8)) + box(b"moov", *traks)
+
+
+# 1500 bytes over 2 s at the time scale ffmpeg's muxer picks for 30 fps.
+TWO_SECONDS = mdhd(15360, 30720)
+SAMPLES = stsz([1000, 250, 250])
+
+
+@pytest.mark.parametrize("data, rate", [
+    (mp4(trak(TWO_SECONDS, SAMPLES)), 6000),
+    (mp4(trak(mdhd(15360, 30720, version=1), SAMPLES)), 6000),
+    (mp4(trak(TWO_SECONDS, stsz(fixed=500, count=3))), 6000),
+    (box(b"moov", trak(TWO_SECONDS, SAMPLES)) + struct.pack(">I4sQ", 1, b"mdat", 20) + b"abcd"
+     + struct.pack(">I4s", 0, b"free") + b"to the end", 6000),
+    (mp4(trak(mdhd(90000, 2 ** 33, version=1), stsz(fixed=2 ** 31, count=2 ** 20))),
+     2 ** 21 * 90000),
+    (mp4(trak(mdhd(1, 16), stsz([1]))), 1),
+    (mp4(trak(mdhd(1, 17), stsz([1]))), 0),
+    (mp4(trak(mdhd(3, 16), stsz([1]))), 2),
+    (mp4(trak(mdhd(1, 3), stsz([1]))), 3),
+    (mp4(trak(TWO_SECONDS, stsz())), 0),
+], ids=["v0-table", "v1", "fixed-size", "moov-first", "64-bit", "half-up", "under-half",
+        "three-halves", "over-half", "no-samples"])
+def test_mp4_stream_rate_reads_what_ffprobe_reports(tmp_path, data, rate):
+    # The stsz sample sizes in bits over the mdhd duration, rounded to the
+    # nearest bit/s with halves up, as av_rescale rounds.
+    path = tmp_path / "trial.mp4"
+    path.write_bytes(data)
+    assert mp4_stream_rate(path) == rate
 
 
 @pytest.mark.parametrize("data, problem", [
-    (struct.pack(">I4s", 4, b"mdat") + b"abcd", "below its 8-byte header"),
-    (struct.pack(">I4sQ", 1, b"mdat", 12) + b"abcd", "below its 16-byte header"),
-    (struct.pack(">I4s", 20, b"mdat") + b"abcd", "overruns the file"),
-    (struct.pack(">I4s", 8, b"mdat") + struct.pack(">I4s", 12, b"moov") + b"abcd",
-     "mdat boxes of .* are empty"),
-    (struct.pack(">I4s", 12, b"moov") + b"abcd", "no mdat box"),
-], ids=["small", "small-largesize", "overrun", "empty", "no-mdat"])
-def test_mp4_payload_bytes_names_what_is_wrong(tmp_path, data, problem):
+    (mp4(trak(TWO_SECONDS, SAMPLES), trak(TWO_SECONDS, SAMPLES)), "holds 2 trak boxes"),
+    (mp4(), "holds 0 trak boxes"),
+    (box(b"ftyp", b"isom") + box(b"mdat", bytes(8)), "holds 0 moov boxes"),
+    (b"", "holds 0 moov boxes"),
+    (mp4(trak(box(b"free"), SAMPLES)), "holds 0 mdhd boxes"),
+    (mp4(box(b"trak", box(b"mdia", TWO_SECONDS))), "holds 0 minf boxes"),
+    (mp4(trak(TWO_SECONDS, box(b"stz2", bytes(12)))), "holds 0 stsz boxes"),
+    (mp4(trak(mdhd(15360, 0), SAMPLES)), "a duration of 0 at a time scale of 15360"),
+    (mp4(trak(mdhd(0, 30720, version=1), SAMPLES)), "a duration of 30720 at a time scale of 0"),
+    (mp4(trak(mdhd(15360, 30720, version=2), SAMPLES)), "mdhd box of .* is not of version 0 or 1"),
+    (mp4(trak(box(b"mdhd", bytes(19)), SAMPLES)), "the mdhd box of .* is truncated"),
+    (mp4(trak(box(b"mdhd", b"\1" + bytes(30)), SAMPLES)), "the mdhd box of .* is truncated"),
+    (mp4(trak(TWO_SECONDS, stsz([1000, 250], count=3))), "the stsz box of .* is truncated"),
+    (mp4(trak(TWO_SECONDS, box(b"stsz", bytes(11)))), "the stsz box of .* is truncated"),
+    (mp4(trak(TWO_SECONDS, SAMPLES))[:-1], "box b'moov' at byte 28 of .* is truncated"),
+    (mp4(box(b"trak", box(b"mdia", TWO_SECONDS, struct.pack(">I4s", 99, b"minf")))),
+     "box b'minf' at byte .* is truncated"),
+    (b"\0\0\0\1mdat" + bytes(4), "the box header at byte 0 of .* is truncated"),
+    (struct.pack(">I4s", 4, b"moov"), "is 4 bytes, below its 8-byte header"),
+    (struct.pack(">I4sQ", 1, b"moov", 12) + b"abcd", "is 12 bytes, below its 16-byte header"),
+], ids=["two-traks", "no-trak", "no-moov", "empty", "no-mdhd", "no-minf", "no-stsz",
+        "zero-duration", "zero-time-scale", "mdhd-v2", "short-mdhd", "short-mdhd-v1",
+        "short-table", "short-stsz", "overrun", "truncated-child", "truncated-header",
+        "small", "small-largesize"])
+def test_mp4_stream_rate_names_what_is_wrong(tmp_path, data, problem):
     path = tmp_path / "trial.mp4"
     path.write_bytes(data)
     with pytest.raises(ProberFailure, match=problem):
-        mp4_payload_bytes(path)
+        mp4_stream_rate(path)
+
+
+def test_mp4_stream_rate_refuses_a_sim_original_with_an_audio_track(tmp_path):
+    # A trak per stream: the rate of one of two streams is not read.
+    clip = tmp_path / "clip.mp4"
+    assert main_ffmpeg(["-y", "-f", "lavfi", "-i", "testsrc2=size=320x240:rate=30",
+                        "-crf", "30", "-t", "1", str(clip)]) == 0
+    mp4_stream_rate(clip)
+    write_container(clip, read_container(clip)["streams"]
+                    + [synthesize_source("sine=frequency=440:duration=1")])
+    with pytest.raises(ProberFailure, match="holds 2 trak boxes"):
+        mp4_stream_rate(clip)
+
+
+# Boxes nested as deep as the reader walks, of the kinds it reads and skips.
+# A leaf is a box body of raw bytes, or a full box's version, 0 or 1, and
+# enough raw bytes for its fields; a bare leaf is a file of raw bytes. Half
+# the files nest an mdhd and an stsz leaf where the reader looks for them.
+full_box = st.builds(lambda version, rest: bytes([version]) + rest,
+                     st.integers(0, 1), st.binary(min_size=19, max_size=40))
+box_trees = st.recursive(
+    st.binary(max_size=24) | full_box,
+    lambda children: st.lists(st.tuples(st.sampled_from(
+        [b"moov", b"trak", b"mdia", b"mdhd", b"minf", b"stbl", b"stsz", b"mdat"]), children),
+        max_size=3),
+    max_leaves=12)
+readable = st.builds(lambda header, table: [(b"moov", [(b"trak", [(b"mdia", [
+    (b"mdhd", header), (b"minf", [(b"stbl", [(b"stsz", table)])])])])])], full_box, full_box)
+
+
+def box_bytes(tree) -> bytes:
+    return tree if isinstance(tree, bytes) else b"".join(box(k, box_bytes(t)) for k, t in tree)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(tree=box_trees | readable, cut=st.integers(0, 400))
+@example(tree=[(b"moov", [(b"trak", [(b"mdia", [(b"mdhd", mdhd(1, 1)[8:]), (b"minf", [
+    (b"stbl", [(b"stsz", stsz(fixed=1, count=1)[8:])])])])])])], cut=400)
+def test_mp4_stream_rate_returns_a_rate_or_raises_prober_failure(tmp_path_factory, tree, cut):
+    path = tmp_path_factory.mktemp("bytes") / "trial.mp4"
+    path.write_bytes(box_bytes(tree)[:cut])
+    try:
+        rate = mp4_stream_rate(path)
+    except ProberFailure:
+        return
+    assert type(rate) is int and rate >= 0

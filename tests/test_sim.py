@@ -1,17 +1,22 @@
 """Simulated tool backend: rate model properties and container handling."""
 
 import ast
+import contextlib
+import io
 import json
+import struct
 import subprocess
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import snvse.probe
 import snvse.sim
 from snvse.config import RunConfig
-from snvse.probe import mp4_payload_bytes, probe_media, scan_video_stream_bytes
+from snvse.probe import mp4_stream_rate, probe_media, scan_video_stream_bytes
 from snvse.sim import (
     _FFMPEG_OPTIONS,
     _FFPROBE_OPTIONS,
@@ -79,18 +84,48 @@ def test_cli_roundtrip(tmp_path, capsys):
     assert '"codec_name": "h264"' in capsys.readouterr().out
 
 
+def _top_level_boxes(data: bytes) -> list[tuple[bytes, int]]:
+    """(4CC, size) of each top-level box; the sim writes only 32-bit sizes."""
+    boxes, offset = [], 0
+    while offset < len(data):
+        size, kind = struct.unpack_from(">I4s", data, offset)
+        boxes.append((kind, size))
+        offset += size
+    return boxes
+
+
 def test_container_holds_the_payload_in_its_mdat_box(tmp_path):
-    # ffmpeg's box order: ftyp, then mdat, then the sim's stream header in
-    # place of moov.
+    # ffmpeg's box order: ftyp, mdat, then moov; the sim's stream header
+    # comes last.
     out = tmp_path / "clip.mp4"
     assert main_ffmpeg([
         "-y", "-f", "lavfi", "-i", "testsrc2=size=640x360:rate=30",
         "-c:v", "libx264", "-crf", "31", "-pix_fmt", "yuv420p", "-t", "2", str(out),
     ]) == 0
     [stream] = read_container(out)["streams"]
-    data = out.read_bytes()
-    assert [data[4:8], data[36:40]] == [b"ftyp", b"mdat"]
-    assert mp4_payload_bytes(out) == stream["payload"] > 0
+    boxes = _top_level_boxes(out.read_bytes())
+    assert [kind for kind, _ in boxes] == [b"ftyp", b"mdat", b"moov", b"snvs"]
+    assert boxes[1][1] - 8 == stream["payload"] > 0
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rate=st.sampled_from(["24", "25", "30", "30000/1001", "60"]),
+       out_rate=st.sampled_from([None, "25", "24000/1001"]),
+       seconds=st.integers(1, 400).map(lambda centis: centis / 100),
+       control=st.integers(0, 51).map(lambda crf: ["-crf", str(crf)]) | st.just(["-b:v", "300k"]))
+@example(rate="30", out_rate=None, seconds=2.0, control=["-crf", "31"])
+def test_the_prober_reports_the_rate_of_the_sample_table(tmp_path_factory, rate, out_rate,
+                                                         seconds, control):
+    # Every sim encode: the prober's bit_rate is what snvse reads from the
+    # moov in-process.
+    out = tmp_path_factory.mktemp("encode") / "clip.mp4"
+    assert main_ffmpeg(["-y", "-f", "lavfi", "-i", f"testsrc2=size=160x90:rate={rate}",
+                        *(["-r", out_rate] if out_rate else []), *control,
+                        "-t", f"{seconds:g}", str(out)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        assert main_ffprobe(["-show_streams", str(out)]) == 0
+    [stream] = json.loads(printed.getvalue())["streams"]
+    assert int(stream["bit_rate"]) == mp4_stream_rate(out)
 
 
 def test_cli_rejects_odd_yuv420p(tmp_path, capsys):
