@@ -25,7 +25,7 @@ from pathlib import Path
 from .bitrate import measure_bitrate
 from .config import RunConfig
 from .errors import PreconditionViolation
-from .probe import probe_media
+from .probe import media_info
 
 DEFAULT_ITERATIONS = 1000
 
@@ -157,8 +157,8 @@ def fidelity_report(
 
     pairs = []
     for emu_path, shared_path in zip(emulated, shared):
-        emu = probe_media(emu_path, config)
-        ref = probe_media(shared_path, config)
+        emu = media_info(emu_path, config)
+        ref = media_info(shared_path, config)
         emu_rate = measure_bitrate(emu, config).value
         ref_rate = measure_bitrate(ref, config).value
         if ref_rate == 0:

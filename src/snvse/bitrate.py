@@ -1,10 +1,13 @@
 """The bitrate measure used on both sides of the CRF search inequality.
 
 One fixed definition everywhere: video-stream bits per second, audio
-excluded. Prefers the prober-reported stream bitrate; falls back to
-summing video packet sizes over the stream duration, where a failed
-packet scan raises ``ProberFailure``. Shared videos are measured by it;
-a trial encode's rate is read from its MP4 (``probe.mp4_stream_rate``).
+excluded. Prefers the reported stream bitrate; falls back to summing
+video packet sizes over the stream duration, where a failed packet scan
+raises ``ProberFailure``. ``probe.read_mp4`` always reports a positive
+stream bitrate (else it leaves the file to the prober), so the scan is
+reachable only through the ffprobe path, ``probe_media``. Shared videos
+are measured by it; a trial encode's rate is read from its MP4
+(``probe.mp4_stream_rate``).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ def measure_bitrate(info: MediaInfo, config: RunConfig | None = None) -> Bitrate
     """Measure the video-stream bitrate of the file described by *info*.
 
     Raises PreconditionViolation when *info* carries no positive duration
-    (``probe_media`` never returns one) and ProberFailure when the fallback
+    (``media_info`` never returns one) and ProberFailure when the fallback
     packet scan is unusable.
     """
     if info.duration is None or info.duration <= 0:

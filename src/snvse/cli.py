@@ -30,7 +30,7 @@ from .encoder import CRF_CEIL, CRF_FLOOR, EncodeSpec, encode
 from .errors import AllItemsFailed, InvalidRange, IoFailure, PreconditionViolation, SnvseError
 from .estimator import DEFAULT_STRATEGY, SearchStrategy, VideoPair, check_range, estimate_batch
 from .planner import emulate_batch, supporting_entries
-from .probe import probe_media
+from .probe import media_info
 from .profile_db import CRF_MAX, CRF_MIN, PlatformProfile, ProfileEntry, load_profile, save_profile
 from .runner import by_stem, refuse_overwrite, run_batch
 
@@ -361,7 +361,7 @@ def cmd_mock_platform(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
 
     def work(path: Path) -> Path:
-        info = probe_media(path, config)
+        info = media_info(path, config)
         spec = EncodeSpec(
             target_width=width,
             target_height=height,

@@ -26,9 +26,12 @@ trial is encoded whole within its window, to ``trial-crf{crf}.mp4`` in a
 directory of its pair's own in the scratch dir, which is removed however
 the search ends. Its rate is read in-process from the MP4's sample table
 (``probe.mp4_stream_rate``, the stream bitrate ffprobe reports), and the
-file is removed at once. So no trial is probed, every logged rate is
-measured, and a pair costs ``2 + trials`` tool runs (plus a packet scan
-where the prober reports no bitrate for the shared video).
+file is removed at once. So no trial is probed and every logged rate is
+measured. The original and the shared video are read by
+``probe.media_info``: an MP4 from its ``moov``, with no tool run, any
+other file by the prober. So a pair of MP4s costs ``trials`` tool runs,
+and a pair of other containers ``2 + trials`` (plus a packet scan where
+the prober reports no bitrate for the shared video).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .bitrate import measure_bitrate
 from .config import RunConfig
 from .encoder import EncodeSpec, encode, normalize_dimensions
 from .errors import AllItemsFailed, InvalidRange, PreconditionViolation
-from .probe import mp4_stream_rate, probe_media
+from .probe import media_info, mp4_stream_rate
 from .profile_db import CRF_MAX, CRF_MIN, ProfileEntry, check_unique_pair_ids
 from .runner import Outcome, run_batch
 
@@ -112,8 +115,8 @@ def estimate_crf(
     config = config or RunConfig()
     config.scratch_dir.mkdir(parents=True, exist_ok=True)
 
-    original = probe_media(pair.original_path, config)
-    shared = probe_media(pair.shared_path, config)
+    original = media_info(pair.original_path, config)
+    shared = media_info(pair.shared_path, config)
     if shared.codec_name != "h264":
         logger.warning(
             "pair %s: shared video codec is %r, not h264; trial encodes still use h264",

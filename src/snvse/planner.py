@@ -26,7 +26,7 @@ from pathlib import Path
 from .config import RunConfig
 from .encoder import EncodeSpec, encode
 from .errors import AllItemsFailed, NoSupport, PreconditionViolation, PresetMismatch
-from .probe import probe_media
+from .probe import media_info
 from .profile_db import PlatformProfile, ProfileEntry
 from .runner import Outcome, by_stem, refuse_overwrite, run_batch
 
@@ -105,9 +105,11 @@ def plan_emulation(
     config: RunConfig | None = None,
     include_saturated: bool = False,
 ) -> EmulationPlan:
-    """Probe *input_path* and derive its emulation encode spec."""
+    """Read *input_path*'s facts with ``media_info`` (from its ``moov`` if it
+    is an MP4 that reader reads, else by the prober) and derive its
+    emulation encode spec."""
     config = config or RunConfig()
-    info = probe_media(input_path, config)
+    info = media_info(input_path, config)
     rho_star, matched = select_resolution(info.resolution, profile)
     crf_star, support = select_crf(rho_star, profile, include_saturated)
 

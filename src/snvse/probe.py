@@ -1,9 +1,17 @@
-"""ffprobe wrapper: authoritative media metadata for one file.
+"""Media metadata for one file: read in-process from an MP4's ``moov``, or
+measured by ffprobe.
 
-Runs the configured prober with JSON output and reduces the result to the
-fields the pipeline needs. The first video stream by container order wins;
-frame rate comes from the declared average rate with the real base rate as
-fallback; duration comes from the video stream, then the container.
+Two paths give the same ``MediaInfo``. ``read_mp4`` reads a non-fragmented
+MP4 whose first video ``trak`` holds an ``avc1``/``avc3`` sample entry
+from its boxes, as libavformat's mov demuxer reports it, and runs no tool.
+``probe_media`` runs the configured prober with JSON output and reduces
+the result to the fields the pipeline needs: the first video stream by
+container order wins; frame rate comes from the declared average rate
+with the real base rate as fallback; duration comes from the video
+stream, then the container. ``media_info`` picks between them from the
+file's bytes: whatever ``read_mp4`` does not read fully (another
+container, a fragmented or truncated file, another codec) goes to
+``probe_media``, so the reader adds no error of its own.
 ``scan_video_stream_bytes`` runs the same prober to sum video packet
 sizes, and a failed scan raises ``ProberFailure`` like a failed probe.
 ``mp4_stream_rate`` reads the stream bitrate of an MP4 file that holds one
@@ -14,6 +22,7 @@ document of another shape raises ``ProberFailure``.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
@@ -32,8 +41,8 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class MediaInfo:
-    """Facts about one video file: measured by ``probe_media``, or as the
-    run of ``encoder.encode`` reports them, with no stream bitrate."""
+    """Facts about one video file: read by ``media_info``, or as the run of
+    ``encoder.encode`` reports them, with no stream bitrate."""
 
     path: Path
     width: int
@@ -86,6 +95,27 @@ def _run_prober(options: list[str], path: Path, config: RunConfig) -> dict:
     return doc
 
 
+def _file_size(path: Path) -> int:
+    """The size of *path*; raises FileNotFoundError, or ProberFailure when it is empty."""
+    if not path.exists():
+        raise FileNotFoundError(str(path))
+    file_size = os.stat(path).st_size
+    if file_size <= 0:
+        raise ProberFailure(f"{path} is empty")
+    return file_size
+
+
+def media_info(path: str | Path, config: RunConfig | None = None) -> MediaInfo:
+    """MediaInfo for the first video stream of *path*: read from its ``moov``
+    by ``read_mp4`` where that reads it fully, else probed by ``probe_media``.
+
+    Raises FileNotFoundError, NoVideoStream, or ProberFailure, as ``probe_media`` does.
+    """
+    path = Path(path)
+    _file_size(path)
+    return read_mp4(path) or probe_media(path, config)
+
+
 def probe_media(path: str | Path, config: RunConfig | None = None) -> MediaInfo:
     """Probe *path* and return MediaInfo for its first video stream.
 
@@ -94,11 +124,7 @@ def probe_media(path: str | Path, config: RunConfig | None = None) -> MediaInfo:
     """
     config = config or RunConfig()
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    file_size = os.stat(path).st_size
-    if file_size <= 0:
-        raise ProberFailure(f"{path} is empty")
+    file_size = _file_size(path)
 
     doc = _run_prober(["-show_format", "-show_streams"], path, config)
 
@@ -201,9 +227,10 @@ def _boxes(fh, start: int, end: int, path: str | Path) -> list[tuple[bytes, int,
     return boxes
 
 
-def _body(fh, where: str, path: str | Path) -> bytes:
-    """The body of the one box at *where*, a path of 4CCs from the top of the file *fh*."""
-    start, end = 0, os.fstat(fh.fileno()).st_size
+def _body(fh, where: str, path: str | Path, start: int = 0, end: int | None = None) -> bytes:
+    """The body of the one box at *where*, a path of 4CCs from bytes [start, end)
+    of *fh*, by default the whole of it."""
+    end = fh.seek(0, os.SEEK_END) if end is None else end
     for kind in where.split("/"):
         found = [(s, e) for k, s, e in _boxes(fh, start, end, path) if k == kind.encode()]
         if len(found) != 1:
@@ -218,6 +245,27 @@ def _unpack(layout: str, body: bytes, kind: str, path: str | Path) -> tuple:
         return struct.unpack_from(layout, body)
     except struct.error as exc:
         raise ProberFailure(f"the {kind} box of {path} is truncated") from exc
+
+
+def _media_header(mdhd: bytes, path: str | Path) -> tuple[int, int]:
+    """The (time scale, duration) of an ``mdhd`` box of version 0 or 1, both nonzero."""
+    if mdhd[:1] not in (b"\0", b"\1"):
+        raise ProberFailure(f"the mdhd box of {path} is not of version 0 or 1")
+    # After the version and flags: the creation and modification times.
+    time_scale, duration = _unpack((">12xII", ">20xIQ")[mdhd[0]], mdhd, "mdhd", path)
+    if not (duration and time_scale):
+        raise ProberFailure(f"{path} has a duration of {duration} at a time scale of {time_scale}")
+    return time_scale, duration
+
+
+def _stream_rate(stsz: bytes, time_scale: int, duration: int, path: str | Path) -> int:
+    """The sizes in an ``stsz`` box (a fixed one, or one per sample), in bits,
+    over *duration* in *time_scale*, rounded to the nearest bit/s as
+    ``av_rescale`` rounds."""
+    sample_size, count = _unpack(">4xII", stsz, "stsz", path)
+    data_size = (sample_size * count if sample_size
+                 else sum(_unpack(f">12x{count}I", stsz, "stsz", path)))
+    return (data_size * 8 * time_scale + duration // 2) // duration
 
 
 def mp4_stream_rate(path: str | Path) -> int:
@@ -238,13 +286,116 @@ def mp4_stream_rate(path: str | Path) -> int:
             stsz = _body(fh, "moov/trak/mdia/minf/stbl/stsz", path)
     except OSError as exc:
         raise ProberFailure(f"cannot read {path}: {exc}") from exc
-    if mdhd[:1] not in (b"\0", b"\1"):
-        raise ProberFailure(f"the mdhd box of {path} is not of version 0 or 1")
-    # After the version and flags: the creation and modification times.
-    time_scale, duration = _unpack((">12xII", ">20xIQ")[mdhd[0]], mdhd, "mdhd", path)
-    if not (duration and time_scale):
-        raise ProberFailure(f"{path} has a duration of {duration} at a time scale of {time_scale}")
-    sample_size, count = _unpack(">4xII", stsz, "stsz", path)
-    data_size = (sample_size * count if sample_size
-                 else sum(_unpack(f">12x{count}I", stsz, "stsz", path)))
-    return (data_size * 8 * time_scale + duration // 2) // duration
+    return _stream_rate(stsz, *_media_header(mdhd, path), path)
+
+
+# The pixel format of an 8-bit stream by the avcC's chroma_format_idc.
+_CHROMA_FORMATS = {1: "yuv420p", 2: "yuv422p", 3: "yuv444p"}
+# H.264 profiles whose avcC has no chroma extension: Baseline, Main, Extended; all 4:2:0.
+_PROFILES_420 = (66, 77, 88)
+# An avc1/avc3 sample entry's fields before its child boxes (ISO/IEC 14496-12 VisualSampleEntry).
+_VISUAL_ENTRY_BYTES = 78
+
+
+def read_mp4(path: str | Path) -> MediaInfo | None:
+    """MediaInfo for an MP4 file's first video stream, as ffprobe reports it,
+    read from its ``moov`` without a tool run; None for a file this does not
+    read fully.
+
+    It reads a file that starts with ``ftyp``, is not fragmented (no
+    ``moof``, no ``mvex`` in the ``moov``), and whose first ``trak`` with a
+    ``vide`` handler holds an ``avc1``/``avc3`` sample entry, as
+    libavformat's mov demuxer does: the size from that entry; the pixel
+    format from its ``avcC`` (4:2:0 for profiles 66, 77 and 88, else the
+    chroma format of the High-profile extension, at 8 bits only); the
+    average frame rate, time scale × frames over the frame ticks in
+    ``stts``; the ``mdhd`` duration; and ``mp4_stream_rate``'s arithmetic
+    for the stream bitrate. Anything else, and a missing, truncated or
+    malformed box, reads as None, so ``media_info`` falls back to the
+    prober. Equality with real ffprobe (an edit list's shift, a full-range
+    ``yuvj420p``, which only the SPS states) is unverified (ROADMAP item 10).
+    """
+    path = Path(path)
+    try:
+        with open(path, "rb") as fh:
+            file_size = fh.seek(0, os.SEEK_END)
+            top = [kind for kind, _, _ in _boxes(fh, 0, file_size, path)]
+            if top[:1] != [b"ftyp"] or b"moof" in top:
+                return None
+            moov = io.BytesIO(_body(fh, "moov", path))
+        return _read_moov(moov, path, file_size)
+    except (OSError, ProberFailure):
+        return None
+
+
+def _read_moov(moov: io.BytesIO, path: Path, file_size: int) -> MediaInfo | None:
+    boxes = _boxes(moov, 0, len(moov.getbuffer()), path)
+    if any(kind == b"mvex" for kind, _, _ in boxes):
+        return None
+    # hdlr: version and flags, a predefined field, then the handler type.
+    trak = next(((start, end) for kind, start, end in boxes if kind == b"trak"
+                 and _body(moov, "mdia/hdlr", path, start, end)[8:12] == b"vide"), None)
+    if trak is None:
+        return None
+    time_scale, duration = _media_header(_body(moov, "mdia/mdhd", path, *trak), path)
+    stsd, stts, stsz = (_body(moov, f"mdia/minf/stbl/{kind}", path, *trak)
+                        for kind in ("stsd", "stts", "stsz"))
+
+    sample_entries = io.BytesIO(stsd)
+    entries = _boxes(sample_entries, 8, len(stsd), path)  # after the version, flags and count
+    if not entries or entries[0][0] not in (b"avc1", b"avc3"):
+        return None
+    _, start, end = entries[0]
+    width, height = _unpack(">24xHH", stsd[start:end], "avc1", path)
+    avcc = _body(sample_entries, "avcC", path, start + _VISUAL_ENTRY_BYTES, end)
+    pixel_format = _avc_pixel_format(avcc, path)
+
+    (count,) = _unpack(">4xI", stts, "stts", path)
+    table = _unpack(f">8x{2 * count}I", stts, "stts", path)
+    runs = list(zip(table[0::2], table[1::2]))  # (frames, ticks per frame)
+    frames, ticks = sum(n for n, _ in runs), sum(n * delta for n, delta in runs)
+    deltas = {delta for n, delta in runs if n}
+    rate = _stream_rate(stsz, time_scale, duration, path)
+    # mov.c reads a frame interval as a signed 32-bit number, and reduces
+    # the average rate to 32-bit terms; leave either limit to the prober.
+    if not (width and height and pixel_format and ticks and rate) or max(deltas) >= 2 ** 31:
+        return None
+    frame_rate = Fraction(time_scale * frames, ticks)
+    if max(frame_rate.numerator, frame_rate.denominator) >= 2 ** 31:
+        return None
+    if len(deltas) > 1:
+        logger.warning("%s looks variable-frame-rate (%d frame intervals in its stts); "
+                       "using the average", path, len(deltas))
+    return MediaInfo(
+        path=path,
+        width=width,
+        height=height,
+        frame_rate=frame_rate,
+        codec_name="h264",
+        pixel_format=pixel_format,
+        duration=duration / time_scale,
+        file_size=file_size,
+        stream_bitrate=float(rate),
+    )
+
+
+def _avc_pixel_format(avcc: bytes, path: Path) -> str | None:
+    """The pixel format an ``avcC`` box states, or None where it states none this reads."""
+    version, profile = _unpack(">BB", avcc, "avcC", path)
+    if version != 1:
+        return None
+    if profile in _PROFILES_420:
+        return "yuv420p"
+    # After the version, profile, compatibility, level and NAL length size:
+    # the SPS count (its low 5 bits) and each SPS, the PPS count and each PPS,
+    # then the High-profile extension.
+    offset = 5
+    for mask in (0x1F, 0xFF):
+        (count,) = _unpack(f">{offset}xB", avcc, "avcC", path)
+        offset += 1
+        for _ in range(count & mask):
+            offset += 2 + _unpack(f">{offset}xH", avcc, "avcC", path)[0]
+    chroma, luma_bits, chroma_bits = _unpack(f">{offset}x3B", avcc, "avcC", path)
+    if (luma_bits & 7) or (chroma_bits & 7):  # bit depth minus 8
+        return None
+    return _CHROMA_FORMATS.get(chroma & 3)

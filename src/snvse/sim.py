@@ -14,11 +14,14 @@ on a tiny container shaped like the MP4 files ffmpeg writes: top-level
 ISO-BMFF boxes in ffmpeg's default order, an ``ftyp`` box, an ``mdat``
 box holding the payload bytes of every stream, then a ``moov`` box, and
 last a private ``snvs`` box holding a JSON stream header. The ``moov``
-holds a ``trak`` per stream with only the boxes a stream's bitrate is
-read from: ``mdia/mdhd`` (time scale and duration) and
-``mdia/minf/stbl/stsz`` (the packet sizes). The prober prints a video
-stream's ``bit_rate`` from those fields, as libavformat's mov demuxer
-computes it.
+holds a ``trak`` per stream with only the boxes ``probe.read_mp4`` and
+``probe.mp4_stream_rate`` read, in ffmpeg's order: ``mdia/mdhd`` (time
+scale and duration), ``mdia/hdlr`` (``vide`` or ``soun``) and
+``mdia/minf/stbl``, which holds, for a video stream, ``stsd`` (an
+``avc1`` entry of its size, with an ``avcC`` stating its chroma format
+where it can) and ``stts`` (every frame one interval long), and for every
+stream ``stsz`` (the packet sizes). The prober prints a video stream's
+``bit_rate`` from those fields, as libavformat's mov demuxer computes it.
 
 The encoder prices a video stream with a deterministic rate model:
 bits/s scales with a per-source content complexity, resolution, frame
@@ -175,14 +178,43 @@ def _mov_bit_rate(stream: dict) -> int:
     return (sum(sizes) * 8 * time_scale + duration // 2) // duration
 
 
+# The avcC chroma_format_idc of each pixel format the sim writes one for.
+_CHROMA_FORMAT = {"yuv420p": 1, "yuv422p": 2, "yuv444p": 3}
+
+
+def _avc1(stream: dict) -> bytes:
+    """A video stream's ``stsd`` entry: an ``avc1`` visual sample entry of its
+    size, with an ``avcC`` of the High profile (100) stating its chroma
+    format at 8 bits. A pixel format the avcC cannot state gets none."""
+    entry = struct.pack(">6xH16xHHIIIH32xHh", 1, stream["width"], stream["height"],
+                        0x480000, 0x480000, 0, 1, 0x18, -1)  # 72 dpi, one frame, 24-bit
+    chroma = _CHROMA_FORMAT.get(stream.get("pix_fmt"))
+    if chroma is None:
+        return _box(b"avc1", entry)
+    sps, pps = b"\x67\x64\x00\x1e", b"\x68\xeb\xe3\xcb"  # placeholder parameter sets
+    avcc = (struct.pack(">BBBBBBH", 1, 100, 0, 30, 0xFF, 0xE1, len(sps)) + sps
+            + struct.pack(">BH", 1, len(pps)) + pps
+            + bytes([0xFC | chroma, 0xF8, 0xF8, 0]))  # 8-bit luma and chroma, no SPS extension
+    return _box(b"avc1", entry, _box(b"avcC", avcc))
+
+
 def _moov(streams: list[dict]) -> bytes:
+    """The ``moov`` of *streams*: a ``trak`` each, as the module docstring lays it out."""
     traks = []
     for stream in streams:
         time_scale, duration, sizes = _samples(stream)
+        video = stream["type"] == "video"
         mdhd = struct.pack(">4xIIIIHH", 0, 0, time_scale, duration, 0x55C4, 0)  # v0, "und"
-        stsz = struct.pack(f">4xII{len(sizes)}I", 0, len(sizes), *sizes)
-        traks.append(_box(b"trak", _box(b"mdia", _box(b"mdhd", mdhd), _box(
-            b"minf", _box(b"stbl", _box(b"stsz", stsz))))))
+        hdlr = struct.pack(">8x4s12x", b"vide" if video else b"soun") + (
+            b"VideoHandler\0" if video else b"SoundHandler\0")
+        table = [_box(b"stsz", struct.pack(f">4xII{len(sizes)}I", 0, len(sizes), *sizes))]
+        if video:
+            num, den = stream["fps"]
+            stts = struct.pack(">4xIII", 1, len(sizes), time_scale * den // num)
+            table = [_box(b"stsd", struct.pack(">4xI", 1), _avc1(stream)), _box(b"stts", stts),
+                     *table]
+        traks.append(_box(b"trak", _box(b"mdia", _box(b"mdhd", mdhd), _box(b"hdlr", hdlr),
+                                        _box(b"minf", _box(b"stbl", *table)))))
     return _box(b"moov", *traks)
 
 

@@ -171,7 +171,7 @@ def test_trials_mirror_shared_frame_rate(config, tmp_path, tool_calls, monkeypat
         info = probe_media(path, config)
         return dataclasses.replace(info, codec_name="vp9") if path == shared else info
 
-    monkeypatch.setattr(snvse.estimator, "probe_media", shared_as_vp9)
+    monkeypatch.setattr(snvse.estimator, "media_info", shared_as_vp9)
     tool_calls.clear()
     with caplog.at_level(logging.WARNING, logger="snvse.estimator"):
         estimate_crf(VideoPair(original, shared, "fps"), config=cfg)
@@ -310,7 +310,7 @@ def probed_everywhere(config, budget_pairs, tmp_path_factory):
 @pytest.fixture
 def trial_events(monkeypatch):
     """Per thread, in order: each trial encode ("encode", crf, output name, input stem)
-    and each probe of a trial output ("probe", name)."""
+    and each media_info read of a trial output ("probe", name)."""
     events = defaultdict(list)
 
     def spy(name, event):
@@ -326,7 +326,7 @@ def trial_events(monkeypatch):
 
     spy("encode", lambda source, spec, out, *rest: ("encode", int(spec.crf), out.name,
                                                     Path(source).stem))
-    spy("probe_media", lambda path, *rest: ("probe", path.name)
+    spy("media_info", lambda path, *rest: ("probe", path.name)
         if path.name.startswith("trial-") else None)
     return events
 

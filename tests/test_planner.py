@@ -351,15 +351,14 @@ def test_emulate_batch_all_failed(config, tmp_path):
     assert not (tmp_path / "none").exists()
 
 
-def test_emulate_batch_spawns_one_probe_and_one_encode_per_input(config, clips, tmp_path,
-                                                                 tool_calls):
+def test_emulate_batch_spawns_one_encode_per_mp4_input(config, clips, tmp_path, tool_calls):
+    # Each MP4 input is read from its moov, so its encode is its only tool run.
     prof = profile([entry((1280, 720), (640, 360), 31)])
     inputs = [clips["hd"], clips["hd25"], clips["sd"]]
     outcomes = emulate_batch(inputs, prof, tmp_path / "out", config=config)
     assert all(o.ok for o in outcomes)
     encodes = [argv for argv in tool_calls if "-crf" in argv]
-    assert len(encodes) == len(inputs)
-    assert len(tool_calls) == 2 * len(inputs)
+    assert len(encodes) == len(tool_calls) == len(inputs)
 
 
 def test_emulate_batch_records_an_unfinished_encode(config, clips, tmp_path):

@@ -1,16 +1,30 @@
 """Probe contract: metadata extraction, stream selection, failure modes."""
 
+import contextlib
+import dataclasses
+import functools
 import json
 import logging
 import struct
+import subprocess
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snvse.errors import NoVideoStream, ProberFailure
-from snvse.probe import mp4_stream_rate, probe_media, scan_video_stream_bytes
+from snvse.encoder import EncodeSpec, encode
+from snvse.probe import (
+    MediaInfo,
+    media_info,
+    mp4_stream_rate,
+    probe_media,
+    read_mp4,
+    scan_video_stream_bytes,
+)
 from snvse.sim import main_ffmpeg, read_container, synthesize_source, write_container
 
 from conftest import fake_prober, make_audio_only, make_clip
@@ -275,16 +289,20 @@ def test_mp4_stream_rate_refuses_a_sim_original_with_an_audio_track(tmp_path):
         mp4_stream_rate(clip)
 
 
-# Boxes nested as deep as the reader walks, of the kinds it reads and skips.
+# Boxes nested as deep as the readers walk, of the kinds they read and skip.
 # A leaf is a box body of raw bytes, or a full box's version, 0 or 1, and
-# enough raw bytes for its fields; a bare leaf is a file of raw bytes. Half
-# the files nest an mdhd and an stsz leaf where the reader looks for them.
+# enough raw bytes for its fields; a bare leaf is a file of raw bytes. A
+# file is one of three kinds, alike in number: such a tree; a tree that nests
+# an mdhd and an stsz leaf where mp4_stream_rate looks for them; or a sim
+# encode, with an audio track after its video or not. Each is cut short or
+# not, with up to three bytes overwritten.
 full_box = st.builds(lambda version, rest: bytes([version]) + rest,
                      st.integers(0, 1), st.binary(min_size=19, max_size=40))
 box_trees = st.recursive(
     st.binary(max_size=24) | full_box,
     lambda children: st.lists(st.tuples(st.sampled_from(
-        [b"moov", b"trak", b"mdia", b"mdhd", b"minf", b"stbl", b"stsz", b"mdat"]), children),
+        [b"ftyp", b"moov", b"mvex", b"trak", b"mdia", b"mdhd", b"hdlr", b"minf", b"stbl",
+         b"stsd", b"avc1", b"avcC", b"stts", b"stsz", b"mdat"]), children),
         max_size=3),
     max_leaves=12)
 readable = st.builds(lambda header, table: [(b"moov", [(b"trak", [(b"mdia", [
@@ -295,15 +313,186 @@ def box_bytes(tree) -> bytes:
     return tree if isinstance(tree, bytes) else b"".join(box(k, box_bytes(t)) for k, t in tree)
 
 
+@functools.cache
+def sim_encode(audio: bool) -> bytes:
+    """The bytes of a tiny sim encode, with an audio track after its video if *audio*."""
+    with tempfile.TemporaryDirectory() as folder:
+        clip = Path(folder) / "clip.mp4"
+        assert main_ffmpeg(["-y", "-f", "lavfi", "-i", "testsrc2=size=16x16:rate=30",
+                            "-crf", "51", "-t", "1", str(clip)]) == 0
+        if audio:
+            write_container(clip, read_container(clip)["streams"]
+                            + [synthesize_source("sine=frequency=440:duration=1")])
+        return clip.read_bytes()
+
+
+def mutated(data: bytes, cut: int | None, writes: list[tuple[int, int]]) -> bytes:
+    data = bytearray(data[:cut])
+    for offset, value in writes if data else ():
+        data[offset % len(data)] = value
+    return bytes(data)
+
+
+mp4_files = st.builds(mutated, box_trees.map(box_bytes) | readable.map(box_bytes)
+                      | st.booleans().map(sim_encode),
+                      st.none() | st.integers(0, 400),
+                      st.lists(st.tuples(st.integers(0, 2 ** 12), st.integers(0, 255)), max_size=3))
+mp4_stream_rate_reads = mp4(trak(mdhd(1, 1), stsz(fixed=1, count=1)))
+
+
 @settings(derandomize=True, max_examples=400, deadline=None)
-@given(tree=box_trees | readable, cut=st.integers(0, 400))
-@example(tree=[(b"moov", [(b"trak", [(b"mdia", [(b"mdhd", mdhd(1, 1)[8:]), (b"minf", [
-    (b"stbl", [(b"stsz", stsz(fixed=1, count=1)[8:])])])])])])], cut=400)
-def test_mp4_stream_rate_returns_a_rate_or_raises_prober_failure(tmp_path_factory, tree, cut):
+@given(data=mp4_files)
+@example(data=mp4_stream_rate_reads)
+def test_mp4_stream_rate_returns_a_rate_or_raises_prober_failure(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("bytes") / "trial.mp4"
-    path.write_bytes(box_bytes(tree)[:cut])
+    path.write_bytes(data)
     try:
         rate = mp4_stream_rate(path)
     except ProberFailure:
         return
     assert type(rate) is int and rate >= 0
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=mp4_files)
+@example(data=sim_encode(audio=True))
+def test_read_mp4_returns_media_info_or_none(tmp_path_factory, data):
+    # Whatever the bytes, the reader raises nothing: what it does not read
+    # is the prober's.
+    path = tmp_path_factory.mktemp("bytes") / "clip.mp4"
+    path.write_bytes(data)
+    info = read_mp4(path)
+    assert info is None or (type(info) is MediaInfo and info.width > 0 and info.height > 0
+                            and info.frame_rate > 0 and info.duration > 0
+                            and info.stream_bitrate > 0)
+
+
+# --- read_mp4 against the prober ---
+
+# The bytes before the child boxes of a box that holds some after fields of its own.
+_FIELDS = {b"stsd": 8, b"avc1": 78}
+
+
+def edited(data: bytes, where: str, change) -> bytes:
+    """*data* with the first box at *where*, a path of 4CCs, replaced by
+    change(the box's bytes), and each box around it resized."""
+    kind, _, rest = where.partition("/")
+    out, offset, done = [], 0, False
+    while offset < len(data):
+        size, found = struct.unpack_from(">I4s", data, offset)  # ffmpeg's small files: 32-bit sizes
+        whole = data[offset:offset + size]
+        if found == kind.encode() and not done:
+            done = True
+            head = 8 + _FIELDS.get(found, 0)
+            whole = box(found, whole[8:head], edited(whole[head:], rest, change)) if rest else change(whole)
+        out.append(whole)
+        offset += size
+    assert done, f"no {kind} box"
+    return b"".join(out)
+
+
+def box_at(data: bytes, where: str) -> bytes:
+    found = []
+    edited(data, where, lambda whole: found.append(whole) or whole)
+    return found[0]
+
+
+STBL = "moov/trak/mdia/minf/stbl"
+
+
+def time_scale(data: bytes) -> int:
+    header = box_at(data, "moov/trak/mdia/mdhd")
+    return struct.unpack_from((">20xI", ">28xI")[header[8]], header)[0]
+
+
+def with_audio(config, backend, clip: Path, out: Path) -> Path:
+    """*clip* with a tone muxed in ahead of its video track."""
+    if backend == "sim":
+        write_container(out, [synthesize_source("sine=frequency=440:duration=2")]
+                        + read_container(clip)["streams"])
+        return out
+    subprocess.run(config.ffmpeg_argv() + [
+        "-hide_banner", "-loglevel", "error", "-y", "-f", "lavfi",
+        "-i", "sine=frequency=440:duration=2", "-i", str(clip),
+        "-map", "0:a", "-map", "1:v", "-c:v", "copy", str(out)], check=True, capture_output=True)
+    return out
+
+
+@pytest.mark.parametrize("size", [(640, 360), (360, 640), (480, 480)],
+                         ids=["landscape", "portrait", "square"])
+@pytest.mark.parametrize("fps", ["24", "25", "30", "30000/1001"])
+def test_read_mp4_equals_the_prober(config, backend, tmp_path, tool_calls, fps, size):
+    # Field by field, on a clip, on a 1 s trial encode of it, and on the clip
+    # with an audio track ahead of its video. The prober prints the duration
+    # to the microsecond; the reader divides the mdhd's, so the two may differ
+    # by up to one tick of the video track's time scale.
+    clip = make_clip(config, tmp_path / "clip.mp4", size=size, fps=fps, duration=2.3)
+    trial = encode(clip, EncodeSpec(size[0] // 2, size[1] // 2, 30.0, Fraction(fps)),
+                   tmp_path / "trial.mp4", config, max_seconds=1).path
+    audio = with_audio(config, backend, clip, tmp_path / "audio.mp4")
+    for path, video_only in [(clip, clip), (trial, trial), (audio, clip)]:
+        tool_calls.clear()
+        read = media_info(path, config)
+        assert tool_calls == []
+        probed = probe_media(path, config)
+        assert read_mp4(path) == read
+        assert dataclasses.replace(read, duration=probed.duration) == probed
+        assert abs(read.duration - probed.duration) <= 1 / time_scale(video_only.read_bytes())
+
+
+MVEX = box(b"mvex", box(b"trex", bytes(24)))
+
+
+@pytest.mark.parametrize("change", [
+    lambda data: edited(data, "ftyp", lambda whole: box(b"free", whole[8:])),
+    lambda data: data + box(b"moof", box(b"mfhd", bytes(8))),
+    lambda data: edited(data, "moov", lambda whole: box(b"moov", whole[8:], MVEX)),
+    lambda data: edited(data, f"{STBL}/stsd/avc1", lambda whole: box(b"hev1", whole[8:])),
+    lambda data: edited(data, f"{STBL}/stsd/avc1/avcC", lambda whole: b""),
+    lambda data: edited(data, f"{STBL}/stsd/avc1/avcC", lambda whole: box(b"avcC", whole[8:-4])),
+    lambda data: edited(data, f"{STBL}/stsd/avc1/avcC",
+                        lambda whole: whole[:-3] + bytes([0xFA]) + whole[-2:]),
+    lambda data: edited(data, f"{STBL}/stts", lambda whole: box(b"stts", bytes(8))),
+    lambda data: edited(data, "moov/trak/mdia/hdlr", lambda whole: whole[:16] + b"soun" + whole[20:]),
+    lambda data: data[:-1],
+    None,
+], ids=["not-ftyp", "moof", "mvex", "hev1", "no-avcC", "no-extension", "10-bit", "no-frames",
+        "no-video-trak", "truncated", "audio-only"])
+def test_what_read_mp4_does_not_read_costs_one_probe(config, tmp_path, tool_calls, change):
+    # Each file differs from a clip the reader reads in one way it does not
+    # read; media_info leaves it to the prober, whatever the prober makes of it.
+    path = tmp_path / "in.mp4"
+    if change is None:
+        make_audio_only(config, path)
+    else:
+        clip = make_clip(config, tmp_path / "clip.mp4", size=(320, 240), duration=1)
+        assert read_mp4(clip) is not None
+        path.write_bytes(change(clip.read_bytes()))
+    assert read_mp4(path) is None
+    tool_calls.clear()
+    with contextlib.suppress(NoVideoStream, ProberFailure):
+        media_info(path, config)
+    assert len(tool_calls) == 1
+
+
+def test_read_mp4_averages_a_variable_frame_rate(config, tmp_path, caplog):
+    # 10 frames of 1000 ticks and 10 of 2000 at 15360 ticks per second, as
+    # mov.c averages them: time scale x frames over ticks.
+    clip = make_clip(config, tmp_path / "clip.mp4", size=(320, 240), duration=1)
+    data = edited(clip.read_bytes(), f"{STBL}/stts",
+                  lambda whole: box(b"stts", struct.pack(">4x5I", 2, 10, 1000, 10, 2000)))
+    data = edited(data, "moov/trak/mdia/mdhd", lambda whole: TWO_SECONDS)
+    clip.write_bytes(data)
+    with caplog.at_level(logging.WARNING, logger="snvse.probe"):
+        info = read_mp4(clip)
+    assert (info.frame_rate, info.duration) == (Fraction(15360 * 20, 30000), 2.0)
+    assert "looks variable-frame-rate (2 frame intervals in its stts)" in caplog.text
+
+
+def test_media_info_checks_the_file_before_reading_it(config, tmp_path, tool_calls):
+    with pytest.raises(FileNotFoundError):
+        media_info(tmp_path / "nope.mp4", config)
+    (tmp_path / "empty.mp4").touch()
+    with pytest.raises(ProberFailure, match="is empty"):
+        media_info(tmp_path / "empty.mp4", config)
+    assert tool_calls == []

@@ -94,18 +94,36 @@ def _top_level_boxes(data: bytes) -> list[tuple[bytes, int]]:
     return boxes
 
 
+def _moov_layout(data: bytes) -> list:
+    """(4CC, children) of each box in *data*, descending into the boxes that
+    hold only boxes down to the sample table, and into its sample entries."""
+    layout = []
+    for kind, size in _top_level_boxes(data):
+        body = data[8:size]
+        if kind in (b"moov", b"trak", b"mdia", b"minf", b"stbl", b"stsd"):
+            layout.append((kind, _moov_layout(body[8:] if kind == b"stsd" else body)))
+        else:
+            layout.append((kind, _moov_layout(body[78:]) if kind == b"avc1" else []))
+        data = data[size:]
+    return layout
+
+
 def test_container_holds_the_payload_in_its_mdat_box(tmp_path):
     # ffmpeg's box order: ftyp, mdat, then moov; the sim's stream header
-    # comes last.
+    # comes last. The moov holds what snvse reads, in ffmpeg's order too.
     out = tmp_path / "clip.mp4"
     assert main_ffmpeg([
         "-y", "-f", "lavfi", "-i", "testsrc2=size=640x360:rate=30",
         "-c:v", "libx264", "-crf", "31", "-pix_fmt", "yuv420p", "-t", "2", str(out),
     ]) == 0
     [stream] = read_container(out)["streams"]
-    boxes = _top_level_boxes(out.read_bytes())
+    data = out.read_bytes()
+    boxes = _top_level_boxes(data)
     assert [kind for kind, _ in boxes] == [b"ftyp", b"mdat", b"moov", b"snvs"]
     assert boxes[1][1] - 8 == stream["payload"] > 0
+    [(_, [trak])] = [box for box in _moov_layout(data) if box[0] == b"moov"]
+    assert trak == (b"trak", [(b"mdia", [(b"mdhd", []), (b"hdlr", []), (b"minf", [(b"stbl", [
+        (b"stsd", [(b"avc1", [(b"avcC", [])])]), (b"stts", []), (b"stsz", [])])])])])
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
