@@ -9,17 +9,22 @@ rate-model-guided bracket search: it assumes bitrate is non-increasing in
 CRF and that x264's rate is close to log-linear in CRF (+6 CRF roughly
 halves it), predicts the crossing from the trials that bound it, and
 stops only when the trial log holds the minimality witness (the answer
-passes and the CRF below it fails or lies below the range). The linear
+passes and the CRF below it fails or lies below the range). Its first
+trial is the CRF the shared video states: x264 writes its options into
+the first video sample, and where ``probe.x264_settings`` reads
+``rc=crf`` and a finite ``crf`` there, that CRF rounded up into the
+range is the start; else the search starts cold at ``c_max``. The linear
 sweep from the low end is the reference definition; the bisection returns
-its answer on every non-increasing rate curve. Where the curve rises, the
-bisection's answer still passes with a failing CRF (or the range's floor)
-below it, but may lie above the sweep's first crossing, and a failing
-``c_max`` reads as saturated. On the sim backend's 1280x720 -> 640x360
-CRF-33 pair the bisection takes 3 trials against the linear sweep's 13.
-When even the top of the range overshoots, the result is clamped there
-and flagged saturated. The range must lie within
-``profile_db.CRF_MIN``/``CRF_MAX``, the only definition of the bounds, so
-every estimate can be saved.
+its answer on every non-increasing rate curve, from any start. Where the
+curve rises, the bisection's answer still passes with a failing CRF (or
+the range's floor) below it, but may lie above the sweep's first
+crossing, and a failing ``c_max`` reads as saturated; a start that passes
+leaves ``c_max`` untrialled. On the sim backend's 1280x720 -> 640x360
+CRF-33 pair, which states its CRF, the bisection takes 2 trials (3 from
+``c_max``) against the linear sweep's 13. When even the top of the range
+overshoots, the result is clamped there and flagged saturated. The range
+must lie within ``profile_db.CRF_MIN``/``CRF_MAX``, the only definition
+of the bounds, so every estimate can be saved.
 
 Trial encodes and the tool runs they cost (README points here). Every
 trial is encoded whole within its window, to ``trial-crf{crf}.mp4`` in a
@@ -29,13 +34,15 @@ the search ends. Its rate is read in-process from the MP4's sample table
 file is removed at once. So no trial is probed and every logged rate is
 measured. The original and the shared video are read by
 ``probe.media_info``: an MP4 from its ``moov``, with no tool run, any
-other file by the prober. So a pair of MP4s costs ``trials`` tool runs,
-and a pair of other containers ``2 + trials`` (plus a packet scan where
-the prober reports no bitrate for the shared video).
+other file by the prober; the shared video's x264 settings are read from
+its first sample, with no tool run either. So a pair of MP4s costs
+``trials`` tool runs, and a pair of other containers ``2 + trials`` (plus
+a packet scan where the prober reports no bitrate for the shared video).
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import tempfile
@@ -47,7 +54,7 @@ from .bitrate import measure_bitrate
 from .config import RunConfig
 from .encoder import EncodeSpec, encode, normalize_dimensions
 from .errors import AllItemsFailed, InvalidRange, PreconditionViolation
-from .probe import media_info, mp4_stream_rate
+from .probe import media_info, mp4_stream_rate, x264_settings
 from .profile_db import CRF_MAX, CRF_MIN, ProfileEntry, check_unique_pair_ids
 from .runner import Outcome, run_batch
 
@@ -138,7 +145,10 @@ def estimate_crf(
                      pair.pair_id, crf, rate, target)
         return rate
 
-    search = _linear_sweep if strategy is SearchStrategy.LINEAR_SWEEP else _bisection_with_verify
+    if strategy is SearchStrategy.LINEAR_SWEEP:
+        search = _linear_sweep
+    else:
+        search = functools.partial(_bisection_with_verify, start=_stated_start(pair, c_min, c_max))
     with tempfile.TemporaryDirectory(prefix="trials-", dir=config.scratch_dir) as trial_dir:
         crf_hat, saturated = search(trial, target, c_min, c_max)
 
@@ -153,6 +163,24 @@ def estimate_crf(
     )
 
 
+def _stated_start(pair: VideoPair, c_min: int, c_max: int) -> int | None:
+    """The bisection's first trial: the CRF the shared video's x264 settings
+    state, rounded up into [c_min, c_max]; None where they state none."""
+    settings = x264_settings(pair.shared_path)
+    if settings is None:
+        logger.debug("pair %s: no x264 settings, cold start", pair.pair_id)
+        return None
+    rc, crf = settings.get("rc"), settings.get("crf")
+    try:
+        stated = float(crf) if rc == "crf" else math.nan
+    except (TypeError, ValueError):
+        stated = math.nan
+    start = min(max(math.ceil(stated), c_min), c_max) if math.isfinite(stated) else None
+    logger.debug("pair %s: x264 settings state rc=%s crf=%s, %s", pair.pair_id, rc, crf,
+                 "cold start" if start is None else f"first trial at crf {start}")
+    return start
+
+
 def _linear_sweep(trial, target: float, c_min: int, c_max: int) -> tuple[int, bool]:
     for crf in range(c_min, c_max + 1):
         if trial(crf) <= target:
@@ -160,60 +188,66 @@ def _linear_sweep(trial, target: float, c_min: int, c_max: int) -> tuple[int, bo
     return c_max, True
 
 
-def _bisection_with_verify(trial, target: float, c_min: int, c_max: int) -> tuple[int, bool]:
-    """Rate-model-guided search for the lowest passing CRF.
+def _bisection_with_verify(trial, target: float, c_min: int, c_max: int,
+                           start: int | None = None) -> tuple[int, bool]:
+    """Rate-model-guided search for the lowest passing CRF, from *start*,
+    a CRF in [c_min, c_max], or else from c_max.
 
     Assumes bitrate is non-increasing in CRF; where encoder noise breaks
     that, the answer still passes with a failing CRF (or the range's floor)
     below it, but may lie above the linear sweep's first crossing, and a
     failing c_max reads as saturated even if some lower CRF passes. Keeps a
-    bracket (lo, hi]: lo is the highest CRF known to fail (c_min - 1, never
-    trialled, at the start) and hi the lowest known to pass. After c_max it
-    has ceil(log2(c_max - c_min + 1)) + _SLACK_STEPS steps. Each trials the
-    CRF where the rate model puts the target, clamped strictly inside the
-    bracket and into [hi - 2**left, lo + 2**left], left being the steps
-    after this one, so either verdict leaves a bracket that halving closes
-    in time, however far the rate is from log-linear. The search stops
-    when hi - lo == 1, so the trials witness that hi is minimal, within
-    4 + ceil(log2(c_max - c_min + 1)) trials.
+    bracket (lo, hi]: lo is the highest CRF known to fail and hi the lowest
+    known to pass, c_min - 1 and c_max + 1 at the start, neither trialled;
+    a search that ends with hi = c_max + 1 has seen c_max fail, and is
+    saturated. After its first trial it has ceil(log2(c_max - c_min + 1)) +
+    _SLACK_STEPS steps. Each trials the CRF where the rate model puts the
+    target, clamped strictly inside the bracket and into [hi - 2**left,
+    lo + 2**left], left being the steps after this one, so either verdict
+    leaves a bracket that halving closes in time, however far the rate is
+    from log-linear. A passing start leaves (c_min - 1, start], and a
+    failing one (start, c_max + 1], where the model predicts upward from
+    start and trials c_max only when every CRF it tries below fails. The
+    search stops when hi - lo == 1, so the trials witness that hi is
+    minimal, within 4 + ceil(log2(c_max - c_min + 1)) trials.
     """
-    r_hi = trial(c_max)
-    if r_hi > target:
-        return c_max, True
-    lo, hi = c_min - 1, c_max
-    r_lo = None
-    above = None  # the passing trial hi replaced: (crf, rate)
+    lo, r_lo, hi, r_hi = c_min - 1, None, c_max + 1, None
+    crf = c_max if start is None else start
     left = math.ceil(math.log2(c_max - c_min + 1)) + _SLACK_STEPS
-    while hi - lo > 1:
-        left -= 1
-        predicted = round(_model_crossing(lo, r_lo, hi, r_hi, target, above))
-        crf = min(max(predicted, lo + 1, hi - 2 ** left), hi - 1, lo + 2 ** left)
+    while True:
         rate = trial(crf)
+        # replaced: the bracket end this trial moves, as (crf, rate or None).
         if rate <= target:
-            above, (hi, r_hi) = (hi, r_hi), (crf, rate)
+            replaced, (hi, r_hi) = (hi, r_hi), (crf, rate)
         else:
-            lo, r_lo = crf, rate
-    return hi, False
+            replaced, (lo, r_lo) = (lo, r_lo), (crf, rate)
+        if hi - lo == 1:
+            return (c_max, True) if hi > c_max else (hi, False)
+        left -= 1
+        predicted = round(_model_crossing(lo, r_lo, hi, r_hi, target, replaced))
+        crf = min(max(predicted, lo + 1, hi - 2 ** left), hi - 1, lo + 2 ** left)
 
 
-def _model_crossing(lo: int, r_lo: float | None, hi: int, r_hi: float, target: float,
-                    above: tuple[int, float] | None) -> float:
+def _model_crossing(lo: int, r_lo: float | None, hi: int, r_hi: float | None, target: float,
+                    replaced: tuple[int, float | None]) -> float:
     """The CRF where the rate model through the bracket ends meets *target*.
 
     The model is linear in log-rate: the secant between the two ends once
-    both have been trialled; before lo is, the secant through hi and the
-    passing trial *above* it, where their rates fall; else CRF_PER_HALVING
-    through hi alone.
+    both have been trialled; before that, from the one trialled end, the
+    secant through it and the trial it *replaced*, where the rate falls
+    from one to the other; else CRF_PER_HALVING through that end alone.
     """
-    if r_hi <= 0:  # a zero-byte trial has no log-rate; split the bracket instead
+    end, rate = (lo, r_lo) if r_hi is None else (hi, r_hi)
+    if min(rate, target) <= 0:  # a zero-byte trial or target has no log-rate; split the bracket
         return (lo + hi) / 2
-    if r_lo is not None:
+    other, r_other = replaced
+    if r_lo is not None and r_hi is not None:
         slope = (hi - lo) / math.log2(r_lo / r_hi)
-    elif above is not None and 0 < above[1] < r_hi:
-        slope = (above[0] - hi) / math.log2(r_hi / above[1])
+    elif r_other is not None and r_other > 0 and (other - end) * (rate - r_other) > 0:
+        slope = (other - end) / math.log2(rate / r_other)
     else:
         slope = CRF_PER_HALVING
-    return hi + slope * math.log2(r_hi / target)
+    return end + slope * math.log2(rate / target)
 
 
 def estimate_batch(

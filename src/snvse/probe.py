@@ -16,7 +16,9 @@ container, a fragmented or truncated file, another codec) goes to
 sizes, and a failed scan raises ``ProberFailure`` like a failed probe.
 ``mp4_stream_rate`` reads the stream bitrate of an MP4 file that holds one
 stream, such as a trial encode, from its sample table, and runs no tool.
-A number that is not finite, or too large for a float, reads as absent; a
+``x264_settings`` reads the option string x264 writes into the first video
+sample of its output (``crf=`` among it), and runs no tool either. A
+number that is not finite, or too large for a float, reads as absent; a
 document of another shape raises ``ProberFailure``.
 """
 
@@ -227,15 +229,22 @@ def _boxes(fh, start: int, end: int, path: str | Path) -> list[tuple[bytes, int,
     return boxes
 
 
-def _body(fh, where: str, path: str | Path, start: int = 0, end: int | None = None) -> bytes:
-    """The body of the one box at *where*, a path of 4CCs from bytes [start, end)
-    of *fh*, by default the whole of it."""
+def _span(fh, where: str, path: str | Path, start: int = 0,
+          end: int | None = None) -> tuple[int, int]:
+    """The (start, end) of the body of the one box at *where*, a path of 4CCs
+    from bytes [start, end) of *fh*, by default the whole of it."""
     end = fh.seek(0, os.SEEK_END) if end is None else end
     for kind in where.split("/"):
         found = [(s, e) for k, s, e in _boxes(fh, start, end, path) if k == kind.encode()]
         if len(found) != 1:
             raise ProberFailure(f"{path} holds {len(found)} {kind} boxes where {where} reads one")
         [(start, end)] = found
+    return start, end
+
+
+def _body(fh, where: str, path: str | Path, start: int = 0, end: int | None = None) -> bytes:
+    """The body of the one box at *where*, found as ``_span`` finds it."""
+    start, end = _span(fh, where, path, start, end)
     fh.seek(start)
     return fh.read(end - start)
 
@@ -328,13 +337,18 @@ def read_mp4(path: str | Path) -> MediaInfo | None:
         return None
 
 
+def _video_trak(moov: io.BytesIO, boxes: list, path: Path) -> tuple[int, int] | None:
+    """The body range of the first ``trak`` among a ``moov``'s *boxes* with a ``vide`` handler."""
+    # hdlr: version and flags, a predefined field, then the handler type.
+    return next(((start, end) for kind, start, end in boxes if kind == b"trak"
+                 and _body(moov, "mdia/hdlr", path, start, end)[8:12] == b"vide"), None)
+
+
 def _read_moov(moov: io.BytesIO, path: Path, file_size: int) -> MediaInfo | None:
     boxes = _boxes(moov, 0, len(moov.getbuffer()), path)
     if any(kind == b"mvex" for kind, _, _ in boxes):
         return None
-    # hdlr: version and flags, a predefined field, then the handler type.
-    trak = next(((start, end) for kind, start, end in boxes if kind == b"trak"
-                 and _body(moov, "mdia/hdlr", path, start, end)[8:12] == b"vide"), None)
+    trak = _video_trak(moov, boxes, path)
     if trak is None:
         return None
     time_scale, duration = _media_header(_body(moov, "mdia/mdhd", path, *trak), path)
@@ -399,3 +413,59 @@ def _avc_pixel_format(avcc: bytes, path: Path) -> str | None:
     if (luma_bits & 7) or (chroma_bits & 7):  # bit depth minus 8
         return None
     return _CHROMA_FORMATS.get(chroma & 3)
+
+
+# x264's user-data-unregistered SEI: this UUID, then its version and option
+# string, NUL-terminated (x264_sei_version_write in x264's encoder/set.c).
+_X264_UUID = bytes.fromhex("dc45e9bde6d948b7962cd820d923eeef")
+# How far into the first video sample x264_settings looks for that message.
+_SEI_SCAN_BYTES = 64 * 1024
+
+
+def x264_settings(path: str | Path) -> dict[str, str] | None:
+    """The options x264 states in an MP4 file's first video sample, by key;
+    None for a file that states none this reads.
+
+    x264 writes its version and full option string (``... options: cabac=1
+    ref=3 ... rc=crf mbtree=1 crf=23.0 ...``) into an SEI message in the
+    first access unit, and ffmpeg's libx264 keeps it there. This finds the
+    first sample of the first ``trak`` with a ``vide`` handler, its offset
+    from ``stco`` or ``co64`` and its size from ``stsz``, looks for x264's
+    UUID in that sample's first 64 KiB, and splits the ASCII text after
+    ``options: `` up to its NUL into ``key=value`` tokens (a token with no
+    ``=`` maps to ``""``). It runs no tool. A missing, truncated or
+    malformed box, no UUID in range, no NUL after it, text that is not
+    ASCII or has no ``options: `` all read as None, as they do in
+    ``read_mp4``. A platform that re-encodes with another encoder, or
+    strips the message, states nothing.
+    """
+    path = Path(path)
+    try:
+        with open(path, "rb") as fh:
+            moov = io.BytesIO(_body(fh, "moov", path))
+            trak = _video_trak(moov, _boxes(moov, 0, len(moov.getbuffer()), path), path)
+            if trak is None:
+                return None
+            offsets = [(kind, start, end) for kind, start, end
+                       in _boxes(moov, *_span(moov, "mdia/minf/stbl", path, *trak), path)
+                       if kind in (b"stco", b"co64")]
+            if len(offsets) != 1:
+                return None
+            [(kind, start, end)] = offsets
+            count, first = _unpack(">4xII" if kind == b"stco" else ">4xIQ",
+                                   moov.getbuffer()[start:end], kind.decode(), path)
+            if not count:
+                return None
+            stsz = _body(moov, "mdia/minf/stbl/stsz", path, *trak)
+            # stsz: a fixed sample size, or 0 and then one size per sample.
+            size = _unpack(">4xI", stsz, "stsz", path)[0] or _unpack(">12xI", stsz, "stsz", path)[0]
+            fh.seek(first)
+            prefix = fh.read(min(size, _SEI_SCAN_BYTES))
+    except (OSError, ProberFailure):
+        return None
+    at = prefix.find(_X264_UUID)
+    text, nul, _ = prefix[at + len(_X264_UUID):].partition(b"\0")
+    if at < 0 or not nul or not text.isascii():
+        return None
+    _, found, options = text.decode("ascii").partition("options: ")
+    return dict(token.partition("=")[::2] for token in options.split()) if found else None

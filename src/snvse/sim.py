@@ -12,16 +12,21 @@ prints only what ``probe.py`` reads: the fields of a video stream that
 container's ``duration``, and each video packet's ``size``. They operate
 on a tiny container shaped like the MP4 files ffmpeg writes: top-level
 ISO-BMFF boxes in ffmpeg's default order, an ``ftyp`` box, an ``mdat``
-box holding the payload bytes of every stream, then a ``moov`` box, and
-last a private ``snvs`` box holding a JSON stream header. The ``moov``
-holds a ``trak`` per stream with only the boxes ``probe.read_mp4`` and
-``probe.mp4_stream_rate`` read, in ffmpeg's order: ``mdia/mdhd`` (time
-scale and duration), ``mdia/hdlr`` (``vide`` or ``soun``) and
-``mdia/minf/stbl``, which holds, for a video stream, ``stsd`` (an
-``avc1`` entry of its size, with an ``avcC`` stating its chroma format
-where it can) and ``stts`` (every frame one interval long), and for every
-stream ``stsz`` (the packet sizes). The prober prints a video stream's
-``bit_rate`` from those fields, as libavformat's mov demuxer computes it.
+box holding the payload bytes of each stream in turn, then a ``moov``
+box, and last a private ``snvs`` box holding a JSON stream header. The
+``moov`` holds a ``trak`` per stream with only the boxes ``probe.py``'s
+readers read, in ffmpeg's order: ``mdia/mdhd`` (time scale and
+duration), ``mdia/hdlr`` (``vide`` or ``soun``) and ``mdia/minf/stbl``,
+which holds, for a video stream, ``stsd`` (an ``avc1`` entry of its
+size, with an ``avcC`` stating its chroma format where it can) and
+``stts`` (every frame one interval long), for every stream ``stsz`` (the
+packet sizes), and for a video stream ``stco`` (one chunk, where its
+payload starts). The prober prints a video stream's ``bit_rate`` from
+those fields, as libavformat's mov demuxer computes it. As libx264 does,
+an encode begins its first video sample with an SEI message of x264's
+option string, ``rc=crf crf=<CRF, to 0.1> keyint=250`` or ``rc=abr
+bitrate=<kbit/s> keyint=250``, within the sample's byte count, so sizes
+and rates do not change; a first sample too small to hold it gets none.
 
 The encoder prices a video stream with a deterministic rate model:
 bits/s scales with a per-source content complexity, resolution, frame
@@ -41,6 +46,7 @@ binary uses.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -52,6 +58,8 @@ from pathlib import Path
 # ffmpeg's own ftyp: major brand isom, minor version 512, four compatible brands.
 _FTYP = struct.pack(">I4s4sI", 32, b"ftyp", b"isom", 512) + b"isomiso2avc1mp41"
 _HEADER_BOX = b"snvs"
+# The UUID of x264's SEI message of its version and options.
+_X264_UUID = bytes.fromhex("dc45e9bde6d948b7962cd820d923eeef")
 _VERSION_LINE = "sim-ffmpeg version 0.1.0 (snvse deterministic encoder simulation)"
 
 # Per-pixel content complexity of the lavfi sources the fixtures draw on.
@@ -198,10 +206,27 @@ def _avc1(stream: dict) -> bytes:
     return _box(b"avc1", entry, _box(b"avcC", avcc))
 
 
-def _moov(streams: list[dict]) -> bytes:
-    """The ``moov`` of *streams*: a ``trak`` each, as the module docstring lays it out."""
+def _sei(stream: dict) -> bytes:
+    """The start of a video stream's first sample, as libx264 writes it: a
+    length-prefixed SEI NAL of x264's UUID and version and option string.
+    Empty for a stream with no options, or a first sample too small to hold it."""
+    if "x264" not in stream:
+        return b""
+    text = f"x264 - core 164 - H.264/MPEG-4 AVC codec - options: {stream['x264']}\0".encode()
+    payload = _X264_UUID + text
+    # NAL type 6 (SEI), payload type 5 (user data unregistered), its size in
+    # 255-steps, the payload, then the RBSP stop bit.
+    nal = (b"\x06\x05" + b"\xff" * (len(payload) // 255) + bytes([len(payload) % 255])
+           + payload + b"\x80")
+    sei = struct.pack(">I", len(nal)) + nal
+    return sei if len(sei) <= _samples(stream)[2][0] else b""
+
+
+def _moov(streams: list[dict], offsets: list[int]) -> bytes:
+    """The ``moov`` of *streams*, whose payloads start at *offsets* in the
+    file: a ``trak`` each, as the module docstring lays it out."""
     traks = []
-    for stream in streams:
+    for stream, offset in zip(streams, offsets):
         time_scale, duration, sizes = _samples(stream)
         video = stream["type"] == "video"
         mdhd = struct.pack(">4xIIIIHH", 0, 0, time_scale, duration, 0x55C4, 0)  # v0, "und"
@@ -212,7 +237,7 @@ def _moov(streams: list[dict]) -> bytes:
             num, den = stream["fps"]
             stts = struct.pack(">4xIII", 1, len(sizes), time_scale * den // num)
             table = [_box(b"stsd", struct.pack(">4xI", 1), _avc1(stream)), _box(b"stts", stts),
-                     *table]
+                     *table, _box(b"stco", struct.pack(">4xII", 1, offset))]
         traks.append(_box(b"trak", _box(b"mdia", _box(b"mdhd", mdhd), _box(b"hdlr", hdlr),
                                         _box(b"minf", _box(b"stbl", *table)))))
     return _box(b"moov", *traks)
@@ -220,17 +245,21 @@ def _moov(streams: list[dict]) -> bytes:
 
 def write_container(path: Path, streams: list[dict]) -> None:
     header = json.dumps({"streams": streams}, sort_keys=True).encode()
-    payload_total = sum(int(s.get("payload", 0)) for s in streams)
+    payloads = [int(s.get("payload", 0)) for s in streams]
+    offsets = list(itertools.accumulate(payloads, initial=len(_FTYP) + 8))
     block = hashlib.sha256(header).digest() * 128  # 4 KiB deterministic filler
     try:
         with open(path, "wb") as fh:
-            fh.write(_FTYP + struct.pack(">I4s", 8 + payload_total, b"mdat"))
-            remaining = payload_total
-            while remaining > 0:
-                chunk = block[: min(len(block), remaining)]
-                fh.write(chunk)
-                remaining -= len(chunk)
-            fh.write(_moov(streams) + _box(_HEADER_BOX, header))
+            fh.write(_FTYP + struct.pack(">I4s", 8 + sum(payloads), b"mdat"))
+            for stream, payload in zip(streams, payloads):
+                sei = _sei(stream)
+                fh.write(sei)
+                remaining = payload - len(sei)
+                while remaining > 0:
+                    chunk = block[: min(len(block), remaining)]
+                    fh.write(chunk)
+                    remaining -= len(chunk)
+            fh.write(_moov(streams, offsets) + _box(_HEADER_BOX, header))
     except OSError as exc:
         raise SimError(f"{path}: {exc.strerror or exc}") from exc
 
@@ -417,12 +446,14 @@ def run_ffmpeg(argv: list[str]) -> int:
             b_v = opts["-b:v"]
             bps = b_v * _jitter(f"abr|{complexity:.6f}|{width}x{height}|{b_v:.1f}")
             out_complexity = _decay_complexity(complexity, 28.0)
+            x264 = f"rc=abr bitrate={round(b_v / 1e3)} keyint=250"
         else:
             crf = opts.get("-crf", 23.0)
             bps = video_bits_per_second(complexity, width, height, fps, crf,
                                         opts.get("-preset", "medium"),
                                         video_in.get("halving", _CRF_PER_HALVING))
             out_complexity = _decay_complexity(complexity, crf)
+            x264 = f"rc=crf crf={crf:.1f} keyint=250"
         frames = max(1, round(duration * fps))
         out_streams.append(
             {
@@ -437,6 +468,7 @@ def run_ffmpeg(argv: list[str]) -> int:
                 "payload": max(frames, int(round(bps * duration / 8.0))),
                 "bit_rate": bps,
                 "frames": frames,
+                "x264": x264,
             }
         )
         if "halving" in video_in:

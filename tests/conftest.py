@@ -144,6 +144,19 @@ def make_audio_only(config: RunConfig, path: Path, duration: float = 2.0) -> Pat
     return path
 
 
+# The UUID that opens x264's SEI message of its version and options.
+X264_UUID = bytes.fromhex("dc45e9bde6d948b7962cd820d923eeef")
+
+
+def strip_x264_settings(source: Path, path: Path) -> Path:
+    """A copy of *source* at *path* that states no x264 settings: the UUID of
+    its x264 SEI message is overwritten with zeros, so nothing reads it as x264's."""
+    data = source.read_bytes()
+    assert X264_UUID in data, f"{source} states no x264 settings"
+    path.write_bytes(data.replace(X264_UUID, bytes(len(X264_UUID))))
+    return path
+
+
 def make_abr_clip(
     config: RunConfig,
     path: Path,

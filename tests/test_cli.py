@@ -175,12 +175,12 @@ def test_spawn_budget_of_mock_platform_and_estimate(config, tmp_path, quiet, too
         assert len(tool_calls) == len(trials)
         return trials
 
-    # The bisection from c_max down to the answer (CRF 33) and the failing
-    # CRF below it, with 1 s trials.
+    # The bisection from the CRF the shared video states (33) to the answer
+    # and the failing CRF below it, with 1 s trials.
     trials = estimate("--strategy", "bisection", "--trial-seconds", "1")
     crf_hat = json.loads((tmp_path / "p.json").read_text())["entries"][0]["crf_hat"]
     crfs = [int(argv[argv.index("-crf") + 1]) for argv in trials]
-    assert crfs[0] == 50 > crf_hat
+    assert crfs[0] == 33
     assert {crf_hat - 1, crf_hat} <= set(crfs)
     # A linear sweep from far below the crossing, with 2 s trials.
     assert len(estimate("--strategy", "linear", "--c-min", "21", "--c-max", "40")) == 13

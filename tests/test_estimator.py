@@ -25,7 +25,7 @@ from snvse.estimator import (
 from snvse.probe import probe_media
 from snvse.profile_db import PlatformProfile, load_profile, save_profile
 
-from conftest import make_clip
+from conftest import make_abr_clip, make_clip, strip_x264_settings
 
 HIDDEN_RHO = (640, 360)
 HIDDEN_CRF = 33.0
@@ -150,6 +150,48 @@ def test_bisection_is_the_default_search(hidden_pair, config):
     assert estimate_crf(hidden_pair, config=config).trial_log == bisect.trial_log
     [outcome] = estimate_batch([hidden_pair], config=config)
     assert outcome.result.trial_log == bisect.trial_log
+
+
+def _stated_lines(caplog) -> list[str]:
+    """The estimator's messages about what shared videos state, and any it logged at INFO or above."""
+    return [r.getMessage() for r in caplog.records if r.name == "snvse.estimator"
+            and ("x264 settings" in r.getMessage() or r.levelno >= logging.INFO)]
+
+
+def test_the_stated_crf_starts_the_search(hidden_pair, config, backend, tmp_path, trial_events,
+                                          caplog):
+    # The shared video states crf=33.0: the bisection trials it, then the
+    # CRF below it. A copy that states nothing searches cold from c_max, as
+    # every pair did before the statement was read. Each pair logs one
+    # DEBUG line about it, and nothing at INFO.
+    stripped = dataclasses.replace(hidden_pair, pair_id="stripped", shared_path=strip_x264_settings(
+        hidden_pair.shared_path, tmp_path / "stripped.mp4"))
+    with caplog.at_level(logging.DEBUG, logger="snvse.estimator"):
+        stated = estimate_crf(hidden_pair, config=config)
+        cold = estimate_crf(stripped, config=config)
+    assert (stated.crf_hat, stated.saturated) == (cold.crf_hat, cold.saturated)
+    assert set(stated.trial_log) <= set(cold.trial_log)
+    [log] = trial_events.values()
+    crfs = [event[1] for event in log]
+    assert crfs[0] == 33 and crfs[len(stated.trial_log)] == 50
+    if backend == "sim":
+        assert crfs == [33, 32, 50, 33, 32]
+    assert _stated_lines(caplog) == [
+        "pair hidden: x264 settings state rc=crf crf=33.0, first trial at crf 33",
+        "pair stripped: no x264 settings, cold start"]
+
+
+def test_an_abr_shared_video_searches_cold(config, tmp_path, trial_events, caplog):
+    original = make_clip(config, tmp_path / "orig.mp4", size=(640, 360), duration=2)
+    shared = make_abr_clip(config, tmp_path / "abr.mp4", bitrate="300k", size=(640, 360),
+                           duration=2)
+    with caplog.at_level(logging.DEBUG, logger="snvse.estimator"):
+        estimate_crf(VideoPair(original, shared, "abr"), config=config)
+    [log] = trial_events.values()
+    assert log[0][1] == 50
+    [line] = _stated_lines(caplog)
+    assert line.startswith("pair abr: x264 settings state rc=") and line.endswith(
+        " crf=None, cold start")
 
 
 def test_trial_seconds_truncation_still_recovers(hidden_pair, config):
@@ -361,8 +403,8 @@ def test_budget_keeps_every_estimate(config, budget_pairs, probed_everywhere, ba
 
 def test_search_failing_after_a_settled_pass_leaves_no_trial_file(config, budget_pairs, tmp_path,
                                                                   trial_events, monkeypatch):
-    # The bisection's c_max trial passes and its file is read and removed;
-    # the next encode fails.
+    # The bisection's first trial, at the CRF the shared video states,
+    # passes and its file is read and removed; the next encode fails.
     encode_trial = snvse.estimator.encode
 
     def fail_second(*args, **kwargs):
@@ -376,24 +418,24 @@ def test_search_failing_after_a_settled_pass_leaves_no_trial_file(config, budget
         estimate_crf(budget_pairs[0], strategy=SearchStrategy.BISECTION_WITH_VERIFY,
                      config=dataclasses.replace(config, scratch_dir=scratch), **BUDGET_RANGE)
     [log] = trial_events.values()
-    assert [event[:2] for event in log] == [("encode", BUDGET_RANGE["c_max"])]
+    assert [event[:2] for event in log] == [("encode", BUDGET_HIDDEN["integer"])]
     assert list(scratch.iterdir()) == []
 
 
 def test_interrupt_mid_search_leaves_the_scratch_dir_empty(config, budget_pairs, tmp_path,
                                                          monkeypatch):
-    # The third trial encode of a bisection is interrupted.
+    # The second trial encode of a bisection, the last it needs, is interrupted.
     scratch = tmp_path / "scratch"
     encode_trial = snvse.estimator.encode
     calls = []
 
-    def interrupt_third(*args, **kwargs):
+    def interrupt_second(*args, **kwargs):
         calls.append(args)
-        if len(calls) == 3:
+        if len(calls) == 2:
             raise KeyboardInterrupt
         return encode_trial(*args, **kwargs)
 
-    monkeypatch.setattr(snvse.estimator, "encode", interrupt_third)
+    monkeypatch.setattr(snvse.estimator, "encode", interrupt_second)
     with pytest.raises(KeyboardInterrupt):
         estimate_crf(budget_pairs[0], strategy=SearchStrategy.BISECTION_WITH_VERIFY,
                      config=dataclasses.replace(config, scratch_dir=scratch), **BUDGET_RANGE)
@@ -401,7 +443,8 @@ def test_interrupt_mid_search_leaves_the_scratch_dir_empty(config, budget_pairs,
 
 
 def test_concurrent_pairs_never_share_a_trial_path(config, budget_pairs, tmp_path, monkeypatch):
-    # Both pairs' bisections trial c_max first, at once, under one scratch dir.
+    # Neither pair's shared video states its CRF, so both bisections trial
+    # c_max first, at once, under one scratch dir.
     scratch = tmp_path / "scratch"
     encode_trial = snvse.estimator.encode
     outputs = defaultdict(list)  # input stem -> trial output paths
@@ -411,7 +454,8 @@ def test_concurrent_pairs_never_share_a_trial_path(config, budget_pairs, tmp_pat
         return encode_trial(source, spec, out, *args, **kwargs)
 
     monkeypatch.setattr(snvse.estimator, "encode", spy)
-    pairs = budget_pairs[:2]
+    pairs = [dataclasses.replace(pair, shared_path=strip_x264_settings(
+        pair.shared_path, tmp_path / f"{pair.pair_id}.mp4")) for pair in budget_pairs[:2]]
     outcomes = estimate_batch(pairs, strategy=SearchStrategy.BISECTION_WITH_VERIFY,
                               config=dataclasses.replace(config, workers=2, scratch_dir=scratch),
                               **BUDGET_RANGE)

@@ -24,10 +24,11 @@ from snvse.probe import (
     probe_media,
     read_mp4,
     scan_video_stream_bytes,
+    x264_settings,
 )
 from snvse.sim import main_ffmpeg, read_container, synthesize_source, write_container
 
-from conftest import fake_prober, make_audio_only, make_clip
+from conftest import X264_UUID, fake_prober, make_abr_clip, make_audio_only, make_clip
 
 
 def test_probe_reports_generation_settings(config, tmp_path):
@@ -495,4 +496,102 @@ def test_media_info_checks_the_file_before_reading_it(config, tmp_path, tool_cal
     (tmp_path / "empty.mp4").touch()
     with pytest.raises(ProberFailure, match="is empty"):
         media_info(tmp_path / "empty.mp4", config)
+    assert tool_calls == []
+
+
+# --- the x264 settings reader ---
+
+# The version and options x264 (core 164) writes at libx264's defaults, verbatim.
+X264_TEXT = (
+    b"x264 - core 164 r3095 baf08c1 - H.264/MPEG-4 AVC codec - Copyleft 2003-2022 - "
+    b"http://www.videolan.org/x264.html - options: cabac=1 ref=3 deblock=1:0:0 "
+    b"analyse=0x3:0x113 me=hex subme=7 psy=1 psy_rd=1.00:0.00 mixed_ref=1 me_range=16 "
+    b"chroma_me=1 trellis=1 8x8dct=1 cqm=0 deadzone=21,11 fast_pskip=1 chroma_qp_offset=-2 "
+    b"threads=6 lookahead_threads=1 sliced_threads=0 nr=0 decimate=1 interlaced=0 "
+    b"bluray_compat=0 constrained_intra=0 bframes=3 b_pyramid=2 b_adapt=1 b_bias=0 direct=1 "
+    b"weightb=1 open_gop=0 weightp=2 keyint=250 keyint_min=25 scenecut=40 intra_refresh=0 "
+    b"rc_lookahead=40 rc=crf mbtree=1 crf=23.0 qcomp=0.60 qpmin=0 qpmax=69 qpstep=4 "
+    b"ip_ratio=1.40 aq=1:1.00")
+ABR_TEXT = X264_TEXT.replace(b"rc=crf mbtree=1 crf=23.0", b"rc=abr mbtree=1 bitrate=800 ratetol=1.0")
+
+
+def hdlr(kind: bytes) -> bytes:
+    return box(b"hdlr", struct.pack(">8x4s12x", kind) + b"Handler\0")
+
+
+def stating(text: bytes, *, table: bytes = b"stco", uuid: bytes = X264_UUID,
+            handler: bytes = b"vide") -> bytes:
+    """An MP4 whose one sample is a length-prefixed SEI NAL of *uuid* and
+    *text*, with no terminating NUL added, found from a *table* (stco or
+    co64) of one chunk; the moov after it holds zero bytes."""
+    payload = uuid + text
+    nal = b"\x06\x05" + b"\xff" * (len(payload) // 255) + bytes([len(payload) % 255]) + payload
+    sample = struct.pack(">I", len(nal)) + nal
+    first = 12 + 8  # after the ftyp box and the mdat's header
+    chunks = struct.pack(">4xII" if table == b"stco" else ">4xIQ", 1, first)
+    return (box(b"ftyp", b"isom") + box(b"mdat", sample)
+            + box(b"moov", trak(TWO_SECONDS + hdlr(handler), stsz([len(sample)]) + box(table, chunks))))
+
+
+def test_x264_settings_reads_the_full_option_string(tmp_path):
+    path = tmp_path / "shared.mp4"
+    tokens = X264_TEXT.split(b"options: ")[1].split()
+    for table in (b"stco", b"co64"):
+        path.write_bytes(stating(X264_TEXT + b"\0\x80", table=table))
+        settings = x264_settings(path)
+        assert len(settings) == len(tokens) == 47
+        assert (settings["rc"], settings["crf"]) == ("crf", "23.0")
+        assert (settings["deblock"], settings["aq"], settings["keyint"]) == ("1:0:0", "1:1.00", "250")
+
+
+def test_an_abr_encode_states_no_crf(tmp_path):
+    path = tmp_path / "shared.mp4"
+    path.write_bytes(stating(ABR_TEXT + b"\0"))
+    settings = x264_settings(path)
+    assert (settings["rc"], settings["bitrate"]) == ("abr", "800") and "crf" not in settings
+
+
+@pytest.mark.parametrize("data", [
+    stating(X264_TEXT + b" pad=" + b"x" * (64 * 1024) + b"\0"),
+    stating(X264_TEXT),
+    stating(X264_TEXT + b"\0", uuid=bytes(16)),
+    stating(X264_TEXT.replace(b"options: ", b"options ") + b"\0"),
+    stating(X264_TEXT.replace(b"Copyleft", b"Copyleft \xa9") + b"\0"),
+    stating(X264_TEXT + b"\0", handler=b"soun"),
+    stating(X264_TEXT + b"\0", table=b"stz2"),
+    edited(stating(X264_TEXT + b"\0"), f"{STBL}/stco", lambda whole: box(b"stco", bytes(8))),
+    edited(stating(X264_TEXT + b"\0"), f"{STBL}/stco", lambda whole: box(b"stco", bytes(4))),
+    edited(stating(X264_TEXT + b"\0"), f"{STBL}/stsz", lambda whole: stsz()),
+    stating(X264_TEXT + b"\0")[:-1],
+], ids=["no-nul-within-64-KiB", "no-nul-in-the-sample", "no-uuid", "no-options", "not-ascii", "audio-only",
+        "no-chunk-table", "no-chunks", "short-stco", "no-samples", "truncated"])
+def test_what_x264_settings_does_not_read_fully_is_none(tmp_path, tool_calls, data):
+    path = tmp_path / "shared.mp4"
+    path.write_bytes(data)
+    assert x264_settings(path) is None
+    assert tool_calls == []
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=mp4_files)
+@example(data=stating(X264_TEXT + b"\0"))
+def test_x264_settings_returns_a_dict_or_none(tmp_path_factory, data):
+    # Whatever the bytes, the reader raises nothing.
+    path = tmp_path_factory.mktemp("bytes") / "shared.mp4"
+    path.write_bytes(data)
+    settings = x264_settings(path)
+    assert settings is None or (type(settings) is dict
+                                and all(type(k) is type(v) is str for k, v in settings.items()))
+
+
+def test_a_libx264_encode_states_its_crf(config, tmp_path, tool_calls):
+    # libx264 keeps x264's SEI message in the first sample, and the sim
+    # writes one as it does; the real-ffmpeg CI job runs this on real x264.
+    clip = make_clip(config, tmp_path / "crf30.mp4", size=(320, 240), duration=1, crf=30)
+    abr = make_abr_clip(config, tmp_path / "abr.mp4", size=(320, 240), duration=1)
+    tool_calls.clear()
+    settings = x264_settings(clip)
+    assert (settings["rc"], settings["crf"]) == ("crf", "30.0")
+    settings = x264_settings(abr)  # a second pass under real ffmpeg states rc=2pass
+    assert settings["rc"] in ("abr", "2pass") and "crf" not in settings
     assert tool_calls == []

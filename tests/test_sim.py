@@ -123,7 +123,7 @@ def test_container_holds_the_payload_in_its_mdat_box(tmp_path):
     assert boxes[1][1] - 8 == stream["payload"] > 0
     [(_, [trak])] = [box for box in _moov_layout(data) if box[0] == b"moov"]
     assert trak == (b"trak", [(b"mdia", [(b"mdhd", []), (b"hdlr", []), (b"minf", [(b"stbl", [
-        (b"stsd", [(b"avc1", [(b"avcC", [])])]), (b"stts", []), (b"stsz", [])])])])])
+        (b"stsd", [(b"avc1", [(b"avcC", [])])]), (b"stts", []), (b"stsz", []), (b"stco", [])])])])])
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
