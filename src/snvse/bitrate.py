@@ -5,9 +5,9 @@ excluded. Prefers the reported stream bitrate; falls back to summing
 video packet sizes over the stream duration, where a failed packet scan
 raises ``ProberFailure``. ``probe.read_mp4`` always reports a positive
 stream bitrate (else it leaves the file to the prober), so the scan is
-reachable only through the ffprobe path, ``probe_media``. Shared videos
-are measured by it; a trial encode's rate is read from its MP4
-(``probe.mp4_stream_rate``).
+reachable only through the ffprobe path, ``probe_media``. The shared
+video and every trial encode are measured by it, each from what
+``probe.media_info`` reads.
 """
 
 from __future__ import annotations

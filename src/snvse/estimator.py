@@ -29,15 +29,15 @@ of the bounds, so every estimate can be saved.
 Trial encodes and the tool runs they cost (README points here). Every
 trial is encoded whole within its window, to ``trial-crf{crf}.mp4`` in a
 directory of its pair's own in the scratch dir, which is removed however
-the search ends. Its rate is read in-process from the MP4's sample table
-(``probe.mp4_stream_rate``, the stream bitrate ffprobe reports), and the
-file is removed at once. So no trial is probed and every logged rate is
-measured. The original and the shared video are read by
-``probe.media_info``: an MP4 from its ``moov``, with no tool run, any
-other file by the prober; the shared video's x264 settings are read from
-its first sample, with no tool run either. So a pair of MP4s costs
-``trials`` tool runs, and a pair of other containers ``2 + trials`` (plus
-a packet scan where the prober reports no bitrate for the shared video).
+the search ends. Its rate is measured as the shared video's is,
+``bitrate.measure_bitrate`` of ``probe.media_info``, and the file is
+removed at once. ``media_info`` reads an MP4 from its ``moov``, with no
+tool run, and any other file by the prober; the shared video's x264
+settings are read from its first sample, with no tool run either. So a
+pair of MP4s costs ``trials`` tool runs, and a pair of other containers
+``2 + trials`` (plus a packet scan where the prober reports no bitrate
+for the shared video). A trial the reader does not read fully costs one
+probe more.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .bitrate import measure_bitrate
 from .config import RunConfig
 from .encoder import EncodeSpec, encode, normalize_dimensions
 from .errors import AllItemsFailed, InvalidRange, PreconditionViolation
-from .probe import media_info, mp4_stream_rate, x264_settings
+from .probe import media_info, x264_settings
 from .profile_db import CRF_MAX, CRF_MIN, ProfileEntry, check_unique_pair_ids
 from .runner import Outcome, run_batch
 
@@ -139,9 +139,9 @@ def estimate_crf(
         out_path = Path(trial_dir) / f"trial-crf{crf}.mp4"
         encode(pair.original_path, EncodeSpec(*rho_out, float(crf), shared.frame_rate), out_path,
                config, max_seconds=trial_seconds)
-        rate = trials[crf] = mp4_stream_rate(out_path)
+        rate = trials[crf] = measure_bitrate(media_info(out_path, config), config).value
         out_path.unlink()
-        logger.debug("pair %s: trial crf=%d -> %d bit/s (target %.0f)",
+        logger.debug("pair %s: trial crf=%d -> %.0f bit/s (target %.0f)",
                      pair.pair_id, crf, rate, target)
         return rate
 

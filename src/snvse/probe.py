@@ -14,8 +14,8 @@ container, a fragmented or truncated file, another codec) goes to
 ``probe_media``, so the reader adds no error of its own.
 ``scan_video_stream_bytes`` runs the same prober to sum video packet
 sizes, and a failed scan raises ``ProberFailure`` like a failed probe.
-``mp4_stream_rate`` reads the stream bitrate of an MP4 file that holds one
-stream, such as a trial encode, from its sample table, and runs no tool.
+The shared video and every trial encode go through ``media_info``, so the
+two sides of the CRF search are measured alike (``snvse.bitrate``).
 ``x264_settings`` reads the option string x264 writes into the first video
 sample of its output (``crf=`` among it), and runs no tool either. A
 number that is not finite, or too large for a float, reads as absent; a
@@ -267,37 +267,6 @@ def _media_header(mdhd: bytes, path: str | Path) -> tuple[int, int]:
     return time_scale, duration
 
 
-def _stream_rate(stsz: bytes, time_scale: int, duration: int, path: str | Path) -> int:
-    """The sizes in an ``stsz`` box (a fixed one, or one per sample), in bits,
-    over *duration* in *time_scale*, rounded to the nearest bit/s as
-    ``av_rescale`` rounds."""
-    sample_size, count = _unpack(">4xII", stsz, "stsz", path)
-    data_size = (sample_size * count if sample_size
-                 else sum(_unpack(f">12x{count}I", stsz, "stsz", path)))
-    return (data_size * 8 * time_scale + duration // 2) // duration
-
-
-def mp4_stream_rate(path: str | Path) -> int:
-    """The bitrate of an MP4 file's one stream, in bit/s, as ffprobe reports it.
-
-    libavformat's mov demuxer computes it from ``moov/trak/mdia``: the sizes
-    in ``minf/stbl/stsz`` (a fixed one, or one per sample), in bits, over the
-    duration in ``mdhd`` (version 0 or 1) in its time scale, rounded to the
-    nearest bit/s as ``av_rescale`` rounds. This reads them without a tool
-    run. Raises ProberFailure unless the file holds exactly one ``trak``,
-    and on a missing or truncated box or a zero duration or time scale. An
-    edit list (``elst``) may shift the duration ffprobe divides by, and
-    equality with real ffprobe is unverified (ROADMAP item 10).
-    """
-    try:
-        with open(path, "rb") as fh:
-            mdhd = _body(fh, "moov/trak/mdia/mdhd", path)
-            stsz = _body(fh, "moov/trak/mdia/minf/stbl/stsz", path)
-    except OSError as exc:
-        raise ProberFailure(f"cannot read {path}: {exc}") from exc
-    return _stream_rate(stsz, *_media_header(mdhd, path), path)
-
-
 # The pixel format of an 8-bit stream by the avcC's chroma_format_idc.
 _CHROMA_FORMATS = {1: "yuv420p", 2: "yuv422p", 3: "yuv444p"}
 # H.264 profiles whose avcC has no chroma extension: Baseline, Main, Extended; all 4:2:0.
@@ -318,11 +287,12 @@ def read_mp4(path: str | Path) -> MediaInfo | None:
     format from its ``avcC`` (4:2:0 for profiles 66, 77 and 88, else the
     chroma format of the High-profile extension, at 8 bits only); the
     average frame rate, time scale × frames over the frame ticks in
-    ``stts``; the ``mdhd`` duration; and ``mp4_stream_rate``'s arithmetic
-    for the stream bitrate. Anything else, and a missing, truncated or
-    malformed box, reads as None, so ``media_info`` falls back to the
-    prober. Equality with real ffprobe (an edit list's shift, a full-range
-    ``yuvj420p``, which only the SPS states) is unverified (ROADMAP item 10).
+    ``stts``; the ``mdhd`` duration; and the stream bitrate, the ``stsz``
+    sample sizes in bits over that duration, rounded as ``av_rescale``
+    rounds. Anything else, and a missing, truncated or malformed box, reads
+    as None, so ``media_info`` falls back to the prober. Equality with real
+    ffprobe (an edit list's shift, a full-range ``yuvj420p``, which only
+    the SPS states) is unverified (ROADMAP item 10).
     """
     path = Path(path)
     try:
@@ -331,29 +301,46 @@ def read_mp4(path: str | Path) -> MediaInfo | None:
             top = [kind for kind, _, _ in _boxes(fh, 0, file_size, path)]
             if top[:1] != [b"ftyp"] or b"moof" in top:
                 return None
-            moov = io.BytesIO(_body(fh, "moov", path))
-        return _read_moov(moov, path, file_size)
+            track = _video_track(fh, path)
+        if track is None or b"mvex" in track[0]:
+            return None
+        return _read_track(track[1], path, file_size)
     except (OSError, ProberFailure):
         return None
 
 
-def _video_trak(moov: io.BytesIO, boxes: list, path: Path) -> tuple[int, int] | None:
-    """The body range of the first ``trak`` among a ``moov``'s *boxes* with a ``vide`` handler."""
+def _video_track(fh, path: Path) -> tuple[list[bytes], dict[bytes, list[bytes]]] | None:
+    """The 4CCs of the boxes in an open MP4's ``moov``, and the bodies of the
+    boxes in ``mdia`` and ``mdia/minf/stbl`` of its first ``trak`` with a
+    ``vide`` handler, by 4CC; None where no ``trak`` has one. Raises
+    ProberFailure on a truncated box, or where a ``moov``, ``mdia``,
+    ``hdlr``, ``minf`` or ``stbl`` on the way is not one box."""
+    data = _body(fh, "moov", path)
+    moov = io.BytesIO(data)
+    boxes = _boxes(moov, 0, len(data), path)
     # hdlr: version and flags, a predefined field, then the handler type.
-    return next(((start, end) for kind, start, end in boxes if kind == b"trak"
+    trak = next(((start, end) for kind, start, end in boxes if kind == b"trak"
                  and _body(moov, "mdia/hdlr", path, start, end)[8:12] == b"vide"), None)
-
-
-def _read_moov(moov: io.BytesIO, path: Path, file_size: int) -> MediaInfo | None:
-    boxes = _boxes(moov, 0, len(moov.getbuffer()), path)
-    if any(kind == b"mvex" for kind, _, _ in boxes):
-        return None
-    trak = _video_trak(moov, boxes, path)
     if trak is None:
         return None
-    time_scale, duration = _media_header(_body(moov, "mdia/mdhd", path, *trak), path)
-    stsd, stts, stsz = (_body(moov, f"mdia/minf/stbl/{kind}", path, *trak)
-                        for kind in ("stsd", "stts", "stsz"))
+    found = {}
+    for where in ("mdia", "mdia/minf/stbl"):
+        for kind, start, end in _boxes(moov, *_span(moov, where, path, *trak), path):
+            found.setdefault(kind, []).append(data[start:end])
+    return [kind for kind, _, _ in boxes], found
+
+
+def _one(boxes: dict[bytes, list[bytes]], kind: bytes, path: Path) -> bytes:
+    """The body of the one *kind* box among *boxes*; ProberFailure unless there is one."""
+    found = boxes.get(kind, [])
+    if len(found) != 1:
+        raise ProberFailure(f"{path} holds {len(found)} {kind.decode()} boxes where one is read")
+    return found[0]
+
+
+def _read_track(boxes: dict[bytes, list[bytes]], path: Path, file_size: int) -> MediaInfo | None:
+    time_scale, duration = _media_header(_one(boxes, b"mdhd", path), path)
+    stsd, stts, stsz = (_one(boxes, kind, path) for kind in (b"stsd", b"stts", b"stsz"))
 
     sample_entries = io.BytesIO(stsd)
     entries = _boxes(sample_entries, 8, len(stsd), path)  # after the version, flags and count
@@ -369,7 +356,9 @@ def _read_moov(moov: io.BytesIO, path: Path, file_size: int) -> MediaInfo | None
     runs = list(zip(table[0::2], table[1::2]))  # (frames, ticks per frame)
     frames, ticks = sum(n for n, _ in runs), sum(n * delta for n, delta in runs)
     deltas = {delta for n, delta in runs if n}
-    rate = _stream_rate(stsz, time_scale, duration, path)
+    sample_size, samples = _unpack(">4xII", stsz, "stsz", path)
+    data_size = sample_size * samples or sum(_unpack(f">12x{samples}I", stsz, "stsz", path))
+    rate = (data_size * 8 * time_scale + duration // 2) // duration
     # mov.c reads a frame interval as a signed 32-bit number, and reduces
     # the average rate to 32-bit terms; leave either limit to the prober.
     if not (width and height and pixel_format and ticks and rate) or max(deltas) >= 2 ** 31:
@@ -442,21 +431,19 @@ def x264_settings(path: str | Path) -> dict[str, str] | None:
     path = Path(path)
     try:
         with open(path, "rb") as fh:
-            moov = io.BytesIO(_body(fh, "moov", path))
-            trak = _video_trak(moov, _boxes(moov, 0, len(moov.getbuffer()), path), path)
-            if trak is None:
+            track = _video_track(fh, path)
+            if track is None:
                 return None
-            offsets = [(kind, start, end) for kind, start, end
-                       in _boxes(moov, *_span(moov, "mdia/minf/stbl", path, *trak), path)
-                       if kind in (b"stco", b"co64")]
+            _, boxes = track
+            offsets = [(kind, table) for kind in (b"stco", b"co64") for table in boxes.get(kind, [])]
             if len(offsets) != 1:
                 return None
-            [(kind, start, end)] = offsets
-            count, first = _unpack(">4xII" if kind == b"stco" else ">4xIQ",
-                                   moov.getbuffer()[start:end], kind.decode(), path)
+            [(kind, table)] = offsets
+            count, first = _unpack(">4xII" if kind == b"stco" else ">4xIQ", table,
+                                   kind.decode(), path)
             if not count:
                 return None
-            stsz = _body(moov, "mdia/minf/stbl/stsz", path, *trak)
+            stsz = _one(boxes, b"stsz", path)
             # stsz: a fixed sample size, or 0 and then one size per sample.
             size = _unpack(">4xI", stsz, "stsz", path)[0] or _unpack(">12xI", stsz, "stsz", path)[0]
             fh.seek(first)

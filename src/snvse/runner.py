@@ -2,11 +2,12 @@
 
 Every invocation logs its exact argument list at DEBUG (forensic
 reproducibility). Each tool process has one owner, the ``run_tool`` call
-that started it, which terminates it within one poll of an interrupt so
-the caller can clean up partial outputs; an interrupted pool starts no
-further tool. Every batch runs through ``run_batch``, every name
-derived from a file's stem is checked for collisions by ``by_stem``, and
-every output path is checked against the inputs by ``refuse_overwrite``.
+that started it, which terminates it within one poll of an interrupt,
+killing it after a grace period, so the caller can clean up partial
+outputs; an interrupted pool starts no further tool. Every batch runs
+through ``run_batch``, every name derived from a file's stem is checked
+for collisions by ``by_stem``, and every output path is checked against
+the inputs by ``refuse_overwrite``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import PreconditionViolation, SnvseError
 logger = logging.getLogger(__name__)
 
 _POLL_S = 0.1  # how often a running tool's owner checks its pool's stop flag
+_GRACE_S = 2.0  # how long a terminated tool may take to exit before it is killed
 
 
 class _Worker(threading.local):
@@ -40,7 +42,8 @@ def run_tool(argv: list[str]) -> subprocess.CompletedProcess:
     Does not raise on nonzero exit; callers interpret the return code so
     they can attach domain-specific diagnostics. The call owns its process:
     in an interrupted pool's worker the tool does not start (the result
-    reads as a terminated tool's) or is terminated within one poll.
+    reads as a terminated tool's) or is terminated within one poll, then
+    killed if it has not exited ``_GRACE_S`` later.
     """
     if _worker.stop.is_set():
         return subprocess.CompletedProcess(argv, -signal.SIGTERM, "", "interrupted")
@@ -64,7 +67,11 @@ def run_tool(argv: list[str]) -> subprocess.CompletedProcess:
                 pass  # retrying loses no output
         else:
             proc.terminate()
-            stdout, stderr = proc.communicate()
+            try:
+                stdout, stderr = proc.communicate(timeout=_GRACE_S)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                stdout, stderr = proc.communicate()
     finally:
         if proc.poll() is None:
             proc.kill()

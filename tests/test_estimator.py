@@ -194,6 +194,38 @@ def test_an_abr_shared_video_searches_cold(config, tmp_path, trial_events, caplo
         " crf=None, cold start")
 
 
+@pytest.fixture(scope="module")
+def cold_search(config, budget_pairs, tmp_path_factory):
+    """budget_pairs[0] with a shared video that states nothing, and its estimate."""
+    pair = budget_pairs[0]
+    pair = dataclasses.replace(pair, shared_path=strip_x264_settings(
+        pair.shared_path, tmp_path_factory.mktemp("cold") / "shared.mp4"))
+    return pair, estimate_crf(pair, config=config)
+
+
+@pytest.mark.parametrize("settings, first", [
+    ({"rc": "crf", "crf": "51.0"}, 50),
+    ({"rc": "crf", "crf": "18.0"}, 21),
+    ({"rc": "crf", "crf": "nan"}, 50),
+    ({"rc": "crf", "crf": "inf"}, 50),
+    ({"rc": "crf", "crf": "1e999"}, 50),
+    ({"rc": "crf", "crf": "abc"}, 50),
+    ({"rc": "crf", "crf": ""}, 50),
+    ({"rc": "abr", "crf": "30.0"}, 50),
+], ids=["above-c_max", "below-c_min", "nan", "inf", "1e999", "abc", "empty", "abr"])
+def test_a_stated_crf_is_clamped_into_the_range_or_ignored(config, cold_search, trial_events,
+                                                           monkeypatch, settings, first):
+    # A stated CRF outside [c_min, c_max] is clamped to its nearer end; one
+    # that is not a finite number, or stated under another rate control,
+    # starts the search cold at c_max. The answer is the cold search's.
+    pair, cold = cold_search
+    monkeypatch.setattr(snvse.estimator, "x264_settings", lambda path: settings)
+    got = estimate_crf(pair, config=config)
+    [log] = trial_events.values()
+    assert log[0][1] == first
+    assert (got.crf_hat, got.saturated) == (cold.crf_hat, cold.saturated)
+
+
 def test_trial_seconds_truncation_still_recovers(hidden_pair, config):
     result = estimate_crf(hidden_pair, config=config, trial_seconds=3.0)
     assert 32 <= result.crf_hat <= 34
@@ -351,32 +383,23 @@ def probed_everywhere(config, budget_pairs, tmp_path_factory):
 
 @pytest.fixture
 def trial_events(monkeypatch):
-    """Per thread, in order: each trial encode ("encode", crf, output name, input stem)
-    and each media_info read of a trial output ("probe", name)."""
+    """Per thread, in order: each trial encode ("encode", crf, output name, input stem)."""
     events = defaultdict(list)
+    encode_trial = snvse.estimator.encode
 
-    def spy(name, event):
-        original = getattr(snvse.estimator, name)
+    def spy(source, spec, out, *args, **kwargs):
+        result = encode_trial(source, spec, out, *args, **kwargs)
+        events[threading.get_ident()].append(("encode", int(spec.crf), out.name, Path(source).stem))
+        return result
 
-        def call(*args, **kwargs):
-            result = original(*args, **kwargs)
-            if (recorded := event(*args)) is not None:
-                events[threading.get_ident()].append(recorded)
-            return result
-
-        monkeypatch.setattr(snvse.estimator, name, call)
-
-    spy("encode", lambda source, spec, out, *rest: ("encode", int(spec.crf), out.name,
-                                                    Path(source).stem))
-    spy("media_info", lambda path, *rest: ("probe", path.name)
-        if path.name.startswith("trial-") else None)
+    monkeypatch.setattr(snvse.estimator, "encode", spy)
     return events
 
 
 @pytest.mark.parametrize("seconds", [None, 1.0], ids=["whole", "1s"])
 @pytest.mark.parametrize("strategy", list(SearchStrategy), ids=lambda s: s.value)
-def test_budget_keeps_every_estimate(config, budget_pairs, probed_everywhere, backend, trial_events,
-                                     strategy, seconds):
+def test_budget_keeps_every_estimate(config, budget_pairs, probed_everywhere, backend, tool_calls,
+                                     caplog, strategy, seconds):
     # One rule for both strategies: the answer of probing every CRF, with
     # the failing CRF below it logged, and every logged rate the one a probe
     # measures, though no trial is probed. Under 1 s trials, the trial at
@@ -387,8 +410,10 @@ def test_budget_keeps_every_estimate(config, budget_pairs, probed_everywhere, ba
                "at-c_max": (36, False)}
     assert {pair: answer for (window, pair), (*_, answer) in probed_everywhere.items()
             if window == seconds} == answers
-    for outcome in estimate_batch(budget_pairs, strategy=strategy, config=config,
-                                  trial_seconds=seconds, **BUDGET_RANGE):
+    with caplog.at_level(logging.WARNING, logger="snvse.probe"):
+        outcomes = estimate_batch(budget_pairs, strategy=strategy, config=config,
+                                  trial_seconds=seconds, **BUDGET_RANGE)
+    for outcome in outcomes:
         got = outcome.result
         target, measured, answer = probed_everywhere[seconds, got.pair_id]
         assert (got.target_bitrate, (got.crf_hat, got.saturated)) == (target, answer)
@@ -398,7 +423,11 @@ def test_budget_keeps_every_estimate(config, budget_pairs, probed_everywhere, ba
             assert rates[got.crf_hat - 1] > target
         if backend == "sim" and got.pair_id == "integer" and seconds is None:
             assert rates[got.crf_hat] == target  # a rate equal to the target passes
-    assert [event for log in trial_events.values() for event in log if event[0] == "probe"] == []
+    prober = config.ffprobe_argv()
+    assert [argv for argv in tool_calls if argv[:len(prober)] == prober
+            and Path(argv[-1]).name.startswith("trial-")] == []
+    if backend == "sim":  # no read of an input or a trial logs at WARNING
+        assert [r for r in caplog.records if r.name == "snvse.probe"] == []
 
 
 def test_search_failing_after_a_settled_pass_leaves_no_trial_file(config, budget_pairs, tmp_path,

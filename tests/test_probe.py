@@ -20,7 +20,6 @@ from snvse.encoder import EncodeSpec, encode
 from snvse.probe import (
     MediaInfo,
     media_info,
-    mp4_stream_rate,
     probe_media,
     read_mp4,
     scan_video_stream_bytes,
@@ -185,11 +184,6 @@ def test_a_number_that_is_not_finite_reads_as_absent(config, tmp_path, stream, d
     assert (info.duration, info.stream_bitrate) == (duration, bit_rate)
 
 
-def test_mp4_stream_rate_of_an_unreadable_file(tmp_path):
-    with pytest.raises(ProberFailure, match="cannot read"):
-        mp4_stream_rate(tmp_path)
-
-
 # --- the in-process sample-table reader ---
 
 def box(kind: bytes, *parts: bytes) -> bytes:
@@ -204,13 +198,31 @@ def mdhd(time_scale: int, duration: int, version: int = 0) -> bytes:
     return box(b"mdhd", struct.pack(times, version, 0, 0, time_scale, duration))
 
 
+def hdlr(kind: bytes) -> bytes:
+    return box(b"hdlr", struct.pack(">8x4s12x", kind) + b"Handler\0")
+
+
 def stsz(sizes=(), fixed: int = 0, count: int | None = None) -> bytes:
     count = len(sizes) if count is None else count
     return box(b"stsz", struct.pack(f">4xII{len(sizes)}I", fixed, count, *sizes))
 
 
+# An stsd of one 320x240 avc1 entry, whose avcC states the Baseline profile
+# (4:2:0) and no parameter sets, and an stts of one frame of one tick.
+STSD = box(b"stsd", struct.pack(">4xI", 1), box(
+    b"avc1", bytes(24), struct.pack(">HH", 320, 240), bytes(50),
+    box(b"avcC", bytes([1, 66, 0, 30, 0xFF, 0xE0, 0]))))
+STTS = box(b"stts", struct.pack(">4x3I", 1, 1, 1))
+
+
 def trak(header: bytes, table: bytes) -> bytes:
     return box(b"trak", box(b"mdia", header, box(b"minf", box(b"stbl", table))))
+
+
+def video(header: bytes, samples: bytes) -> bytes:
+    """A video trak of *header* (an mdhd) and *samples* (an stsz), with the
+    boxes read_mp4 reads besides."""
+    return trak(header + hdlr(b"vide"), STSD + STTS + samples)
 
 
 def mp4(*traks: bytes) -> bytes:
@@ -224,77 +236,86 @@ SAMPLES = stsz([1000, 250, 250])
 
 
 @pytest.mark.parametrize("data, rate", [
-    (mp4(trak(TWO_SECONDS, SAMPLES)), 6000),
-    (mp4(trak(mdhd(15360, 30720, version=1), SAMPLES)), 6000),
-    (mp4(trak(TWO_SECONDS, stsz(fixed=500, count=3))), 6000),
-    (box(b"moov", trak(TWO_SECONDS, SAMPLES)) + struct.pack(">I4sQ", 1, b"mdat", 20) + b"abcd"
+    (mp4(video(TWO_SECONDS, SAMPLES)), 6000),
+    (mp4(video(mdhd(15360, 30720, version=1), SAMPLES)), 6000),
+    (mp4(video(TWO_SECONDS, stsz(fixed=500, count=3))), 6000),
+    (box(b"ftyp", b"isom") + box(b"moov", video(TWO_SECONDS, SAMPLES))
+     + struct.pack(">I4sQ", 1, b"mdat", 20) + b"abcd"
      + struct.pack(">I4s", 0, b"free") + b"to the end", 6000),
-    (mp4(trak(mdhd(90000, 2 ** 33, version=1), stsz(fixed=2 ** 31, count=2 ** 20))),
+    (mp4(video(mdhd(90000, 2 ** 33, version=1), stsz(fixed=2 ** 31, count=2 ** 20))),
      2 ** 21 * 90000),
-    (mp4(trak(mdhd(1, 16), stsz([1]))), 1),
-    (mp4(trak(mdhd(1, 17), stsz([1]))), 0),
-    (mp4(trak(mdhd(3, 16), stsz([1]))), 2),
-    (mp4(trak(mdhd(1, 3), stsz([1]))), 3),
-    (mp4(trak(TWO_SECONDS, stsz())), 0),
+    (mp4(video(mdhd(1, 16), stsz([1]))), 1),
+    (mp4(video(mdhd(1, 17), stsz([1]))), None),
+    (mp4(video(mdhd(3, 16), stsz([1]))), 2),
+    (mp4(video(mdhd(1, 3), stsz([1]))), 3),
+    (mp4(video(TWO_SECONDS, stsz())), None),
+    (mp4(video(TWO_SECONDS, SAMPLES), video(TWO_SECONDS, stsz([9]))), 6000),
 ], ids=["v0-table", "v1", "fixed-size", "moov-first", "64-bit", "half-up", "under-half",
-        "three-halves", "over-half", "no-samples"])
-def test_mp4_stream_rate_reads_what_ffprobe_reports(tmp_path, data, rate):
-    # The stsz sample sizes in bits over the mdhd duration, rounded to the
-    # nearest bit/s with halves up, as av_rescale rounds.
+        "three-halves", "over-half", "no-samples", "two-traks"])
+def test_mp4_stream_rate_reads_what_ffprobe_reports(config, tmp_path, tool_calls, data, rate):
+    # The stream bitrate read_mp4 reads, and a trial encode's is measured by:
+    # the first video trak's stsz sample sizes in bits over its mdhd
+    # duration, rounded to the nearest bit/s with halves up, as av_rescale
+    # rounds. A rate that rounds to 0 (None here) is left to the prober.
     path = tmp_path / "trial.mp4"
     path.write_bytes(data)
-    assert mp4_stream_rate(path) == rate
+    info = read_mp4(path)
+    if rate is not None:
+        assert (info.resolution, info.stream_bitrate) == ((320, 240), rate)
+        return
+    assert info is None
+    with contextlib.suppress(NoVideoStream, ProberFailure):
+        media_info(path, config)
+    assert len(tool_calls) == 1
 
 
-@pytest.mark.parametrize("data, problem", [
-    (mp4(trak(TWO_SECONDS, SAMPLES), trak(TWO_SECONDS, SAMPLES)), "holds 2 trak boxes"),
-    (mp4(), "holds 0 trak boxes"),
-    (box(b"ftyp", b"isom") + box(b"mdat", bytes(8)), "holds 0 moov boxes"),
-    (b"", "holds 0 moov boxes"),
-    (mp4(trak(box(b"free"), SAMPLES)), "holds 0 mdhd boxes"),
-    (mp4(box(b"trak", box(b"mdia", TWO_SECONDS))), "holds 0 minf boxes"),
-    (mp4(trak(TWO_SECONDS, box(b"stz2", bytes(12)))), "holds 0 stsz boxes"),
-    (mp4(trak(mdhd(15360, 0), SAMPLES)), "a duration of 0 at a time scale of 15360"),
-    (mp4(trak(mdhd(0, 30720, version=1), SAMPLES)), "a duration of 30720 at a time scale of 0"),
-    (mp4(trak(mdhd(15360, 30720, version=2), SAMPLES)), "mdhd box of .* is not of version 0 or 1"),
-    (mp4(trak(box(b"mdhd", bytes(19)), SAMPLES)), "the mdhd box of .* is truncated"),
-    (mp4(trak(box(b"mdhd", b"\1" + bytes(30)), SAMPLES)), "the mdhd box of .* is truncated"),
-    (mp4(trak(TWO_SECONDS, stsz([1000, 250], count=3))), "the stsz box of .* is truncated"),
-    (mp4(trak(TWO_SECONDS, box(b"stsz", bytes(11)))), "the stsz box of .* is truncated"),
-    (mp4(trak(TWO_SECONDS, SAMPLES))[:-1], "box b'moov' at byte 28 of .* is truncated"),
-    (mp4(box(b"trak", box(b"mdia", TWO_SECONDS, struct.pack(">I4s", 99, b"minf")))),
-     "box b'minf' at byte .* is truncated"),
-    (b"\0\0\0\1mdat" + bytes(4), "the box header at byte 0 of .* is truncated"),
-    (struct.pack(">I4s", 4, b"moov"), "is 4 bytes, below its 8-byte header"),
-    (struct.pack(">I4sQ", 1, b"moov", 12) + b"abcd", "is 12 bytes, below its 16-byte header"),
+@pytest.mark.parametrize("data", [
+    mp4(trak(TWO_SECONDS, SAMPLES), video(TWO_SECONDS, SAMPLES)),
+    mp4(),
+    box(b"ftyp", b"isom") + box(b"mdat", bytes(8)),
+    b"",
+    mp4(video(box(b"free"), SAMPLES)),
+    mp4(box(b"trak", box(b"mdia", TWO_SECONDS, hdlr(b"vide")))),
+    mp4(video(TWO_SECONDS, box(b"stz2", bytes(12)))),
+    mp4(video(mdhd(15360, 0), SAMPLES)),
+    mp4(video(mdhd(0, 30720, version=1), SAMPLES)),
+    mp4(video(mdhd(15360, 30720, version=2), SAMPLES)),
+    mp4(video(box(b"mdhd", bytes(19)), SAMPLES)),
+    mp4(video(box(b"mdhd", b"\1" + bytes(30)), SAMPLES)),
+    mp4(video(TWO_SECONDS, stsz([1000, 250], count=3))),
+    mp4(video(TWO_SECONDS, box(b"stsz", bytes(11)))),
+    mp4(video(TWO_SECONDS, SAMPLES))[:-1],
+    mp4(box(b"trak", box(b"mdia", TWO_SECONDS, hdlr(b"vide"), struct.pack(">I4s", 99, b"minf")))),
+    b"\0\0\0\1mdat" + bytes(4),
+    struct.pack(">I4s", 4, b"moov"),
+    struct.pack(">I4sQ", 1, b"moov", 12) + b"abcd",
 ], ids=["two-traks", "no-trak", "no-moov", "empty", "no-mdhd", "no-minf", "no-stsz",
         "zero-duration", "zero-time-scale", "mdhd-v2", "short-mdhd", "short-mdhd-v1",
         "short-table", "short-stsz", "overrun", "truncated-child", "truncated-header",
         "small", "small-largesize"])
-def test_mp4_stream_rate_names_what_is_wrong(tmp_path, data, problem):
+def test_mp4_stream_rate_names_what_is_wrong(config, tmp_path, tool_calls, data):
+    # Each file differs in one way from mp4(video(TWO_SECONDS, SAMPLES)),
+    # which read_mp4 reads (two-traks: a trak with no handler ahead of the
+    # video's). read_mp4 leaves it to the prober, which names what is wrong
+    # with it: one prober run, or none for an empty file, which media_info
+    # refuses itself.
     path = tmp_path / "trial.mp4"
     path.write_bytes(data)
-    with pytest.raises(ProberFailure, match=problem):
-        mp4_stream_rate(path)
+    assert read_mp4(path) is None
+    with contextlib.suppress(NoVideoStream, ProberFailure):
+        media_info(path, config)
+    assert len(tool_calls) == (1 if data else 0)
 
 
-def test_mp4_stream_rate_refuses_a_sim_original_with_an_audio_track(tmp_path):
-    # A trak per stream: the rate of one of two streams is not read.
-    clip = tmp_path / "clip.mp4"
-    assert main_ffmpeg(["-y", "-f", "lavfi", "-i", "testsrc2=size=320x240:rate=30",
-                        "-crf", "30", "-t", "1", str(clip)]) == 0
-    mp4_stream_rate(clip)
-    write_container(clip, read_container(clip)["streams"]
-                    + [synthesize_source("sine=frequency=440:duration=1")])
-    with pytest.raises(ProberFailure, match="holds 2 trak boxes"):
-        mp4_stream_rate(clip)
+def test_mp4_stream_rate_of_an_unreadable_file(tmp_path):
+    assert read_mp4(tmp_path) is None
 
 
 # Boxes nested as deep as the readers walk, of the kinds they read and skip.
 # A leaf is a box body of raw bytes, or a full box's version, 0 or 1, and
 # enough raw bytes for its fields; a bare leaf is a file of raw bytes. A
-# file is one of three kinds, alike in number: such a tree; a tree that nests
-# an mdhd and an stsz leaf where mp4_stream_rate looks for them; or a sim
+# file is one of three kinds, alike in number: such a tree; a video trak
+# that read_mp4 reads but for the mdhd and stsz leaves it nests; or a sim
 # encode, with an audio track after its video or not. Each is cut short or
 # not, with up to three bytes overwritten.
 full_box = st.builds(lambda version, rest: bytes([version]) + rest,
@@ -306,12 +327,16 @@ box_trees = st.recursive(
          b"stsd", b"avc1", b"avcC", b"stts", b"stsz", b"mdat"]), children),
         max_size=3),
     max_leaves=12)
-readable = st.builds(lambda header, table: [(b"moov", [(b"trak", [(b"mdia", [
-    (b"mdhd", header), (b"minf", [(b"stbl", [(b"stsz", table)])])])])])], full_box, full_box)
+readable = st.builds(lambda header, table: [(b"ftyp", b"isom"), (b"moov", [(b"trak", [(b"mdia", [
+    (b"mdhd", header), (b"hdlr", hdlr(b"vide")[8:]),
+    (b"minf", [(b"stbl", [STSD, STTS, (b"stsz", table)])])])])])], full_box, full_box)
 
 
 def box_bytes(tree) -> bytes:
-    return tree if isinstance(tree, bytes) else b"".join(box(k, box_bytes(t)) for k, t in tree)
+    """The bytes of *tree*; a bytes child in a list is a whole box already."""
+    if isinstance(tree, bytes):
+        return tree
+    return b"".join(t if isinstance(t, bytes) else box(t[0], box_bytes(t[1])) for t in tree)
 
 
 @functools.cache
@@ -338,25 +363,12 @@ mp4_files = st.builds(mutated, box_trees.map(box_bytes) | readable.map(box_bytes
                       | st.booleans().map(sim_encode),
                       st.none() | st.integers(0, 400),
                       st.lists(st.tuples(st.integers(0, 2 ** 12), st.integers(0, 255)), max_size=3))
-mp4_stream_rate_reads = mp4(trak(mdhd(1, 1), stsz(fixed=1, count=1)))
-
-
-@settings(derandomize=True, max_examples=400, deadline=None)
-@given(data=mp4_files)
-@example(data=mp4_stream_rate_reads)
-def test_mp4_stream_rate_returns_a_rate_or_raises_prober_failure(tmp_path_factory, data):
-    path = tmp_path_factory.mktemp("bytes") / "trial.mp4"
-    path.write_bytes(data)
-    try:
-        rate = mp4_stream_rate(path)
-    except ProberFailure:
-        return
-    assert type(rate) is int and rate >= 0
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(data=mp4_files)
 @example(data=sim_encode(audio=True))
+@example(data=mp4(video(mdhd(1, 1), stsz(fixed=1, count=1))))
 def test_read_mp4_returns_media_info_or_none(tmp_path_factory, data):
     # Whatever the bytes, the reader raises nothing: what it does not read
     # is the prober's.
@@ -513,10 +525,6 @@ X264_TEXT = (
     b"rc_lookahead=40 rc=crf mbtree=1 crf=23.0 qcomp=0.60 qpmin=0 qpmax=69 qpstep=4 "
     b"ip_ratio=1.40 aq=1:1.00")
 ABR_TEXT = X264_TEXT.replace(b"rc=crf mbtree=1 crf=23.0", b"rc=abr mbtree=1 bitrate=800 ratetol=1.0")
-
-
-def hdlr(kind: bytes) -> bytes:
-    return box(b"hdlr", struct.pack(">8x4s12x", kind) + b"Handler\0")
 
 
 def stating(text: bytes, *, table: bytes = b"stco", uuid: bytes = X264_UUID,

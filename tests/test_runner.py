@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import snvse.runner
 from snvse.errors import EncoderFailure
 from snvse.runner import Outcome, run_batch, run_tool
 
@@ -143,3 +144,28 @@ def test_an_interrupted_wait_kills_and_reaps_its_tool(monkeypatch):
     assert proc.returncode == -signal.SIGKILL
     proc.stdout.close()
     proc.stderr.close()
+
+
+def test_a_tool_that_ignores_sigterm_is_killed_after_the_grace_period(monkeypatch, tmp_path):
+    # One process, no shell: killing a shell would orphan its child. The
+    # tool writes its pid once it ignores SIGTERM; the stop flag is set then.
+    marker = tmp_path / "pid"
+    stubborn = [sys.executable, "-c",
+                "import os, signal, time; signal.signal(signal.SIGTERM, signal.SIG_IGN); "
+                f"open({str(marker)!r}, 'w').write(str(os.getpid())); time.sleep(30)"]
+    stop = threading.Event()
+    monkeypatch.setattr(snvse.runner._worker, "stop", stop)
+    stopped = []
+
+    def stop_once_started():
+        while not marker.exists() or not marker.read_text():
+            time.sleep(0.01)
+        stopped.append(time.monotonic())
+        stop.set()
+
+    threading.Thread(target=stop_once_started, daemon=True).start()
+    result = run_tool(stubborn)
+    assert result.returncode == -signal.SIGKILL
+    assert time.monotonic() - stopped[0] <= snvse.runner._GRACE_S + 1
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(marker.read_text()), 0)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import snvse.probe
 import snvse.sim
 from snvse.config import RunConfig
-from snvse.probe import mp4_stream_rate, probe_media, scan_video_stream_bytes
+from snvse.probe import probe_media, read_mp4, scan_video_stream_bytes
 from snvse.sim import (
     _FFMPEG_OPTIONS,
     _FFPROBE_OPTIONS,
@@ -143,7 +143,7 @@ def test_the_prober_reports_the_rate_of_the_sample_table(tmp_path_factory, rate,
     with contextlib.redirect_stdout(io.StringIO()) as printed:
         assert main_ffprobe(["-show_streams", str(out)]) == 0
     [stream] = json.loads(printed.getvalue())["streams"]
-    assert int(stream["bit_rate"]) == mp4_stream_rate(out)
+    assert int(stream["bit_rate"]) == read_mp4(out).stream_bitrate
 
 
 def test_cli_rejects_odd_yuv420p(tmp_path, capsys):
