@@ -7,7 +7,8 @@ raises ``ProberFailure``. ``probe.read_mp4`` always reports a positive
 stream bitrate (else it leaves the file to the prober), so the scan is
 reachable only through the ffprobe path, ``probe_media``. The shared
 video and every trial encode are measured by it, each from what
-``probe.media_info`` reads.
+``probe.media_info`` reads: the shared video's by the estimator, and a
+trial's by ``encoder.encode``, which returns it.
 """
 
 from __future__ import annotations

@@ -2,19 +2,17 @@
 
 The invocation contract is fixed for every flow in this tool: libx264,
 yuv420p, full-frame scale to the target dimensions (no crop, no padding),
-an explicit output frame rate, audio dropped (``-an``), overwrite enabled.
+an explicit output frame rate, audio dropped (``-an``), overwrite enabled,
+and ffmpeg's stats line kept out of the captured stderr (``-nostats``).
 The scaler is the encoder's default bicubic-class filter and color tags
 pass through untouched. The preset is the run's (``RunConfig.preset``), so
-an ``EncodeSpec`` holds only what varies per encode. Every encode also
-asks for ffmpeg's machine-readable progress report on stdout
-(``-progress pipe:1 -nostats``). The exact argument list is logged for
-every run.
+an ``EncodeSpec`` holds only what varies per encode. The exact argument
+list is logged for every run.
 
-``encode`` is the one call site of the encoder. It runs it once and
-verifies the encode without a probe: the exit code is 0, the progress
-report ends with ``progress=end`` and counts at least one frame, and the
-output file exists and is non-empty. It returns what the run reports,
-not measured facts; callers that need those probe the output. Trial
+``encode`` is the one call site of the encoder. It runs it once, and
+checks and describes the output by reading it with ``probe.media_info``,
+as every other file is read: an MP4 from its ``moov``, with no tool run.
+An encode that exits 0 but leaves no output that reads fails. Trial
 encodes alone may be truncated (``max_seconds``).
 """
 
@@ -25,8 +23,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .config import RunConfig
-from .errors import EncoderFailure, PreconditionViolation
-from .probe import MediaInfo
+from .errors import EncoderFailure, NoVideoStream, PreconditionViolation, ProberFailure
+from .probe import MediaInfo, media_info
 from .runner import refuse_overwrite, run_tool
 
 PIXEL_FORMAT = "yuv420p"
@@ -78,7 +76,6 @@ def build_encode_argv(
         "-hide_banner",
         "-loglevel", "error",
         "-nostats",
-        "-progress", "pipe:1",
         "-y",
         "-i", str(input_path),
         "-map", "0:v:0",
@@ -96,20 +93,6 @@ def build_encode_argv(
     return argv
 
 
-def _unfinished(report: dict[str, str], output_path: Path) -> str | None:
-    """Why an encode that exited 0 did not finish its output, or None if it did."""
-    if report.get("progress") != "end":
-        return "progress report does not end with progress=end"
-    frame = report.get("frame", "")
-    if not (frame.isdigit() and int(frame) >= 1):
-        return f"progress report counts no frames (frame={frame or 'absent'})"
-    try:
-        size = output_path.stat().st_size
-    except OSError:
-        return "no output file"
-    return None if size else "output file is empty"
-
-
 def encode(
     input_path: str | Path,
     spec: EncodeSpec,
@@ -117,24 +100,24 @@ def encode(
     config: RunConfig | None = None,
     max_seconds: float | None = None,
 ) -> MediaInfo:
-    """Re-encode *input_path* per *spec* in one tool run and return what the run reports.
+    """Re-encode *input_path* per *spec* in one tool run and return
+    ``media_info`` of the output.
 
     *max_seconds*, when set, truncates the output to its first K seconds
-    (trial encodes). The MediaInfo holds the spec's size, frame rate and
-    codec, the progress report's frames over that rate as its duration,
-    and the output's file size.
-    An encode that exits nonzero, or exits 0 without a finished, non-empty
-    output, raises EncoderFailure; partial outputs are removed on failure.
-    An output that resolves to the input raises PreconditionViolation
-    before the tool runs, so the input is neither overwritten nor removed.
+    (trial encodes). An encode that exits nonzero, or exits 0 with an
+    output that does not read, raises EncoderFailure; partial outputs are
+    removed on failure. An output that resolves to the input raises
+    PreconditionViolation before the tool runs, so the input is neither
+    overwritten nor removed.
     """
     spec.validate()
     input_path, output_path = Path(input_path), Path(output_path)
     if not input_path.exists():
         raise FileNotFoundError(str(input_path))
+    config = config or RunConfig()
     refuse_overwrite([output_path], [input_path])
 
-    argv = build_encode_argv(input_path, spec, output_path, config or RunConfig(), max_seconds)
+    argv = build_encode_argv(input_path, spec, output_path, config, max_seconds)
     try:
         result = run_tool(argv)
         if result.returncode != 0:
@@ -142,23 +125,12 @@ def encode(
                 f"encoder exited {result.returncode} for {input_path} -> {output_path}: "
                 f"{result.stderr.strip()}"
             )
-        # The -progress report: blocks of key=value lines, so the last value
-        # of a key is the final one.
-        report = dict(map(str.strip, line.split("=", 1))
-                      for line in result.stdout.splitlines() if "=" in line)
-        problem = _unfinished(report, output_path)
-        if problem is not None:
-            raise EncoderFailure(f"encoder exited 0 for {input_path} -> {output_path}, but {problem}")
+        try:
+            return media_info(output_path, config)
+        except (OSError, NoVideoStream, ProberFailure) as exc:
+            problem = "it wrote no output" if isinstance(exc, FileNotFoundError) else exc
+            raise EncoderFailure(
+                f"encoder exited 0 for {input_path} -> {output_path}, but {problem}") from exc
     except BaseException:
         output_path.unlink(missing_ok=True)
         raise
-    return MediaInfo(
-        path=output_path,
-        width=spec.target_width,
-        height=spec.target_height,
-        frame_rate=spec.frame_rate,
-        codec_name="h264",
-        pixel_format=PIXEL_FORMAT,
-        duration=float(int(report["frame"]) / spec.frame_rate),
-        file_size=output_path.stat().st_size,
-    )

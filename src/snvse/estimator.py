@@ -30,14 +30,14 @@ Trial encodes and the tool runs they cost (README points here). Every
 trial is encoded whole within its window, to ``trial-crf{crf}.mp4`` in a
 directory of its pair's own in the scratch dir, which is removed however
 the search ends. Its rate is measured as the shared video's is,
-``bitrate.measure_bitrate`` of ``probe.media_info``, and the file is
-removed at once. ``media_info`` reads an MP4 from its ``moov``, with no
-tool run, and any other file by the prober; the shared video's x264
-settings are read from its first sample, with no tool run either. So a
-pair of MP4s costs ``trials`` tool runs, and a pair of other containers
-``2 + trials`` (plus a packet scan where the prober reports no bitrate
-for the shared video). A trial the reader does not read fully costs one
-probe more.
+``bitrate.measure_bitrate`` of ``probe.media_info``, which ``encode``
+returns, and the file is removed at once. ``media_info`` reads an MP4
+from its ``moov``, with no tool run, and any other file by the prober;
+the shared video's x264 settings are read from its first sample, with no
+tool run either. So a pair of MP4s costs ``trials`` tool runs, and a pair
+of other containers ``2 + trials`` (plus a packet scan where the prober
+reports no bitrate for the shared video). A trial the reader does not
+read fully costs one probe more.
 """
 
 from __future__ import annotations
@@ -137,9 +137,9 @@ def estimate_crf(
     def trial(crf: int) -> float:
         # trial_dir, the pair's own, is made around the search below; a pair trials a CRF once.
         out_path = Path(trial_dir) / f"trial-crf{crf}.mp4"
-        encode(pair.original_path, EncodeSpec(*rho_out, float(crf), shared.frame_rate), out_path,
-               config, max_seconds=trial_seconds)
-        rate = trials[crf] = measure_bitrate(media_info(out_path, config), config).value
+        info = encode(pair.original_path, EncodeSpec(*rho_out, float(crf), shared.frame_rate),
+                      out_path, config, max_seconds=trial_seconds)
+        rate = trials[crf] = measure_bitrate(info, config).value
         out_path.unlink()
         logger.debug("pair %s: trial crf=%d -> %.0f bit/s (target %.0f)",
                      pair.pair_id, crf, rate, target)

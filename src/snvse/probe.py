@@ -43,8 +43,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class MediaInfo:
-    """Facts about one video file: read by ``media_info``, or as the run of
-    ``encoder.encode`` reports them, with no stream bitrate."""
+    """Facts about one video file, as ``media_info`` reads them."""
 
     path: Path
     width: int
@@ -54,7 +53,7 @@ class MediaInfo:
     pixel_format: str
     duration: float
     file_size: int
-    stream_bitrate: float | None = None
+    stream_bitrate: float | None
 
     @property
     def resolution(self) -> tuple[int, int]:
@@ -141,7 +140,7 @@ def probe_media(path: str | Path, config: RunConfig | None = None) -> MediaInfo:
     try:
         width = int(video["width"])
         height = int(video["height"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProberFailure(f"video stream of {path} lacks dimensions: {exc}") from exc
     if width < 1 or height < 1:
         raise ProberFailure(f"nonpositive dimensions {width}x{height} in {path}")

@@ -2,11 +2,12 @@
 
 These are command-line stand-ins installed as ``snvse-sim-ffmpeg`` and
 ``snvse-sim-ffprobe`` (also runnable as ``python -m snvse.sim_ffmpeg`` /
-``sim_ffprobe``). They accept exactly the options snvse passes, and print
-exactly the fields it reads. The options are two tables, ``_FFMPEG_OPTIONS``
-and ``_FFPROBE_OPTIONS``: each holds exactly the options this package, its
-tests and its bench pass, with the parser of each option's value, and one
-argv parser reads both; any other option is "not simulated". The prober
+``sim_ffprobe``). They accept exactly the options snvse passes, and the
+encoder prints nothing but its ``-version`` line and its errors. The
+options are two tables, ``_FFMPEG_OPTIONS`` and ``_FFPROBE_OPTIONS``: each
+holds exactly the options this package, its tests and its bench pass,
+with the parser of each option's value, and one argv parser reads both;
+any other option is "not simulated". The prober
 prints only what ``probe.py`` reads: the fields of a video stream that
 ``probe_media`` uses, the ``codec_type`` of any other stream, the
 container's ``duration``, and each video packet's ``size``. They operate
@@ -322,16 +323,11 @@ def _parse_scale(expr: str) -> tuple[int, int]:
     return int(w), int(h)
 
 
-def _parse_progress(target: str) -> str:
-    if target != "pipe:1":
-        raise SimError(f"progress target {target!r} is not simulated")
-    return target
-
-
 # The sims' contract: every option each accepts, mapped to the parser of its
 # value, or to None for a bare flag. They hold exactly what snvse, its tests
 # and its bench pass; the encoder reads ``-version`` before them, and any
-# other option is "not simulated".
+# other option is "not simulated". ``-hide_banner``, ``-nostats`` and
+# ``-loglevel`` change nothing: the sim prints no banner, stats or log lines.
 _FFMPEG_OPTIONS = {
     "-y": None,
     "-hide_banner": None,
@@ -349,7 +345,6 @@ _FFMPEG_OPTIONS = {
     "-r": Fraction,
     "-b:v": _parse_kilobits,
     "-vf": _parse_scale,
-    "-progress": _parse_progress,
 }
 
 _FFPROBE_OPTIONS = {
@@ -483,10 +478,6 @@ def run_ffmpeg(argv: list[str]) -> int:
     if not out_streams:
         raise SimError("nothing to encode (no mapped streams)")
     write_container(output, out_streams)
-    if "-progress" in opts:
-        # The final block of ffmpeg's -progress report.
-        frames = sum(s.get("frames", 0) for s in out_streams)
-        print(f"frame={frames}\ntotal_size={output.stat().st_size}\nprogress=end")
     return 0
 
 

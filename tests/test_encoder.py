@@ -10,8 +10,9 @@ from snvse import sim
 from snvse.bitrate import measure_bitrate
 from snvse.encoder import EncodeSpec, build_encode_argv, encode, normalize_dimensions
 from snvse.errors import EncoderFailure, PreconditionViolation
-from snvse.probe import probe_media
+from snvse.probe import media_info, probe_media
 from conftest import fake_encoder, make_clip
+from test_probe import STSD, box, hdlr, mdhd, mp4, stsz, trak
 
 
 def _spec(**overrides):
@@ -26,7 +27,7 @@ def _spec(**overrides):
 
 
 def _probed(config, source, spec, out):
-    """The probe of an encode's output: measured facts, not what the run reports."""
+    """The prober's report of an encode's output, not what encode's own read of it says."""
     return probe_media(encode(source, spec, out, config).path, config)
 
 
@@ -112,29 +113,41 @@ def test_encoder_failure_cleans_partial_output(config, tmp_path):
     assert not out.exists()
 
 
-_WRITE_BYTES = 'import sys; open(sys.argv[-1], "wb").write(b"x" * 64); '
-_FINISHED = 'print("frame=10\\ntotal_size=64\\nprogress=end")'
+def _copying(config, source):
+    """*config* with an encoder that exits 0 after copying *source*, if any, to its output."""
+    copy = f"import shutil; shutil.copy({str(source)!r}, sys.argv[-1])" if source else "pass"
+    return fake_encoder(config, "import sys; " + copy)
 
 
 def test_fake_encoder_with_finished_output_is_accepted(config, clips, tmp_path):
     # The control for the rejections below: the same kind of script passes
-    # when its report and its output are complete.
-    fake = fake_encoder(config, _WRITE_BYTES + _FINISHED)
-    assert encode(clips["flat"], _spec(), tmp_path / "out.mp4", fake).path.stat().st_size == 64
-
-
-@pytest.mark.parametrize("code,reason", [
-    ("import sys; " + _FINISHED, "no output file"),
-    ('import sys; open(sys.argv[-1], "wb").close(); ' + _FINISHED, "output file is empty"),
-    (_WRITE_BYTES + 'print("frame=0\\nprogress=end")', "frame=0"),
-    (_WRITE_BYTES + 'print("frame=10\\nprogress=continue")', "progress=end"),
-    (_WRITE_BYTES + 'print("frame=10")', "progress=end"),
-    (_WRITE_BYTES + 'print("progress=end")', "frame=absent"),
-], ids=["no-output", "empty-output", "zero-frames", "unfinished", "no-progress", "no-frame-count"])
-def test_exit_0_without_finished_output_fails(config, clips, tmp_path, code, reason):
+    # when it writes a whole clip, and encode returns what media_info reads of it.
     out = tmp_path / "out.mp4"
-    with pytest.raises(EncoderFailure, match=reason):
-        encode(clips["flat"], _spec(), out, fake_encoder(config, code))
+    assert encode(clips["flat"], _spec(), out, _copying(config, clips["flat"])) == media_info(out, config)
+    assert out.read_bytes() == clips["flat"].read_bytes()
+
+
+# An MP4 whose one video trak holds no samples and lasts no time.
+_NO_SAMPLES = mp4(trak(mdhd(15360, 0) + hdlr(b"vide"), STSD + box(b"stts", bytes(8)) + stsz()))
+
+
+@pytest.mark.parametrize("written,reason", [
+    (None, "wrote no output"),
+    (lambda clip: b"", "is empty"),
+    (lambda clip: b"x" * 64, "Invalid data"),
+    (lambda clip: clip[:clip.rindex(b"moov") - 4], "Invalid data"),
+    (lambda clip: _NO_SAMPLES, ""),  # what the prober names varies with the prober
+], ids=["no-output", "empty-output", "not-mp4", "no-moov", "no-samples"])
+def test_exit_0_without_finished_output_fails(config, clips, tmp_path, written, reason):
+    # encode reads its output as media_info reads any file, and an output it
+    # cannot read fails the encode and is removed.
+    source = None
+    if written is not None:
+        source = tmp_path / "written.mp4"
+        source.write_bytes(written(clips["flat"].read_bytes()))
+    out = tmp_path / "out.mp4"
+    with pytest.raises(EncoderFailure, match=f"encoder exited 0 for .*, but .*{reason}"):
+        encode(clips["flat"], _spec(), out, _copying(config, source))
     assert not out.exists()
 
 
@@ -187,8 +200,8 @@ def test_argv_pins_the_full_contract(config, tmp_path):
     assert "-preset medium" in joined
     assert "-an" in joined
     assert "-y" in joined
-    assert "-progress pipe:1" in joined
     assert "-nostats" in joined
+    assert "-progress" not in argv
     # Only trial encodes carry a duration, just before the output path.
     trial = build_encode_argv(tmp_path / "in.mp4", spec, tmp_path / "out.mp4", config,
                               max_seconds=2.0)

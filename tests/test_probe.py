@@ -156,11 +156,12 @@ def _with_top(**top) -> bytes:
     (prober_doc(avg_frame_rate=[30, 1]), "frame rates of .* are not strings"),
     (b"[" * 100_000, "unparseable prober output .*: maximum recursion depth"),
     (prober_doc(duration="1e999", format_duration="inf"), "no usable duration"),
+    (prober_doc(width=1e999), "lacks dimensions"),
 ], ids=["list", "streams-object", "stream-string", "format-string", "rate-list", "nested",
-        "no-finite-duration"])
+        "no-finite-duration", "infinite-width"])
 def test_unusable_prober_json_is_a_prober_failure(config, tmp_path, stdout, problem):
-    # Each of these once ended in an AttributeError, TypeError or RecursionError,
-    # or read an infinite duration.
+    # Each of these once ended in an AttributeError, TypeError, RecursionError
+    # or OverflowError, or read an infinite duration.
     path = tmp_path / "in.mp4"
     path.write_bytes(b"read by no tool")
     with pytest.raises(ProberFailure, match=problem):

@@ -164,24 +164,6 @@ def test_cli_rejects_garbage_input(tmp_path, capsys):
     assert main_ffmpeg(["-i", str(bad), str(tmp_path / "o.mp4")]) == 1
 
 
-def test_cli_progress_report(tmp_path, capsys):
-    out = tmp_path / "clip.mp4"
-    code = main_ffmpeg([
-        "-nostats", "-progress", "pipe:1", "-y",
-        "-f", "lavfi", "-i", "testsrc2=size=640x360:rate=30",
-        "-c:v", "libx264", "-crf", "23", "-pix_fmt", "yuv420p",
-        "-t", "4", str(out),
-    ])
-    assert code == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines == ["frame=120", f"total_size={out.stat().st_size}", "progress=end"]
-    assert main_ffmpeg(["-progress", "report.txt", "-y", "-i", str(out), str(tmp_path / "o.mp4")]) == 1
-    # No caller cuts an encode at a size, so -fs is not simulated.
-    capsys.readouterr()
-    assert main_ffmpeg(["-y", "-i", str(out), "-fs", "1000", str(tmp_path / "fs.mp4")]) == 1
-    assert "option -fs is not simulated" in capsys.readouterr().err
-
-
 def _named_outside_sim() -> set[str]:
     """Every string constant in snvse without sim.py, in tests/ and in perfbench/."""
     root = Path(__file__).resolve().parents[1]
@@ -241,7 +223,11 @@ def test_every_printed_key_is_read_somewhere(tmp_path, monkeypatch, capsys):
     (main_ffprobe, ["-select_streams"], "option -select_streams requires an argument"),
     (main_ffmpeg, ["-t", "1", "-t", "2"], "option -t given twice is not simulated"),
     (main_ffprobe, ["-show_packets"], "option -show_packets is not simulated"),
-], ids=["ffmpeg-value", "ffprobe-value", "ffmpeg-twice", "ffprobe-unknown"])
+    # No caller cuts an encode at a size or asks for a progress report.
+    (main_ffmpeg, ["-y", "-fs", "1000"], "option -fs is not simulated"),
+    (main_ffmpeg, ["-nostats", "-progress", "pipe:1"], "option -progress is not simulated"),
+], ids=["ffmpeg-value", "ffprobe-value", "ffmpeg-twice", "ffprobe-unknown", "ffmpeg-unknown",
+        "ffmpeg-progress"])
 def test_argv_errors_name_the_option(capsys, main, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err == message + "\n"
