@@ -34,8 +34,15 @@ the search ends. Its rate is measured as the shared video's is,
 returns, and the file is removed at once. ``media_info`` reads an MP4
 from its ``moov``, with no tool run, and any other file by the prober;
 the shared video's x264 settings are read from its first sample, with no
-tool run either. So a pair of MP4s costs ``trials`` tool runs, and a pair
-of other containers ``2 + trials`` (plus a packet scan where the prober
+tool run either. The bisection's trial at a stated start also encodes
+the CRF below it, the witness a passing start needs, in the same run
+(``encode``'s sibling rule), wherever the stated CRF rounds up into
+(c_min, c_max]; a trial of that CRF then reads the file with no tool
+run, and one the search never asks for is logged at DEBUG, left out of
+the trial log and removed with the directory. So a stated pair of MP4s
+costs one tool run for its start and the CRF below it, plus one per
+further trial; any other pair of MP4s costs ``trials`` tool runs. A pair
+of other containers costs 2 more (plus a packet scan where the prober
 reports no bitrate for the shared video). A trial the reader does not
 read fully costs one probe more.
 """
@@ -133,14 +140,21 @@ def estimate_crf(
     rho_out = normalize_dimensions(shared.width, shared.height)
 
     trials: dict[int, float] = {}
+    paired = None  # the stated start, whose trial's run also encodes the CRF below it
+
+    def spec(crf: int) -> EncodeSpec:
+        return EncodeSpec(*rho_out, float(crf), shared.frame_rate)
+
+    def path(crf: int) -> Path:
+        # trial_dir, the pair's own, is made around the search below; a pair trials a CRF once.
+        return Path(trial_dir) / f"trial-crf{crf}.mp4"
 
     def trial(crf: int) -> float:
-        # trial_dir, the pair's own, is made around the search below; a pair trials a CRF once.
-        out_path = Path(trial_dir) / f"trial-crf{crf}.mp4"
-        info = encode(pair.original_path, EncodeSpec(*rho_out, float(crf), shared.frame_rate),
-                      out_path, config, max_seconds=trial_seconds)
+        siblings = [(spec(crf - 1), path(crf - 1))] if crf == paired else []
+        info = encode(pair.original_path, spec(crf), path(crf), config, max_seconds=trial_seconds,
+                      siblings=siblings, written=crf + 1 == paired and paired in trials)
         rate = trials[crf] = measure_bitrate(info, config).value
-        out_path.unlink()
+        path(crf).unlink()
         logger.debug("pair %s: trial crf=%d -> %.0f bit/s (target %.0f)",
                      pair.pair_id, crf, rate, target)
         return rate
@@ -148,9 +162,14 @@ def estimate_crf(
     if strategy is SearchStrategy.LINEAR_SWEEP:
         search = _linear_sweep
     else:
-        search = functools.partial(_bisection_with_verify, start=_stated_start(pair, c_min, c_max))
+        start, pairs_below = _stated_start(pair, c_min, c_max)
+        paired = start if pairs_below else None
+        search = functools.partial(_bisection_with_verify, start=start)
     with tempfile.TemporaryDirectory(prefix="trials-", dir=config.scratch_dir) as trial_dir:
         crf_hat, saturated = search(trial, target, c_min, c_max)
+    if paired in trials and paired - 1 not in trials:
+        logger.debug("pair %s: crf=%d, encoded beside crf=%d, was not needed",
+                     pair.pair_id, paired - 1, paired)
 
     return ProfileEntry(
         rho_in=original.resolution,
@@ -163,22 +182,27 @@ def estimate_crf(
     )
 
 
-def _stated_start(pair: VideoPair, c_min: int, c_max: int) -> int | None:
+def _stated_start(pair: VideoPair, c_min: int, c_max: int) -> tuple[int | None, bool]:
     """The bisection's first trial: the CRF the shared video's x264 settings
-    state, rounded up into [c_min, c_max]; None where they state none."""
+    state, rounded up into [c_min, c_max], None where they state none; and
+    whether its run also encodes the CRF below it, the witness a passing
+    start needs. It does where the rounded CRF lies in (c_min, c_max]: at
+    c_min nothing lies below, and a start clamped down to c_max that fails
+    ends the search without the CRF below it."""
     settings = x264_settings(pair.shared_path)
     if settings is None:
         logger.debug("pair %s: no x264 settings, cold start", pair.pair_id)
-        return None
+        return None, False
     rc, crf = settings.get("rc"), settings.get("crf")
     try:
         stated = float(crf) if rc == "crf" else math.nan
     except (TypeError, ValueError):
         stated = math.nan
-    start = min(max(math.ceil(stated), c_min), c_max) if math.isfinite(stated) else None
+    rounded = math.ceil(stated) if math.isfinite(stated) else None
+    start = None if rounded is None else min(max(rounded, c_min), c_max)
     logger.debug("pair %s: x264 settings state rc=%s crf=%s, %s", pair.pair_id, rc, crf,
                  "cold start" if start is None else f"first trial at crf {start}")
-    return start
+    return start, rounded is not None and c_min < rounded <= c_max
 
 
 def _linear_sweep(trial, target: float, c_min: int, c_max: int) -> tuple[int, bool]:

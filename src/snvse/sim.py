@@ -3,8 +3,10 @@
 These are command-line stand-ins installed as ``snvse-sim-ffmpeg`` and
 ``snvse-sim-ffprobe`` (also runnable as ``python -m snvse.sim_ffmpeg`` /
 ``sim_ffprobe``). They accept exactly the options snvse passes, and the
-encoder prints nothing but its ``-version`` line and its errors. The
-options are two tables, ``_FFMPEG_OPTIONS`` and ``_FFPROBE_OPTIONS``: each
+encoder prints nothing but its ``-version`` line and its errors. As
+ffmpeg does, the encoder writes one input to one or more outputs, each
+per the output options before it, and each as it would be written alone.
+The options are two tables, ``_FFMPEG_OPTIONS`` and ``_FFPROBE_OPTIONS``: each
 holds exactly the options this package, its tests and its bench pass,
 with the parser of each option's value, and one argv parser reads both;
 any other option is "not simulated". The prober
@@ -328,6 +330,8 @@ def _parse_scale(expr: str) -> tuple[int, int]:
 # and its bench pass; the encoder reads ``-version`` before them, and any
 # other option is "not simulated". ``-hide_banner``, ``-nostats`` and
 # ``-loglevel`` change nothing: the sim prints no banner, stats or log lines.
+# The encoder's options outside ``_FFMPEG_SHARED`` are output options: each
+# applies to the next output file on the command line.
 _FFMPEG_OPTIONS = {
     "-y": None,
     "-hide_banner": None,
@@ -347,6 +351,9 @@ _FFMPEG_OPTIONS = {
     "-vf": _parse_scale,
 }
 
+# The encoder's options that apply to its whole run, wherever they stand.
+_FFMPEG_SHARED = frozenset({"-y", "-hide_banner", "-nostats", "-loglevel", "-f", "-i"})
+
 _FFPROBE_OPTIONS = {
     "-show_format": None,
     "-show_streams": None,
@@ -357,29 +364,39 @@ _FFPROBE_OPTIONS = {
 }
 
 
-def _parse_argv(argv: list[str], options: dict) -> tuple[dict, str | None]:
-    """(parsed option values, last operand) of *argv*; a flag's value is True.
+def _parse_argv(argv: list[str], options: dict,
+                shared: frozenset) -> tuple[dict, list[tuple[dict, str | None]]]:
+    """(values of the *shared* options, output groups) of *argv*; a flag's value is True.
 
-    Each option may be given once, so a single ``-i`` is the only input.
+    An output group is the options outside *shared* that precede an
+    operand, with that operand; options after the last operand make a last
+    group whose operand is None. Each option may be given once among the
+    shared options and once in each group, so a single ``-i`` is the only input.
     """
+    common: dict = {}
+    groups: list[tuple[dict, str | None]] = []
     values: dict = {}
-    operand = None
     args = iter(argv)
     for arg in args:
         if not arg.startswith("-"):
-            operand = arg
-        elif arg not in options:
+            groups.append((values, arg))
+            values = {}
+            continue
+        if arg not in options:
             raise SimError(f"option {arg} is not simulated")
-        elif arg in values:
+        into = common if arg in shared else values
+        if arg in into:
             raise SimError(f"option {arg} given twice is not simulated")
-        elif options[arg] is None:
-            values[arg] = True
+        if options[arg] is None:
+            into[arg] = True
         else:
             text = next(args, None)
             if text is None:
                 raise SimError(f"option {arg} requires an argument")
-            values[arg] = options[arg](text)
-    return values, operand
+            into[arg] = options[arg](text)
+    if values:
+        groups.append((values, None))
+    return common, groups
 
 
 # ---------------------------------------------------------------------------
@@ -407,21 +424,35 @@ def _capped(stream: dict, limit: float | None) -> float:
 
 
 def run_ffmpeg(argv: list[str]) -> int:
+    """Encode the one input to every output, each per its own option group.
+
+    Each output is the file the same encode writes alone; none is written
+    unless every group is valid.
+    """
     if "-version" in argv:
         print(_VERSION_LINE)
         return 0
 
-    opts, output = _parse_argv(argv, _FFMPEG_OPTIONS)
-    if "-i" not in opts:
+    common, groups = _parse_argv(argv, _FFMPEG_OPTIONS, _FFMPEG_SHARED)
+    if "-i" not in common:
         raise SimError("no input given")
-    if output is None:
+    if not groups:
         raise SimError("no output given")
-    if opts.get("-f") == "lavfi":
-        in_streams = [synthesize_source(opts["-i"])]
+    trailing, last = groups[-1]
+    if last is None:
+        raise SimError(f"option {next(iter(trailing))} after the last output is not simulated")
+    if common.get("-f") == "lavfi":
+        in_streams = [synthesize_source(common["-i"])]
     else:
-        in_streams = read_container(Path(opts["-i"]))["streams"]
-    output = Path(output)
+        in_streams = read_container(Path(common["-i"]))["streams"]
+    outputs = [(Path(output), _encode_streams(in_streams, opts)) for opts, output in groups]
+    for output, out_streams in outputs:
+        write_container(output, out_streams)
+    return 0
 
+
+def _encode_streams(in_streams: list[dict], opts: dict) -> list[dict]:
+    """The streams one output's option group *opts* makes of *in_streams*."""
     video_in = next((s for s in in_streams if s["type"] == "video"), None)
     audio_in = next((s for s in in_streams if s["type"] == "audio"), None)
     out_streams: list[dict] = []
@@ -477,8 +508,7 @@ def run_ffmpeg(argv: list[str]) -> int:
 
     if not out_streams:
         raise SimError("nothing to encode (no mapped streams)")
-    write_container(output, out_streams)
-    return 0
+    return out_streams
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +520,10 @@ def _fmt_float(value: float) -> str:
 
 
 def run_ffprobe(argv: list[str]) -> int:
-    opts, path = _parse_argv(argv, _FFPROBE_OPTIONS)
-    if path is None:
+    opts, groups = _parse_argv(argv, _FFPROBE_OPTIONS, frozenset(_FFPROBE_OPTIONS))
+    if not groups:
         raise SimError("no input given")
+    path = groups[-1][1]
     streams = read_container(Path(path))["streams"]
     doc: dict = {}
 

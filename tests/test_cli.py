@@ -175,15 +175,20 @@ def test_spawn_budget_of_mock_platform_and_estimate(config, tmp_path, quiet, too
         assert len(tool_calls) == len(trials)
         return trials
 
+    def crfs(argv):
+        return [int(argv[index + 1]) for index, arg in enumerate(argv) if arg == "-crf"]
+
     # The bisection from the CRF the shared video states (33) to the answer
-    # and the failing CRF below it, with 1 s trials.
+    # and the failing CRF below it, with 1 s trials: one tool run encodes both.
     trials = estimate("--strategy", "bisection", "--trial-seconds", "1")
     crf_hat = json.loads((tmp_path / "p.json").read_text())["entries"][0]["crf_hat"]
-    crfs = [int(argv[argv.index("-crf") + 1]) for argv in trials]
-    assert crfs[0] == 33
-    assert {crf_hat - 1, crf_hat} <= set(crfs)
-    # A linear sweep from far below the crossing, with 2 s trials.
-    assert len(estimate("--strategy", "linear", "--c-min", "21", "--c-max", "40")) == 13
+    runs = [crfs(argv) for argv in trials]
+    assert runs[0][0] == 33
+    assert [crf_hat, crf_hat - 1] in runs
+    # A linear sweep from far below the crossing, with 2 s trials: a run per CRF.
+    linear = estimate("--strategy", "linear", "--c-min", "21", "--c-max", "40")
+    runs = [crfs(argv) for argv in linear]
+    assert runs == [[crf] for crf in range(21, 34)]
 
 
 def test_mock_platform_rejects_odd_resolution(config, tmp_path, quiet, capsys):

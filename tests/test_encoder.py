@@ -2,6 +2,8 @@
 
 import json
 import subprocess
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from snvse.bitrate import measure_bitrate
 from snvse.encoder import EncodeSpec, build_encode_argv, encode, normalize_dimensions
 from snvse.errors import EncoderFailure, PreconditionViolation
 from snvse.probe import media_info, probe_media
+from snvse.runner import run_batch
 from conftest import fake_encoder, make_clip
 from test_probe import STSD, box, hdlr, mdhd, mp4, stsz, trak
 
@@ -234,3 +237,119 @@ def test_argv_is_logged_verbatim(config, clips, tmp_path, caplog):
         encode(clips["flat"], _spec(), tmp_path / "log.mp4", config)
     exec_lines = [r.message for r in caplog.records if r.message.startswith("exec:")]
     assert any("-crf 30" in line and "scale=640:360" in line for line in exec_lines)
+
+
+def test_argv_of_two_outputs_repeats_the_output_block(config, tmp_path):
+    # One output's argv is the encoder's invocation as pinned above; each
+    # sibling adds its own output block, with its own CRF, after it.
+    spec, sibling = _spec(crf=33.0), _spec(crf=32.0, frame_rate=Fraction(25, 1))
+    source, first, second = tmp_path / "in.mp4", tmp_path / "a.mp4", tmp_path / "b.mp4"
+
+    def block(crf, rate, output):
+        return ["-map", "0:v:0", "-an", "-vf", "scale=640:360", "-c:v", "libx264", "-crf", crf,
+                "-preset", "medium", "-pix_fmt", "yuv420p", "-r", rate, "-t", "2", str(output)]
+
+    alone = build_encode_argv(source, spec, first, config, max_seconds=2.0)
+    assert alone == config.ffmpeg_argv() + [
+        "-hide_banner", "-loglevel", "error", "-nostats", "-y", "-i", str(source),
+        *block("33", "30/1", first)]
+    assert build_encode_argv(source, spec, first, config, max_seconds=2.0,
+                             siblings=[(sibling, second)]) == alone + block("32", "25/1", second)
+
+
+def test_a_two_output_run_writes_what_two_runs_write(config, clips, tmp_path, tool_calls):
+    # One run decodes the input once for both outputs. Each matches its
+    # encode alone in size and rate, and byte for byte: x264 is
+    # deterministic for one input, option set and thread count. The
+    # sibling is taken by a second call that runs no tool.
+    spec, sibling = _spec(crf=33.0), _spec(crf=32.0, frame_rate=Fraction(25, 1))
+    first = encode(clips["hd"], spec, tmp_path / "a.mp4", config, max_seconds=2.0,
+                   siblings=[(sibling, tmp_path / "b.mp4")])
+    second = encode(clips["hd"], sibling, tmp_path / "b.mp4", config, max_seconds=2.0, written=True)
+    assert [argv.count("-crf") for argv in tool_calls] == [2]
+    for together, each in [(first, spec), (second, sibling)]:
+        alone = encode(clips["hd"], each, tmp_path / f"alone-{together.path.name}", config,
+                       max_seconds=2.0)
+        assert (together.file_size, measure_bitrate(together, config).value) == (
+            alone.file_size, measure_bitrate(alone, config).value)
+        assert together.path.read_bytes() == alone.path.read_bytes()
+    assert len(tool_calls) == 3
+
+
+def _writing(config, source, written="outputs", then=""):
+    """*config* with an encoder that copies *source* to the *written* slice
+    of its outputs, then runs *then*. An output is an operand that follows
+    another operand, which is an option's value."""
+    return fake_encoder(config, "import shutil, sys, time\n"
+                        "args = sys.argv[1:]\n"
+                        "outputs = [arg for before, arg in zip(args, args[1:])\n"
+                        "           if not before.startswith('-') and not arg.startswith('-')]\n"
+                        f"for output in {written}:\n"
+                        f"    shutil.copy({str(source)!r}, output)\n"
+                        + then)
+
+
+@pytest.mark.parametrize("written, then, reason", [
+    ("outputs", "sys.exit(1)", "encoder exited 1 for .* -> .*a.mp4, .*b.mp4: $"),
+    ("outputs[:1]", "", "encoder exited 0 for .* -> .*b.mp4, but it wrote no output"),
+], ids=["exit-1", "first-output-only"])
+def test_a_failed_two_output_run_leaves_neither_output(config, clips, tmp_path, written, then,
+                                                       reason):
+    outputs = [tmp_path / "a.mp4", tmp_path / "b.mp4"]
+    with pytest.raises(EncoderFailure, match=reason):
+        encode(clips["flat"], _spec(), outputs[0], _writing(config, clips["flat"], written, then),
+               siblings=[(_spec(crf=29.0), outputs[1])])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_sibling_that_does_not_read_fails_without_an_encoder_run(config, clips, tmp_path,
+                                                                  tool_calls):
+    # It is checked as a run's own output is, and removed. Only the prober
+    # runs, as media_info runs it on any file that is not a whole MP4.
+    out = tmp_path / "b.mp4"
+    out.write_bytes(b"x" * 64)
+    with pytest.raises(EncoderFailure, match="encoder exited 0 for .*, but .*Invalid data"):
+        encode(clips["flat"], _spec(), out, config, written=True)
+    with pytest.raises(EncoderFailure, match="but it wrote no output"):
+        encode(clips["flat"], _spec(), out, config, written=True)
+    assert list(tmp_path.iterdir()) == []
+    encoder = config.ffmpeg_argv()
+    assert [argv for argv in tool_calls if argv[:len(encoder)] == encoder] == []
+
+
+def test_outputs_of_one_run_are_checked_before_it(config, clips, tmp_path, tool_calls):
+    out = tmp_path / "a.mp4"
+    for siblings, written, message in [([(_spec(crf=29.0), out)], False, "given twice"),
+                                       ([(_spec(crf=29.0), clips["flat"])], False, "is the input"),
+                                       ([(_spec(crf=52.0), tmp_path / "b.mp4")], False, "crf"),
+                                       ([(_spec(crf=29.0), tmp_path / "b.mp4")], True, "siblings")]:
+        with pytest.raises(PreconditionViolation, match=message):
+            encode(clips["flat"], _spec(), out, config, siblings=siblings, written=written)
+    assert list(tmp_path.iterdir()) == []
+    assert tool_calls == []
+
+
+def test_an_interrupted_pool_leaves_no_output_of_a_two_output_run(config, clips, tmp_path):
+    # Item 0 interrupts the batch once item 1's run has written both its
+    # outputs; that run is terminated, and its encode removes both.
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    slow = _writing(config, clips["flat"], then="time.sleep(30)")
+    finished = threading.Event()
+
+    def work(n):
+        if n == 0:
+            deadline = time.monotonic() + 10
+            while len(list(scratch.iterdir())) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+        try:
+            encode(clips["flat"], _spec(), scratch / "trial-crf30.mp4", slow,
+                   siblings=[(_spec(crf=29.0), scratch / "trial-crf29.mp4")])
+        finally:
+            finished.set()
+
+    with pytest.raises(KeyboardInterrupt):
+        run_batch(work, [0, 1], workers=2)
+    assert finished.wait(10)
+    assert list(scratch.iterdir()) == []

@@ -4,6 +4,7 @@ import dataclasses
 import datetime as dt
 import json
 import logging
+import math
 import threading
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
@@ -498,4 +499,74 @@ def test_concurrent_pairs_never_share_a_trial_path(config, budget_pairs, tmp_pat
         assert directory.parent == scratch and directory.name.startswith("trials-")
         dirs.add(directory)
     assert len(dirs) == len(pairs)
+    assert list(scratch.iterdir()) == []
+
+
+# The trial at a stated start encodes the CRF below it in the same run.
+
+
+@pytest.mark.parametrize("seconds", [None, 1.0], ids=["whole", "1s"])
+def test_encoding_the_crf_below_the_start_beside_it_changes_no_estimate(
+        config, budget_pairs, cold_search, tmp_path_factory, monkeypatch, tool_calls, seconds):
+    # Stated pairs (one stated below c_min, one above c_max), a stripped one
+    # and an ABR one: the same answers and trial logs as one run per trial,
+    # in fewer runs.
+    root = tmp_path_factory.mktemp("abr")
+    abr = VideoPair(make_clip(config, root / "orig.mp4", size=(640, 360), duration=3),
+                    make_abr_clip(config, root / "abr.mp4", bitrate="300k", size=(640, 360),
+                                  duration=3), "abr")
+    pairs = [*budget_pairs, dataclasses.replace(cold_search[0], pair_id="stripped"), abr]
+
+    def estimates():
+        tool_calls.clear()
+        outcomes = estimate_batch(pairs, config=config, trial_seconds=seconds, **BUDGET_RANGE)
+        encodes = sum(argv.count("-crf") for argv in tool_calls)
+        return [(o.item.pair_id, o.result.crf_hat, o.result.saturated, o.result.trial_log)
+                for o in outcomes], (len(tool_calls), encodes)
+
+    together, (runs, encodes) = estimates()
+    encode_trial = snvse.estimator.encode
+
+    def alone(*args, siblings=(), written=False, **kwargs):
+        return encode_trial(*args, **kwargs)
+
+    monkeypatch.setattr(snvse.estimator, "encode", alone)  # every trial in a run of its own
+    apart, (runs_apart, encodes_apart) = estimates()
+    assert together == apart
+    # Each pair stated in (c_min, c_max] encodes the CRF below its start;
+    # that saves a run where the search asks for it, and is an encode more
+    # where it does not: above-c_min's, under 1 s trials, whose start fails.
+    starts = {pair: math.ceil(crf) for pair, crf in BUDGET_HIDDEN.items()
+              if BUDGET_RANGE["c_min"] < math.ceil(crf) <= BUDGET_RANGE["c_max"]}
+    used = [pair for pair, _, _, log in together
+            if pair in starts and starts[pair] - 1 in dict(log)]
+    assert len(starts) == 4 and len(used) == (4 if seconds is None else 3)
+    assert (runs, encodes) == (runs_apart - len(used), encodes_apart + len(starts) - len(used))
+
+
+def test_a_stated_pair_whose_start_passes_costs_one_tool_run(hidden_pair, config, tool_calls,
+                                                             trial_events):
+    result = estimate_crf(hidden_pair, config=config)
+    [log] = trial_events.values()
+    assert [event[1] for event in log] == [result.crf_hat, result.crf_hat - 1]
+    assert [argv.count("-crf") for argv in tool_calls] == [2]
+    # The linear sweep encodes one CRF per run.
+    tool_calls.clear()
+    linear = estimate_crf(hidden_pair, strategy=SearchStrategy.LINEAR_SWEEP, config=config)
+    assert [argv.count("-crf") for argv in tool_calls] == [1] * len(linear.trial_log)
+
+
+def test_a_failing_start_leaves_the_crf_below_it_out(hidden_pair, config, tmp_path, monkeypatch,
+                                                     tool_calls, caplog):
+    # A shared video at CRF 33 that states 30: the start fails, so the
+    # search never asks for 29. Its file goes with the pair's trial dir.
+    monkeypatch.setattr(snvse.estimator, "x264_settings", lambda path: {"rc": "crf", "crf": "30"})
+    scratch = tmp_path / "scratch"
+    with caplog.at_level(logging.DEBUG, logger="snvse.estimator"):
+        got = estimate_crf(hidden_pair, config=dataclasses.replace(config, scratch_dir=scratch))
+    crfs = [crf for crf, _ in got.trial_log]
+    assert 30 in crfs and 29 not in crfs
+    assert [argv.count("-crf") for argv in tool_calls] == [2] + [1] * (len(crfs) - 1)
+    assert "pair hidden: crf=29, encoded beside crf=30, was not needed" in [
+        r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
     assert list(scratch.iterdir()) == []

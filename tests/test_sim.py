@@ -231,3 +231,35 @@ def test_every_printed_key_is_read_somewhere(tmp_path, monkeypatch, capsys):
 def test_argv_errors_name_the_option(capsys, main, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err == message + "\n"
+
+
+def test_a_run_with_two_outputs_writes_each_as_its_run_alone_would(tmp_path):
+    # Each output's options are its own: the first group's scale and length
+    # do not reach the second, and the shared options reach both.
+    source = ["-y", "-hide_banner", "-f", "lavfi", "-i", "testsrc2=size=640x360:rate=30"]
+    groups = [["-vf", "scale=320:180", "-crf", "33", "-t", "2"],
+              ["-crf", "32", "-r", "25", "-t", "1"]]
+    outputs = [tmp_path / "first.mp4", tmp_path / "second.mp4"]
+    assert main_ffmpeg(source + groups[0] + [str(outputs[0])] + groups[1] + [str(outputs[1])]) == 0
+    for group, output in zip(groups, outputs):
+        alone = tmp_path / f"alone-{output.name}"
+        assert main_ffmpeg(source + group + [str(alone)]) == 0
+        assert output.read_bytes() == alone.read_bytes()
+    assert [read_container(output)["streams"][0]["width"] for output in outputs] == [320, 640]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["-crf", "30", "a.mp4", "-crf", "31", "-crf", "32", "b.mp4"],
+     "option -crf given twice is not simulated"),
+    (["-t", "1", "a.mp4", "-t", "1"], "option -t after the last output is not simulated"),
+    (["-t", "1", "a.mp4", "-i", "color", "-t", "1", "b.mp4"],
+     "option -i given twice is not simulated"),
+    (["-t", "1", "a.mp4", "-vf", "scale=321:180", "-t", "1", "b.mp4"],
+     "width or height not divisible by 2 (321x180) required by yuv420p"),
+], ids=["twice-in-a-group", "after-the-last-output", "second-input", "bad-second-output"])
+def test_output_groups_are_checked_before_any_output_is_written(tmp_path, monkeypatch, capsys,
+                                                                argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main_ffmpeg(["-y", "-f", "lavfi", "-i", "testsrc2=size=640x360:rate=30", *argv]) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert list(tmp_path.iterdir()) == []
