@@ -170,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sta.add_argument("--out", required=True, type=Path, help="output CSV path")
     p_sta.add_argument("--n-min", type=_positive_int, default=1)
     p_sta.add_argument("--n-max", type=_positive_int, default=None,
-                       help="largest subset size (default: min(50, population))")
+                       help="largest subset size (default: the larger of --n-min and "
+                            "min(50, population))")
     p_sta.add_argument("--include-saturated", action="store_true")
     p_sta.add_argument("--width-threshold", type=_width, default=None,
                        help="also report the smallest n' whose CRF range is within this width")
@@ -312,7 +313,7 @@ def cmd_analyze_stability(args) -> int:
     _prepare_out(args.out, [args.profile], "CSV")
     rho = args.resolution
     entries = supporting_entries(rho, profile, args.include_saturated)
-    n_max = args.n_max if args.n_max is not None else min(50, len(entries))
+    n_max = args.n_max if args.n_max is not None else max(args.n_min, min(50, len(entries)))
     report = bootstrap_stability([e.crf_hat for e in entries], (args.n_min, n_max),
                                  iterations=args.iterations, seed=args.seed)
     write_stability_csv(report, args.out)

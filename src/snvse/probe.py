@@ -96,16 +96,6 @@ def _run_prober(options: list[str], path: Path, config: RunConfig) -> dict:
     return doc
 
 
-def _file_size(path: Path) -> int:
-    """The size of *path*; raises FileNotFoundError, or ProberFailure when it is empty."""
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    file_size = os.stat(path).st_size
-    if file_size <= 0:
-        raise ProberFailure(f"{path} is empty")
-    return file_size
-
-
 def media_info(path: str | Path, config: RunConfig | None = None) -> MediaInfo:
     """MediaInfo for the first video stream of *path*: read from its ``moov``
     by ``read_mp4`` where that reads it fully, else probed by ``probe_media``.
@@ -113,7 +103,6 @@ def media_info(path: str | Path, config: RunConfig | None = None) -> MediaInfo:
     Raises FileNotFoundError, NoVideoStream, or ProberFailure, as ``probe_media`` does.
     """
     path = Path(path)
-    _file_size(path)
     return read_mp4(path) or probe_media(path, config)
 
 
@@ -125,7 +114,11 @@ def probe_media(path: str | Path, config: RunConfig | None = None) -> MediaInfo:
     """
     config = config or RunConfig()
     path = Path(path)
-    file_size = _file_size(path)
+    if not path.exists():
+        raise FileNotFoundError(str(path))
+    file_size = os.stat(path).st_size
+    if file_size <= 0:
+        raise ProberFailure(f"{path} is empty")
 
     doc = _run_prober(["-show_format", "-show_streams"], path, config)
 
@@ -200,13 +193,14 @@ def scan_video_stream_bytes(path: str | Path, config: RunConfig | None = None) -
     return sum(sizes)
 
 
-def _boxes(fh, start: int, end: int, path: str | Path) -> list[tuple[bytes, int, int]]:
-    """The (4CC, body start, body end) of each ISO-BMFF box in bytes [start, end) of *fh*.
+def _boxes(fh, path: str | Path) -> list[tuple[bytes, int, int]]:
+    """The (4CC, body start, body end) of each ISO-BMFF box in *fh*, an open
+    file or buffer, from its start to its end.
 
     A 32-bit size of 1 means a 64-bit size follows, and 0 a box that runs to
-    *end*. Raises ProberFailure on a box smaller than its header or past *end*.
+    the end. Raises ProberFailure on a box smaller than its header or past the end.
     """
-    boxes, offset = [], start
+    boxes, offset, end = [], 0, fh.seek(0, os.SEEK_END)
     while offset < end:
         fh.seek(offset)
         header = fh.read(min(16, end - offset))
@@ -228,24 +222,21 @@ def _boxes(fh, start: int, end: int, path: str | Path) -> list[tuple[bytes, int,
     return boxes
 
 
-def _span(fh, where: str, path: str | Path, start: int = 0,
-          end: int | None = None) -> tuple[int, int]:
-    """The (start, end) of the body of the one box at *where*, a path of 4CCs
-    from bytes [start, end) of *fh*, by default the whole of it."""
-    end = fh.seek(0, os.SEEK_END) if end is None else end
-    for kind in where.split("/"):
-        found = [(s, e) for k, s, e in _boxes(fh, start, end, path) if k == kind.encode()]
-        if len(found) != 1:
-            raise ProberFailure(f"{path} holds {len(found)} {kind} boxes where {where} reads one")
-        [(start, end)] = found
-    return start, end
+def _children(data: bytes, path: str | Path) -> dict[bytes, list[bytes]]:
+    """The bodies of the boxes in *data*, by 4CC, each kind's in file order."""
+    children = {}
+    for kind, start, end in _boxes(io.BytesIO(data), path):
+        children.setdefault(kind, []).append(data[start:end])
+    return children
 
 
-def _body(fh, where: str, path: str | Path, start: int = 0, end: int | None = None) -> bytes:
-    """The body of the one box at *where*, found as ``_span`` finds it."""
-    start, end = _span(fh, where, path, start, end)
-    fh.seek(start)
-    return fh.read(end - start)
+def _one(boxes: dict[bytes, list], kind: bytes, path: str | Path):
+    """The one *kind* entry of *boxes*, box bodies or spans by 4CC; ProberFailure
+    unless there is one."""
+    found = boxes.get(kind, [])
+    if len(found) != 1:
+        raise ProberFailure(f"{path} holds {len(found)} {kind.decode()} boxes where one is read")
+    return found[0]
 
 
 def _unpack(layout: str, body: bytes, kind: str, path: str | Path) -> tuple:
@@ -288,66 +279,57 @@ def read_mp4(path: str | Path) -> MediaInfo | None:
     average frame rate, time scale × frames over the frame ticks in
     ``stts``; the ``mdhd`` duration; and the stream bitrate, the ``stsz``
     sample sizes in bits over that duration, rounded as ``av_rescale``
-    rounds. Anything else, and a missing, truncated or malformed box, reads
-    as None, so ``media_info`` falls back to the prober. Equality with real
-    ffprobe (an edit list's shift, a full-range ``yuvj420p``, which only
-    the SPS states) is unverified (ROADMAP item 10).
+    rounds. Anything else, a missing or empty file, and a missing, truncated
+    or malformed box read as None, so ``media_info`` falls back to the
+    prober. Equality with real ffprobe (an edit list's shift, a full-range
+    ``yuvj420p``, which only the SPS states) is unverified (ROADMAP item 10).
     """
     path = Path(path)
     try:
         with open(path, "rb") as fh:
             file_size = fh.seek(0, os.SEEK_END)
-            top = [kind for kind, _, _ in _boxes(fh, 0, file_size, path)]
-            if top[:1] != [b"ftyp"] or b"moof" in top:
-                return None
-            track = _video_track(fh, path)
-        if track is None or b"mvex" in track[0]:
-            return None
-        return _read_track(track[1], path, file_size)
+            readable, boxes = _video_track(fh, path)
+        return _read_track(boxes, path, file_size) if readable else None
     except (OSError, ProberFailure):
         return None
 
 
-def _video_track(fh, path: Path) -> tuple[list[bytes], dict[bytes, list[bytes]]] | None:
-    """The 4CCs of the boxes in an open MP4's ``moov``, and the bodies of the
-    boxes in ``mdia`` and ``mdia/minf/stbl`` of its first ``trak`` with a
-    ``vide`` handler, by 4CC; None where no ``trak`` has one. Raises
-    ProberFailure on a truncated box, or where a ``moov``, ``mdia``,
+def _video_track(fh, path: Path) -> tuple[bool, dict[bytes, list[bytes]]]:
+    """Whether ``read_mp4`` reads the open MP4 *fh* (it starts with ``ftyp``,
+    and holds no ``moof``, nor an ``mvex`` in its ``moov``), and the bodies
+    of the boxes in ``mdia`` and ``mdia/minf/stbl`` of its first ``trak``
+    with a ``vide`` handler, by 4CC; no boxes where no ``trak`` has one.
+    Raises ProberFailure on a truncated box, or where a ``moov``, ``mdia``,
     ``hdlr``, ``minf`` or ``stbl`` on the way is not one box."""
-    data = _body(fh, "moov", path)
-    moov = io.BytesIO(data)
-    boxes = _boxes(moov, 0, len(data), path)
-    # hdlr: version and flags, a predefined field, then the handler type.
-    trak = next(((start, end) for kind, start, end in boxes if kind == b"trak"
-                 and _body(moov, "mdia/hdlr", path, start, end)[8:12] == b"vide"), None)
-    if trak is None:
-        return None
-    found = {}
-    for where in ("mdia", "mdia/minf/stbl"):
-        for kind, start, end in _boxes(moov, *_span(moov, where, path, *trak), path):
-            found.setdefault(kind, []).append(data[start:end])
-    return [kind for kind, _, _ in boxes], found
-
-
-def _one(boxes: dict[bytes, list[bytes]], kind: bytes, path: Path) -> bytes:
-    """The body of the one *kind* box among *boxes*; ProberFailure unless there is one."""
-    found = boxes.get(kind, [])
-    if len(found) != 1:
-        raise ProberFailure(f"{path} holds {len(found)} {kind.decode()} boxes where one is read")
-    return found[0]
+    top = {}
+    for kind, start, end in _boxes(fh, path):
+        top.setdefault(kind, []).append((start, end))
+    start, end = _one(top, b"moov", path)
+    fh.seek(start)
+    moov = _children(fh.read(end - start), path)
+    readable = next(iter(top)) == b"ftyp" and b"moof" not in top and b"mvex" not in moov
+    for trak in moov.get(b"trak", []):
+        mdia = _children(_one(_children(trak, path), b"mdia", path), path)
+        # hdlr: version and flags, a predefined field, then the handler type.
+        if _one(mdia, b"hdlr", path)[8:12] == b"vide":
+            minf = _children(_one(mdia, b"minf", path), path)
+            stbl = _children(_one(minf, b"stbl", path), path)
+            return readable, {kind: mdia.get(kind, []) + stbl.get(kind, [])
+                              for kind in {*mdia, *stbl}}
+    return readable, {}
 
 
 def _read_track(boxes: dict[bytes, list[bytes]], path: Path, file_size: int) -> MediaInfo | None:
     time_scale, duration = _media_header(_one(boxes, b"mdhd", path), path)
     stsd, stts, stsz = (_one(boxes, kind, path) for kind in (b"stsd", b"stts", b"stsz"))
 
-    sample_entries = io.BytesIO(stsd)
-    entries = _boxes(sample_entries, 8, len(stsd), path)  # after the version, flags and count
-    if not entries or entries[0][0] not in (b"avc1", b"avc3"):
+    entries = _children(stsd[8:], path)  # after the version, flags and count
+    kind = next(iter(entries), None)
+    if kind not in (b"avc1", b"avc3"):
         return None
-    _, start, end = entries[0]
-    width, height = _unpack(">24xHH", stsd[start:end], "avc1", path)
-    avcc = _body(sample_entries, "avcC", path, start + _VISUAL_ENTRY_BYTES, end)
+    entry = entries[kind][0]
+    width, height = _unpack(">24xHH", entry, "avc1", path)
+    avcc = _one(_children(entry[_VISUAL_ENTRY_BYTES:], path), b"avcC", path)
     pixel_format = _avc_pixel_format(avcc, path)
 
     (count,) = _unpack(">4xI", stts, "stts", path)
@@ -430,10 +412,7 @@ def x264_settings(path: str | Path) -> dict[str, str] | None:
     path = Path(path)
     try:
         with open(path, "rb") as fh:
-            track = _video_track(fh, path)
-            if track is None:
-                return None
-            _, boxes = track
+            _, boxes = _video_track(fh, path)
             offsets = [(kind, table) for kind in (b"stco", b"co64") for table in boxes.get(kind, [])]
             if len(offsets) != 1:
                 return None

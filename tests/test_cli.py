@@ -738,16 +738,22 @@ def test_analyze_stability_width_threshold_is_a_finite_width(tmp_path, quiet, ca
         assert "smallest n' with CRF range <= 0: 1" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("sizes, code", [(["--n-min", "5", "--n-max", "3"], 2),
-                                         (["--n-min", "20"], 1), (["--n-max", "20"], 1)],
-                         ids=["min-above-max", "min-above-population", "max-above-population"])
-def test_analyze_stability_subset_sizes(tmp_path, quiet, capsys, sizes, code):
+@pytest.mark.parametrize("sizes, population, code", [
+    (["--n-min", "5", "--n-max", "3"], 10, 2), (["--n-min", "20"], 10, 1),
+    (["--n-max", "20"], 10, 1), (["--n-min", "60"], 100, 0),
+], ids=["min-above-max", "min-above-population", "max-above-population", "min-above-default-max"])
+def test_analyze_stability_subset_sizes(tmp_path, quiet, capsys, sizes, population, code):
     # An empty range is a usage error; one the profile's population cannot
-    # fill is found only once the profile is read.
+    # fill is found only once the profile is read. The default --n-max,
+    # min(50, population), rises to an --n-min above it.
     profile_path = write_profile(tmp_path / "p.json", [entry(f"p{i}", (1280, 720), (1280, 720), 30)
-                                                       for i in range(10)])
+                                                       for i in range(population)])
     argv = quiet + ["analyze-stability", "--profile", str(profile_path), "--resolution",
                     "1280x720", "--out", str(tmp_path / "r.csv")] + sizes
+    if code == 0:
+        assert main(argv) == 0
+        assert "n'=60: range 0.000   n'=60: range 0.000" in capsys.readouterr().out
+        return
     if code == 2:
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -755,7 +761,9 @@ def test_analyze_stability_subset_sizes(tmp_path, quiet, capsys, sizes, code):
         assert "--n-min 5 exceeds --n-max 3" in capsys.readouterr().err
     else:
         assert main(argv) == 1
-        assert "PreconditionViolation" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "PreconditionViolation" in err
+        assert "subset size 20 exceeds population of 10 estimates" in err
     assert not (tmp_path / "r.csv").exists()
 
 

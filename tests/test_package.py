@@ -1,6 +1,8 @@
 """The package's lazy public namespace and its module boundaries."""
 
 import ast
+import importlib
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -242,3 +244,17 @@ def test_every_source_parses_at_the_python_floor():
     assert sources
     for path in sources:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_the_console_scripts_resolve():
+    # Tier-1 runs from the source tree and never installs the package, so a
+    # renamed entry point would ship unnoticed. tomllib is missing on the
+    # Python floor; the section is read as text.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    section = text.split("\n[project.scripts]\n")[1].split("\n[")[0]
+    scripts = dict(re.findall(r'^([\w-]+) = "([\w.:]+)"$', section, re.MULTILINE))
+    assert scripts == {"snvse": "snvse.cli:main", "snvse-sim-ffmpeg": "snvse.sim:main_ffmpeg",
+                       "snvse-sim-ffprobe": "snvse.sim:main_ffprobe"}
+    for target in scripts.values():
+        module, _, function = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), function)), target

@@ -503,6 +503,24 @@ def test_read_mp4_averages_a_variable_frame_rate(config, tmp_path, caplog):
     assert "looks variable-frame-rate (2 frame intervals in its stts)" in caplog.text
 
 
+@pytest.mark.parametrize("fps", ["25", "30000/1001"])
+def test_read_mp4_reads_nothing_but_the_box_tree(config, backend, tmp_path, tool_calls, fps):
+    # A dataset-scale emulate reads each input's moov, never its samples:
+    # with every byte inside the mdat overwritten and every size kept, a clip
+    # and the clip with an audio track read alike, with no tool run. Its x264
+    # options, which only the first sample states, are gone.
+    clip = make_clip(config, tmp_path / "clip.mp4", size=(320, 240), fps=fps, duration=1)
+    audio = with_audio(config, backend, clip, tmp_path / "audio.mp4")
+    for path in (clip, audio):
+        info = read_mp4(path)
+        assert info is not None and x264_settings(path) is not None
+        path.write_bytes(edited(path.read_bytes(), "mdat",
+                                lambda whole: whole[:8] + b"\xa5" * (len(whole) - 8)))
+        tool_calls.clear()
+        assert read_mp4(path) == media_info(path, config) == info
+        assert tool_calls == [] and x264_settings(path) is None
+
+
 def test_media_info_checks_the_file_before_reading_it(config, tmp_path, tool_calls):
     with pytest.raises(FileNotFoundError):
         media_info(tmp_path / "nope.mp4", config)
@@ -558,6 +576,21 @@ def test_an_abr_encode_states_no_crf(tmp_path):
     path.write_bytes(stating(ABR_TEXT + b"\0"))
     settings = x264_settings(path)
     assert (settings["rc"], settings["bitrate"]) == ("abr", "800") and "crf" not in settings
+
+
+def test_x264_settings_reads_the_first_video_trak(tmp_path):
+    # A soun trak ahead of the video trak, with its own stco to a sample that
+    # states an ABR encode: the options come from the video trak's first
+    # sample, and from the other sample once its trak is the first video one.
+    samples = [box_at(stating(text + b"\0"), "mdat")[8:] for text in (ABR_TEXT, X264_TEXT)]
+    first = [12 + 8, 12 + 8 + len(samples[0])]  # after the ftyp box and the mdat's header
+    path = tmp_path / "shared.mp4"
+    for handler, crf in [(b"soun", "23.0"), (b"vide", None)]:
+        traks = [trak(TWO_SECONDS + hdlr(kind), stsz([len(sample)])
+                      + box(b"stco", struct.pack(">4xII", 1, offset)))
+                 for kind, sample, offset in zip((handler, b"vide"), samples, first)]
+        path.write_bytes(box(b"ftyp", b"isom") + box(b"mdat", *samples) + box(b"moov", *traks))
+        assert x264_settings(path).get("crf") == crf
 
 
 @pytest.mark.parametrize("data", [
