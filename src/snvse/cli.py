@@ -26,7 +26,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import DEFAULT_ITERATIONS, bootstrap_stability, recommend_sample_size, write_stability_csv
 from .config import RunConfig
-from .encoder import CRF_CEIL, CRF_FLOOR, EncodeSpec, encode
+from .encoder import CRF_CEIL, CRF_FLOOR, EncodeSpec, encode_batch
 from .errors import AllItemsFailed, InvalidRange, IoFailure, PreconditionViolation, SnvseError
 from .estimator import DEFAULT_STRATEGY, SearchStrategy, VideoPair, check_range, estimate_batch
 from .planner import emulate_batch, supporting_entries
@@ -114,7 +114,8 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
     parser.add_argument("--preset", default=default,
                         help="x264 preset; estimation and emulation must agree (default: medium)")
     parser.add_argument("--workers", type=_positive_int, default=default,
-                        help="max concurrent encodes (default: cpu count)")
+                        help="max concurrent tool processes; emulate and mock-platform "
+                             "encode up to 4 inputs in each (default: cpu count)")
     parser.add_argument("--scratch-dir", type=Path, default=default,
                         help="directory for trial encodes (default: system temp)")
     parser.add_argument("--log-level", choices=["debug", "error", "info", "warn"],
@@ -361,17 +362,13 @@ def cmd_mock_platform(args) -> int:
     by_stem(inputs)  # outputs are named <stem>.mp4
     args.out.mkdir(parents=True, exist_ok=True)
 
-    def work(path: Path) -> Path:
-        info = media_info(path, config)
-        spec = EncodeSpec(
-            target_width=width,
-            target_height=height,
-            crf=args.crf,
-            frame_rate=info.frame_rate,
-        )
-        return encode(path, spec, args.out / f"{path.stem}.mp4", config).path
+    def spec(path: Path) -> EncodeSpec:
+        return EncodeSpec(width, height, args.crf, media_info(path, config).frame_rate)
 
-    outcomes = run_batch(work, inputs, config.workers)
+    specs = run_batch(spec, inputs, config.workers)
+    jobs = [(o.item, o.result, args.out / f"{o.item.stem}.mp4") for o in specs if o.ok]
+    failed = {o.item: o for o in encode_batch(jobs, config) if not o.ok}
+    outcomes = [failed.get(o.item, o) for o in specs]
     ok = sum(o.ok for o in outcomes)
     if not ok:
         raise AllItemsFailed("every input failed; first error: " + outcomes[0].error)

@@ -33,8 +33,9 @@ the search ends. Its rate is measured as the shared video's is,
 ``bitrate.measure_bitrate`` of ``probe.media_info``, which ``encode``
 returns, and the file is removed at once. ``media_info`` reads an MP4
 from its ``moov``, with no tool run, and any other file by the prober;
-the shared video's x264 settings are read from its first sample, with no
-tool run either. The bisection's trial at a stated start also encodes
+the shared video's x264 settings are read from its first sample in the
+same walk of its boxes (``probe.media_info_and_settings``), with no tool
+run either. The bisection's trial at a stated start also encodes
 the CRF below it, the witness a passing start needs, in the same run
 (``encode``'s sibling rule), wherever the stated CRF rounds up into
 (c_min, c_max]; a trial of that CRF then reads the file with no tool
@@ -61,7 +62,7 @@ from .bitrate import measure_bitrate
 from .config import RunConfig
 from .encoder import EncodeSpec, encode, normalize_dimensions
 from .errors import AllItemsFailed, InvalidRange, PreconditionViolation
-from .probe import media_info, x264_settings
+from .probe import media_info, media_info_and_settings
 from .profile_db import CRF_MAX, CRF_MIN, ProfileEntry, check_unique_pair_ids
 from .runner import Outcome, run_batch
 
@@ -130,7 +131,7 @@ def estimate_crf(
     config.scratch_dir.mkdir(parents=True, exist_ok=True)
 
     original = media_info(pair.original_path, config)
-    shared = media_info(pair.shared_path, config)
+    shared, settings = media_info_and_settings(pair.shared_path, config)
     if shared.codec_name != "h264":
         logger.warning(
             "pair %s: shared video codec is %r, not h264; trial encodes still use h264",
@@ -150,7 +151,7 @@ def estimate_crf(
         return Path(trial_dir) / f"trial-crf{crf}.mp4"
 
     def trial(crf: int) -> float:
-        siblings = [(spec(crf - 1), path(crf - 1))] if crf == paired else []
+        siblings = [(pair.original_path, spec(crf - 1), path(crf - 1))] if crf == paired else []
         info = encode(pair.original_path, spec(crf), path(crf), config, max_seconds=trial_seconds,
                       siblings=siblings, written=crf + 1 == paired and paired in trials)
         rate = trials[crf] = measure_bitrate(info, config).value
@@ -162,7 +163,7 @@ def estimate_crf(
     if strategy is SearchStrategy.LINEAR_SWEEP:
         search = _linear_sweep
     else:
-        start, pairs_below = _stated_start(pair, c_min, c_max)
+        start, pairs_below = _stated_start(pair, settings, c_min, c_max)
         paired = start if pairs_below else None
         search = functools.partial(_bisection_with_verify, start=start)
     with tempfile.TemporaryDirectory(prefix="trials-", dir=config.scratch_dir) as trial_dir:
@@ -182,14 +183,14 @@ def estimate_crf(
     )
 
 
-def _stated_start(pair: VideoPair, c_min: int, c_max: int) -> tuple[int | None, bool]:
-    """The bisection's first trial: the CRF the shared video's x264 settings
+def _stated_start(pair: VideoPair, settings: dict[str, str] | None, c_min: int,
+                  c_max: int) -> tuple[int | None, bool]:
+    """The bisection's first trial: the CRF the shared video's x264 *settings*
     state, rounded up into [c_min, c_max], None where they state none; and
     whether its run also encodes the CRF below it, the witness a passing
     start needs. It does where the rounded CRF lies in (c_min, c_max]: at
     c_min nothing lies below, and a start clamped down to c_max that fails
     ends the search without the CRF below it."""
-    settings = x264_settings(pair.shared_path)
     if settings is None:
         logger.debug("pair %s: no x264 settings, cold start", pair.pair_id)
         return None, False

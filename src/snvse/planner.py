@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .config import RunConfig
-from .encoder import EncodeSpec, encode
+from .encoder import EncodeSpec, encode_batch
 from .errors import AllItemsFailed, NoSupport, PreconditionViolation, PresetMismatch
 from .probe import media_info
 from .profile_db import PlatformProfile, ProfileEntry
@@ -46,7 +46,7 @@ class EmulationPlan:
     support_count: int
     spec: EncodeSpec
     aspect_change: float
-    output_path: Path | None = None  # set by emulate_batch once encoded
+    output_path: Path | None = None  # set by emulate_batch, which encodes to it
 
 
 def _distance_sq(a: tuple[int, int], b: tuple[int, int]) -> int:
@@ -148,6 +148,8 @@ def emulate_batch(
 ) -> list[Outcome]:
     """Emulate every input into *out_dir*; per-input failures are recorded.
 
+    Every input is planned first, by ``run_batch``, then the planned ones
+    are encoded by ``encode_batch``, up to four inputs per tool run.
     Each Outcome's ``result`` is its input's EmulationPlan. Outputs are named
     ``<stem>.<platform>.mp4`` and a JSON manifest of the plans is written
     next to them. Raises AllItemsFailed when *inputs* is empty, and when no
@@ -176,10 +178,12 @@ def emulate_batch(
 
     def work(input_path: str | Path) -> EmulationPlan:
         plan = plan_emulation(input_path, profile, config, include_saturated)
-        output_path = output_of[plan.input_path]
-        return replace(plan, output_path=encode(plan.input_path, plan.spec, output_path, config).path)
+        return replace(plan, output_path=output_of[plan.input_path])
 
-    outcomes = run_batch(work, inputs, config.workers)
+    planned = run_batch(work, inputs, config.workers)
+    jobs = [(o.item, o.result.spec, o.result.output_path) for o in planned if o.ok]
+    failed = {o.item: o for o in encode_batch(jobs, config) if not o.ok}
+    outcomes = [failed.get(o.item, o) for o in planned]
 
     write_manifest(outcomes, out_dir / "manifest.json")
     if not any(o.ok for o in outcomes):

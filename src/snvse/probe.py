@@ -17,7 +17,8 @@ sizes, and a failed scan raises ``ProberFailure`` like a failed probe.
 The shared video and every trial encode go through ``media_info``, so the
 two sides of the CRF search are measured alike (``snvse.bitrate``).
 ``x264_settings`` reads the option string x264 writes into the first video
-sample of its output (``crf=`` among it), and runs no tool either. A
+sample of its output (``crf=`` among it), and runs no tool either;
+``media_info_and_settings`` gives both from one walk of a file's boxes. A
 number that is not finite, or too large for a float, reads as absent; a
 document of another shape raises ``ProberFailure``.
 """
@@ -104,6 +105,15 @@ def media_info(path: str | Path, config: RunConfig | None = None) -> MediaInfo:
     """
     path = Path(path)
     return read_mp4(path) or probe_media(path, config)
+
+
+def media_info_and_settings(
+    path: str | Path, config: RunConfig | None = None
+) -> tuple[MediaInfo, dict[str, str] | None]:
+    """``media_info`` and ``x264_settings`` of *path*, from one walk of its boxes."""
+    path = Path(path)
+    info, settings = _read_mp4(path, info=True, settings=True)
+    return info or probe_media(path, config), settings
 
 
 def probe_media(path: str | Path, config: RunConfig | None = None) -> MediaInfo:
@@ -284,14 +294,27 @@ def read_mp4(path: str | Path) -> MediaInfo | None:
     prober. Equality with real ffprobe (an edit list's shift, a full-range
     ``yuvj420p``, which only the SPS states) is unverified (ROADMAP item 10).
     """
-    path = Path(path)
+    return _read_mp4(Path(path), info=True, settings=False)[0]
+
+
+def _read_mp4(
+    path: Path, info: bool, settings: bool
+) -> tuple[MediaInfo | None, dict[str, str] | None]:
+    """What ``read_mp4`` returns for *path* where *info*, and what
+    ``x264_settings`` returns where *settings*, from one walk of its boxes;
+    each is None where it is not asked for or does not read."""
     try:
         with open(path, "rb") as fh:
             file_size = fh.seek(0, os.SEEK_END)
             readable, boxes = _video_track(fh, path)
-        return _read_track(boxes, path, file_size) if readable else None
+            prefix = _first_sample(fh, boxes, path) if settings else None
     except (OSError, ProberFailure):
-        return None
+        return None, None
+    try:
+        facts = _read_track(boxes, path, file_size) if info and readable else None
+    except ProberFailure:
+        facts = None
+    return facts, (_stated_options(prefix) if prefix is not None else None)
 
 
 def _video_track(fh, path: Path) -> tuple[bool, dict[bytes, list[bytes]]]:
@@ -409,25 +432,33 @@ def x264_settings(path: str | Path) -> dict[str, str] | None:
     ``read_mp4``. A platform that re-encodes with another encoder, or
     strips the message, states nothing.
     """
-    path = Path(path)
+    return _read_mp4(Path(path), info=False, settings=True)[1]
+
+
+def _first_sample(fh, boxes: dict[bytes, list[bytes]], path: Path) -> bytes | None:
+    """Up to the first ``_SEI_SCAN_BYTES`` of the first sample of the video
+    track whose *boxes* ``_video_track`` found in the open file *fh*; None
+    where a box that locates it is missing, truncated or malformed, or the
+    read fails."""
+    offsets = [(kind, table) for kind in (b"stco", b"co64") for table in boxes.get(kind, [])]
+    if len(offsets) != 1:
+        return None
+    [(kind, table)] = offsets
     try:
-        with open(path, "rb") as fh:
-            _, boxes = _video_track(fh, path)
-            offsets = [(kind, table) for kind in (b"stco", b"co64") for table in boxes.get(kind, [])]
-            if len(offsets) != 1:
-                return None
-            [(kind, table)] = offsets
-            count, first = _unpack(">4xII" if kind == b"stco" else ">4xIQ", table,
-                                   kind.decode(), path)
-            if not count:
-                return None
-            stsz = _one(boxes, b"stsz", path)
-            # stsz: a fixed sample size, or 0 and then one size per sample.
-            size = _unpack(">4xI", stsz, "stsz", path)[0] or _unpack(">12xI", stsz, "stsz", path)[0]
-            fh.seek(first)
-            prefix = fh.read(min(size, _SEI_SCAN_BYTES))
+        count, first = _unpack(">4xII" if kind == b"stco" else ">4xIQ", table, kind.decode(), path)
+        if not count:
+            return None
+        stsz = _one(boxes, b"stsz", path)
+        # stsz: a fixed sample size, or 0 and then one size per sample.
+        size = _unpack(">4xI", stsz, "stsz", path)[0] or _unpack(">12xI", stsz, "stsz", path)[0]
+        fh.seek(first)
+        return fh.read(min(size, _SEI_SCAN_BYTES))
     except (OSError, ProberFailure):
         return None
+
+
+def _stated_options(prefix: bytes) -> dict[str, str] | None:
+    """The options of x264's SEI message in a first sample's *prefix*, by key."""
     at = prefix.find(_X264_UUID)
     text, nul, _ = prefix[at + len(_X264_UUID):].partition(b"\0")
     if at < 0 or not nul or not text.isascii():

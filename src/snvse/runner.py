@@ -5,9 +5,10 @@ reproducibility). Each tool process has one owner, the ``run_tool`` call
 that started it, which terminates it within one poll of an interrupt,
 killing it after a grace period, so the caller can clean up partial
 outputs; an interrupted pool starts no further tool. Every batch runs
-through ``run_batch``, every name derived from a file's stem is checked
-for collisions by ``by_stem``, and every output path is checked against
-the inputs by ``refuse_overwrite``.
+through ``run_batch``, each item's one report comes from ``attempt``,
+every name derived from a file's stem is checked for collisions by
+``by_stem``, and every output path is checked against the inputs by
+``refuse_overwrite``.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def run_tool(argv: list[str]) -> subprocess.CompletedProcess:
 
 
 def run_pool(work, items, workers: int) -> list:
-    """Order-preserving bounded map over *items*.
+    """Order-preserving bounded map over *items*: input paths, or pairs with
+    a ``pair_id``, so a traced pool names each item.
 
     On interrupt, pending items are cancelled and the pool's stop flag is
     set, which each worker's ``run_tool`` reads within one poll, so the
@@ -111,27 +113,28 @@ class Outcome:
         return self.error is None
 
 
-def run_batch(work, items, workers: int) -> list[Outcome]:
-    """Run *work* on every item through ``run_pool``, one Outcome per item, in order.
-
-    An item whose work raises SnvseError or OSError records it in its slot
-    as ``"Type: message"`` and logs that string at ERROR, the item's one
-    report; any other exception propagates. An item whose tool the pool's
-    interrupt terminated was interrupted, not failed, and is logged only at
-    DEBUG.
+def attempt(item, work, *args, **kwargs) -> Outcome:
+    """*item*'s Outcome of ``work(*args, **kwargs)``: its result, or the
+    SnvseError or OSError it raised, recorded as ``"Type: message"`` and
+    logged at ERROR, the item's one report; any other exception propagates.
+    An item whose tool its pool's interrupt terminated was interrupted, not
+    failed, and is logged only at DEBUG.
     """
-    def slot(item) -> Outcome:
-        try:
-            return Outcome(item, result=work(item))
-        except (SnvseError, OSError) as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            if _worker.stop.is_set():
-                logger.debug("%s interrupted: %s", item, error)
-            else:
-                logger.error("%s failed: %s", item, error)
-            return Outcome(item, error=error)
+    try:
+        return Outcome(item, result=work(*args, **kwargs))
+    except (SnvseError, OSError) as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        if _worker.stop.is_set():
+            logger.debug("%s interrupted: %s", item, error)
+        else:
+            logger.error("%s failed: %s", item, error)
+        return Outcome(item, error=error)
 
-    return run_pool(slot, items, workers)
+
+def run_batch(work, items, workers: int) -> list[Outcome]:
+    """Run *work* on every item through ``run_pool``, one ``attempt`` per item,
+    so one Outcome per item, in order."""
+    return run_pool(lambda item: attempt(item, work, item), items, workers)
 
 
 def by_stem(paths) -> dict[str, Path]:

@@ -4,8 +4,9 @@ These are command-line stand-ins installed as ``snvse-sim-ffmpeg`` and
 ``snvse-sim-ffprobe`` (also runnable as ``python -m snvse.sim_ffmpeg`` /
 ``sim_ffprobe``). They accept exactly the options snvse passes, and the
 encoder prints nothing but its ``-version`` line and its errors. As
-ffmpeg does, the encoder writes one input to one or more outputs, each
-per the output options before it, and each as it would be written alone.
+ffmpeg does, the encoder reads one or more inputs and writes one or more
+outputs, each from the input its ``-map k:v:0`` names, per the output
+options before it, and each as it would be written alone.
 The options are two tables, ``_FFMPEG_OPTIONS`` and ``_FFPROBE_OPTIONS``: each
 holds exactly the options this package, its tests and its bench pass,
 with the parser of each option's value, and one argv parser reads both;
@@ -351,8 +352,10 @@ _FFMPEG_OPTIONS = {
     "-vf": _parse_scale,
 }
 
-# The encoder's options that apply to its whole run, wherever they stand.
+# The encoder's options that apply to its whole run, wherever they stand;
+# each ``-i`` adds an input.
 _FFMPEG_SHARED = frozenset({"-y", "-hide_banner", "-nostats", "-loglevel", "-f", "-i"})
+_FFMPEG_REPEATED = frozenset({"-i"})
 
 _FFPROBE_OPTIONS = {
     "-show_format": None,
@@ -364,14 +367,16 @@ _FFPROBE_OPTIONS = {
 }
 
 
-def _parse_argv(argv: list[str], options: dict,
-                shared: frozenset) -> tuple[dict, list[tuple[dict, str | None]]]:
+def _parse_argv(argv: list[str], options: dict, shared: frozenset,
+                repeated: frozenset = frozenset()) -> tuple[dict, list[tuple[dict, str | None]]]:
     """(values of the *shared* options, output groups) of *argv*; a flag's value is True.
 
     An output group is the options outside *shared* that precede an
     operand, with that operand; options after the last operand make a last
     group whose operand is None. Each option may be given once among the
-    shared options and once in each group, so a single ``-i`` is the only input.
+    shared options and once in each group, except that a shared option in
+    *repeated* may be given any number of times, and its value is the list
+    of its values in order (the encoder's inputs).
     """
     common: dict = {}
     groups: list[tuple[dict, str | None]] = []
@@ -385,15 +390,19 @@ def _parse_argv(argv: list[str], options: dict,
         if arg not in options:
             raise SimError(f"option {arg} is not simulated")
         into = common if arg in shared else values
-        if arg in into:
+        if arg in into and arg not in repeated:
             raise SimError(f"option {arg} given twice is not simulated")
         if options[arg] is None:
-            into[arg] = True
+            value = True
         else:
             text = next(args, None)
             if text is None:
                 raise SimError(f"option {arg} requires an argument")
-            into[arg] = options[arg](text)
+            value = options[arg](text)
+        if arg in repeated:
+            into.setdefault(arg, []).append(value)
+        else:
+            into[arg] = value
     if values:
         groups.append((values, None))
     return common, groups
@@ -424,17 +433,19 @@ def _capped(stream: dict, limit: float | None) -> float:
 
 
 def run_ffmpeg(argv: list[str]) -> int:
-    """Encode the one input to every output, each per its own option group.
+    """Encode every output from the input its ``-map k:v:0`` names (the
+    only input, where none is named), each per its own option group.
 
     Each output is the file the same encode writes alone; none is written
-    unless every group is valid.
+    unless every input reads and every group is valid.
     """
     if "-version" in argv:
         print(_VERSION_LINE)
         return 0
 
-    common, groups = _parse_argv(argv, _FFMPEG_OPTIONS, _FFMPEG_SHARED)
-    if "-i" not in common:
+    common, groups = _parse_argv(argv, _FFMPEG_OPTIONS, _FFMPEG_SHARED, _FFMPEG_REPEATED)
+    inputs = common.get("-i", [])
+    if not inputs:
         raise SimError("no input given")
     if not groups:
         raise SimError("no output given")
@@ -442,13 +453,28 @@ def run_ffmpeg(argv: list[str]) -> int:
     if last is None:
         raise SimError(f"option {next(iter(trailing))} after the last output is not simulated")
     if common.get("-f") == "lavfi":
-        in_streams = [synthesize_source(common["-i"])]
+        if len(inputs) > 1:
+            raise SimError("-f lavfi with more than one input is not simulated")
+        in_streams = [[synthesize_source(inputs[0])]]
     else:
-        in_streams = read_container(Path(common["-i"]))["streams"]
-    outputs = [(Path(output), _encode_streams(in_streams, opts)) for opts, output in groups]
+        in_streams = [read_container(Path(path))["streams"] for path in inputs]
+    outputs = [(Path(output), _encode_streams(in_streams[_mapped_input(opts, len(inputs))], opts))
+               for opts, output in groups]
     for output, out_streams in outputs:
         write_container(output, out_streams)
     return 0
+
+
+def _mapped_input(opts: dict, inputs: int) -> int:
+    """The index of the input an output group's ``-map k:...`` names; 0 by default."""
+    if "-map" not in opts:
+        if inputs > 1:
+            raise SimError("an output without -map from several inputs is not simulated")
+        return 0
+    index = int(opts["-map"].partition(":")[0])
+    if not 0 <= index < inputs:
+        raise SimError(f"Invalid input file index: {index}.")
+    return index
 
 
 def _encode_streams(in_streams: list[dict], opts: dict) -> list[dict]:

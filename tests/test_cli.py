@@ -142,7 +142,10 @@ def test_mock_platform_and_estimate_flow(config, tmp_path, quiet, capsys):
     assert all(e.rho_out == (640, 360) for e in profile.entries)
 
 
-def test_spawn_budget_of_mock_platform_and_estimate(config, tmp_path, quiet, tool_calls):
+@pytest.mark.parametrize("workers, runs", [(4, [1, 1, 1]), (1, [3])],
+                         ids=["workers=4", "workers=1"])
+def test_spawn_budget_of_mock_platform_runs_and_estimate_trials(config, tmp_path, quiet,
+                                                                tool_calls, workers, runs):
     originals = tmp_path / "originals"
     originals.mkdir()
     for index, source in enumerate(["testsrc2", "gradients", "smptebars"]):
@@ -150,12 +153,12 @@ def test_spawn_budget_of_mock_platform_and_estimate(config, tmp_path, quiet, too
                   size=(1280, 720), duration=2)
     tools = quiet + ["--ffmpeg-bin", config.ffmpeg, "--ffprobe-bin", config.ffprobe]
 
-    # mock-platform: one encode per input; each MP4 input is read from its moov.
+    # mock-platform: each MP4 input is read from its moov, and the n inputs
+    # are encoded in min(n, W·⌈n/4W⌉) runs, so one per input when n <= W.
     shared = tmp_path / "shared"
-    assert main(tools + ["mock-platform", str(originals), "--out", str(shared),
-                         "--resolution", "640x360", "--crf", "33"]) == 0
-    encodes = [argv for argv in tool_calls if "-crf" in argv]
-    assert len(encodes) == len(tool_calls) == 3
+    assert main(tools + ["--workers", str(workers), "mock-platform", str(originals),
+                         "--out", str(shared), "--resolution", "640x360", "--crf", "33"]) == 0
+    assert [argv.count("-crf") for argv in tool_calls] == runs
 
     # estimate of one pair (the other originals go unpaired): both MP4s are
     # read from their moov, then an encode per trial, whose rate is read

@@ -1,6 +1,8 @@
 """Encode operator contract: probed output equals the spec, CRF drives rate."""
 
+import dataclasses
 import json
+import logging
 import subprocess
 import threading
 import time
@@ -8,9 +10,18 @@ from fractions import Fraction
 
 import pytest
 
+import snvse.encoder
 from snvse import sim
 from snvse.bitrate import measure_bitrate
-from snvse.encoder import EncodeSpec, build_encode_argv, encode, normalize_dimensions
+from snvse.encoder import (
+    MAX_INPUTS_PER_RUN,
+    EncodeSpec,
+    build_encode_argv,
+    encode,
+    encode_batch,
+    normalize_dimensions,
+    run_sizes,
+)
 from snvse.errors import EncoderFailure, PreconditionViolation
 from snvse.probe import media_info, probe_media
 from snvse.runner import run_batch
@@ -245,16 +256,25 @@ def test_argv_of_two_outputs_repeats_the_output_block(config, tmp_path):
     spec, sibling = _spec(crf=33.0), _spec(crf=32.0, frame_rate=Fraction(25, 1))
     source, first, second = tmp_path / "in.mp4", tmp_path / "a.mp4", tmp_path / "b.mp4"
 
-    def block(crf, rate, output):
-        return ["-map", "0:v:0", "-an", "-vf", "scale=640:360", "-c:v", "libx264", "-crf", crf,
-                "-preset", "medium", "-pix_fmt", "yuv420p", "-r", rate, "-t", "2", str(output)]
+    def block(crf, rate, output, mapped="0"):
+        return ["-map", f"{mapped}:v:0", "-an", "-vf", "scale=640:360", "-c:v", "libx264",
+                "-crf", crf, "-preset", "medium", "-pix_fmt", "yuv420p", "-r", rate,
+                "-t", "2", str(output)]
 
     alone = build_encode_argv(source, spec, first, config, max_seconds=2.0)
     assert alone == config.ffmpeg_argv() + [
         "-hide_banner", "-loglevel", "error", "-nostats", "-y", "-i", str(source),
         *block("33", "30/1", first)]
-    assert build_encode_argv(source, spec, first, config, max_seconds=2.0,
-                             siblings=[(sibling, second)]) == alone + block("32", "25/1", second)
+    two = build_encode_argv(source, spec, first, config, max_seconds=2.0,
+                            siblings=[(source, sibling, second)])
+    assert two == alone + block("32", "25/1", second)
+    # A sibling of another input adds an -i, in first-seen order, and maps it.
+    other, third = tmp_path / "other.mp4", tmp_path / "c.mp4"
+    three = build_encode_argv(source, spec, first, config, max_seconds=2.0,
+                              siblings=[(other, sibling, third), (source, sibling, second)])
+    assert three == alone[:alone.index("-map")] + ["-i", str(other), *block("33", "30/1", first),
+                                                   *block("32", "25/1", third, mapped="1"),
+                                                   *block("32", "25/1", second)]
 
 
 def test_a_two_output_run_writes_what_two_runs_write(config, clips, tmp_path, tool_calls):
@@ -264,7 +284,7 @@ def test_a_two_output_run_writes_what_two_runs_write(config, clips, tmp_path, to
     # sibling is taken by a second call that runs no tool.
     spec, sibling = _spec(crf=33.0), _spec(crf=32.0, frame_rate=Fraction(25, 1))
     first = encode(clips["hd"], spec, tmp_path / "a.mp4", config, max_seconds=2.0,
-                   siblings=[(sibling, tmp_path / "b.mp4")])
+                   siblings=[(clips["hd"], sibling, tmp_path / "b.mp4")])
     second = encode(clips["hd"], sibling, tmp_path / "b.mp4", config, max_seconds=2.0, written=True)
     assert [argv.count("-crf") for argv in tool_calls] == [2]
     for together, each in [(first, spec), (second, sibling)]:
@@ -298,7 +318,7 @@ def test_a_failed_two_output_run_leaves_neither_output(config, clips, tmp_path, 
     outputs = [tmp_path / "a.mp4", tmp_path / "b.mp4"]
     with pytest.raises(EncoderFailure, match=reason):
         encode(clips["flat"], _spec(), outputs[0], _writing(config, clips["flat"], written, then),
-               siblings=[(_spec(crf=29.0), outputs[1])])
+               siblings=[(clips["flat"], _spec(crf=29.0), outputs[1])])
     assert list(tmp_path.iterdir()) == []
 
 
@@ -319,12 +339,15 @@ def test_a_sibling_that_does_not_read_fails_without_an_encoder_run(config, clips
 
 def test_outputs_of_one_run_are_checked_before_it(config, clips, tmp_path, tool_calls):
     out = tmp_path / "a.mp4"
-    for siblings, written, message in [([(_spec(crf=29.0), out)], False, "given twice"),
-                                       ([(_spec(crf=29.0), clips["flat"])], False, "is the input"),
-                                       ([(_spec(crf=52.0), tmp_path / "b.mp4")], False, "crf"),
-                                       ([(_spec(crf=29.0), tmp_path / "b.mp4")], True, "siblings")]:
+    flat, other, b = clips["flat"], clips["sd"], tmp_path / "b.mp4"
+    for (source, crf, path), written, message in [((flat, 29.0, out), False, "given twice"),
+                                                  ((flat, 29.0, flat), False, "is the input"),
+                                                  ((other, 29.0, flat), False, "is the input"),
+                                                  ((flat, 52.0, b), False, "crf"),
+                                                  ((flat, 29.0, b), True, "siblings")]:
         with pytest.raises(PreconditionViolation, match=message):
-            encode(clips["flat"], _spec(), out, config, siblings=siblings, written=written)
+            encode(flat, _spec(), out, config, siblings=[(source, _spec(crf=crf), path)],
+                   written=written)
     assert list(tmp_path.iterdir()) == []
     assert tool_calls == []
 
@@ -345,7 +368,7 @@ def test_an_interrupted_pool_leaves_no_output_of_a_two_output_run(config, clips,
             raise KeyboardInterrupt
         try:
             encode(clips["flat"], _spec(), scratch / "trial-crf30.mp4", slow,
-                   siblings=[(_spec(crf=29.0), scratch / "trial-crf29.mp4")])
+                   siblings=[(clips["flat"], _spec(crf=29.0), scratch / "trial-crf29.mp4")])
         finally:
             finished.set()
 
@@ -353,3 +376,113 @@ def test_an_interrupted_pool_leaves_no_output_of_a_two_output_run(config, clips,
         run_batch(work, [0, 1], workers=2)
     assert finished.wait(10)
     assert list(scratch.iterdir()) == []
+
+
+@pytest.mark.parametrize("n, workers, runs", [(3, 4, 3), (3, 2, 2), (12, 2, 4), (12, 1, 3),
+                                              (1000, 8, 256), (0, 2, 0)])
+def test_a_batch_runs_min_n_and_w_times_n_over_4w_runs(n, workers, runs):
+    # Contiguous runs whose sizes differ by at most 1, none above the cap;
+    # n <= W inputs run alone.
+    sizes = run_sizes(n, workers)
+    assert len(sizes) == runs and sum(sizes) == n
+    assert sizes == sorted(sizes, reverse=True)
+    assert not sizes or (max(sizes) - min(sizes) <= 1 and max(sizes) <= MAX_INPUTS_PER_RUN)
+
+
+def test_a_batch_refuses_an_input_given_twice(config, clips, tmp_path, tool_calls):
+    jobs = [(clips["flat"], _spec(), tmp_path / name) for name in ("a.mp4", "b.mp4")]
+    with pytest.raises(PreconditionViolation, match="an input is given twice"):
+        encode_batch(jobs, config)
+    assert tool_calls == []
+
+
+def test_a_multi_input_run_writes_what_runs_alone_write(config, backend, clips, tmp_path,
+                                                        tool_calls):
+    # One worker: the three inputs go to one tool run, each output mapped
+    # from its own input. Each output reads as its spec says, and on the
+    # sim it is byte for byte what its encode alone writes.
+    jobs = [(clips["hd"], _spec(crf=31.0), tmp_path / "hd.mp4"),
+            (clips["hd25"], _spec(crf=33.0, frame_rate=Fraction(25, 1)), tmp_path / "hd25.mp4"),
+            (clips["sd"], _spec(target_width=426, target_height=240, crf=35.0),
+             tmp_path / "sd.mp4")]
+    outcomes = encode_batch(jobs, dataclasses.replace(config, workers=1))
+    assert [argv.count("-i") for argv in tool_calls] == [3]
+    for (source, spec, out), outcome in zip(jobs, outcomes):
+        assert (outcome.item, outcome.error) == (source, None)
+        assert outcome.result == media_info(out, config)
+        assert outcome.result.resolution == (spec.target_width, spec.target_height)
+        assert outcome.result.frame_rate == spec.frame_rate
+        alone = encode(source, spec, tmp_path / f"alone-{out.name}", config)
+        if backend == "sim":
+            assert out.read_bytes() == alone.path.read_bytes()
+
+
+def test_a_bad_input_fails_as_it_fails_alone_and_its_run_mates_pass(config, clips, tmp_path,
+                                                                   tool_calls, caplog):
+    # The run of three fails, and each of its inputs is encoded alone: the
+    # bad one reports what its run alone reports, once, and the others pass.
+    corrupt = tmp_path / "corrupt.mp4"
+    corrupt.write_bytes(b"junk" * 64)
+    bad = (corrupt, _spec(), tmp_path / "out-corrupt.mp4")
+    one = dataclasses.replace(config, workers=1)
+
+    def run(jobs):
+        caplog.clear()
+        tool_calls.clear()
+        with caplog.at_level(logging.ERROR, logger="snvse.runner"):
+            outcomes = encode_batch(jobs, one)
+        return outcomes, [r.getMessage() for r in caplog.records], len(tool_calls)
+
+    [alone], alone_lines, alone_runs = run([bad])
+    assert not alone.ok and alone.error.startswith("EncoderFailure: encoder exited 1")
+    assert (alone_lines, alone_runs) == ([f"{corrupt} failed: {alone.error}"], 1)
+    outcomes, lines, runs = run([(clips["flat"], _spec(), tmp_path / "out-flat.mp4"), bad,
+                                 (clips["sd"], _spec(), tmp_path / "out-sd.mp4")])
+    assert [o.ok for o in outcomes] == [True, False, True]
+    assert (outcomes[1].error, lines, runs) == (alone.error, alone_lines, 1 + 3)
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "corrupt.mp4", "out-flat.mp4", "out-sd.mp4"]
+
+
+def test_an_interrupted_multi_input_run_leaves_no_output_and_starts_no_run_alone(
+        config, clips, tmp_path, monkeypatch, caplog):
+    # Two workers, four inputs, so two runs of two. The first run's encode
+    # interrupts the batch once the second run's encoder, which then hangs,
+    # has written both its outputs. That run is terminated, its encode
+    # removes both outputs, and neither of its inputs is encoded alone.
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    slow = dataclasses.replace(_writing(config, clips["flat"], then="time.sleep(30)"), workers=2)
+    trigger = clips["hd"]
+    real_encode, real_batch = snvse.encoder.encode, snvse.encoder.run_batch
+    finished = []
+
+    def encode_or_interrupt(source, *args, **kwargs):
+        if source == trigger:
+            deadline = time.monotonic() + 10
+            while len(list(scratch.iterdir())) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+        return real_encode(source, *args, **kwargs)
+
+    def tracked_batch(work, items, workers):
+        def tracked(item):
+            try:
+                return work(item)
+            finally:
+                finished.append(item)
+        return real_batch(tracked, items, workers)
+
+    monkeypatch.setattr(snvse.encoder, "encode", encode_or_interrupt)
+    monkeypatch.setattr(snvse.encoder, "run_batch", tracked_batch)
+    jobs = [(clips[name], _spec(), scratch / f"{name}.mp4")
+            for name in ("hd", "hd25", "flat", "sd")]
+    with caplog.at_level(logging.DEBUG, logger="snvse.runner"):
+        with pytest.raises(KeyboardInterrupt):
+            encode_batch(jobs, slow)
+        deadline = time.monotonic() + 10
+        while clips["flat"] not in finished and time.monotonic() < deadline:
+            time.sleep(0.01)
+    assert clips["flat"] in finished
+    assert list(scratch.iterdir()) == []
+    assert sum(r.getMessage().startswith("exec:") for r in caplog.records) == 1

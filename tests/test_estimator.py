@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import snvse.estimator
+import snvse.probe
 from snvse.bitrate import measure_bitrate
 from snvse.encoder import EncodeSpec, encode, normalize_dimensions
 from snvse.errors import AllItemsFailed, EncoderFailure, InvalidRange, PreconditionViolation
@@ -23,7 +24,7 @@ from snvse.estimator import (
     estimate_batch,
     estimate_crf,
 )
-from snvse.probe import probe_media
+from snvse.probe import media_info_and_settings, probe_media
 from snvse.profile_db import PlatformProfile, load_profile, save_profile
 
 from conftest import make_abr_clip, make_clip, strip_x264_settings
@@ -67,12 +68,19 @@ def test_batch_rejects_crf_range_before_any_work(hidden_pair, config, tool_calls
     assert tool_calls == []
 
 
-def test_hidden_crf_recovered(hidden_pair, config):
+def test_hidden_crf_recovered(hidden_pair, config, monkeypatch):
+    # Each file's boxes are walked once: the shared video's for its facts
+    # and its x264 settings alike.
+    walked = []
+    walk = snvse.probe._video_track
+    monkeypatch.setattr(snvse.probe, "_video_track",
+                        lambda fh, path: walked.append(path.name) or walk(fh, path))
     result = estimate_crf(hidden_pair, config=config)
     assert 32 <= result.crf_hat <= 34
     assert not result.saturated
     assert result.rho_in == (1280, 720)
     assert result.rho_out == HIDDEN_RHO
+    assert (walked.count("shared.mp4"), walked.count("orig.mp4")) == (1, 1)
 
 
 def test_minimality_witnessed_by_trial_log(hidden_pair, config):
@@ -204,6 +212,14 @@ def cold_search(config, budget_pairs, tmp_path_factory):
     return pair, estimate_crf(pair, config=config)
 
 
+def _states(monkeypatch, settings):
+    """Make the shared video read as stating x264 *settings*."""
+    def read(path, config):
+        return media_info_and_settings(path, config)[0], settings
+
+    monkeypatch.setattr(snvse.estimator, "media_info_and_settings", read)
+
+
 @pytest.mark.parametrize("settings, first", [
     ({"rc": "crf", "crf": "51.0"}, 50),
     ({"rc": "crf", "crf": "18.0"}, 21),
@@ -220,7 +236,7 @@ def test_a_stated_crf_is_clamped_into_the_range_or_ignored(config, cold_search, 
     # that is not a finite number, or stated under another rate control,
     # starts the search cold at c_max. The answer is the cold search's.
     pair, cold = cold_search
-    monkeypatch.setattr(snvse.estimator, "x264_settings", lambda path: settings)
+    _states(monkeypatch, settings)
     got = estimate_crf(pair, config=config)
     [log] = trial_events.values()
     assert log[0][1] == first
@@ -243,10 +259,10 @@ def test_trials_mirror_shared_frame_rate(config, tmp_path, tool_calls, monkeypat
     cfg = dataclasses.replace(config, scratch_dir=scratch)
 
     def shared_as_vp9(path, config):
-        info = probe_media(path, config)
-        return dataclasses.replace(info, codec_name="vp9") if path == shared else info
+        info, settings = media_info_and_settings(path, config)
+        return dataclasses.replace(info, codec_name="vp9"), settings
 
-    monkeypatch.setattr(snvse.estimator, "media_info", shared_as_vp9)
+    monkeypatch.setattr(snvse.estimator, "media_info_and_settings", shared_as_vp9)
     tool_calls.clear()
     with caplog.at_level(logging.WARNING, logger="snvse.estimator"):
         estimate_crf(VideoPair(original, shared, "fps"), config=cfg)
@@ -560,7 +576,7 @@ def test_a_failing_start_leaves_the_crf_below_it_out(hidden_pair, config, tmp_pa
                                                      tool_calls, caplog):
     # A shared video at CRF 33 that states 30: the start fails, so the
     # search never asks for 29. Its file goes with the pair's trial dir.
-    monkeypatch.setattr(snvse.estimator, "x264_settings", lambda path: {"rc": "crf", "crf": "30"})
+    _states(monkeypatch, {"rc": "crf", "crf": "30"})
     scratch = tmp_path / "scratch"
     with caplog.at_level(logging.DEBUG, logger="snvse.estimator"):
         got = estimate_crf(hidden_pair, config=dataclasses.replace(config, scratch_dir=scratch))

@@ -351,14 +351,18 @@ def test_emulate_batch_all_failed(config, tmp_path):
     assert not (tmp_path / "none").exists()
 
 
-def test_emulate_batch_spawns_one_encode_per_mp4_input(config, clips, tmp_path, tool_calls):
-    # Each MP4 input is read from its moov, so its encode is its only tool run.
+@pytest.mark.parametrize("workers, runs", [(4, [1, 1, 1]), (1, [3])],
+                         ids=["workers=4", "workers=1"])
+def test_emulate_batch_encodes_mp4_inputs_in_runs_of_up_to_four(config, clips, tmp_path,
+                                                                tool_calls, workers, runs):
+    # Each MP4 input is read from its moov, so the encoder runs are the only
+    # tool runs: min(n, W·⌈n/4W⌉) of them, so one per input when n <= W.
     prof = profile([entry((1280, 720), (640, 360), 31)])
     inputs = [clips["hd"], clips["hd25"], clips["sd"]]
-    outcomes = emulate_batch(inputs, prof, tmp_path / "out", config=config)
+    outcomes = emulate_batch(inputs, prof, tmp_path / "out",
+                             config=replace(config, workers=workers))
     assert all(o.ok for o in outcomes)
-    encodes = [argv for argv in tool_calls if "-crf" in argv]
-    assert len(encodes) == len(tool_calls) == len(inputs)
+    assert [argv.count("-crf") for argv in tool_calls] == runs
 
 
 def test_emulate_batch_records_an_unfinished_encode(config, clips, tmp_path):

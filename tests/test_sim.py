@@ -248,15 +248,41 @@ def test_a_run_with_two_outputs_writes_each_as_its_run_alone_would(tmp_path):
     assert [read_container(output)["streams"][0]["width"] for output in outputs] == [320, 640]
 
 
+def test_a_run_with_several_inputs_writes_each_output_from_the_input_it_maps(tmp_path):
+    # Each output maps one input's video by its index; an output alone
+    # from its input is the same file. A map past the last input, or an
+    # output that names none of several inputs, writes nothing.
+    sources = []
+    for name, size in [("wide", "640x360"), ("tall", "360x640")]:
+        sources.append(tmp_path / f"{name}.mp4")
+        assert main_ffmpeg(["-y", "-f", "lavfi", "-i", f"testsrc2=size={size}:rate=25",
+                            "-crf", "20", "-t", "2", str(sources[-1])]) == 0
+    inputs = [arg for source in sources for arg in ("-i", str(source))]
+    groups = [["-crf", "33", "-t", "1"], ["-crf", "30"]]
+    outputs = [tmp_path / "first.mp4", tmp_path / "second.mp4"]
+    assert main_ffmpeg(["-y", *inputs, "-map", "1:v:0", *groups[0], str(outputs[0]),
+                        "-map", "0:v:0", *groups[1], str(outputs[1])]) == 0
+    assert [read_container(output)["streams"][0]["height"] for output in outputs] == [640, 360]
+    for source, group, output in zip(reversed(sources), groups, outputs):
+        alone = tmp_path / f"alone-{output.name}"
+        assert main_ffmpeg(["-y", "-i", str(source), "-map", "0:v:0", *group, str(alone)]) == 0
+        assert output.read_bytes() == alone.read_bytes()
+    for group in (["-map", "2:v:0"], ["-crf", "30"]):
+        assert main_ffmpeg(["-y", *inputs, *group, str(tmp_path / "never.mp4")]) == 1
+    assert not (tmp_path / "never.mp4").exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["-crf", "30", "a.mp4", "-crf", "31", "-crf", "32", "b.mp4"],
      "option -crf given twice is not simulated"),
     (["-t", "1", "a.mp4", "-t", "1"], "option -t after the last output is not simulated"),
     (["-t", "1", "a.mp4", "-i", "color", "-t", "1", "b.mp4"],
-     "option -i given twice is not simulated"),
+     "-f lavfi with more than one input is not simulated"),
+    (["-t", "1", "a.mp4", "-map", "1:v:0", "-t", "1", "b.mp4"], "Invalid input file index: 1."),
     (["-t", "1", "a.mp4", "-vf", "scale=321:180", "-t", "1", "b.mp4"],
      "width or height not divisible by 2 (321x180) required by yuv420p"),
-], ids=["twice-in-a-group", "after-the-last-output", "second-input", "bad-second-output"])
+], ids=["twice-in-a-group", "after-the-last-output", "second-input", "map-out-of-range",
+        "bad-second-output"])
 def test_output_groups_are_checked_before_any_output_is_written(tmp_path, monkeypatch, capsys,
                                                                 argv, message):
     monkeypatch.chdir(tmp_path)
